@@ -1,6 +1,6 @@
 // Infrastructure microbenchmarks (google-benchmark): CONGEST simulator
-// round throughput (sequential vs parallel engine), state-vector gates,
-// amplitude-vector Grover iterates, and the graph substrate.
+// round throughput, state-vector gates, amplitude-vector Grover iterates,
+// and the graph substrate.
 
 #include <benchmark/benchmark.h>
 
@@ -54,24 +54,6 @@ void BM_NetworkRoundsSequential(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10 * g.m() * 2);
 }
 BENCHMARK(BM_NetworkRoundsSequential)->Arg(128)->Arg(512)->Arg(2048);
-
-void BM_NetworkRoundsParallel(benchmark::State& state) {
-  Rng rng(1);
-  auto g = graph::make_connected_er(static_cast<std::uint32_t>(state.range(0)),
-                                    0.02, rng);
-  congest::NetworkConfig cfg;
-  cfg.bandwidth_bits = 64;
-  cfg.engine = congest::Engine::kParallel;
-  cfg.num_threads = 4;
-  congest::Network net(g, cfg);
-  net.init_programs(
-      [](graph::NodeId) { return std::make_unique<ChatterProgram>(); });
-  for (auto _ : state) {
-    net.run_rounds(10);
-  }
-  state.SetItemsProcessed(state.iterations() * 10 * g.m() * 2);
-}
-BENCHMARK(BM_NetworkRoundsParallel)->Arg(512)->Arg(2048);
 
 void BM_BfsTreeConstruction(benchmark::State& state) {
   Rng rng(2);

@@ -1,25 +1,22 @@
-// The CONGEST delivery hot path after the zero-allocation rework (SBO
-// messages, precomputed reverse ports, move-based delivery, incremental
-// quiescence) vs the seed implementation, on the flooding workload: every
-// node broadcasts a two-field message every round, so every directed edge
-// carries one delivery per round — the densest traffic the model allows.
+// The CONGEST delivery hot path (SBO messages, precomputed reverse ports,
+// move-based delivery, incremental quiescence) on the flooding workload:
+// every node broadcasts a two-field message every round, so every directed
+// edge carries one delivery per round — the densest traffic the model
+// allows.
 //
-// The pre-change baseline is measured *by this same binary*: the `legacy`
-// namespace below is a faithful port of the seed delivery path
-// (vector-backed messages, per-edge port_to binary search, always-deep-copy
-// delivery, vector<bool> port flags, unconditional per-round virtual
-// memory_bits sweep), driven by the identical workload and validated
-// against the new engines by message count, bit count and an inbox
-// checksum. `--check` turns the parity comparisons and the zero-allocation
-// assertion into hard failures (CI runs it under ASan/TSan); `--out=FILE`
-// emits the JSON summary that seeds BENCH_net.json at the repo root.
+// Fault-free runs are validated against a closed-form reference computed
+// from the graph alone: message and bit totals, and an order-sensitive
+// per-node inbox checksum replayed from the adjacency in port order.
+// `--check` additionally turns the zero-allocation steady state into a hard
+// failure (CI runs it under ASan+UBSan); `--out=FILE` emits the JSON
+// summary whose `configs` block seeds BENCH_net.json at the repo root.
 
 #include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <memory>
 #include <sstream>
-#include <utility>
+#include <thread>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -42,16 +39,16 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 }
 
 /// Order-sensitive per-node hash of delivered (port, fields); summing the
-/// per-node hashes gives a workload checksum that every engine and the
-/// legacy baseline must reproduce exactly on fault-free runs.
+/// per-node hashes gives a workload checksum that every fault-free run must
+/// reproduce exactly.
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
 
-/// Flooding program for the new engines: broadcast (id, round) each round,
-/// hash everything heard. memory_bits() stays 0, so the engine's audit
-/// sweep disarms after round 1 — exactly the non-reporting common case the
-/// skip optimization targets.
+/// Flooding program: broadcast (id, round) each round, hash everything
+/// heard. memory_bits() stays 0, so the network's audit sweep disarms after
+/// round 1 — exactly the non-reporting common case the skip optimization
+/// targets.
 class Flood final : public congest::NodeProgram {
  public:
   void on_start(congest::NodeContext& ctx) override { blast(ctx); }
@@ -76,6 +73,23 @@ class Flood final : public congest::NodeProgram {
   std::uint64_t sum_ = 0;
 };
 
+/// Flood's checksum after `rounds` rounds, replayed from the adjacency: in
+/// round r node w hears, on each port p in order, (neighbor id, r - 1).
+std::uint64_t flood_checksum(const graph::Graph& g, std::uint32_t rounds) {
+  std::uint64_t total = 0;
+  for (graph::NodeId w = 0; w < g.n(); ++w) {
+    const auto nb = g.neighbors(w);
+    std::uint64_t h = 0;
+    for (std::uint32_t r = 1; r <= rounds; ++r) {
+      for (std::uint32_t p = 0; p < nb.size(); ++p) {
+        h = mix(mix(mix(h, p), nb[p]), (r - 1) & 0xFFFFu);
+      }
+    }
+    total += h;
+  }
+  return total;
+}
+
 struct Result {
   double ms = 0.0;               ///< best (min) timed repetition
   std::uint64_t messages = 0;    ///< deliveries in that repetition
@@ -96,177 +110,14 @@ struct Result {
   }
 };
 
-}  // namespace
-
-// A faithful port of the seed's delivery path, kept private to this binary
-// as the pre-change baseline. Costs reproduced on purpose: heap-backed
-// messages (every delivery deep-copies two vectors), port_to binary search
-// per edge per round, vector<bool> port flags, and the unconditional
-// per-round virtual memory_bits() sweep.
-namespace legacy {
-
-class Message {
- public:
-  Message& push(std::uint64_t value, std::uint32_t bits) {
-    values_.push_back(value);
-    widths_.push_back(bits);
-    return *this;
-  }
-  std::uint64_t field(std::size_t i) const { return values_[i]; }
-  std::uint32_t size_bits() const {  // a scan, as in the seed
-    std::uint32_t s = 0;
-    for (const std::uint32_t w : widths_) s += w;
-    return s;
-  }
-
- private:
-  std::vector<std::uint64_t> values_;
-  std::vector<std::uint32_t> widths_;
-};
-
-struct Incoming {
-  std::uint32_t port;
-  Message msg;
-};
-
-struct Node {
-  std::vector<graph::NodeId> neighbors;
-  std::vector<Message> outbox;
-  std::vector<bool> port_used;
-  std::vector<Incoming> inbox;
-};
-
-/// Stand-in for the seed's per-node NodeProgram virtual dispatch: the sweep
-/// below pays one virtual call per node per round whether or not the
-/// program reports anything, exactly as the seed did.
-struct Auditor {
-  virtual ~Auditor() = default;
-  virtual std::uint64_t memory_bits() const { return 0; }
-};
-
-struct Tally {
-  std::uint64_t messages = 0;
-  std::uint64_t bits = 0;
-};
-
-class Sim {
- public:
-  explicit Sim(const graph::Graph& g)
-      : n_(g.n()), id_bits_(qc::bit_width_for(g.n())) {
-    nodes_.resize(n_);
-    sums_.assign(n_, 0);
-    auditors_.reserve(n_);
-    for (graph::NodeId v = 0; v < n_; ++v) {
-      const auto nb = g.neighbors(v);
-      nodes_[v].neighbors.assign(nb.begin(), nb.end());
-      nodes_[v].outbox.resize(nb.size());
-      nodes_[v].port_used.assign(nb.size(), false);
-      auditors_.push_back(std::make_unique<Auditor>());
-    }
-    for (graph::NodeId v = 0; v < n_; ++v) blast(v);  // on_start
-  }
-
-  void run_rounds(std::uint32_t rounds, Tally& t) {
-    for (std::uint32_t r = 0; r < rounds; ++r) {
-      ++round_;
-      for (graph::NodeId w = 0; w < n_; ++w) {  // delivery
-        auto& node = nodes_[w];
-        node.inbox.clear();
-        const auto deg = static_cast<std::uint32_t>(node.neighbors.size());
-        for (std::uint32_t p = 0; p < deg; ++p) {
-          auto& sender = nodes_[node.neighbors[p]];
-          // The seed resolved the sender's outbox slot with port_to's
-          // binary search on every edge every round.
-          const auto it = std::lower_bound(sender.neighbors.begin(),
-                                           sender.neighbors.end(), w);
-          const auto q =
-              static_cast<std::uint32_t>(it - sender.neighbors.begin());
-          if (!sender.port_used[q]) continue;
-          node.inbox.push_back(Incoming{p, sender.outbox[q]});  // deep copy
-          ++t.messages;
-          t.bits += node.inbox.back().msg.size_bits();
-        }
-      }
-      for (graph::NodeId v = 0; v < n_; ++v) {  // compute
-        auto& node = nodes_[v];
-        std::fill(node.port_used.begin(), node.port_used.end(), false);
-        for (const auto& in : node.inbox) {
-          sums_[v] = mix(mix(mix(sums_[v], in.port), in.msg.field(0)),
-                         in.msg.field(1));
-        }
-        blast(v);
-      }
-      std::uint64_t mx = 0;  // unconditional virtual memory sweep
-      for (const auto& a : auditors_) mx = std::max(mx, a->memory_bits());
-      max_memory_bits_ = std::max(max_memory_bits_, mx);
-    }
-  }
-
-  std::uint64_t checksum() const {
-    std::uint64_t s = 0;
-    for (const std::uint64_t h : sums_) s += h;
-    return s;
-  }
-
- private:
-  void blast(graph::NodeId v) {
-    auto& node = nodes_[v];
-    Message m;
-    m.push(v, id_bits_);
-    m.push(round_ & 0xFFFFu, 16);
-    const auto deg = static_cast<std::uint32_t>(node.neighbors.size());
-    for (std::uint32_t p = 0; p < deg; ++p) {
-      node.outbox[p] = m;
-      node.port_used[p] = true;
-    }
-  }
-
-  std::uint32_t n_;
-  std::uint32_t id_bits_;
-  std::uint32_t round_ = 0;
-  std::vector<Node> nodes_;
-  std::vector<std::uint64_t> sums_;
-  std::vector<std::unique_ptr<Auditor>> auditors_;
-  std::uint64_t max_memory_bits_ = 0;
-};
-
-}  // namespace legacy
-
-namespace {
-
-// Wall-clock noise is the enemy of a committed speedup number: each config
-// runs `reps` timed phases over one warmed-up network and reports the best
+// Wall-clock noise is the enemy of a committed number: each config runs
+// `reps` timed phases over one warmed-up network and reports the best
 // (minimum-time) phase, while the parity fields accumulate over the whole
 // run so the correctness gates still cover every executed round.
-Result run_legacy(const graph::Graph& g, std::uint32_t warm,
-                  std::uint32_t rounds, std::uint32_t reps) {
-  legacy::Sim sim(g);
-  legacy::Tally discard;
-  sim.run_rounds(warm, discard);
-  Result r;
-  const std::uint64_t a0 = qc::alloc_probe_count().load();
-  for (std::uint32_t rep = 0; rep < reps; ++rep) {
-    legacy::Tally t;
-    const auto t0 = std::chrono::steady_clock::now();
-    sim.run_rounds(rounds, t);
-    const double ms = ms_since(t0);
-    if (rep == 0 || ms < r.ms) {
-      r.ms = ms;
-      r.messages = t.messages;
-    }
-    r.total_messages += t.messages;
-    r.total_bits += t.bits;
-  }
-  r.allocs = qc::alloc_probe_count().load() - a0;
-  r.checksum = sim.checksum();
-  return r;
-}
-
-Result run_new(const graph::Graph& g, congest::Engine engine,
-               bool with_observer, bool with_fault, std::uint64_t seed,
-               std::uint32_t warm, std::uint32_t rounds, std::uint32_t reps) {
+Result run_flood(const graph::Graph& g, bool with_observer, bool with_fault,
+                 std::uint64_t seed, std::uint32_t warm, std::uint32_t rounds,
+                 std::uint32_t reps) {
   congest::NetworkConfig cfg;
-  cfg.engine = engine;
   cfg.seed = seed;
   auto observed = std::make_shared<std::uint64_t>(0);
   if (with_observer) {
@@ -324,9 +175,9 @@ int main(int argc, char** argv) {
   const std::uint32_t warm = 8;
   const std::uint32_t reps = opt.quick ? 3 : 5;
 
-  banner("CONGEST delivery hot path vs seed implementation",
+  banner("CONGEST delivery hot path",
          "flooding workload: one delivery per directed edge per round; "
-         "legacy = vector messages + port_to search + copy delivery");
+         "fault-free runs checked against a closed-form reference");
 
   const auto g = workload(n, d, opt.seed);
 
@@ -334,23 +185,11 @@ int main(int argc, char** argv) {
     const char* name;
     Result r;
   };
-  std::vector<NamedResult> results;
-  results.push_back({"legacy_seq", run_legacy(g, warm, rounds, reps)});
-  results.push_back(
-      {"seq", run_new(g, congest::Engine::kSequential, false, false, opt.seed,
-                      warm, rounds, reps)});
-  results.push_back(
-      {"seq_observer", run_new(g, congest::Engine::kSequential, true, false,
-                               opt.seed, warm, rounds, reps)});
-  results.push_back(
-      {"seq_fault", run_new(g, congest::Engine::kSequential, false, true,
-                            opt.seed, warm, rounds, reps)});
-  results.push_back(
-      {"par", run_new(g, congest::Engine::kParallel, false, false, opt.seed,
-                      warm, rounds, reps)});
-  results.push_back(
-      {"par_fault", run_new(g, congest::Engine::kParallel, false, true,
-                            opt.seed, warm, rounds, reps)});
+  const std::vector<NamedResult> results = {
+      {"seq", run_flood(g, false, false, opt.seed, warm, rounds, reps)},
+      {"seq_observer", run_flood(g, true, false, opt.seed, warm, rounds, reps)},
+      {"seq_fault", run_flood(g, false, true, opt.seed, warm, rounds, reps)},
+  };
 
   Table t({"config", "ms", "messages", "msgs/sec", "ns/delivery",
            "allocs/delivery"});
@@ -360,33 +199,28 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  const Result& legacy_r = results[0].r;
-  const Result& seq = results[1].r;
-  const Result& seq_fault = results[3].r;
-  const Result& par = results[4].r;
-  const Result& par_fault = results[5].r;
-  const double speedup = seq.msgs_per_sec() / legacy_r.msgs_per_sec();
-  std::cout << "\nsequential speedup vs legacy: " << fmt(speedup, 2)
-            << "x  (" << fmt(legacy_r.ns_per_delivery(), 1) << " -> "
-            << fmt(seq.ns_per_delivery(), 1) << " ns/delivery)\n";
-
-  // Correctness gates. Message/bit/checksum parity across the legacy
-  // baseline and every fault-free config is checked on every run; --check
-  // additionally pins the zero-allocation steady state (CI runs this mode
-  // under ASan and TSan).
-  check_internal(seq.total_messages == legacy_r.total_messages &&
-                     seq.total_bits == legacy_r.total_bits &&
-                     seq.checksum == legacy_r.checksum,
-                 "new sequential engine disagrees with the legacy baseline");
-  check_internal(par.total_messages == seq.total_messages &&
-                     par.total_bits == seq.total_bits &&
-                     par.checksum == seq.checksum,
-                 "parallel engine disagrees with the sequential engine");
-  check_internal(par_fault.total_messages == seq_fault.total_messages &&
-                     par_fault.checksum == seq_fault.checksum,
-                 "engines disagree under an active fault plan");
+  // Correctness gates, checked on every run: each fault-free config must
+  // match the closed-form reference — one delivery per directed edge per
+  // round, id_bits + 16 bits each, and the replayed inbox checksum. --check
+  // additionally pins the zero-allocation steady state.
+  const std::uint64_t ref_messages =
+      std::uint64_t{reps} * rounds * 2 * g.m();
+  const std::uint64_t ref_bits = ref_messages * (qc::bit_width_for(n) + 16);
+  const std::uint64_t ref_checksum = flood_checksum(g, warm + reps * rounds);
+  const Result& seq = results[0].r;
+  const Result& seq_observer = results[1].r;
+  const Result& seq_fault = results[2].r;
+  for (const Result* r : {&seq, &seq_observer}) {
+    check_internal(r->total_messages == ref_messages &&
+                       r->total_bits == ref_bits &&
+                       r->checksum == ref_checksum,
+                   "fault-free delivery disagrees with the closed-form "
+                   "reference");
+  }
   check_internal(seq_fault.total_messages < seq.total_messages,
                  "fault plan dropped no messages");
+  std::cout << "\nclosed-form parity: " << ref_messages << " messages, "
+            << ref_bits << " bits, checksum " << ref_checksum << "\n";
   if (check) {
     check_internal(seq.allocs == 0,
                    "sequential no-fault delivery allocated at steady state");
@@ -397,6 +231,8 @@ int main(int argc, char** argv) {
   json << "{\n"
        << "  \"bench\": \"network_delivery\",\n"
        << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
+       << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"build_type\": \"" << QC_BUILD_TYPE << "\",\n"
        << "  \"n\": " << n << ",\n"
        << "  \"d\": " << d << ",\n"
        << "  \"edges\": " << g.m() << ",\n"
@@ -415,7 +251,6 @@ int main(int argc, char** argv) {
          << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   json << "  },\n"
-       << "  \"speedup_seq_vs_legacy\": " << fmt(speedup, 2) << ",\n"
        << "  \"seq_steady_state_allocs\": " << seq.allocs << ",\n"
        << "  \"results_equal\": true\n"
        << "}\n";

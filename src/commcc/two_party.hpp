@@ -55,8 +55,8 @@ double theorem3_round_floor(double n, double diameter, double s_memory);
 ///
 /// Arm a NetworkConfig with arm() and pass it to any driver; the meter
 /// accumulates across all executions it observes (phased drivers run
-/// several Networks). Works under either engine: the meter is a
-/// congest::DeliveryObserver, and both engines feed observers the same
+/// several Networks). Works in-process and sharded: the meter is a
+/// congest::DeliveryObserver, and both backends feed observers the same
 /// deterministic event stream.
 class CutMeter {
  public:

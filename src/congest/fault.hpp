@@ -31,9 +31,9 @@ struct CrashWindow {
 ///
 /// Every decision (drop this message? corrupt it? which bit?) is a pure
 /// function of (seed, round, sender, receiver): no shared RNG stream is
-/// consumed, so the decisions do not depend on delivery order, engine, or
-/// thread count. For a fixed plan, sequential and parallel executions are
-/// bit-identical — the same guarantee the observer layer gives for
+/// consumed, so the decisions do not depend on delivery order or on which
+/// process rolls them. For a fixed plan, in-process and sharded executions
+/// are bit-identical — the same guarantee the observer layer gives for
 /// fault-free runs.
 struct FaultPlan {
   /// Per-delivery probability that a queued message vanishes in transit.

@@ -16,12 +16,12 @@ namespace qc::congest {
 ///
 /// The Network attaches one instance automatically (composed with any
 /// caller-supplied observer) whenever a global metrics registry is
-/// installed, so both engines feed the same deterministic event stream;
+/// installed, so it sees the network's deterministic event stream;
 /// drop/corruption/violation totals — which observers never see — are
 /// recorded by the Network itself as labeled counters at each phase end.
 ///
-/// Not thread-safe by itself, and does not need to be: both engines
-/// invoke observers from a single thread (see DeliveryObserver). The
+/// Not thread-safe by itself, and does not need to be: a Network invokes
+/// observers from a single thread (see DeliveryObserver). The
 /// registry behind it is thread-safe, so several Networks (e.g. parallel
 /// branch simulations) may each own an instance against the same
 /// registry; histogram merges are order-independent, keeping exported

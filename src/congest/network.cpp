@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <cassert>
 #include <sstream>
-#include <thread>
 
 #include "congest/metrics_observer.hpp"
 #include "util/metrics.hpp"
@@ -226,14 +224,14 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
                             std::vector<PendingDelivery>* sink) {
   // Receiver-driven delivery: node w pulls, in port order, the message its
   // neighbor queued for it last round. Port-order assembly makes the inbox
-  // deterministic regardless of engine or thread count. Observer events
-  // either fire inline (sequential engine, sink == nullptr) or are
-  // buffered per worker and flushed in receiver order at the round
-  // barrier — the same (round, to, from) order either way. Fault decisions
-  // are stateless hashes of (seed, round, from, to), so they are the same
-  // under both engines as well. Crash checks go through the per-round
-  // CrashIndex (refreshed at round start) instead of scanning the crash
-  // list per edge.
+  // deterministic regardless of how receivers are split into ranges.
+  // Observer events either fire inline (sink == nullptr) or are recorded
+  // into the sink — a shard worker ships them to the coordinator, which
+  // replays them in receiver order — the same (round, to, from) order
+  // either way. Fault decisions are stateless hashes of (seed, round, from,
+  // to), so they do not depend on the range split either. Crash checks go
+  // through the per-round CrashIndex (refreshed at round start) instead of
+  // scanning the crash list per edge.
   //
   // The common path is allocation-free and O(1) per edge: the sender's
   // outbox slot is one flat array index away (in_slot_, the precomputed
@@ -241,8 +239,8 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
   // detour through the sender's NodeContext) and is *moved* into the
   // receiver's inbox — each directed edge has exactly one receiver, so the
   // slot is consumed exactly once per round; the receiver clears the used
-  // flag as it consumes, and the sender only writes it again on the far
-  // side of a round barrier. Only bandwidth truncation builds a new
+  // flag as it consumes, and the sender only writes it again in the
+  // compute phase that follows. Only bandwidth truncation builds a new
   // message; fault corruption flips a bit in the inbox slot in place.
   // Consumed messages are counted locally and drained into the quiescence
   // counter once per call, not once per message.
@@ -256,6 +254,8 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
   std::uint8_t* const port_used = port_used_flat_.data();
   Message* const outbox = outbox_flat_.data();
   DeliveryObserver* const observer = cfg_.observer.get();
+  // One predictable branch per delivery when nothing observes.
+  const bool notify = sink != nullptr || observer != nullptr;
   std::int64_t consumed = 0;
   for (NodeId w = begin; w < end; ++w) {
     auto& ctx = contexts_[w];
@@ -303,7 +303,7 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
       ++local.messages;
       local.bits += delivered_bits;
       local.max_edge_bits = std::max(local.max_edge_bits, delivered_bits);
-      if (observer != nullptr) {
+      if (notify) {
         if (sink != nullptr) {
           sink->push_back(PendingDelivery{
               u, w, static_cast<std::uint32_t>(ctx.inbox_.size() - 1)});
@@ -361,126 +361,9 @@ void Network::step_round(RunStats& phase) {
   phase += local;
 }
 
-std::uint32_t Network::run_parallel_block(std::uint32_t max_rounds,
-                                          bool until_quiet, RunStats& phase) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned requested = cfg_.num_threads != 0 ? cfg_.num_threads : hw;
-  const unsigned T = std::max(1u, std::min(requested, n() == 0 ? 1u : n()));
-  if (T == 1) {
-    std::uint32_t executed = 0;
-    while (executed < max_rounds && !(until_quiet && all_quiet())) {
-      step_round(phase);
-      ++executed;
-    }
-    return executed;
-  }
-
-  std::vector<RunStats> local(T);
-  std::vector<std::vector<PendingDelivery>> pending(T);
-  std::atomic<bool> done{false};
-  std::atomic<std::uint32_t> executed{0};
-  std::barrier sync(static_cast<std::ptrdiff_t>(T));
-  auto slice = [&](unsigned t) {
-    const std::uint32_t per = (n() + T - 1) / T;
-    const std::uint32_t b = std::min(n(), t * per);
-    const std::uint32_t e = std::min(n(), b + per);
-    return std::pair<std::uint32_t, std::uint32_t>{b, e};
-  };
-  // Persistent workers: one spawn per block, three barriers per round.
-  auto work = [&](unsigned t) {
-    const auto [b, e] = slice(t);
-    for (std::uint32_t i = 0; i < max_rounds; ++i) {
-      if (t == 0) {
-        // Memory-audit decision for the round that just finished: workers
-        // wrote their local[] maxima before the round-end barrier, so
-        // thread 0 may read them here race-free (see step_round for the
-        // sequential twin of this rule).
-        if (memory_audit_ && round_ == 1) {
-          std::uint64_t mx = 0;
-          for (const auto& l : local) {
-            mx = std::max(mx, l.max_node_memory_bits);
-          }
-          if (mx == 0) memory_audit_ = false;
-        }
-        if (until_quiet && all_quiet()) done.store(true);
-        if (!done.load()) {
-          ++round_;
-          executed.fetch_add(1);
-          if (fault_enabled_) crash_index_.refresh(round_);
-        }
-      }
-      sync.arrive_and_wait();  // round_ / crash index / stop decision visible
-      if (done.load()) break;
-      deliver_range(b, e, local[t], &pending[t]);
-      sync.arrive_and_wait();  // all inboxes assembled
-      if (cfg_.observer != nullptr) {
-        // Single-threaded flush: workers hold contiguous ascending
-        // receiver ranges, so draining buffers in worker order replays
-        // the sequential engine's (round, receiver, port) event order
-        // exactly. The flushed message is read from the receiver's inbox
-        // slot, i.e. exactly what was delivered (post-fault/truncation);
-        // the extra barrier keeps the flush ahead of the compute phase.
-        if (t == 0) {
-          for (auto& buf : pending) {
-            for (const auto& ev : buf) {
-              cfg_.observer->on_deliver(
-                  ev.from, ev.to, contexts_[ev.to].inbox_[ev.inbox_index].msg,
-                  round_);
-            }
-            buf.clear();
-          }
-        }
-        sync.arrive_and_wait();  // observer flushed
-      }
-      compute_range(b, e);
-      if (memory_audit_) {
-        for (NodeId v = b; v < e; ++v) {
-          local[t].max_node_memory_bits = std::max(
-              local[t].max_node_memory_bits, programs_[v]->memory_bits());
-        }
-      }
-      sync.arrive_and_wait();  // all outboxes written
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(T - 1);
-  for (unsigned t = 1; t < T; ++t) threads.emplace_back(work, t);
-  work(0);
-  for (auto& th : threads) th.join();
-
-  RunStats merged;
-  for (const auto& l : local) {
-    merged.messages += l.messages;
-    merged.bits += l.bits;
-    merged.violations += l.violations;
-    merged.max_edge_bits = std::max(merged.max_edge_bits, l.max_edge_bits);
-    merged.max_node_memory_bits =
-        std::max(merged.max_node_memory_bits, l.max_node_memory_bits);
-    merged.messages_dropped += l.messages_dropped;
-    merged.messages_corrupted += l.messages_corrupted;
-    merged.crashed_node_rounds += l.crashed_node_rounds;
-  }
-  merged.rounds = executed.load();
-  // A block that ended right after round 1 never reached the top-of-round
-  // decision point; settle the memory-audit question here so later phases
-  // skip the sweep too.
-  if (memory_audit_ && round_ == 1 && merged.max_node_memory_bits == 0) {
-    memory_audit_ = false;
-  }
-  phase += merged;
-  return executed.load();
-}
-
-void Network::shard_set_observer_collection(bool collect) {
+void Network::shard_drop_observers() {
   metrics_observer_.reset();
-  if (collect) {
-    // Non-null so deliver_range records into the caller's sink; never
-    // invoked directly because shard workers always pass a sink.
-    cfg_.observer = std::make_shared<CallbackObserver>(
-        [](NodeId, NodeId, const Message&, std::uint32_t) {});
-  } else {
-    cfg_.observer = nullptr;
-  }
+  cfg_.observer = nullptr;
 }
 
 void Network::shard_start_range(std::uint32_t begin, std::uint32_t end) {
@@ -544,14 +427,9 @@ void Network::start_if_needed() {
 RunStats Network::run_phase(std::uint32_t max_rounds, bool until_quiet) {
   start_if_needed();
   RunStats phase;
-  if (cfg_.engine == Engine::kParallel) {
-    run_parallel_block(max_rounds, until_quiet, phase);
-  } else {
-    std::uint32_t executed = 0;
-    while (executed < max_rounds && !(until_quiet && all_quiet())) {
-      step_round(phase);
-      ++executed;
-    }
+  for (std::uint32_t executed = 0;
+       executed < max_rounds && !(until_quiet && all_quiet()); ++executed) {
+    step_round(phase);
   }
   // Per-phase truth, not lifetime state: quiesced reports whether the
   // network is quiescent *now*, at the end of this call.

@@ -33,11 +33,10 @@ struct Incoming {
 /// Halt transitions update `halted` immediately; message counts are batched
 /// (each compute/deliver slice flushes one add/sub for its whole range, see
 /// NodeContext::pending_sends_), so the hot loops pay no per-message atomic
-/// RMW. Updates are relaxed atomics — in the parallel engine the round
-/// barriers order them before thread 0 reads, and the counters never
-/// influence message contents or delivery order, so traces stay
-/// bit-identical across engines and thread counts. Debug builds cross-check
-/// against the scan.
+/// RMW. Updates are relaxed atomics; the counters never influence message
+/// contents or delivery order, so traces stay bit-identical whether one
+/// process runs every node or shard workers each run a slice. Debug builds
+/// cross-check against the scan.
 struct QuiesceCounters {
   std::atomic<std::int64_t> inflight{0};  ///< queued outbox slots not yet consumed
   std::atomic<std::int64_t> halted{0};    ///< nodes whose halted flag is set
@@ -199,38 +198,29 @@ bool neighbors_strictly_sorted(std::span<const graph::NodeId> neighbors);
 std::vector<std::vector<std::uint32_t>> build_reverse_ports(
     std::span<const std::vector<graph::NodeId>> adjacency);
 
-/// Execution engine choice; both produce bit-identical traces.
-enum class Engine {
-  kSequential,
-  kParallel,  ///< one worker per hardware thread, std::barrier synchronized
-};
-
 struct NetworkConfig {
   /// Per-edge per-direction per-round bandwidth in bits. Zero means "use
   /// the model default" congest_bandwidth_bits(n).
   std::uint32_t bandwidth_bits = 0;
   BandwidthPolicy policy = BandwidthPolicy::kEnforce;
-  Engine engine = Engine::kSequential;
   std::uint64_t seed = 1;
-  std::uint32_t num_threads = 0;  ///< 0 = hardware_concurrency
 
   /// Optional observer notified of every delivered message (sender,
-  /// receiver, message, round). Used by the lower-bound harness to tally
-  /// traffic crossing a vertex partition (Theorems 10/11) and by the
-  /// trace/audit tooling. Supported by **both** engines: the parallel
-  /// engine buffers events per worker and flushes them at the round
-  /// barrier in the same (round, receiver, port) order the sequential
-  /// engine produces, so observed streams are bit-identical either way.
-  /// Compose several observers with MultiObserver.
+  /// receiver, message, round), in (round, receiver, port) order. Used by
+  /// the lower-bound harness to tally traffic crossing a vertex partition
+  /// (Theorems 10/11) and by the trace/audit tooling. The shard backend
+  /// replays its workers' events to this observer in the same order, so
+  /// observed streams are bit-identical at every worker count. Compose
+  /// several observers with MultiObserver.
   std::shared_ptr<DeliveryObserver> observer;
 
   /// Deterministic fault schedule (message drops, bit corruption, node
   /// crashes) applied during delivery. Disabled by default; a disabled
   /// plan leaves every execution bit-identical to the pre-fault-layer
   /// behavior. Decisions are stateless hashes of (fault seed, round,
-  /// sender, receiver), so for a fixed plan both engines produce the same
-  /// trace at every thread count. Observers never see dropped messages and
-  /// see corrupted/truncated messages as delivered.
+  /// sender, receiver), so for a fixed plan sequential and sharded runs
+  /// produce the same trace at every worker count. Observers never see
+  /// dropped messages and see corrupted/truncated messages as delivered.
   FaultPlan fault;
 };
 
@@ -306,12 +296,13 @@ class Network {
   /// Stats accumulated since init_programs.
   const RunStats& stats() const { return stats_; }
 
-  /// A delivery buffered for a deferred observer flush (parallel workers at
-  /// the round barrier, shard workers shipping events to the coordinator).
-  /// It names the receiver's inbox slot rather than the sender's outbox
-  /// slot so the flushed event carries the message *as delivered* (after
-  /// any fault corruption or bandwidth truncation); the inbox is fully
-  /// assembled and stable once the deliver pass of the round is over.
+  /// A delivery buffered for a deferred observer flush: shard workers
+  /// collect these and ship the events to the coordinator, which replays
+  /// them to the real observer. It names the receiver's inbox slot rather
+  /// than the sender's outbox slot so the shipped event carries the message
+  /// *as delivered* (after any fault corruption or bandwidth truncation);
+  /// the inbox is fully assembled and stable once the deliver pass of the
+  /// round is over.
   struct PendingDelivery {
     NodeId from;
     NodeId to;
@@ -324,7 +315,7 @@ class Network {
   // run_until_quiescent: the coordinator owns the round loop and the
   // quiescence / memory-audit decisions, and each worker executes only its
   // owned slice of every round. The hooks reuse the exact deliver_range /
-  // compute_range / flat-outbox code paths of the in-process engines —
+  // compute_range / flat-outbox code paths of the in-process engine —
   // which is what makes sharded executions bit-identical by construction.
   // Boundary traffic moves by flat outbox slot index: the sending worker
   // extracts a queued slot (without touching the quiescence counter — the
@@ -332,13 +323,11 @@ class Network {
   // worker injects it into the same slot of its replica, where the normal
   // delivery pass consumes it.
 
-  /// Replaces the observer configuration wholesale: with `collect` true a
-  /// placeholder observer is installed so deliver_range records events into
-  /// the caller's sink (the real observer lives coordinator-side); with
-  /// false observation is disabled entirely. Either way the construction-
-  /// time MetricsObserver is dropped — a worker must not double-report into
-  /// a registry inherited across fork.
-  void shard_set_observer_collection(bool collect);
+  /// Drops the user observer and the construction-time MetricsObserver:
+  /// the real observer lives coordinator-side (a worker records events only
+  /// into the sink it passes to shard_deliver_range), and a worker must not
+  /// double-report into a metrics registry inherited across fork.
+  void shard_drop_observers();
 
   /// on_start for nodes in [begin, end) — the worker's share of the
   /// one-time start phase; queued sends are counted locally.
@@ -416,6 +405,8 @@ class Network {
   RunStats run_phase(std::uint32_t max_rounds, bool until_quiet);
   void step_round(RunStats& phase);
   void compute_range(std::uint32_t begin, std::uint32_t end);
+  /// Delivers to receivers [begin, end). Each delivery is recorded into
+  /// `sink` when it is non-null, else reported to cfg_.observer if set.
   void deliver_range(std::uint32_t begin, std::uint32_t end,
                      RunStats& local_stats,
                      std::vector<PendingDelivery>* sink);
@@ -426,11 +417,6 @@ class Network {
   /// for the counters.
   bool all_quiet_scan() const;
   void reseed_node_rngs();
-  /// Runs up to `max_rounds` with persistent worker threads (one spawn per
-  /// call, 3 barriers per round); stops early at quiescence when
-  /// `until_quiet`. Accumulates into `phase` and returns rounds executed.
-  std::uint32_t run_parallel_block(std::uint32_t max_rounds, bool until_quiet,
-                                   RunStats& phase);
 
   const graph::Graph* graph_;
   NetworkConfig cfg_;
@@ -453,9 +439,7 @@ class Network {
   /// NodeContext::in_slot_ and clear the used flag as they do — every
   /// queued slot is examined by its unique receiver each round (delivered
   /// or dropped), so the flags are self-clearing and no per-round reset
-  /// pass exists. In the parallel engine workers write flags of slots
-  /// outside their node slice, but each slot has exactly one receiver and
-  /// sender-side writes are on the far side of a round barrier.
+  /// pass exists.
   std::vector<Message> outbox_flat_;
   std::vector<std::uint8_t> port_used_flat_;
   std::vector<std::uint32_t> out_base_;
@@ -463,8 +447,9 @@ class Network {
   /// Network object itself moves.
   std::unique_ptr<QuiesceCounters> quiesce_ =
       std::make_unique<QuiesceCounters>();
-  /// While true, step_round / run_parallel_block sweep every program's
-  /// virtual memory_bits() after compute. Cleared permanently (until the
+  /// While true, step_round (and the shard coordinator, through
+  /// shard_set_memory_audit) sweeps every program's virtual memory_bits()
+  /// after compute. Cleared permanently (until the
   /// next init_programs) once a whole round reports 0 everywhere — see
   /// NodeProgram::memory_bits.
   bool memory_audit_ = true;

@@ -11,13 +11,13 @@
 
 namespace qc::congest {
 
-/// Engine-agnostic sink for delivered messages. Both execution engines
-/// feed it the same event stream in the same deterministic order — for
-/// every round, receivers ascending, and per receiver the senders in port
-/// (= neighbor-id) order. The sequential engine invokes the sink inline;
-/// the parallel engine buffers per worker and flushes the merged stream
-/// from one thread at the round barrier, so implementations never need
-/// their own locking and traces are bit-identical across engines.
+/// Sink for delivered messages, fed one event stream in a deterministic
+/// order — for every round, receivers ascending, and per receiver the
+/// senders in port (= neighbor-id) order. The in-process Network invokes
+/// the sink inline during delivery; the shard coordinator replays its
+/// workers' merged streams in the same order. Either way all callbacks
+/// arrive on one thread, so implementations never need their own locking
+/// and traces are bit-identical in-process and sharded.
 class DeliveryObserver {
  public:
   virtual ~DeliveryObserver() = default;

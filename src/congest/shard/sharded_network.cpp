@@ -56,8 +56,8 @@ void close_other_fds(int keep) {
   for (const int fd : to_close) ::close(fd);
 }
 
-/// Sums worker round deltas the way the in-process engines merge per-round
-/// / per-thread stats: counters add, maxima combine by max. Deliberately
+/// Sums worker round deltas the way the in-process engine merges per-range
+/// stats: counters add, maxima combine by max. Deliberately
 /// not RunStats::operator+= (which also adds `rounds` and overwrites
 /// `quiesced`; the coordinator owns both of those).
 void merge_worker_stats(RunStats& into, const RunStats& d) {
@@ -568,7 +568,7 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
       // message this round is one elided observer event.
       events_elided += round_merged.messages;
     }
-    // The disarm-after-round-1 rule of the in-process engines, decided
+    // The disarm-after-round-1 rule of the in-process engine, decided
     // globally: workers sweep only their owned programs, so only the
     // merged round-1 maximum can tell whether anyone audits memory.
     if (memory_audit_ && round_ == 1 &&

@@ -27,7 +27,7 @@
 // Determinism contract (enforced by tests/test_differential.cpp and
 // tests/test_shard.cpp): RunStats, fault-injection outcomes, report fields
 // and the observer event stream of a sharded run are bit-identical to the
-// single-process engines for every worker count. Stats merge by sum/max
+// single-process engine for every worker count. Stats merge by sum/max
 // (order-independent), fault decisions are stateless hashes of
 // (seed, round, from, to) (process-invariant by construction), per-node
 // RNGs derive from (seed, node id) identically in every replica, and the

@@ -37,8 +37,10 @@ class WorkerState {
   WorkerState(const WorkerLink& link, const graph::Graph& g,
               const NetworkConfig& net_cfg, const ShardAssignment& asn,
               const std::function<std::unique_ptr<NodeProgram>(NodeId)>& make)
-      : link_(link), asn_(asn), net_(g, worker_cfg(net_cfg)) {
-    net_.shard_set_observer_collection(link_.collect_events);
+      : link_(link), asn_(asn), net_(g, net_cfg) {
+    // The user observer lives coordinator-side; with collect_events the
+    // worker records deliveries into sink_ and ships them instead.
+    net_.shard_drop_observers();
     net_.init_programs([&](NodeId v) -> std::unique_ptr<NodeProgram> {
       if (asn.shard_of[v] == link_.shard) return make(v);
       return std::make_unique<InertProgram>();
@@ -165,16 +167,6 @@ class WorkerState {
   }
 
  private:
-  static NetworkConfig worker_cfg(NetworkConfig cfg) {
-    // The coordinator owns the round loop; each worker's slice is driven
-    // range-by-range, so the replica's own engine choice is irrelevant.
-    cfg.engine = Engine::kSequential;
-    // The user observer lives coordinator-side; shard_set_observer_collection
-    // rebuilds worker-side observation from scratch.
-    cfg.observer = nullptr;
-    return cfg;
-  }
-
   bool socket_ready() const {
     pollfd p{};
     p.fd = link_.fd;

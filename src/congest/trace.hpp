@@ -24,9 +24,9 @@ struct TraceEvent {
 ///
 /// Like commcc::CutMeter, arm() returns a NetworkConfig with the recorder
 /// installed (composed with any observer already present); the recorder
-/// accumulates across all executions run under that config. Works under
-/// either engine — the parallel engine delivers the same event stream as
-/// the sequential one.
+/// accumulates across all executions run under that config. Works
+/// in-process and sharded — the shard coordinator replays the same event
+/// stream the in-process network delivers.
 class TraceRecorder {
  public:
   TraceRecorder() : sink_(std::make_shared<Sink>()) {}

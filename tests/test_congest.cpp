@@ -216,33 +216,6 @@ TEST(Network, PerNodeRngIsDeterministic) {
   EXPECT_NE(first[0], first[1]);
 }
 
-TEST(Network, ParallelEngineMatchesSequential) {
-  graph::GraphBuilder b;
-  Rng rng(42);
-  auto g = graph::make_connected_er(64, 0.05, rng);
-
-  auto run = [&](Engine engine) {
-    NetworkConfig cfg;
-    cfg.engine = engine;
-    cfg.num_threads = 4;
-    Network net(g, cfg);
-    net.init_programs(
-        [](NodeId) { return std::make_unique<RelayProgram>(); });
-    auto stats = net.run_until_quiescent(500);
-    std::vector<std::uint32_t> hops(g.n());
-    for (NodeId v = 0; v < g.n(); ++v) {
-      hops[v] = net.program_as<RelayProgram>(v).hops_seen;
-    }
-    return std::pair{stats, hops};
-  };
-  auto [seq_stats, seq_hops] = run(Engine::kSequential);
-  auto [par_stats, par_hops] = run(Engine::kParallel);
-  EXPECT_EQ(seq_stats.rounds, par_stats.rounds);
-  EXPECT_EQ(seq_stats.messages, par_stats.messages);
-  EXPECT_EQ(seq_stats.bits, par_stats.bits);
-  EXPECT_EQ(seq_hops, par_hops);
-}
-
 TEST(NodeContext, PortLookup) {
   auto g = graph::make_star(4);
   Network net(g);

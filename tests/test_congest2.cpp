@@ -1,11 +1,10 @@
 // Deeper CONGEST simulator semantics: delivery timing, halting and
-// reactivation, stats deltas across phases, observer composition, engine
-// configurations, and API misuse.
+// reactivation, stats deltas across phases, observer composition, and API
+// misuse.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <tuple>
 
 #include "congest/network.hpp"
 #include "congest/trace.hpp"
@@ -153,30 +152,6 @@ TEST(Observer, SeesEveryDeliveryInOrder) {
   EXPECT_TRUE(std::is_sorted(rounds_seen.begin(), rounds_seen.end()));
 }
 
-TEST(Observer, ParallelEngineMatchesSequentialStream) {
-  auto g = graph::make_path(3);
-  auto run = [&](Engine engine) {
-    std::vector<std::tuple<NodeId, NodeId, std::uint32_t>> events;
-    NetworkConfig cfg;
-    cfg.engine = engine;
-    cfg.num_threads = 2;
-    cfg.observer = std::make_shared<CallbackObserver>(
-        [&](NodeId from, NodeId to, const Message&, std::uint32_t r) {
-          events.emplace_back(from, to, r);
-        });
-    Network net(g, cfg);
-    net.init_programs([](NodeId v) {
-      return std::make_unique<TimedSender>(v == 0 ? 1u : 2u);
-    });
-    net.run_rounds(4);
-    return events;
-  };
-  auto seq = run(Engine::kSequential);
-  auto par = run(Engine::kParallel);
-  EXPECT_FALSE(seq.empty());
-  EXPECT_EQ(seq, par);
-}
-
 TEST(Observer, MultiObserverFansOutInOrder) {
   std::vector<int> order;
   auto mk = [&](int tag) {
@@ -208,42 +183,6 @@ TEST(Observer, TraceRecorderClearWorks) {
   rec.clear();
   EXPECT_TRUE(rec.events().empty());
   EXPECT_EQ(rec.last_round(), 0u);
-}
-
-TEST(ParallelEngine, ManyThreadCountsAgree) {
-  Rng rng(9);
-  auto g = graph::make_connected_er(48, 0.07, rng);
-  auto run = [&](std::uint32_t threads) {
-    NetworkConfig cfg;
-    cfg.engine = threads == 0 ? Engine::kSequential : Engine::kParallel;
-    cfg.num_threads = threads;
-    Network net(g, cfg);
-    net.init_programs([](NodeId) {
-      class Wave : public NodeProgram {
-       public:
-        void on_start(NodeContext& ctx) override {
-          if (ctx.id() == 0) ctx.broadcast(Message().push(0, 8));
-        }
-        void on_round(NodeContext& ctx) override {
-          if (!seen_ && !ctx.inbox().empty()) {
-            seen_ = true;
-            ctx.broadcast(Message().push(ctx.id() & 0xff, 8));
-          }
-          ctx.vote_halt();
-        }
-        bool seen_ = false;
-      };
-      return std::make_unique<Wave>();
-    });
-    return net.run_until_quiescent(100);
-  };
-  auto base = run(0);
-  for (std::uint32_t t : {1u, 2u, 5u, 8u}) {
-    auto st = run(t);
-    EXPECT_EQ(st.rounds, base.rounds) << t << " threads";
-    EXPECT_EQ(st.messages, base.messages) << t << " threads";
-    EXPECT_EQ(st.bits, base.bits) << t << " threads";
-  }
 }
 
 TEST(Api, ProgramAsRejectsWrongType) {

@@ -1,7 +1,6 @@
-// Determinism guarantees of the threaded paths: the parallel engine feeds
-// observers the exact sequential event stream, and branch fan-out through
-// BranchEvaluator leaves every result and round count invariant across
-// thread counts.
+// Determinism guarantees: a fixed fault plan reproduces the delivered event
+// stream run to run, and branch fan-out through BranchEvaluator leaves every
+// result and round count invariant across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "algos/bfs_tree.hpp"
-#include "commcc/two_party.hpp"
 #include "congest/network.hpp"
 #include "congest/trace.hpp"
 #include "core/branch_evaluator.hpp"
@@ -24,7 +22,6 @@ namespace qc {
 namespace {
 
 using graph::Graph;
-using graph::NodeId;
 
 Graph random_graph(std::uint32_t n, std::uint32_t d, std::uint64_t seed) {
   Rng rng(seed);
@@ -119,8 +116,8 @@ TEST(BranchEvaluator, ExceptionsPropagateToCaller) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine parity: the parallel engine must feed observers the exact
-// sequential event stream, and produce identical RunStats.
+// Fault-plan reproducibility: a fixed plan yields the same delivered event
+// stream run to run.
 // ---------------------------------------------------------------------------
 
 struct TracedRun {
@@ -128,13 +125,9 @@ struct TracedRun {
   congest::RunStats stats;
 };
 
-TracedRun traced_bfs(const Graph& g, congest::Engine engine,
-                     std::uint32_t threads,
-                     congest::FaultPlan fault = {}) {
+TracedRun traced_bfs(const Graph& g, congest::FaultPlan fault) {
   congest::TraceRecorder rec;
   congest::NetworkConfig cfg;
-  cfg.engine = engine;
-  cfg.num_threads = threads;
   cfg.fault = fault;
   TracedRun out;
   out.stats = algos::build_bfs_tree(g, 0, rec.arm(cfg)).stats;
@@ -142,75 +135,23 @@ TracedRun traced_bfs(const Graph& g, congest::Engine engine,
   return out;
 }
 
-TEST(EngineParity, TraceIdenticalSequentialVsParallel) {
-  for (std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
-    auto g = random_graph(40 + 3 * static_cast<std::uint32_t>(seed), 7, seed);
-    auto base = traced_bfs(g, congest::Engine::kSequential, 1);
-    ASSERT_FALSE(base.events.empty());
-    for (std::uint32_t threads : {2u, 8u}) {
-      auto par = traced_bfs(g, congest::Engine::kParallel, threads);
-      EXPECT_EQ(par.stats.rounds, base.stats.rounds) << threads << " threads";
-      EXPECT_EQ(par.stats.messages, base.stats.messages)
-          << threads << " threads";
-      EXPECT_EQ(par.stats.bits, base.stats.bits) << threads << " threads";
-      EXPECT_EQ(par.events, base.events)
-          << "seed " << seed << ", " << threads << " threads";
-    }
-  }
-}
-
-TEST(EngineParity, FaultPlanIdenticalSequentialVsParallel) {
+TEST(FaultTrace, SamePlanReproducesRunToRun) {
   // Fault decisions are stateless hashes of (seed, round, from, to), so a
   // fixed plan must leave the delivered event stream — and every fault
-  // counter — bit-identical across engines and thread counts.
+  // counter — bit-identical from one run to the next.
   congest::FaultPlan plan;
   plan.drop_probability = 0.1;
   plan.corrupt_probability = 0.05;
   plan.seed = 77;
   for (std::uint64_t seed : {31ULL, 32ULL}) {
     auto g = random_graph(42 + 2 * static_cast<std::uint32_t>(seed), 7, seed);
-    auto base = traced_bfs(g, congest::Engine::kSequential, 1, plan);
+    auto base = traced_bfs(g, plan);
     ASSERT_FALSE(base.events.empty());
     EXPECT_GT(base.stats.messages_dropped, 0u) << "seed " << seed;
-    for (std::uint32_t threads : {2u, 8u}) {
-      auto par = traced_bfs(g, congest::Engine::kParallel, threads, plan);
-      EXPECT_EQ(par.stats.rounds, base.stats.rounds) << threads << " threads";
-      EXPECT_EQ(par.stats.messages, base.stats.messages)
-          << threads << " threads";
-      EXPECT_EQ(par.stats.bits, base.stats.bits) << threads << " threads";
-      EXPECT_EQ(par.stats.messages_dropped, base.stats.messages_dropped)
-          << threads << " threads";
-      EXPECT_EQ(par.stats.messages_corrupted, base.stats.messages_corrupted)
-          << threads << " threads";
-      EXPECT_EQ(par.events, base.events)
-          << "seed " << seed << ", " << threads << " threads";
-    }
-    // Same plan, same engine: reproducible run to run.
-    auto again = traced_bfs(g, congest::Engine::kSequential, 1, plan);
+    auto again = traced_bfs(g, plan);
+    EXPECT_EQ(again.stats.messages_dropped, base.stats.messages_dropped);
+    EXPECT_EQ(again.stats.messages_corrupted, base.stats.messages_corrupted);
     EXPECT_EQ(again.events, base.events) << "seed " << seed;
-  }
-}
-
-TEST(EngineParity, CutMeterIdenticalSequentialVsParallel) {
-  auto g = random_graph(44, 8, 21);
-  std::vector<bool> u_mask(g.n(), false);
-  for (NodeId v = 0; v < g.n() / 2; ++v) u_mask[v] = true;
-
-  auto run = [&](congest::Engine engine, std::uint32_t threads) {
-    commcc::CutMeter meter(u_mask);
-    congest::NetworkConfig cfg;
-    cfg.engine = engine;
-    cfg.num_threads = threads;
-    algos::build_bfs_tree(g, 0, meter.arm(cfg));
-    return std::tuple{meter.crossing_bits(), meter.crossing_messages(),
-                      meter.last_crossing_round()};
-  };
-
-  auto base = run(congest::Engine::kSequential, 1);
-  EXPECT_GT(std::get<0>(base), 0u);
-  for (std::uint32_t threads : {2u, 8u}) {
-    EXPECT_EQ(run(congest::Engine::kParallel, threads), base)
-        << threads << " threads";
   }
 }
 

@@ -334,30 +334,6 @@ TEST(CrashIndex, EmptyPlanNeverReportsDown) {
   for (NodeId v = 0; v < 8; ++v) EXPECT_FALSE(index.down(v));
 }
 
-TEST(CrashIndex, EnginesAgreeUnderCrashPlan) {
-  // The index is refreshed inside the parallel round barrier as well; both
-  // engines must keep producing identical fault accounting.
-  auto g = random_graph(24, 4, 31);
-  NetworkConfig cfg;
-  cfg.fault.crashes = {CrashWindow{2, 2, 6}, CrashWindow{9, 1, 0},
-                       CrashWindow{15, 3, 4}};
-  cfg.fault.drop_probability = 0.05;
-  congest::RunStats seq_stats, par_stats;
-  for (auto engine : {congest::Engine::kSequential, congest::Engine::kParallel}) {
-    cfg.engine = engine;
-    cfg.num_threads = engine == congest::Engine::kParallel ? 4 : 0;
-    Network net(g, cfg);
-    net.init_programs(
-        [](NodeId) { return std::make_unique<ChatterProgram>(8); });
-    auto stats = net.run_rounds(10);
-    (engine == congest::Engine::kSequential ? seq_stats : par_stats) = stats;
-  }
-  EXPECT_EQ(seq_stats.crashed_node_rounds, par_stats.crashed_node_rounds);
-  EXPECT_EQ(seq_stats.messages, par_stats.messages);
-  EXPECT_EQ(seq_stats.messages_dropped, par_stats.messages_dropped);
-  EXPECT_EQ(seq_stats.bits, par_stats.bits);
-}
-
 TEST(FaultPlan, ShardedEngineAgreesUnderActiveFaultPlan) {
   // Fault decisions are stateless hashes of (seed, round, from, to), so
   // they cannot depend on which process rolls them — but only if every

@@ -1,7 +1,6 @@
 // Cross-module integration and property tests: end-to-end runs on the
-// lower-bound gadget networks, engine equivalence for full algorithms,
-// determinism of whole reports, and failure injection (bandwidth
-// starvation) against the model-enforcement machinery.
+// lower-bound gadget networks, determinism of whole reports, and failure
+// injection (bandwidth starvation) against the model-enforcement machinery.
 
 #include <gtest/gtest.h>
 
@@ -116,37 +115,6 @@ TEST(GadgetEndToEnd, ApproxOnGadgetsWithinGuarantee) {
   const auto truth = graph::diameter(g);
   EXPECT_LE(rep.estimate, truth);
   EXPECT_GE(3 * rep.estimate, 2 * truth);
-}
-
-// ---------------------------------------------------------------------------
-// Engine equivalence on full pipelines.
-// ---------------------------------------------------------------------------
-
-TEST(EngineEquivalence, ClassicalDiameterSequentialVsParallel) {
-  auto g = random_graph(60, 10, 31);
-  congest::NetworkConfig seq, par;
-  par.engine = congest::Engine::kParallel;
-  par.num_threads = 4;
-  auto a = algos::classical_exact_diameter(g, seq);
-  auto b = algos::classical_exact_diameter(g, par);
-  EXPECT_EQ(a.diameter, b.diameter);
-  EXPECT_EQ(a.stats.rounds, b.stats.rounds);
-  EXPECT_EQ(a.stats.messages, b.stats.messages);
-  EXPECT_EQ(a.stats.bits, b.stats.bits);
-}
-
-TEST(EngineEquivalence, EvaluationSequentialVsParallel) {
-  auto g = random_graph(48, 8, 37);
-  congest::NetworkConfig seq, par;
-  par.engine = congest::Engine::kParallel;
-  par.num_threads = 3;
-  auto tree = algos::build_bfs_tree(g, 0, seq).tree;
-  auto a = algos::evaluate_window_ecc(g, tree, 5, 2 * tree.height, seq);
-  auto b = algos::evaluate_window_ecc(g, tree, 5, 2 * tree.height, par);
-  EXPECT_EQ(a.max_ecc, b.max_ecc);
-  EXPECT_EQ(a.window, b.window);
-  EXPECT_EQ(a.tau_prime, b.tau_prime);
-  EXPECT_EQ(a.stats.bits, b.stats.bits);
 }
 
 // ---------------------------------------------------------------------------
