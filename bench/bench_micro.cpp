@@ -82,14 +82,14 @@ void BM_GroverIterateAmplitude(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));
   auto psi0 = qsim::AmplitudeVector::uniform(dim);
   auto v = psi0;
-  auto pred = [](std::size_t i) { return i == 3; };
+  const auto mask = psi0.mark([](std::size_t i) { return i == 3; });
   for (auto _ : state) {
-    v.grover_iterate(pred, psi0);
+    v.grover_iterate(mask, psi0);
     benchmark::DoNotOptimize(v.amp(3));
   }
   state.SetItemsProcessed(state.iterations() * dim);
 }
-BENCHMARK(BM_GroverIterateAmplitude)->Arg(1 << 10)->Arg(1 << 16);
+BENCHMARK(BM_GroverIterateAmplitude)->Arg(1 << 10)->Arg(10000)->Arg(1 << 16);
 
 void BM_StateVectorGroverIterate(benchmark::State& state) {
   const auto nq = static_cast<std::uint32_t>(state.range(0));

@@ -29,8 +29,9 @@ int main(int argc, char** argv) {
   sv.h_all();
   auto av = qsim::AmplitudeVector::uniform(dim);
   const auto psi0 = qsim::AmplitudeVector::uniform(dim);
-  const auto pred = [marked](std::size_t i) { return i == marked; };
   const auto pred64 = [marked](std::uint64_t i) { return i == marked; };
+  const auto mask =
+      psi0.mark([marked](std::size_t i) { return i == marked; });
 
   const int optimal =
       static_cast<int>(std::round(M_PI / 4 * std::sqrt(dim)));
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
                fmt(std::pow(std::sin((2 * j + 1) * theta), 2), 4)});
     sv.oracle(pred64);
     sv.grover_diffusion();
-    av.grover_iterate(pred, psi0);
+    av.grover_iterate(mask, psi0);
   }
   t.print(std::cout);
   std::cout << "optimal iteration count ~ pi/4*sqrt(N) = " << optimal

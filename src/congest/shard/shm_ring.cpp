@@ -220,20 +220,24 @@ void ShmChannel::release() {
 
 // ---- MeshRing -------------------------------------------------------------
 
+std::size_t MeshRing::slot_stride(std::size_t capacity) {
+  constexpr std::size_t kAlign = alignof(SlotHeader);
+  return (kSlotHeaderBytes + capacity + kAlign - 1) / kAlign * kAlign;
+}
+
 std::size_t MeshRing::bytes_needed(std::size_t capacity) {
-  return 2 * (kSlotHeaderBytes + capacity);
+  return 2 * slot_stride(capacity);
 }
 
 MeshRing::MeshRing(std::uint8_t* mem, std::size_t capacity)
     : base_(mem), capacity_(capacity) {}
 
 MeshRing::SlotHeader* MeshRing::slot_hdr(std::uint32_t i) const {
-  return reinterpret_cast<SlotHeader*>(base_ +
-                                       i * (kSlotHeaderBytes + capacity_));
+  return reinterpret_cast<SlotHeader*>(base_ + i * slot_stride(capacity_));
 }
 
 std::uint8_t* MeshRing::slot_payload(std::uint32_t i) const {
-  return base_ + i * (kSlotHeaderBytes + capacity_) + kSlotHeaderBytes;
+  return base_ + i * slot_stride(capacity_) + kSlotHeaderBytes;
 }
 
 std::span<std::uint8_t> MeshRing::produce_buffer(std::uint32_t round) {

@@ -210,6 +210,9 @@ class MeshRing {
   };
   static_assert(sizeof(SlotHeader) <= kSlotHeaderBytes);
 
+  /// Bytes from one slot's header to the next: header plus payload,
+  /// rounded up so slot 1's header is as aligned as slot 0's.
+  static std::size_t slot_stride(std::size_t capacity);
   SlotHeader* slot_hdr(std::uint32_t i) const;
   std::uint8_t* slot_payload(std::uint32_t i) const;
 

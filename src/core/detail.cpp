@@ -90,19 +90,33 @@ std::int64_t WindowOracle::operator()(std::size_t u0) {
   const auto node = static_cast<NodeId>(u0);
   metrics::count("core.branch_evaluations");
   const std::uint32_t reference = seg_max_.max_ecc_in_segment(node, steps_);
-  if (mode_ == OracleMode::kSimulate || !validated_once_) {
-    metrics::ScopedTimer span("core.branch_simulate");
-    auto eval = algos::evaluate_window_ecc(*g_, *tree_, node, steps_, net_,
-                                           mask_.empty() ? nullptr : &mask_);
-    span.add(eval.stats.rounds, eval.stats.messages, eval.stats.bits);
-    check_internal(eval.stats.rounds == t_eval_forward_,
-                   "WindowOracle: evaluation round budget mismatch");
-    check_internal(eval.max_ecc == reference,
-                   "WindowOracle: distributed Evaluation disagrees with "
-                   "centralized reference");
-    validated_once_ = true;
+  if (mode_ == OracleMode::kSimulate) {
+    simulate_and_check(node, reference);
+  } else if (!validated_.load(std::memory_order_acquire)) {
+    // kDirect validates one branch: the first caller simulates while
+    // concurrent callers wait on the mutex; a validation that throws
+    // leaves the latch unset, so the next caller tries again. Not
+    // std::call_once: an exception out of it leaves the flag stuck under
+    // ThreadSanitizer, so the retry would hang.
+    std::lock_guard<std::mutex> lock(validate_mu_);
+    if (!validated_.load(std::memory_order_relaxed)) {
+      simulate_and_check(node, reference);
+      validated_.store(true, std::memory_order_release);
+    }
   }
   return static_cast<std::int64_t>(reference);
+}
+
+void WindowOracle::simulate_and_check(NodeId u0, std::uint32_t reference) {
+  metrics::ScopedTimer span("core.branch_simulate");
+  auto eval = algos::evaluate_window_ecc(*g_, *tree_, u0, steps_, net_,
+                                         mask_.empty() ? nullptr : &mask_);
+  span.add(eval.stats.rounds, eval.stats.messages, eval.stats.bits);
+  check_internal(eval.stats.rounds == t_eval_forward_,
+                 "WindowOracle: evaluation round budget mismatch");
+  check_internal(eval.max_ecc == reference,
+                 "WindowOracle: distributed Evaluation disagrees with "
+                 "centralized reference");
 }
 
 }  // namespace qc::core::detail

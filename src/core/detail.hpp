@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "algos/evaluation.hpp"
@@ -52,7 +53,7 @@ void record_quantum_costs(const char* algo, const qsim::SearchCosts& costs,
 /// The branch oracle for f(u) = max_{v in segment window of u} ecc(v),
 /// with the two evaluation modes of OracleMode. Cross-checks the
 /// distributed Figure 2 execution against the centralized reference (on
-/// every branch in kSimulate mode, at least once in kDirect mode).
+/// every branch in kSimulate mode, once per oracle in kDirect mode).
 ///
 /// The centralized reference is served by a shared graph::EccEngine — one
 /// BFS per vertex for the whole oracle lifetime plus an O(1) sparse-table
@@ -83,6 +84,9 @@ class WindowOracle {
   std::int64_t operator()(std::size_t u0);
 
  private:
+  /// Runs Figure 2 for branch u0 and checks it against `reference`.
+  void simulate_and_check(graph::NodeId u0, std::uint32_t reference);
+
   const graph::Graph* g_;
   const algos::TreeState* tree_;
   std::uint32_t steps_;
@@ -93,7 +97,8 @@ class WindowOracle {
   graph::EccEngine engine_;
   graph::EccEngine::SegmentMax seg_max_;
   std::uint32_t t_eval_forward_ = 0;
-  std::atomic<bool> validated_once_{false};
+  std::mutex validate_mu_;  ///< held while the kDirect validation runs
+  std::atomic<bool> validated_{false};
 };
 
 }  // namespace qc::core::detail

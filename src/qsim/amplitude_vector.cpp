@@ -46,31 +46,114 @@ double AmplitudeVector::norm_sq() const {
   return p;
 }
 
-void AmplitudeVector::phase_flip(const BasisPredicate& pred) {
+std::vector<std::uint8_t> AmplitudeVector::mark(
+    const BasisPredicate& pred) const {
+  std::vector<std::uint8_t> marked(amps_.size(), 0);
   for (std::size_t i = 0; i < amps_.size(); ++i) {
-    // Flipping a zero amplitude is a no-op; skipping keeps the marked
-    // predicate restricted to the populated domain (see probability()).
+    // Only populated branches are asked (see probability()).
     if (amps_[i] == std::complex<double>(0, 0)) continue;
-    if (pred(i)) amps_[i] = -amps_[i];
+    marked[i] = pred(i) ? 1 : 0;
+  }
+  return marked;
+}
+
+namespace {
+
+// The kernels below work on the (real, imag) doubles of each amplitude,
+// which std::complex's array layout guarantees. Each product is spelled
+// out in the operation order of the std::complex product it replaces
+// ((a+bi)(c+di) = (ac - bd) + (ad + bc)i), so every double is
+// bit-identical to the complex form. What is dropped is the per-element
+// NaN recovery call that the complex product carries without -ffast-math:
+// amplitudes are finite, it never fires, and it keeps the loops from
+// vectorizing.
+
+/// The oracle on one amplitude: negate it when marked, unless it is zero
+/// (negating a zero would only turn +0 into -0). Multiplying by -1 or 1
+/// is exact, and keeps the loop free of branches.
+inline void flip(std::uint8_t marked, double& ar, double& ai) {
+  const double s = (marked != 0 && (ar != 0 || ai != 0)) ? -1.0 : 1.0;
+  ar *= s;
+  ai *= s;
+}
+
+/// ov += conj(p) * a: one term of the overlap <psi0|this>.
+inline void add_overlap(double pr, double pi, double ar, double ai,
+                        double& ov_re, double& ov_im) {
+  const double cpi = -pi;
+  ov_re += pr * ar - cpi * ai;
+  ov_im += pr * ai + cpi * ar;
+}
+
+/// a <- t * p - a with t = 2 <psi0|this>: one amplitude of the reflection.
+inline void reflect(double tr, double ti, double pr, double pi, double& ar,
+                    double& ai) {
+  ar = (tr * pr - ti * pi) - ar;
+  ai = (tr * pi + ti * pr) - ai;
+}
+
+}  // namespace
+
+void AmplitudeVector::phase_flip(std::span<const std::uint8_t> marked) {
+  require(marked.size() == amps_.size(), "phase_flip: mask size mismatch");
+  double* a = reinterpret_cast<double*>(amps_.data());
+  for (std::size_t i = 0; i < amps_.size(); ++i) {
+    flip(marked[i], a[2 * i], a[2 * i + 1]);
   }
 }
 
 void AmplitudeVector::reflect_about(const AmplitudeVector& psi0) {
   require(psi0.dim() == dim(), "reflect_about: dimension mismatch");
   // 2 |psi0><psi0| - I applied to |this>: overlap = <psi0|this>.
-  std::complex<double> overlap{0, 0};
-  for (std::size_t i = 0; i < amps_.size(); ++i) {
-    overlap += std::conj(psi0.amps_[i]) * amps_[i];
+  const std::size_t n = amps_.size();
+  const double* p = reinterpret_cast<const double*>(psi0.amps_.data());
+  double* a = reinterpret_cast<double*>(amps_.data());
+  double ov_re = 0, ov_im = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    add_overlap(p[2 * i], p[2 * i + 1], a[2 * i], a[2 * i + 1], ov_re, ov_im);
   }
-  for (std::size_t i = 0; i < amps_.size(); ++i) {
-    amps_[i] = 2.0 * overlap * psi0.amps_[i] - amps_[i];
+  const double tr = 2.0 * ov_re, ti = 2.0 * ov_im;
+  for (std::size_t i = 0; i < n; ++i) {
+    reflect(tr, ti, p[2 * i], p[2 * i + 1], a[2 * i], a[2 * i + 1]);
   }
 }
 
-void AmplitudeVector::grover_iterate(const BasisPredicate& pred,
-                                     const AmplitudeVector& psi0) {
-  phase_flip(pred);
-  reflect_about(psi0);
+void AmplitudeVector::grover_iterate(std::span<const std::uint8_t> marked,
+                                     const AmplitudeVector& psi0,
+                                     std::uint64_t times) {
+  require(marked.size() == amps_.size(), "grover_iterate: mask size mismatch");
+  require(psi0.dim() == dim(), "grover_iterate: dimension mismatch");
+  if (times == 0) return;
+  // `times` rounds of phase_flip then reflect_about, in times + 1 passes
+  // instead of 3 * times: the reflection of iterate k and the flip and
+  // overlap of iterate k + 1 share one pass. Amplitude i of iterate k + 1
+  // needs only amplitude i of iterate k and the overlap, and the overlap
+  // still sums i = 0, 1, ... in order, so every double is the one the
+  // separate operations compute.
+  const std::size_t n = amps_.size();
+  const double* p = reinterpret_cast<const double*>(psi0.amps_.data());
+  double* a = reinterpret_cast<double*>(amps_.data());
+  double ov_re = 0, ov_im = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    flip(marked[i], a[2 * i], a[2 * i + 1]);
+    add_overlap(p[2 * i], p[2 * i + 1], a[2 * i], a[2 * i + 1], ov_re, ov_im);
+  }
+  for (std::uint64_t k = 1; k < times; ++k) {
+    const double tr = 2.0 * ov_re, ti = 2.0 * ov_im;
+    ov_re = ov_im = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double ar = a[2 * i], ai = a[2 * i + 1];
+      reflect(tr, ti, p[2 * i], p[2 * i + 1], ar, ai);
+      flip(marked[i], ar, ai);
+      add_overlap(p[2 * i], p[2 * i + 1], ar, ai, ov_re, ov_im);
+      a[2 * i] = ar;
+      a[2 * i + 1] = ai;
+    }
+  }
+  const double tr = 2.0 * ov_re, ti = 2.0 * ov_im;
+  for (std::size_t i = 0; i < n; ++i) {
+    reflect(tr, ti, p[2 * i], p[2 * i + 1], a[2 * i], a[2 * i + 1]);
+  }
   // The amplitude-amplification operator is -S_psi0 S_M; the global minus
   // sign is physically irrelevant and omitted.
 }

@@ -3,6 +3,7 @@
 #include <complex>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -43,20 +44,28 @@ class AmplitudeVector {
   /// Total squared norm (should stay 1 up to rounding; tested).
   double norm_sq() const;
 
-  /// Oracle: alpha_x -> -alpha_x for marked x. This is what the
-  /// Evaluation/Checking unitary pair (compute f, phase, uncompute f)
-  /// does to the internal register.
-  void phase_flip(const BasisPredicate& pred);
+  /// The marked set M as a dim()-sized 0/1 mask: pred(x) for every
+  /// populated x, 0 elsewhere. Grover iterates keep the support of their
+  /// setup state, so one mask of the setup state serves a whole search
+  /// and the oracle is evaluated once per branch instead of once per
+  /// branch per iterate.
+  std::vector<std::uint8_t> mark(const BasisPredicate& pred) const;
+
+  /// Oracle: alpha_x -> -alpha_x for marked x (marked[x] != 0). This is
+  /// what the Evaluation/Checking unitary pair (compute f, phase,
+  /// uncompute f) does to the internal register. A zero amplitude is
+  /// never flipped.
+  void phase_flip(std::span<const std::uint8_t> marked);
 
   /// Reflection 2|psi0><psi0| - I about a reference state — the
   /// Setup^-1 (reflect about |0>) Setup sandwich of amplitude
   /// amplification.
   void reflect_about(const AmplitudeVector& psi0);
 
-  /// One Grover/amplitude-amplification iterate: phase_flip then
-  /// reflect_about(psi0).
-  void grover_iterate(const BasisPredicate& pred,
-                      const AmplitudeVector& psi0);
+  /// `times` Grover/amplitude-amplification iterates, each phase_flip
+  /// then reflect_about(psi0), bit-identical to applying them one by one.
+  void grover_iterate(std::span<const std::uint8_t> marked,
+                      const AmplitudeVector& psi0, std::uint64_t times = 1);
 
   /// Samples a basis state from |alpha|^2 (a measurement of register I;
   /// the state is not collapsed because every use in the framework

@@ -21,11 +21,12 @@ PhaseCountEstimate quantum_count_phase_estimation(
   // walking G once per c.
   std::vector<AmplitudeVector> blocks;
   blocks.reserve(T);
+  const std::vector<std::uint8_t> mask = setup_state.mark(marked);
   AmplitudeVector walker = setup_state;
   blocks.push_back(walker);  // c = 0
   PhaseCountEstimate est;
   for (std::size_t c = 1; c < T; ++c) {
-    walker.grover_iterate(marked, setup_state);
+    walker.grover_iterate(mask, setup_state);
     ++est.oracle_calls;
     blocks.push_back(walker);
   }

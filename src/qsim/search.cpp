@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -22,10 +24,11 @@ void record_costs(const char* primitive, const SearchCosts& costs) {
 
 /// One BBHT phase: randomized iteration counts with the classic m <- 6m/5
 /// growth, capped at sqrt(1/epsilon). Returns when a marked item is
-/// sampled or when the phase's iteration budget is spent.
+/// sampled or when the phase's iteration budget is spent. `marked` is the
+/// search's marked-set mask and `state` its reusable Setup buffer.
 SearchResult bbht_phase(const AmplitudeVector& setup_state,
-                        const BasisPredicate& marked, double epsilon,
-                        Rng& rng) {
+                        std::span<const std::uint8_t> marked, double epsilon,
+                        AmplitudeVector& state, Rng& rng) {
   SearchResult res;
   const double m_cap = std::max(1.0, std::sqrt(1.0 / epsilon));
   // A phase succeeds with constant probability when P_M >= epsilon and
@@ -37,15 +40,13 @@ SearchResult bbht_phase(const AmplitudeVector& setup_state,
   while (res.costs.grover_iterations < budget) {
     const auto j = static_cast<std::uint64_t>(
         rng.next_below(static_cast<std::uint64_t>(std::floor(m)) + 1));
-    AmplitudeVector state = setup_state;  // a fresh Setup
+    state = setup_state;  // a fresh Setup
     ++res.costs.setup_invocations;
-    for (std::uint64_t it = 0; it < j; ++it) {
-      state.grover_iterate(marked, setup_state);
-    }
+    state.grover_iterate(marked, setup_state, j);
     res.costs.grover_iterations += j;
     const std::size_t sampled = state.sample(rng);
     ++res.costs.candidate_evaluations;  // classical check of the sample
-    if (marked(sampled)) {
+    if (marked[sampled] != 0) {
       res.found = true;
       res.item = sampled;
       return res;
@@ -66,10 +67,14 @@ SearchResult amplitude_amplification_search(const AmplitudeVector& setup_state,
   require(delta > 0 && delta < 1,
           "amplitude_amplification_search: delta must be in (0, 1)");
   SearchResult total;
+  // The marked set is fixed for the whole search: ask the oracle once per
+  // populated branch, then every iterate of every phase reads the mask.
+  const std::vector<std::uint8_t> mask = setup_state.mark(marked);
+  AmplitudeVector state = setup_state;
   const auto phases = static_cast<std::uint32_t>(
       std::ceil(std::log2(1.0 / delta))) + 1;
   for (std::uint32_t p = 0; p < phases; ++p) {
-    SearchResult res = bbht_phase(setup_state, marked, epsilon, rng);
+    SearchResult res = bbht_phase(setup_state, mask, epsilon, state, rng);
     total.costs += res.costs;
     if (res.found) {
       total.found = true;
@@ -145,18 +150,18 @@ CountEstimate estimate_marked_fraction(const AmplitudeVector& setup_state,
   CountEstimate est;
 
   // Gather success counts per amplification depth.
+  const std::vector<std::uint8_t> mask = setup_state.mark(marked);
+  AmplitudeVector state = setup_state;
   std::vector<std::uint32_t> successes(max_depth + 1, 0);
   for (std::uint32_t j = 0; j <= max_depth; ++j) {
     for (std::uint32_t s = 0; s < shots; ++s) {
-      AmplitudeVector state = setup_state;
+      state = setup_state;
       ++est.costs.setup_invocations;
-      for (std::uint32_t it = 0; it < j; ++it) {
-        state.grover_iterate(marked, setup_state);
-      }
+      state.grover_iterate(mask, setup_state, j);
       est.costs.grover_iterations += j;
       const std::size_t sampled = state.sample(rng);
       ++est.costs.candidate_evaluations;
-      if (marked(sampled)) ++successes[j];
+      if (mask[sampled] != 0) ++successes[j];
     }
   }
 

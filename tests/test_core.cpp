@@ -2,11 +2,14 @@
 
 #include <cmath>
 
+#include "core/detail.hpp"
 #include "core/optimizer.hpp"
 #include "core/quantum_approx.hpp"
 #include "core/quantum_diameter.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace qc::core {
@@ -172,6 +175,64 @@ TEST(QuantumExact, ReferencePathUsesAtMostNBfsRuns) {
   cfg.oracle = OracleMode::kSimulate;  // cross-check path: same bound
   auto sim = quantum_diameter_exact(g, cfg);
   EXPECT_LE(sim.reference_bfs_runs, g.n());
+}
+
+/// Installs `reg` as the global metrics registry for one scope.
+struct ArmedMetrics {
+  explicit ArmedMetrics(metrics::MetricsRegistry& reg) {
+    metrics::set_global(&reg);
+  }
+  ~ArmedMetrics() { metrics::set_global(nullptr); }
+  ArmedMetrics(const ArmedMetrics&) = delete;
+  ArmedMetrics& operator=(const ArmedMetrics&) = delete;
+};
+
+std::size_t count_spans(const metrics::MetricsRegistry& reg,
+                        const std::string& name) {
+  std::size_t k = 0;
+  for (const auto& s : reg.spans()) k += s.name == name ? 1 : 0;
+  return k;
+}
+
+TEST(QuantumExact, DirectOracleValidatesExactlyOnceUnderFanOut) {
+  // kDirect runs one Figure 2 simulation per oracle. The prefetch fans the
+  // first branches across 4 workers at once; every worker that arrives
+  // while the validation runs must wait for it, not start its own.
+  auto g = random_graph(300, 12, 17);
+  QuantumConfig cfg;
+  cfg.oracle = OracleMode::kDirect;
+  cfg.branch_threads = 4;
+  constexpr int kRuns = 20;
+  metrics::MetricsRegistry reg;
+  {
+    ArmedMetrics armed(reg);
+    for (int run = 0; run < kRuns; ++run) {
+      cfg.seed = static_cast<std::uint64_t>(run + 1);
+      EXPECT_EQ(quantum_diameter_exact(g, cfg).diameter, 12u);
+    }
+  }
+  EXPECT_EQ(count_spans(reg, "core.branch_simulate"),
+            static_cast<std::size_t>(kRuns));
+}
+
+TEST(QuantumExact, FailedDirectValidationIsRetried) {
+  // Dropping every message makes the Figure 2 run disagree with the
+  // reference, so the validation throws. The latch stays unset and the
+  // next branch validates again (and throws again) instead of being
+  // waved through.
+  auto g = random_graph(40, 6, 3);
+  const auto init = detail::run_initialization(g, {});
+  congest::NetworkConfig lossy;
+  lossy.fault.drop_probability = 1.0;
+  detail::WindowOracle oracle(g, init.tree, 2 * init.d, OracleMode::kDirect,
+                              lossy);
+  metrics::MetricsRegistry reg;
+  {
+    ArmedMetrics armed(reg);
+    EXPECT_THROW(oracle(0), qc::Error);
+    EXPECT_THROW(oracle(1), qc::Error);
+  }
+  EXPECT_EQ(count_spans(reg, "core.branch_simulate"), 2u);
 }
 
 TEST(QuantumSimple, AlsoExactButSlower) {

@@ -38,7 +38,7 @@ TEST(AmplitudeVector, ProbabilityOfPredicate) {
 
 TEST(AmplitudeVector, PhaseFlipPreservesNorm) {
   auto v = AmplitudeVector::uniform(16);
-  v.phase_flip([](std::size_t i) { return i % 3 == 0; });
+  v.phase_flip(v.mark([](std::size_t i) { return i % 3 == 0; }));
   EXPECT_NEAR(v.norm_sq(), 1.0, 1e-12);
   EXPECT_LT(v.amp(0).real(), 0);
   EXPECT_GT(v.amp(1).real(), 0);
@@ -51,7 +51,8 @@ TEST(AmplitudeVector, GroverSingleMarkedAmplifies) {
   auto psi0 = AmplitudeVector::uniform(dim);
   auto state = psi0;
   auto pred = [&](std::size_t i) { return i == marked_item; };
-  for (int it = 0; it < 3; ++it) state.grover_iterate(pred, psi0);
+  const auto mask = psi0.mark(pred);
+  for (int it = 0; it < 3; ++it) state.grover_iterate(mask, psi0);
   EXPECT_GT(state.probability(pred), 0.95);
   EXPECT_NEAR(state.norm_sq(), 1.0, 1e-9);
 }
@@ -65,9 +66,10 @@ TEST(AmplitudeVector, GroverAngleFormula) {
   const double theta =
       std::asin(std::sqrt(static_cast<double>(marked_count) / dim));
   auto psi0 = AmplitudeVector::uniform(dim);
+  const auto mask = psi0.mark(pred);
   for (int j = 0; j <= 6; ++j) {
     auto state = psi0;
-    for (int it = 0; it < j; ++it) state.grover_iterate(pred, psi0);
+    state.grover_iterate(mask, psi0, static_cast<std::uint64_t>(j));
     const double expect = std::pow(std::sin((2 * j + 1) * theta), 2);
     EXPECT_NEAR(state.probability(pred), expect, 1e-9) << "j=" << j;
   }
@@ -192,11 +194,12 @@ TEST(StateVector, GateLevelGroverMatchesAmplitudeLevel) {
   sv.h_all();
   auto av = AmplitudeVector::uniform(dim);
   const auto psi0 = AmplitudeVector::uniform(dim);
+  const auto mask = psi0.mark(predsz);
 
   for (int it = 0; it < 4; ++it) {
     sv.oracle(pred64);
     sv.grover_diffusion();
-    av.grover_iterate(predsz, psi0);
+    av.grover_iterate(mask, psi0);
     for (std::uint64_t i = 0; i < dim; ++i) {
       ASSERT_NEAR(std::abs(sv.amp(i) - av.amp(i)), 0.0, 1e-9)
           << "iteration " << it << " basis " << i;

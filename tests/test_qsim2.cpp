@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "qsim/amplitude_vector.hpp"
 #include "qsim/counting.hpp"
@@ -122,7 +123,7 @@ TEST(ReflectAbout, FixesReferenceAndNegatesOrthogonal) {
   // An orthogonal state: +1/-1 pattern against uniform.
   auto orth = AmplitudeVector::over_support(8, {0, 1});
   // Build (|0> - |1>)/sqrt(2) via phase flip on {1}.
-  orth.phase_flip([](std::size_t i) { return i == 1; });
+  orth.phase_flip(orth.mark([](std::size_t i) { return i == 1; }));
   auto reflected = orth;
   reflected.reflect_about(psi0);
   for (std::size_t i = 0; i < 8; ++i) {
@@ -303,6 +304,173 @@ TEST(PhaseEstimationCounting, AgreesWithSamplingEstimator) {
       estimate_marked_fraction(setup, pred, 40, 10, r2).fraction;
   EXPECT_NEAR(phase_est, ml_est, 0.05);
   EXPECT_NEAR(phase_est, 12.0 / 128, 0.03);
+}
+
+// ---------------------------------------------------------------------------
+// Golden values. The Grover kernels (marked mask, real/imag reflection) must
+// reproduce the std::complex, predicate-per-iterate implementation bit for
+// bit: these numbers were captured from that implementation and pin every
+// sampled outcome, every cost counter and every amplitude bit.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kGoldenDim = 1000;
+
+std::int64_t golden_f(std::size_t x) {
+  return static_cast<std::int64_t>((x * 7919u + 13u) % 1009u) - 500;
+}
+
+bool golden_marked(std::size_t x) { return golden_f(x) > 500; }
+
+std::vector<std::size_t> every_third(std::size_t dim) {
+  std::vector<std::size_t> support;
+  for (std::size_t i = 0; i < dim; i += 3) support.push_back(i);
+  return support;
+}
+
+/// FNV-1a over the bit patterns of every amplitude's (real, imag) pair.
+std::uint64_t amplitude_hash(const AmplitudeVector& v) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < v.dim(); ++i) {
+    const double parts[2] = {v.amp(i).real(), v.amp(i).imag()};
+    unsigned char bytes[sizeof parts];
+    std::memcpy(bytes, parts, sizeof parts);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 1099511628211ULL;
+    }
+  }
+  return h;
+}
+
+void expect_costs(const SearchCosts& c, std::uint64_t setups,
+                  std::uint64_t iterations, std::uint64_t checks) {
+  EXPECT_EQ(c.setup_invocations, setups);
+  EXPECT_EQ(c.grover_iterations, iterations);
+  EXPECT_EQ(c.candidate_evaluations, checks);
+}
+
+TEST(GoldenKernels, MaximizeUniform) {
+  Rng rng(2024);
+  const auto m = quantum_maximize(AmplitudeVector::uniform(kGoldenDim),
+                                  golden_f, 1.0 / kGoldenDim, 0.01, rng);
+  EXPECT_EQ(m.argmax, 620u);
+  EXPECT_EQ(m.value, 508);
+  expect_costs(m.costs, 628, 1684, 633);
+}
+
+TEST(GoldenKernels, MaximizeOverSupport) {
+  const auto support = every_third(kGoldenDim);
+  Rng rng(2024);
+  const auto m = quantum_maximize(
+      AmplitudeVector::over_support(kGoldenDim, support), golden_f,
+      1.0 / static_cast<double>(support.size()), 0.01, rng);
+  EXPECT_EQ(m.argmax, 132u);
+  EXPECT_EQ(m.value, 506);
+  expect_costs(m.costs, 538, 1225, 544);
+}
+
+TEST(GoldenKernels, SearchUniformAndOverSupport) {
+  Rng r1(7);
+  const auto u = amplitude_amplification_search(
+      AmplitudeVector::uniform(kGoldenDim), golden_marked, 1.0 / kGoldenDim,
+      0.01, r1);
+  EXPECT_TRUE(u.found);
+  EXPECT_EQ(u.item, 653u);
+  expect_costs(u.costs, 11, 12, 11);
+
+  const auto support = every_third(kGoldenDim);
+  Rng r2(7);
+  const auto s = amplitude_amplification_search(
+      AmplitudeVector::over_support(kGoldenDim, support), golden_marked,
+      1.0 / static_cast<double>(support.size()), 0.01, r2);
+  EXPECT_TRUE(s.found);
+  EXPECT_EQ(s.item, 132u);
+  expect_costs(s.costs, 10, 6, 10);
+}
+
+TEST(GoldenKernels, CountingEstimators) {
+  const auto setup = AmplitudeVector::uniform(kGoldenDim);
+  Rng r1(11);
+  const auto ml = estimate_marked_fraction(setup, golden_marked, 10, 6, r1);
+  EXPECT_EQ(ml.fraction, 0x1.0f193be92cc93p-7);
+  expect_costs(ml.costs, 70, 210, 70);
+
+  Rng r2(13);
+  const auto pe = quantum_count_phase_estimation(setup, golden_marked, 6, r2);
+  EXPECT_EQ(pe.fraction, 0x1.3ad06011469fbp-7);
+  EXPECT_EQ(pe.raw_phase, 0x1p-5);
+  EXPECT_EQ(pe.oracle_calls, 63u);
+}
+
+TEST(GoldenKernels, AmplitudeBitsAfterSevenIterates) {
+  const auto uniform = AmplitudeVector::uniform(kGoldenDim);
+  const auto sparse =
+      AmplitudeVector::over_support(kGoldenDim, every_third(kGoldenDim));
+  for (const auto* psi0 : {&uniform, &sparse}) {
+    const std::uint64_t golden =
+        psi0 == &uniform ? 0x0f6bf9cf819894abULL : 0xfbab706dcc00c16bULL;
+    const auto mask = psi0->mark(golden_marked);
+    // The same seven iterates three ways: as the two primitives, one
+    // iterate per call, and seven iterates in one call.
+    auto by_parts = *psi0;
+    auto one_by_one = *psi0;
+    auto at_once = *psi0;
+    for (int it = 0; it < 7; ++it) {
+      by_parts.phase_flip(mask);
+      by_parts.reflect_about(*psi0);
+      one_by_one.grover_iterate(mask, *psi0);
+    }
+    at_once.grover_iterate(mask, *psi0, 7);
+    EXPECT_EQ(amplitude_hash(by_parts), golden);
+    EXPECT_EQ(amplitude_hash(one_by_one), golden);
+    EXPECT_EQ(amplitude_hash(at_once), golden);
+  }
+}
+
+TEST(GoldenKernels, ZeroIteratesLeaveTheStateAlone) {
+  const auto psi0 = AmplitudeVector::uniform(16);
+  auto state = psi0;
+  state.grover_iterate(psi0.mark([](std::size_t i) { return i == 3; }), psi0,
+                       0);
+  EXPECT_EQ(amplitude_hash(state), amplitude_hash(psi0));
+}
+
+TEST(GoldenKernels, MaskAsksThePredicateOnlyOnPopulatedBranches) {
+  const auto support = every_third(30);
+  const auto setup = AmplitudeVector::over_support(30, support);
+  std::vector<std::size_t> asked;
+  const auto mask = setup.mark([&](std::size_t x) {
+    asked.push_back(x);
+    return x % 2 == 0;
+  });
+  EXPECT_EQ(asked, support);
+  ASSERT_EQ(mask.size(), 30u);
+  for (std::size_t x = 0; x < 30; ++x) {
+    EXPECT_EQ(mask[x], x % 3 == 0 && x % 2 == 0 ? 1 : 0) << x;
+  }
+  auto state = setup;
+  EXPECT_THROW(state.phase_flip(std::vector<std::uint8_t>(29, 0)), Error);
+}
+
+TEST(GoldenKernels, SearchAsksThePredicateOncePerBranch) {
+  // However many iterates a search runs, the oracle is asked at most once
+  // per populated branch plus once per checked sample.
+  const auto support = every_third(kGoldenDim);
+  const auto setup = AmplitudeVector::over_support(kGoldenDim, support);
+  for (const std::size_t marked_item : {kGoldenDim, std::size_t{132}}) {
+    std::uint64_t calls = 0;
+    Rng rng(3);
+    const auto res = amplitude_amplification_search(
+        setup,
+        [&](std::size_t x) {
+          ++calls;
+          return x == marked_item;
+        },
+        1.0 / static_cast<double>(support.size()), 0.01, rng);
+    EXPECT_EQ(res.found, marked_item < kGoldenDim);
+    EXPECT_GT(res.costs.grover_iterations, 0u);
+    EXPECT_LE(calls, support.size() + res.costs.candidate_evaluations);
+  }
 }
 
 }  // namespace

@@ -818,6 +818,64 @@ TEST(ShmTransport, MeshRingRoundTripsAndRejectsStaleOrTornSlots) {
   EXPECT_THROW(prod.publish(4, kCap + 1), Error);
 }
 
+TEST(ShmTransport, MeshRingWithOddCapacityKeepsBothSlotHeadersAligned) {
+  // Slot 1 follows slot 0's payload; an odd capacity must not leave its
+  // header (an atomic stamp and a length) at a misaligned address.
+  constexpr std::size_t kCap = 13;
+  std::vector<std::uint8_t> mem(MeshRing::bytes_needed(kCap), 0);
+  MeshRing prod(mem.data(), kCap);
+  MeshRing cons(mem.data(), kCap);
+  for (std::uint32_t round = 0; round < 4; ++round) {
+    auto buf = prod.produce_buffer(round);
+    ASSERT_EQ(buf.size(), kCap);
+    // The slot header sits right before the payload.
+    const auto hdr = reinterpret_cast<std::uintptr_t>(buf.data()) -
+                     MeshRing::kSlotHeaderBytes;
+    EXPECT_EQ(hdr % alignof(std::atomic<std::uint32_t>), 0u)
+        << "round " << round;
+    ASSERT_LE(hdr + MeshRing::kSlotHeaderBytes + kCap,
+              reinterpret_cast<std::uintptr_t>(mem.data() + mem.size()));
+    std::fill(buf.begin(), buf.end(), static_cast<std::uint8_t>(0xC0 + round));
+    prod.publish(round, kCap);
+    const auto got = cons.consume(round);
+    ASSERT_EQ(got.size(), kCap);
+    EXPECT_EQ(got.front(), 0xC0 + round);
+    EXPECT_EQ(got.back(), 0xC0 + round);
+  }
+  // Both slots are live: round 3 sits in slot 1, round 2 in slot 0.
+  EXPECT_EQ(cons.consume(2).front(), 0xC2);
+  EXPECT_EQ(cons.consume(3).front(), 0xC3);
+}
+
+TEST(ShmTransport, PlanLayoutPlacesEverySegmentAlignedAndDisjoint) {
+  Rng rng(5);
+  const Graph g = graph::make_random_with_diameter(97, 7, rng);
+  const ShardAssignment asn = make_assignment(g, 3, ContiguousPartitioner());
+  for (const bool events : {false, true}) {
+    const ShmLayout l = plan_layout(g, asn, events);
+    std::vector<std::pair<std::size_t, std::size_t>> spans;  // [off, end)
+    for (std::uint32_t s = 0; s < l.shards; ++s) {
+      spans.emplace_back(l.c2w[s].off,
+                         l.c2w[s].off + ShmChannel::bytes_needed(l.c2w[s].cap));
+      spans.emplace_back(l.w2c[s].off,
+                         l.w2c[s].off + ShmChannel::bytes_needed(l.w2c[s].cap));
+      for (std::uint32_t t = 0; t < l.shards; ++t) {
+        const auto& seg = l.mesh_seg(s, t);
+        if (seg.cap == 0) continue;
+        spans.emplace_back(seg.off, seg.off + MeshRing::bytes_needed(seg.cap));
+      }
+    }
+    std::sort(spans.begin(), spans.end());
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      EXPECT_EQ(spans[i].first % 64, 0u) << "segment " << i;
+      EXPECT_LE(spans[i].second, l.total_bytes);
+      if (i + 1 < spans.size()) {
+        EXPECT_LE(spans[i].second, spans[i + 1].first);
+      }
+    }
+  }
+}
+
 TEST(ShardCodec, MeshBatchRoundTripsThroughWriterAndReader) {
   std::vector<std::uint8_t> buf(512);
   MeshWriter w(buf, 7);
