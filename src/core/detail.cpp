@@ -1,6 +1,7 @@
 #include "core/detail.hpp"
 
 #include <algorithm>
+#include <future>
 #include <thread>
 
 #include "algos/bfs_tree.hpp"
@@ -60,25 +61,40 @@ InitPhase run_initialization(const graph::Graph& g,
   return init;
 }
 
+PreparedInit prepare_init_and_engine(const graph::Graph& g,
+                                     const congest::NetworkConfig& net,
+                                     std::uint32_t threads) {
+  PreparedInit prep{{}, std::make_shared<const graph::EccEngine>(g, threads)};
+  std::future<void> sweep;
+  if (threads > 1) {
+    sweep = std::async(std::launch::async,
+                       [engine = prep.engine] { engine->all(); });
+  }
+  prep.init = run_initialization(g, net);
+  if (sweep.valid()) sweep.get();
+  return prep;
+}
+
 WindowOracle::WindowOracle(const graph::Graph& g,
                            const algos::TreeState& tree, std::uint32_t steps,
                            OracleMode mode, congest::NetworkConfig net,
-                           std::vector<bool> mask, std::uint32_t num_threads)
+                           std::shared_ptr<const graph::EccEngine> engine,
+                           std::vector<bool> mask)
     : g_(&g),
       tree_(&tree),
       steps_(steps),
       mode_(mode),
       net_(std::move(net)),
       mask_(std::move(mask)),
-      engine_(g, num_threads) {
+      engine_(std::move(engine)) {
   metrics::ScopedTimer span("core.oracle_build");
   graph::BfsTree walk_tree =
       mask_.empty() ? tree.to_bfs_tree()
                     : graph::induced_subtree(tree.to_bfs_tree(), mask_);
-  num_ = graph::dfs_numbering(walk_tree);
-  // One eccentricity sweep (n BFS) plus an O(len log len) table build here;
-  // every branch's reference value is then an O(1) range-max query.
-  seg_max_ = engine_.segment_max(num_);
+  // An O(len log len) table build over the engine's eccentricity table
+  // (swept here unless the front-end already ran it); every branch's
+  // reference value is then an O(1) range-max query.
+  seg_max_ = engine_->segment_max(graph::dfs_numbering(walk_tree));
   // Figure 2's round budget is oblivious to u0: Step 1 runs 3*steps rounds
   // (token + probe/reply cycles), Step 2 its fixed pipeline window,
   // Steps 3-4 one convergecast. Every branch costs the same.
@@ -86,28 +102,26 @@ WindowOracle::WindowOracle(const graph::Graph& g,
                     (2 * steps_ + 2 * tree.height + 2) + tree.height + 1;
 }
 
-std::int64_t WindowOracle::operator()(std::size_t u0) {
+std::int64_t WindowOracle::operator()(std::size_t u0) const {
   const auto node = static_cast<NodeId>(u0);
   metrics::count("core.branch_evaluations");
   const std::uint32_t reference = seg_max_.max_ecc_in_segment(node, steps_);
-  if (mode_ == OracleMode::kSimulate) {
-    simulate_and_check(node, reference);
-  } else if (!validated_.load(std::memory_order_acquire)) {
-    // kDirect validates one branch: the first caller simulates while
-    // concurrent callers wait on the mutex; a validation that throws
-    // leaves the latch unset, so the next caller tries again. Not
-    // std::call_once: an exception out of it leaves the flag stuck under
-    // ThreadSanitizer, so the retry would hang.
-    std::lock_guard<std::mutex> lock(validate_mu_);
-    if (!validated_.load(std::memory_order_relaxed)) {
-      simulate_and_check(node, reference);
-      validated_.store(true, std::memory_order_release);
-    }
-  }
+  if (mode_ == OracleMode::kSimulate) simulate_and_check(node, reference);
   return static_cast<std::int64_t>(reference);
 }
 
-void WindowOracle::simulate_and_check(NodeId u0, std::uint32_t reference) {
+void WindowOracle::validate() const {
+  NodeId u0 = 0;
+  if (!mask_.empty()) {
+    u0 = static_cast<NodeId>(std::find(mask_.begin(), mask_.end(), true) -
+                             mask_.begin());
+    check_internal(u0 < g_->n(), "WindowOracle: empty branch mask");
+  }
+  simulate_and_check(u0, seg_max_.max_ecc_in_segment(u0, steps_));
+}
+
+void WindowOracle::simulate_and_check(NodeId u0,
+                                      std::uint32_t reference) const {
   metrics::ScopedTimer span("core.branch_simulate");
   auto eval = algos::evaluate_window_ecc(*g_, *tree_, u0, steps_, net_,
                                          mask_.empty() ? nullptr : &mask_);

@@ -1,12 +1,14 @@
 #pragma once
 
 // Internal building blocks shared by the quantum diameter/radius/decision
-// front-ends: the classical initialization phase of Section 3 and the
-// Figure 2 branch oracle. Not part of the public API surface.
+// front-ends: the classical initialization phase of Section 3, the
+// Figure 2 branch oracle, and the two helpers that run the oracle's side
+// work (eccentricity sweep, kDirect validation) beside the paper's
+// phases. Not part of the public API surface.
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <future>
+#include <memory>
 #include <vector>
 
 #include "algos/evaluation.hpp"
@@ -16,6 +18,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/ecc_engine.hpp"
 #include "graph/graph.hpp"
+#include "util/error.hpp"
 
 namespace qc::core::detail {
 
@@ -35,6 +38,23 @@ struct InitPhase {
 InitPhase run_initialization(const graph::Graph& g,
                              const congest::NetworkConfig& net);
 
+/// The initialization together with the EccEngine the front-end's oracle
+/// reads its reference values from. A first step toward one prepared
+/// graph per op.
+struct PreparedInit {
+  InitPhase init;
+  std::shared_ptr<const graph::EccEngine> engine;
+};
+
+/// Runs run_initialization and, when `threads` > 1, the engine's
+/// eccentricity sweep (fanned across `threads` workers) beside it on a
+/// background task; the two share nothing but the read-only graph, and
+/// this joins both before returning. With `threads` = 1 the sweep is left
+/// to the oracle build, after init, as in a fully sequential run.
+PreparedInit prepare_init_and_engine(const graph::Graph& g,
+                                     const congest::NetworkConfig& net,
+                                     std::uint32_t threads);
+
 /// Branch-evaluation workers a front-end should actually use: the
 /// configured branch_threads (0 = hardware concurrency), forced to 1 when
 /// a delivery observer is armed — concurrent branch simulations would
@@ -52,40 +72,46 @@ void record_quantum_costs(const char* algo, const qsim::SearchCosts& costs,
 
 /// The branch oracle for f(u) = max_{v in segment window of u} ecc(v),
 /// with the two evaluation modes of OracleMode. Cross-checks the
-/// distributed Figure 2 execution against the centralized reference (on
-/// every branch in kSimulate mode, once per oracle in kDirect mode).
+/// distributed Figure 2 execution against the centralized reference: on
+/// every branch in kSimulate mode, in validate() in kDirect mode (where
+/// operator() is a plain table lookup).
 ///
 /// The centralized reference is served by a shared graph::EccEngine — one
-/// BFS per vertex for the whole oracle lifetime plus an O(1) sparse-table
+/// BFS per vertex for the whole engine lifetime plus an O(1) sparse-table
 /// segment query per branch — instead of the naive Theta(d) BFS per
-/// branch. Only the reference path changed: the distributed Figure 2
-/// simulation, its round accounting, and the kSimulate cross-check are
-/// untouched and stay bit-identical.
+/// branch. The oracle shares the engine rather than owning it, so the
+/// front-end may run the sweep before (or beside) the initialization.
 ///
-/// operator() is safe to call from several threads at once (each branch
-/// simulation builds its own Network over the shared read-only graph and
-/// tree), so a core::BranchEvaluator can fan branches across workers.
+/// operator() and validate() are safe to call from several threads at
+/// once (each branch simulation builds its own Network over the shared
+/// read-only graph and tree), so a core::BranchEvaluator can fan branches
+/// across workers while validate() runs on another thread.
 class WindowOracle {
  public:
-  /// `num_threads` fans the engine's one-time eccentricity sweep across
-  /// that many workers (0 = hardware concurrency); results are identical
-  /// at any value.
   WindowOracle(const graph::Graph& g, const algos::TreeState& tree,
                std::uint32_t steps, OracleMode mode,
-               congest::NetworkConfig net, std::vector<bool> mask = {},
-               std::uint32_t num_threads = 1);
+               congest::NetworkConfig net,
+               std::shared_ptr<const graph::EccEngine> engine,
+               std::vector<bool> mask = {});
 
+  OracleMode mode() const { return mode_; }
   std::uint32_t t_eval_forward() const { return t_eval_forward_; }
 
   /// BFS runs of the centralized reference path (<= n by construction).
-  std::uint64_t reference_bfs_runs() const { return engine_.bfs_runs(); }
+  std::uint64_t reference_bfs_runs() const { return engine_->bfs_runs(); }
 
   /// f(u0), per the configured mode.
-  std::int64_t operator()(std::size_t u0);
+  std::int64_t operator()(std::size_t u0) const;
+
+  /// Runs Figure 2 for the first populated branch (0, or the smallest
+  /// member of the mask) and checks it against the reference; throws
+  /// qc::Error when they disagree or the simulation fails. This is the
+  /// one CONGEST execution a kDirect run makes.
+  void validate() const;
 
  private:
   /// Runs Figure 2 for branch u0 and checks it against `reference`.
-  void simulate_and_check(graph::NodeId u0, std::uint32_t reference);
+  void simulate_and_check(graph::NodeId u0, std::uint32_t reference) const;
 
   const graph::Graph* g_;
   const algos::TreeState* tree_;
@@ -93,12 +119,39 @@ class WindowOracle {
   OracleMode mode_;
   congest::NetworkConfig net_;
   std::vector<bool> mask_;
-  graph::DfsNumbering num_;
-  graph::EccEngine engine_;
+  std::shared_ptr<const graph::EccEngine> engine_;
   graph::EccEngine::SegmentMax seg_max_;
   std::uint32_t t_eval_forward_ = 0;
-  std::mutex validate_mu_;  ///< held while the kDirect validation runs
-  std::atomic<bool> validated_{false};
 };
+
+/// Runs a front-end's quantum phase — `phase()` is its
+/// distributed_quantum_optimize/_search call — together with the oracle's
+/// kDirect validation, and returns the phase's report. The validation
+/// reads nothing the phase writes, so with `threads` > 1 the phase runs
+/// on a task while the validation runs on the calling thread (which keeps
+/// the validation's Network in the caller's allocator arena); otherwise
+/// the validation runs first, inline, so an observed event stream keeps
+/// its order. A validation that throws qc::Error yields the same report
+/// a failing branch simulation inside the phase does: a default report
+/// with `subroutine_failed` and `failure_reason` set. kSimulate runs the
+/// phase alone, since it checks every branch it simulates.
+template <typename Phase>
+auto run_validated_phase(const WindowOracle& oracle, std::uint32_t threads,
+                         Phase phase) -> decltype(phase()) {
+  using Report = decltype(phase());
+  if (oracle.mode() != OracleMode::kDirect) return phase();
+  std::future<Report> quantum;
+  if (threads > 1) quantum = std::async(std::launch::async, phase);
+  try {
+    oracle.validate();
+  } catch (const qc::Error& e) {
+    if (quantum.valid()) quantum.wait();
+    Report failed;
+    failed.subroutine_failed = true;
+    failed.failure_reason = e.what();
+    return failed;
+  }
+  return quantum.valid() ? quantum.get() : phase();
+}
 
 }  // namespace qc::core::detail

@@ -91,8 +91,9 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
     // the mask (windows walk the DFS numbering of BFS(w) induced on R).
     const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
     auto oracle = std::make_shared<detail::WindowOracle>(
-        g, prep.tree_w, steps, cfg.oracle, cfg.net, prep.r_mask,
-        branch_threads);
+        g, prep.tree_w, steps, cfg.oracle, cfg.net,
+        std::make_shared<const graph::EccEngine>(g, branch_threads),
+        prep.r_mask);
     const std::uint32_t t_eval_forward = oracle->t_eval_forward();
 
     OptimizationProblem prob;
@@ -110,7 +111,9 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
 
     Rng rng(cfg.seed ^ 0xa99ae5u);
     metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
-    auto opt = distributed_quantum_optimize(prob, rng);
+    auto opt = detail::run_validated_phase(*oracle, branch_threads, [&] {
+      return distributed_quantum_optimize(prob, rng);
+    });
     quantum_span.add(opt.total_rounds, 0, 0);
     quantum_span.finish();
     detail::record_quantum_costs("quantum_diameter_approx", opt.costs,

@@ -40,8 +40,8 @@ DecisionReport quantum_diameter_decide(const graph::Graph& g,
   const std::uint32_t steps = 2 * init.d;
   const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
   auto oracle = std::make_shared<detail::WindowOracle>(
-      g, init.tree, steps, cfg.oracle, cfg.net, std::vector<bool>{},
-      branch_threads);
+      g, init.tree, steps, cfg.oracle, cfg.net,
+      std::make_shared<const graph::EccEngine>(g, branch_threads));
   rep.t_eval_forward = oracle->t_eval_forward();
 
   SearchProblem prob;
@@ -61,7 +61,9 @@ DecisionReport quantum_diameter_decide(const graph::Graph& g,
 
   Rng rng(cfg.seed ^ 0xdec1deULL);
   metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
-  auto s = distributed_quantum_search(prob, rng);
+  auto s = detail::run_validated_phase(*oracle, branch_threads, [&] {
+    return distributed_quantum_search(prob, rng);
+  });
   quantum_span.add(s.total_rounds - init.rounds, 0, 0);
   quantum_span.finish();
   detail::record_quantum_costs("quantum_diameter_decide", s.costs,

@@ -27,7 +27,9 @@ QuantumDiameterReport run_diameter_optimization(const graph::Graph& g,
     return rep;
   }
 
-  detail::InitPhase init = detail::run_initialization(g, cfg.net);
+  const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
+  auto [init, engine] =
+      detail::prepare_init_and_engine(g, cfg.net, branch_threads);
   rep.leader = init.leader;
   rep.ecc_leader = init.d;
   rep.init_rounds = init.rounds;
@@ -42,10 +44,8 @@ QuantumDiameterReport run_diameter_optimization(const graph::Graph& g,
       windowed ? std::min(1.0, static_cast<double>(init.d) / (2.0 * n))
                : 1.0 / n;
 
-  const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
   auto oracle = std::make_shared<detail::WindowOracle>(
-      g, init.tree, steps, cfg.oracle, cfg.net, std::vector<bool>{},
-      branch_threads);
+      g, init.tree, steps, cfg.oracle, cfg.net, std::move(engine));
   rep.t_eval_forward = oracle->t_eval_forward();
 
   OptimizationProblem prob;
@@ -60,7 +60,9 @@ QuantumDiameterReport run_diameter_optimization(const graph::Graph& g,
 
   Rng rng(cfg.seed);
   metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
-  auto opt = distributed_quantum_optimize(prob, rng);
+  auto opt = detail::run_validated_phase(*oracle, branch_threads, [&] {
+    return distributed_quantum_optimize(prob, rng);
+  });
   quantum_span.add(opt.total_rounds - init.rounds, 0, 0);
   quantum_span.finish();
   detail::record_quantum_costs(algo, opt.costs, opt.distinct_evaluations,

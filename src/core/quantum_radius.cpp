@@ -17,17 +17,17 @@ RadiusReport quantum_radius(const graph::Graph& g, const QuantumConfig& cfg) {
     return rep;
   }
 
-  detail::InitPhase init = detail::run_initialization(g, cfg.net);
+  const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
+  auto [init, engine] =
+      detail::prepare_init_and_engine(g, cfg.net, branch_threads);
   rep.leader = init.leader;
   rep.init_rounds = init.rounds;
   rep.t_setup = init.t_setup;
 
   // steps = 0: the window is {u}, so the oracle returns ecc(u) exactly
   // (the Section 3.1 objective); we maximize its negation.
-  const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
   auto oracle = std::make_shared<detail::WindowOracle>(
-      g, init.tree, /*steps=*/0, cfg.oracle, cfg.net, std::vector<bool>{},
-      branch_threads);
+      g, init.tree, /*steps=*/0, cfg.oracle, cfg.net, std::move(engine));
   rep.t_eval_forward = oracle->t_eval_forward();
 
   OptimizationProblem prob;
@@ -42,7 +42,9 @@ RadiusReport quantum_radius(const graph::Graph& g, const QuantumConfig& cfg) {
 
   Rng rng(cfg.seed ^ 0x5ad105ULL);
   metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
-  auto opt = distributed_quantum_optimize(prob, rng);
+  auto opt = detail::run_validated_phase(*oracle, branch_threads, [&] {
+    return distributed_quantum_optimize(prob, rng);
+  });
   quantum_span.add(opt.total_rounds - init.rounds, 0, 0);
   quantum_span.finish();
   detail::record_quantum_costs("quantum_radius", opt.costs,

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <vector>
 
+#include "algos/evaluation.hpp"
+#include "algos/hprw.hpp"
 #include "core/detail.hpp"
 #include "core/optimizer.hpp"
 #include "core/quantum_approx.hpp"
@@ -215,24 +220,114 @@ TEST(QuantumExact, DirectOracleValidatesExactlyOnceUnderFanOut) {
             static_cast<std::size_t>(kRuns));
 }
 
-TEST(QuantumExact, FailedDirectValidationIsRetried) {
+TEST(QuantumExact, FailedDirectValidationIsNeverWavedThrough) {
   // Dropping every message makes the Figure 2 run disagree with the
-  // reference, so the validation throws. The latch stays unset and the
-  // next branch validates again (and throws again) instead of being
-  // waved through.
+  // reference, so every validate() throws and records its simulation,
+  // while the kDirect lookups simulate nothing. The phase helper turns the
+  // failure into a default failed report, inline or beside the phase.
   auto g = random_graph(40, 6, 3);
   const auto init = detail::run_initialization(g, {});
   congest::NetworkConfig lossy;
   lossy.fault.drop_probability = 1.0;
-  detail::WindowOracle oracle(g, init.tree, 2 * init.d, OracleMode::kDirect,
-                              lossy);
+  const detail::WindowOracle oracle(
+      g, init.tree, 2 * init.d, OracleMode::kDirect, lossy,
+      std::make_shared<const graph::EccEngine>(g, 1));
   metrics::MetricsRegistry reg;
   {
     ArmedMetrics armed(reg);
-    EXPECT_THROW(oracle(0), qc::Error);
-    EXPECT_THROW(oracle(1), qc::Error);
+    EXPECT_THROW(oracle.validate(), qc::Error);
+    EXPECT_THROW(oracle.validate(), qc::Error);
+    for (NodeId u = 0; u < g.n(); ++u) (void)oracle(u);
+    EXPECT_EQ(count_spans(reg, "core.branch_simulate"), 2u);
+
+    OptimizationProblem prob;
+    prob.domain_size = g.n();
+    prob.evaluate = [&oracle](std::size_t x) { return oracle(x); };
+    prob.t_init = init.rounds;
+    prob.t_eval_forward = oracle.t_eval_forward();
+    prob.epsilon = 1.0 / g.n();
+    for (std::uint32_t threads : {1u, 4u}) {
+      prob.num_threads = threads;
+      Rng rng(5);
+      const auto rep = detail::run_validated_phase(oracle, threads, [&] {
+        return distributed_quantum_optimize(prob, rng);
+      });
+      EXPECT_TRUE(rep.subroutine_failed) << threads << " threads";
+      EXPECT_FALSE(rep.failure_reason.empty());
+      EXPECT_EQ(rep.value, 0);
+      EXPECT_EQ(rep.total_rounds, 0u);
+      EXPECT_EQ(rep.costs.grover_iterations, 0u);
+      EXPECT_EQ(rep.distinct_evaluations, 0u);
+    }
   }
-  EXPECT_EQ(count_spans(reg, "core.branch_simulate"), 2u);
+  EXPECT_EQ(count_spans(reg, "core.branch_simulate"), 4u);
+}
+
+/// Message counts of every `core.branch_simulate` span in `reg`.
+std::vector<std::uint64_t> simulate_messages(
+    const metrics::MetricsRegistry& reg) {
+  std::vector<std::uint64_t> out;
+  for (const auto& s : reg.spans()) {
+    if (s.name == "core.branch_simulate") out.push_back(s.messages);
+  }
+  return out;
+}
+
+TEST(QuantumExact, DirectOracleValidatesTheFirstBranch) {
+  // The validated branch does not depend on thread timing: with four
+  // workers, every run simulates branch 0, so its span carries exactly
+  // branch 0's message count.
+  auto g = random_graph(120, 9, 29);
+  const auto init = detail::run_initialization(g, {});
+  const std::uint64_t expected =
+      algos::evaluate_window_ecc(g, init.tree, 0, 2 * init.d).stats.messages;
+  QuantumConfig cfg;
+  cfg.oracle = OracleMode::kDirect;
+  cfg.branch_threads = 4;
+  constexpr int kRuns = 20;
+  metrics::MetricsRegistry reg;
+  {
+    ArmedMetrics armed(reg);
+    for (int run = 0; run < kRuns; ++run) {
+      cfg.seed = static_cast<std::uint64_t>(run + 1);
+      EXPECT_EQ(quantum_diameter_exact(g, cfg).diameter, 9u);
+    }
+  }
+  EXPECT_EQ(simulate_messages(reg),
+            std::vector<std::uint64_t>(kRuns, expected));
+}
+
+TEST(QuantumApprox, DirectOracleValidatesTheSmallestMemberOfR) {
+  // Approx restricts the branches to R; the validated branch is R's
+  // smallest member, whatever the thread timing.
+  auto g = random_graph(64, 12, 23 * 64 + 12);
+  QuantumConfig cfg;
+  cfg.oracle = OracleMode::kDirect;
+  cfg.branch_threads = 4;
+  const auto first = quantum_diameter_approx(g, cfg);
+  ASSERT_FALSE(first.aborted);
+  const auto prep = algos::hprw_preparation(g, first.s_used);
+  ASSERT_GT(prep.r_size, 1u);
+  const auto r0 = static_cast<NodeId>(
+      std::find(prep.r_mask.begin(), prep.r_mask.end(), true) -
+      prep.r_mask.begin());
+  const std::uint32_t d_sub =
+      graph::induced_subtree(prep.tree_w.to_bfs_tree(), prep.r_mask).height;
+  const std::uint64_t expected =
+      algos::evaluate_window_ecc(g, prep.tree_w, r0, 2 * std::max(1u, d_sub),
+                                 {}, &prep.r_mask)
+          .stats.messages;
+  constexpr int kRuns = 20;
+  metrics::MetricsRegistry reg;
+  {
+    ArmedMetrics armed(reg);
+    for (int run = 0; run < kRuns; ++run) {
+      cfg.seed = static_cast<std::uint64_t>(run + 1);
+      EXPECT_FALSE(quantum_diameter_approx(g, cfg).subroutine_failed);
+    }
+  }
+  EXPECT_EQ(simulate_messages(reg),
+            std::vector<std::uint64_t>(kRuns, expected));
 }
 
 TEST(QuantumSimple, AlsoExactButSlower) {

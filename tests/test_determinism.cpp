@@ -6,13 +6,20 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "algos/bfs_tree.hpp"
+#include "algos/evaluation.hpp"
 #include "congest/network.hpp"
 #include "congest/trace.hpp"
 #include "core/branch_evaluator.hpp"
+#include "core/detail.hpp"
+#include "core/quantum_approx.hpp"
+#include "core/quantum_decision.hpp"
 #include "core/quantum_diameter.hpp"
+#include "core/quantum_radius.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "util/rng.hpp"
@@ -194,6 +201,123 @@ TEST(BranchThreads, ObserverForcesSerialButStaysCorrect) {
   auto rep = core::quantum_diameter_exact(g, cfg);
   EXPECT_EQ(rep.diameter, 5u);
   EXPECT_FALSE(rec.events().empty());
+}
+
+// ---------------------------------------------------------------------------
+// The same invariance for the kDirect oracle, whose validation runs beside
+// the quantum phase when there are several workers: every report field of
+// every front-end is equal at any thread count.
+// ---------------------------------------------------------------------------
+
+auto costs_of(const qsim::SearchCosts& c) {
+  return std::make_tuple(c.setup_invocations, c.grover_iterations,
+                         c.candidate_evaluations);
+}
+
+/// Every field of each report kind, for one EXPECT_EQ.
+auto fields(const core::QuantumDiameterReport& r) {
+  return std::make_tuple(r.diameter, r.leader, r.ecc_leader, r.total_rounds,
+                         r.init_rounds, r.t_setup, r.t_eval_forward,
+                         costs_of(r.costs), r.distinct_branch_evaluations,
+                         r.budget_exhausted, r.reference_bfs_runs,
+                         r.per_node_memory_qubits, r.leader_memory_qubits,
+                         r.subroutine_failed, r.failure_reason);
+}
+auto fields(const core::RadiusReport& r) {
+  return std::make_tuple(r.radius, r.center, r.leader, r.total_rounds,
+                         r.init_rounds, r.t_setup, r.t_eval_forward,
+                         costs_of(r.costs), r.distinct_branch_evaluations,
+                         r.budget_exhausted, r.reference_bfs_runs,
+                         r.per_node_memory_qubits, r.leader_memory_qubits,
+                         r.subroutine_failed, r.failure_reason);
+}
+auto fields(const core::DecisionReport& r) {
+  return std::make_tuple(r.diameter_exceeds, r.witness, r.threshold,
+                         r.total_rounds, r.init_rounds, r.t_setup,
+                         r.t_eval_forward, costs_of(r.costs),
+                         r.distinct_branch_evaluations, r.reference_bfs_runs,
+                         r.per_node_memory_qubits, r.leader_memory_qubits,
+                         r.subroutine_failed, r.failure_reason);
+}
+auto fields(const core::QuantumApproxReport& r) {
+  return std::make_tuple(r.estimate, r.aborted, r.s_used, r.w, r.total_rounds,
+                         r.prep_rounds, r.quantum_rounds, costs_of(r.costs),
+                         r.distinct_branch_evaluations, r.reference_bfs_runs,
+                         r.per_node_memory_qubits, r.leader_memory_qubits,
+                         r.subroutine_failed, r.failure_reason);
+}
+
+core::QuantumConfig direct_config(std::uint32_t threads) {
+  core::QuantumConfig cfg;
+  cfg.oracle = core::OracleMode::kDirect;
+  cfg.seed = 13;
+  cfg.branch_threads = threads;
+  return cfg;
+}
+
+/// Runs `run(threads)` at 1, 2 and 8 workers and expects equal reports;
+/// returns the serial one.
+template <typename Run>
+auto expect_thread_invariant(const char* what, Run run) {
+  const auto base = run(1u);
+  for (std::uint32_t threads : {2u, 8u}) {
+    EXPECT_EQ(fields(run(threads)), fields(base))
+        << what << " at " << threads << " threads";
+  }
+  return base;
+}
+
+TEST(BranchThreads, DirectOracleFrontEndsInvariant) {
+  auto g = random_graph(72, 8, 71);
+  const auto exact = expect_thread_invariant("exact", [&](std::uint32_t t) {
+    return core::quantum_diameter_exact(g, direct_config(t));
+  });
+  EXPECT_EQ(exact.diameter, 8u);
+  EXPECT_FALSE(exact.subroutine_failed);
+
+  const auto radius = expect_thread_invariant("radius", [&](std::uint32_t t) {
+    return core::quantum_radius(g, direct_config(t));
+  });
+  EXPECT_EQ(radius.radius, graph::radius(g));
+
+  // A threshold with d <= threshold < 2d, so the decision cannot exit
+  // early and runs its quantum search.
+  const std::uint32_t threshold = exact.ecc_leader;
+  ASSERT_LT(threshold, 2 * exact.ecc_leader);
+  const auto decide = expect_thread_invariant("decide", [&](std::uint32_t t) {
+    return core::quantum_diameter_decide(g, threshold, direct_config(t));
+  });
+  EXPECT_GT(decide.t_eval_forward, 0u);
+  EXPECT_EQ(decide.diameter_exceeds, exact.diameter > threshold);
+
+  const auto approx = expect_thread_invariant("approx", [&](std::uint32_t t) {
+    return core::quantum_diameter_approx(g, direct_config(t));
+  });
+  EXPECT_GT(approx.quantum_rounds, 0u);
+  EXPECT_FALSE(approx.subroutine_failed);
+}
+
+TEST(BranchThreads, ObservedDirectRunIsInitThenOneValidation) {
+  // Armed, a kDirect run delivers the initialization's messages and then
+  // those of exactly one Figure 2 run, branch 0's, in that order.
+  auto g = random_graph(40, 6, 73);
+  congest::TraceRecorder init_rec;
+  const auto init = core::detail::run_initialization(g, init_rec.arm({}));
+  congest::TraceRecorder eval_rec;
+  const auto eval = algos::evaluate_window_ecc(g, init.tree, 0, 2 * init.d,
+                                               eval_rec.arm({}));
+  std::vector<congest::TraceEvent> expected = init_rec.events();
+  expected.insert(expected.end(), eval_rec.events().begin(),
+                  eval_rec.events().end());
+  ASSERT_EQ(eval_rec.events().size(), eval.stats.messages);
+
+  congest::TraceRecorder rec;
+  core::QuantumConfig cfg = direct_config(8);
+  cfg.net = rec.arm(cfg.net);
+  EXPECT_EQ(core::quantum_diameter_exact(g, cfg).diameter, 6u);
+  EXPECT_EQ(rec.events().size(),
+            init_rec.events().size() + eval.stats.messages);
+  EXPECT_EQ(rec.events(), expected);
 }
 
 }  // namespace
