@@ -125,12 +125,42 @@ void EvaluationProgram::token_round(NodeContext& ctx) {
 }
 
 void EvaluationProgram::on_start(NodeContext& ctx) {
-  if (ctx.id() != p_.u0) return;
+  if (ctx.id() != p_.u0) {
+    arm_wake(ctx);
+    return;
+  }
   check_internal(in_mask_, "Evaluation: u0 must be on the walk");
   // The walk starts at u0 as a first (top-down) visit at position 0. The
   // on_start probe goes out "at round 0": replies arrive at round 2 and
   // the first token move lands at round 3 — position j arrives at 3j.
   receive_token(ctx, 0, /*from_parent=*/true, graph::kInvalidNode);
+  arm_wake(ctx);
+}
+
+void EvaluationProgram::arm_wake(NodeContext& ctx) const {
+  const std::uint32_t now = ctx.round();
+  const std::uint32_t token_rounds = token_phase_rounds(p_.steps);
+  std::uint32_t next = 0;
+  const auto consider = [&](std::uint64_t r) {
+    if (r > now && (next == 0 || r < next)) {
+      next = static_cast<std::uint32_t>(r);
+    }
+  };
+  // Step 1: a prober acts on the next reply round (r = 2 mod 3) even when
+  // no child answers (see token_round).
+  if (awaiting_replies_) {
+    const std::uint32_t reply = now + 1 + (5 - (now + 1) % 3) % 3;
+    if (reply <= token_rounds) consider(reply);
+  }
+  // Step 2: a window member launches its wave at local round 2*tau' + 1.
+  if (tau_prime_ >= 0) {
+    consider(token_rounds + 2 * static_cast<std::uint64_t>(tau_prime_) + 1);
+  }
+  // Steps 3-4: the convergecast report round (see convergecast_round).
+  const bool is_root = tree_parent_ == graph::kInvalidNode;
+  consider(static_cast<std::uint64_t>(token_rounds) + p_.pipeline_len +
+           (is_root ? p_.tree_height + 1 : p_.tree_height - depth_ + 1));
+  if (next != 0) ctx.wake_at(next);
 }
 
 void EvaluationProgram::pipeline_round(NodeContext& ctx,
@@ -214,6 +244,7 @@ void EvaluationProgram::on_round(NodeContext& ctx) {
   } else {
     convergecast_round(ctx, round - token_rounds - p_.pipeline_len);
   }
+  arm_wake(ctx);
 }
 
 std::uint64_t EvaluationProgram::memory_bits() const {
@@ -294,9 +325,13 @@ class ScheduleReplayProgram : public congest::NodeProgram {
   void on_start(NodeContext& ctx) override { emit(ctx, 0); }
   void on_round(NodeContext& ctx) override { emit(ctx, ctx.round()); }
   std::uint64_t memory_bits() const override { return 64; }
+  /// Sends only at its schedule keys; it wakes itself for the next one.
+  bool on_demand() const override { return true; }
 
  private:
   void emit(NodeContext& ctx, std::uint32_t round) {
+    const auto next = schedule_.upper_bound(round);
+    if (next != schedule_.end()) ctx.wake_at(next->first);
     const auto it = schedule_.find(round);
     if (it == schedule_.end()) return;
     for (const auto& [port, bits] : it->second) {
@@ -348,7 +383,7 @@ UnitaryEvaluationOutcome evaluate_window_ecc_unitary(
   }
 
   congest::NetworkConfig revert_cfg;
-  revert_cfg.bandwidth_bits = congest::Network(g, {}).bandwidth_bits();
+  revert_cfg.bandwidth_bits = qc::congest_bandwidth_bits(g.n());
   congest::Network net(g, revert_cfg);
   net.init_programs([&](NodeId v) {
     return std::make_unique<ScheduleReplayProgram>(std::move(schedules[v]));

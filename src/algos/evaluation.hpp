@@ -62,6 +62,11 @@ class EvaluationProgram : public congest::NodeProgram {
   void on_start(congest::NodeContext& ctx) override;
   void on_round(congest::NodeContext& ctx) override;
   std::uint64_t memory_bits() const override;
+  /// Figure 2 is a time-driven schedule in which a node acts on its own in
+  /// only a few rounds; every other round without mail is a no-op. The
+  /// program arms a wake-up for its next such round (see arm_wake) and
+  /// the engine skips the rest.
+  bool on_demand() const override { return true; }
 
   bool in_window() const { return tau_prime_ >= 0; }
   std::int64_t tau_prime() const { return tau_prime_; }
@@ -84,6 +89,10 @@ class EvaluationProgram : public congest::NodeProgram {
                           std::uint32_t local_round);
   void receive_token(congest::NodeContext& ctx, std::uint32_t position,
                      bool from_parent, graph::NodeId came_from);
+  /// Arms the earliest round after ctx.round() in which this node acts
+  /// without mail: the reply round of a pending probe, its own Step 2 wave
+  /// start, or its Steps 3-4 report round.
+  void arm_wake(congest::NodeContext& ctx) const;
 
   Params p_;
   graph::NodeId tree_parent_;

@@ -94,4 +94,13 @@ void CrashIndex::refresh(std::uint32_t round) {
   }
 }
 
+std::uint32_t CrashIndex::down_in(graph::NodeId begin,
+                                  graph::NodeId end) const {
+  std::uint32_t count = 0;
+  for (const graph::NodeId v : touched_) {
+    if (v >= begin && v < end && down_[v] != 0) ++count;
+  }
+  return count;
+}
+
 }  // namespace qc::congest

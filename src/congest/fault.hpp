@@ -14,8 +14,10 @@ namespace qc::congest {
 ///
 /// While down, a node neither sends nor receives nor computes: messages it
 /// queued before the crash are lost, messages addressed to it are dropped,
-/// and `on_round` is not invoked. Its `vote_halt` state is frozen, so a
-/// permanently crashed node that had not halted keeps
+/// and `on_round` is not invoked. A wake-up (NodeContext::wake_at) that
+/// falls due meanwhile waits for the node's first round back up. Its
+/// `vote_halt` state is frozen, so a permanently crashed node that had
+/// not halted (or still has a wake-up pending) keeps
 /// `run_until_quiescent` from reporting quiescence (the run times out —
 /// the graceful-degradation layer in src/algos turns that into a
 /// timed-out/degraded status instead of an abort).
@@ -103,6 +105,10 @@ class CrashIndex {
   bool down(graph::NodeId v) const {
     return !down_.empty() && down_[v] != 0;
   }
+
+  /// Number of nodes in [begin, end) that are down in the round last
+  /// passed to refresh(); O(#nodes named by a crash window).
+  std::uint32_t down_in(graph::NodeId begin, graph::NodeId end) const;
 
  private:
   std::vector<CrashWindow> windows_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <sstream>
 
@@ -16,27 +17,58 @@ bool neighbors_strictly_sorted(std::span<const graph::NodeId> neighbors) {
          neighbors.end();
 }
 
-std::vector<std::vector<std::uint32_t>> build_reverse_ports(
-    std::span<const std::vector<graph::NodeId>> adjacency) {
-  const std::size_t n = adjacency.size();
-  std::vector<std::vector<std::uint32_t>> reverse(n);
+std::vector<std::uint32_t> build_reverse_arcs(
+    std::span<const std::uint32_t> offsets,
+    std::span<const graph::NodeId> neighbors) {
+  const std::size_t n = offsets.size() <= 1 ? 0 : offsets.size() - 1;
+  std::vector<std::uint32_t> reverse(n == 0 ? 0 : offsets[n]);
+  require(reverse.size() <= neighbors.size(),
+          "build_reverse_arcs: offsets overrun the neighbor array");
+  const auto list = [&](std::size_t v) {
+    return neighbors.subspan(offsets[v], offsets[v + 1] - offsets[v]);
+  };
   for (std::size_t w = 0; w < n; ++w) {
-    const auto& nb = adjacency[w];
+    require(offsets[w] <= offsets[w + 1] && offsets[w + 1] <= offsets[n],
+            "build_reverse_arcs: offsets must be monotone");
+  }
+  for (std::size_t w = 0; w < n; ++w) {
+    const auto nb = list(w);
     require(neighbors_strictly_sorted(nb),
-            "build_reverse_ports: adjacency lists must be strictly sorted "
+            "build_reverse_arcs: adjacency lists must be strictly sorted "
             "(port numbering and the reverse-port table both rely on it; an "
             "unsorted list would silently misroute messages)");
-    reverse[w].resize(nb.size());
     for (std::size_t p = 0; p < nb.size(); ++p) {
       const graph::NodeId u = nb[p];
-      require(u < n, "build_reverse_ports: adjacency names an unknown node");
-      const auto& unb = adjacency[u];
+      require(u < n, "build_reverse_arcs: adjacency names an unknown node");
+      const auto unb = list(u);
       const auto it = std::lower_bound(unb.begin(), unb.end(),
                                        static_cast<graph::NodeId>(w));
       require(it != unb.end() && *it == static_cast<graph::NodeId>(w),
-              "build_reverse_ports: adjacency is not symmetric (a node "
+              "build_reverse_arcs: adjacency is not symmetric (a node "
               "lists a neighbor whose list omits the reverse edge)");
-      reverse[w][p] = static_cast<std::uint32_t>(it - unb.begin());
+      reverse[offsets[w] + p] =
+          offsets[u] + static_cast<std::uint32_t>(it - unb.begin());
+    }
+  }
+  return reverse;
+}
+
+std::vector<std::vector<std::uint32_t>> build_reverse_ports(
+    std::span<const std::vector<graph::NodeId>> adjacency) {
+  const std::size_t n = adjacency.size();
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  std::vector<graph::NodeId> flat;
+  for (std::size_t w = 0; w < n; ++w) {
+    offsets[w + 1] =
+        offsets[w] + static_cast<std::uint32_t>(adjacency[w].size());
+    flat.insert(flat.end(), adjacency[w].begin(), adjacency[w].end());
+  }
+  const auto arcs = build_reverse_arcs(offsets, flat);
+  std::vector<std::vector<std::uint32_t>> reverse(n);
+  for (std::size_t w = 0; w < n; ++w) {
+    reverse[w].resize(adjacency[w].size());
+    for (std::size_t p = 0; p < adjacency[w].size(); ++p) {
+      reverse[w][p] = arcs[offsets[w] + p] - offsets[adjacency[w][p]];
     }
   }
   return reverse;
@@ -55,6 +87,8 @@ void NodeContext::send(std::uint32_t port, Message msg) {
           "NodeContext::send: at most one message per port per round");
   outbox_[port] = std::move(msg);
   port_used_[port] = 1;
+  const NodeId to = neighbors_[port];
+  mail_[to >> 6] |= std::uint64_t{1} << (to & 63);
   ++pending_sends_;  // drained into the quiescence counter per slice
 }
 
@@ -68,6 +102,8 @@ void NodeContext::broadcast(const Message& msg) {
             "NodeContext::send: at most one message per port per round");
     outbox_[p] = msg;
     port_used_[p] = 1;
+    const NodeId to = neighbors_[p];
+    mail_[to >> 6] |= std::uint64_t{1} << (to & 63);
   }
   pending_sends_ += deg;
 }
@@ -99,6 +135,24 @@ RunStats& RunStats::operator+=(const RunStats& other) {
   return *this;
 }
 
+namespace {
+
+constexpr std::uint64_t bit_of(NodeId v) {
+  return std::uint64_t{1} << (v & 63);
+}
+
+/// The bits of bitmap word `i` that fall inside [begin, end).
+std::uint64_t range_mask(std::size_t i, std::uint32_t begin,
+                         std::uint32_t end) {
+  const std::uint64_t lo = static_cast<std::uint64_t>(i) * 64;
+  std::uint64_t mask = ~std::uint64_t{0};
+  if (begin > lo) mask &= ~std::uint64_t{0} << (begin - lo);
+  if (end < lo + 64) mask &= (std::uint64_t{1} << (end - lo)) - 1;
+  return mask;
+}
+
+}  // namespace
+
 Network::Network(const graph::Graph& g, NetworkConfig cfg)
     : graph_(&g), cfg_(std::move(cfg)) {
   bandwidth_bits_ = cfg_.bandwidth_bits != 0
@@ -126,49 +180,42 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg)
     cfg_.observer =
         MultiObserver::combine(std::move(cfg_.observer), metrics_observer_);
   }
+  if (g.n() != 0) {
+    // Validates sortedness and symmetry of every adjacency list, then gives
+    // delivery O(1) access to the sender's outbox slot for each edge. The
+    // flat outbox is laid out like the CSR arcs, so the reverse arc of a
+    // receiver's port is exactly the slot it pulls from.
+    in_slot_ = build_reverse_arcs(g.csr_offsets(), g.csr_neighbors());
+    offsets_ = g.csr_offsets().data();
+  }
+  outbox_flat_.resize(in_slot_.size());
+  port_used_flat_.assign(in_slot_.size(), 0);
+  const std::size_t words = (static_cast<std::size_t>(g.n()) + 63) / 64;
+  mail_bits_.assign(words, 0);
+  run_bits_.assign(words, 0);
+  awake_bits_.assign(words, 0);
   contexts_.resize(g.n());
-  std::vector<std::vector<NodeId>> adjacency(g.n());
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const auto nb = g.neighbors(v);
-    adjacency[v].assign(nb.begin(), nb.end());
-  }
-  // Validates sortedness and symmetry of every adjacency list, then gives
-  // delivery O(1) access to the sender's outbox slot for each edge.
-  const auto reverse_ports = build_reverse_ports(adjacency);
-  out_base_.resize(g.n());
-  std::uint32_t slots = 0;
-  for (NodeId v = 0; v < g.n(); ++v) {
-    out_base_[v] = slots;
-    slots += static_cast<std::uint32_t>(adjacency[v].size());
-  }
-  outbox_flat_.resize(slots);
-  port_used_flat_.assign(slots, 0);
   for (NodeId v = 0; v < g.n(); ++v) {
     auto& ctx = contexts_[v];
     ctx.id_ = v;
     ctx.n_ = g.n();
-    ctx.neighbors_ = std::move(adjacency[v]);
-    ctx.outbox_ = outbox_flat_.data() + out_base_[v];
-    ctx.port_used_ = port_used_flat_.data() + out_base_[v];
-    // Fuse the reverse-port table with the flat-slot offsets: the slot
-    // receiver v pulls from on port p is one array index away.
-    ctx.in_slot_.resize(ctx.neighbors_.size());
-    for (std::size_t p = 0; p < ctx.neighbors_.size(); ++p) {
-      ctx.in_slot_[p] = out_base_[ctx.neighbors_[p]] + reverse_ports[v][p];
-    }
+    ctx.neighbors_ = g.neighbors(v);
+    ctx.outbox_ = outbox_flat_.data() + offsets_[v];
+    ctx.port_used_ = port_used_flat_.data() + offsets_[v];
+    ctx.in_slot_ = in_slot_.data() + offsets_[v];
+    ctx.mail_ = mail_bits_.data();
     ctx.quiesce_ = quiesce_.get();
   }
-  reseed_node_rngs();
   programs_.resize(g.n());
-}
-
-void Network::reseed_node_rngs() {
-  Rng master(cfg_.seed);
-  for (NodeId v = 0; v < n(); ++v) contexts_[v].rng_ = master.child(v);
 }
 
 void Network::init_programs(
     const std::function<std::unique_ptr<NodeProgram>(NodeId)>& make) {
+  std::fill(awake_bits_.begin(), awake_bits_.end(), std::uint64_t{0});
+  // The per-node RNG streams start from the master seed on every init, so
+  // a rerun of a randomized program on the same Network reproduces the
+  // first run bit-for-bit.
+  const Rng master(cfg_.seed);
   for (NodeId v = 0; v < n(); ++v) {
     programs_[v] = make(v);
     require(programs_[v] != nullptr,
@@ -176,20 +223,24 @@ void Network::init_programs(
     auto& ctx = contexts_[v];
     ctx.round_ = 0;
     ctx.inbox_.clear();
+    ctx.inbox_round_ = 0;
     ctx.pending_sends_ = 0;
+    ctx.wake_round_ = 0;
     ctx.halted_ = false;
+    ctx.rng_ = master.child(v);
+    ctx.on_demand_ = programs_[v]->on_demand();
+    if (!ctx.on_demand_) awake_bits_[v >> 6] |= bit_of(v);
   }
-  // A mid-run re-init may leave queued-but-undelivered slots behind; wipe
-  // the flat flags so the self-clearing invariant restarts from empty.
+  // A mid-run re-init may leave queued-but-undelivered slots, mail and
+  // wake-ups behind; wipe them so every invariant restarts from empty.
   std::fill(port_used_flat_.begin(), port_used_flat_.end(), std::uint8_t{0});
+  std::fill(mail_bits_.begin(), mail_bits_.end(), std::uint64_t{0});
+  std::fill(run_bits_.begin(), run_bits_.end(), std::uint64_t{0});
+  wake_heap_.clear();
   quiesce_->inflight.store(0, std::memory_order_relaxed);
   quiesce_->halted.store(0, std::memory_order_relaxed);
+  quiesce_->wakes.store(0, std::memory_order_relaxed);
   memory_audit_ = true;
-  // Restart the per-node RNG streams from the master seed so a rerun of a
-  // randomized program on the same Network reproduces the first run
-  // bit-for-bit (the constructor seeds identically, so run one after
-  // construction is unaffected).
-  reseed_node_rngs();
   round_ = 0;
   stats_ = RunStats{};
   started_ = false;
@@ -197,7 +248,7 @@ void Network::init_programs(
 
 bool Network::all_quiet_scan() const {
   for (NodeId v = 0; v < n(); ++v) {
-    if (!contexts_[v].halted_) return false;
+    if (!contexts_[v].halted_ || contexts_[v].wake_round_ != 0) return false;
   }
   for (const std::uint8_t used : port_used_flat_) {
     if (used) return false;
@@ -209,7 +260,8 @@ bool Network::all_quiet() const {
   const bool quiet =
       quiesce_->halted.load(std::memory_order_relaxed) ==
           static_cast<std::int64_t>(n()) &&
-      quiesce_->inflight.load(std::memory_order_relaxed) == 0;
+      quiesce_->inflight.load(std::memory_order_relaxed) == 0 &&
+      quiesce_->wakes.load(std::memory_order_relaxed) == 0;
   // The counters are the old scan incrementally maintained; keep the scan
   // as the debug-build ground truth. (inflight counts un-consumed outbox
   // slots, but at every all_quiet call site delivery has consumed all
@@ -219,31 +271,45 @@ bool Network::all_quiet() const {
   return quiet;
 }
 
+void Network::begin_round() {
+  ++round_;
+  if (fault_enabled_) crash_index_.refresh(round_);
+  // Surface the wake-ups due this round; an entry whose node re-armed
+  // since is stale and skipped.
+  while (!wake_heap_.empty() && wake_heap_.front().first <= round_) {
+    const auto [r, v] = wake_heap_.front();
+    std::pop_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>());
+    wake_heap_.pop_back();
+    if (contexts_[v].wake_round_ == r) run_bits_[v >> 6] |= bit_of(v);
+  }
+}
+
 void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
                             RunStats& local,
                             std::vector<PendingDelivery>* sink) {
-  // Receiver-driven delivery: node w pulls, in port order, the message its
-  // neighbor queued for it last round. Port-order assembly makes the inbox
-  // deterministic regardless of how receivers are split into ranges.
-  // Observer events either fire inline (sink == nullptr) or are recorded
-  // into the sink — a shard worker ships them to the coordinator, which
-  // replays them in receiver order — the same (round, to, from) order
-  // either way. Fault decisions are stateless hashes of (seed, round, from,
-  // to), so they do not depend on the range split either. Crash checks go
-  // through the per-round CrashIndex (refreshed at round start) instead of
-  // scanning the crash list per edge.
+  // Receiver-driven delivery over the receivers that have mail: node w
+  // pulls, in port order, the messages its neighbors queued for it last
+  // round. Receivers are visited in ascending id order (the set bits of
+  // mail_bits_) and each inbox is assembled in port order, so the inbox —
+  // and the (round, receiver, port) event order — is the same as a sweep
+  // over every node and does not depend on how receivers are split into
+  // ranges. Observer events either fire inline (sink == nullptr) or are
+  // recorded into the sink — a shard worker ships them to the
+  // coordinator, which replays them in receiver order. Fault decisions are
+  // stateless hashes of (seed, round, from, to), so they do not depend on
+  // the range split either. Crash checks go through the per-round
+  // CrashIndex (refreshed at round start) instead of scanning the crash
+  // list per edge.
   //
   // The common path is allocation-free and O(1) per edge: the sender's
-  // outbox slot is one flat array index away (in_slot_, the precomputed
-  // reverse-port table fused with the slot offsets — no binary search, no
-  // detour through the sender's NodeContext) and is *moved* into the
-  // receiver's inbox — each directed edge has exactly one receiver, so the
-  // slot is consumed exactly once per round; the receiver clears the used
-  // flag as it consumes, and the sender only writes it again in the
-  // compute phase that follows. Only bandwidth truncation builds a new
-  // message; fault corruption flips a bit in the inbox slot in place.
-  // Consumed messages are counted locally and drained into the quiescence
-  // counter once per call, not once per message.
+  // outbox slot is one flat array index away (in_slot_, the reverse arc)
+  // and is *moved* into the receiver's inbox — each directed edge has
+  // exactly one receiver, so the slot is consumed exactly once per round;
+  // the receiver clears the used flag as it consumes, and the sender only
+  // writes it again in the compute phase that follows. Only bandwidth
+  // truncation builds a new message; fault corruption flips a bit in the
+  // inbox slot in place. Consumed messages are counted locally and drained
+  // into the quiescence counter once per call, not once per message.
   // Loop-invariant members hoisted into locals: the compiler cannot keep
   // them in registers itself because the opaque calls in the loop body
   // (observer virtual call, inbox growth) could alias any member.
@@ -256,106 +322,168 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
   DeliveryObserver* const observer = cfg_.observer.get();
   // One predictable branch per delivery when nothing observes.
   const bool notify = sink != nullptr || observer != nullptr;
+  if (fault_enabled) {
+    local.crashed_node_rounds += crash_index_.down_in(begin, end);
+  }
   std::int64_t consumed = 0;
-  for (NodeId w = begin; w < end; ++w) {
-    auto& ctx = contexts_[w];
-    ctx.round_ = round;
-    ctx.inbox_.clear();
-    const bool w_crashed = fault_enabled && crash_index_.down(w);
-    if (w_crashed) ++local.crashed_node_rounds;
-    const std::uint32_t deg = ctx.degree();
-    for (std::uint32_t p = 0; p < deg; ++p) {
-      const std::uint32_t s = ctx.in_slot_[p];
-      if (!port_used[s]) continue;
-      port_used[s] = 0;
-      ++consumed;
-      const NodeId u = ctx.neighbors_[p];
-      if (fault_enabled &&
-          (w_crashed || crash_index_.down(u) || fault.drops(round, u, w))) {
-        ++local.messages_dropped;
-        continue;
-      }
-      Message& slot = outbox[s];
-      const std::uint32_t sz = slot.size_bits();
-      if (sz > bandwidth_bits) [[unlikely]] {
-        if (cfg_.policy == BandwidthPolicy::kEnforce) {
-          std::ostringstream os;
-          os << "bandwidth violation: " << sz << " bits on edge " << u << "->"
-             << w << " in round " << round_ << " (bw=" << bandwidth_bits_
-             << ")";
-          throw BandwidthViolationError(os.str());
+  for (std::size_t i = begin >> 6; begin < end && i <= (end - 1) >> 6; ++i) {
+    std::uint64_t receivers = mail_bits_[i] & range_mask(i, begin, end);
+    mail_bits_[i] &= ~receivers;
+    for (; receivers != 0; receivers &= receivers - 1) {
+      const auto w = static_cast<NodeId>(i * 64 + std::countr_zero(receivers));
+      auto& ctx = contexts_[w];
+      ctx.inbox_.clear();
+      const bool w_crashed = fault_enabled && crash_index_.down(w);
+      const std::uint32_t deg = ctx.degree();
+      for (std::uint32_t p = 0; p < deg; ++p) {
+        const std::uint32_t s = ctx.in_slot_[p];
+        if (!port_used[s]) continue;
+        port_used[s] = 0;
+        ++consumed;
+        const NodeId u = ctx.neighbors_[p];
+        if (fault_enabled &&
+            (w_crashed || crash_index_.down(u) || fault.drops(round, u, w))) {
+          ++local.messages_dropped;
+          continue;
         }
-        ++local.violations;
-        if (cfg_.policy == BandwidthPolicy::kTruncate) {
-          ctx.inbox_.emplace_back(p, slot.truncated(bandwidth_bits_));
+        Message& slot = outbox[s];
+        const std::uint32_t sz = slot.size_bits();
+        if (sz > bandwidth_bits) [[unlikely]] {
+          if (cfg_.policy == BandwidthPolicy::kEnforce) {
+            std::ostringstream os;
+            os << "bandwidth violation: " << sz << " bits on edge " << u
+               << "->" << w << " in round " << round_
+               << " (bw=" << bandwidth_bits_ << ")";
+            throw BandwidthViolationError(os.str());
+          }
+          ++local.violations;
+          if (cfg_.policy == BandwidthPolicy::kTruncate) {
+            ctx.inbox_.emplace_back(p, slot.truncated(bandwidth_bits_));
+          } else {
+            ctx.inbox_.emplace_back(p, std::move(slot));
+          }
         } else {
           ctx.inbox_.emplace_back(p, std::move(slot));
         }
-      } else {
-        ctx.inbox_.emplace_back(p, std::move(slot));
-      }
-      Message& delivered = ctx.inbox_.back().msg;
-      if (fault_enabled && fault.corrupts(round, u, w)) {
-        fault.corrupt_in_place(delivered, round, u, w);
-        ++local.messages_corrupted;
-      }
-      const std::uint32_t delivered_bits = delivered.size_bits();
-      ++local.messages;
-      local.bits += delivered_bits;
-      local.max_edge_bits = std::max(local.max_edge_bits, delivered_bits);
-      if (notify) {
-        if (sink != nullptr) {
-          sink->push_back(PendingDelivery{
-              u, w, static_cast<std::uint32_t>(ctx.inbox_.size() - 1)});
-        } else {
-          observer->on_deliver(u, w, delivered, round);
+        Message& delivered = ctx.inbox_.back().msg;
+        if (fault_enabled && fault.corrupts(round, u, w)) {
+          fault.corrupt_in_place(delivered, round, u, w);
+          ++local.messages_corrupted;
+        }
+        const std::uint32_t delivered_bits = delivered.size_bits();
+        ++local.messages;
+        local.bits += delivered_bits;
+        local.max_edge_bits = std::max(local.max_edge_bits, delivered_bits);
+        if (notify) {
+          if (sink != nullptr) {
+            sink->push_back(PendingDelivery{
+                u, w, static_cast<std::uint32_t>(ctx.inbox_.size() - 1)});
+          } else {
+            observer->on_deliver(u, w, delivered, round);
+          }
         }
       }
-      if (ctx.halted_) {  // a message re-activates a halted node
-        ctx.halted_ = false;
-        quiesce_->halted.fetch_sub(1, std::memory_order_relaxed);
+      if (!ctx.inbox_.empty()) {
+        ctx.inbox_round_ = round;
+        run_bits_[i] |= bit_of(w);
       }
     }
   }
+#ifndef NDEBUG
+  // The invariant a sweep over every slot used to guarantee: each queued
+  // slot addressed to this range was consumed (delivered or dropped).
+  for (NodeId w = begin; w < end; ++w) {
+    for (std::uint32_t p = 0; p < contexts_[w].degree(); ++p) {
+      assert(port_used[contexts_[w].in_slot_[p]] == 0);
+    }
+  }
+#endif
   if (consumed != 0) {
     quiesce_->inflight.fetch_sub(consumed, std::memory_order_relaxed);
   }
 }
 
-void Network::compute_range(std::uint32_t begin, std::uint32_t end) {
-  // No flag-clearing pass: every queued slot was consumed (and its flag
-  // cleared) by its receiver in this round's deliver phase — including a
-  // crashed node's slots, whose messages were dropped with it. Programs
-  // queue this round's sends into clean slots; their pending-send counts
-  // drain into the quiescence counter in one batched atomic per slice.
-  std::uint32_t sends = 0;
-  for (NodeId v = begin; v < end; ++v) {
-    auto& ctx = contexts_[v];
-    if (fault_enabled_ && crash_index_.down(v)) continue;
-    if (ctx.halted_ && ctx.inbox_.empty()) continue;
-    programs_[v]->on_round(ctx);
-    sends += ctx.pending_sends_;
-    ctx.pending_sends_ = 0;
+void Network::after_run(NodeId v, std::uint32_t armed, std::int64_t& sends,
+                        std::int64_t& wakes) {
+  auto& ctx = contexts_[v];
+  sends += ctx.pending_sends_;
+  ctx.pending_sends_ = 0;
+  std::uint64_t& awake = awake_bits_[v >> 6];
+  if (((awake & bit_of(v)) != 0) == (ctx.halted_ || ctx.on_demand_)) {
+    awake ^= bit_of(v);
   }
-  if (sends != 0) {
-    quiesce_->inflight.fetch_add(sends, std::memory_order_relaxed);
+  if (ctx.wake_round_ != armed) {
+    wake_heap_.emplace_back(ctx.wake_round_, v);
+    std::push_heap(wake_heap_.begin(), wake_heap_.end(), std::greater<>());
+    if (armed == 0) ++wakes;
   }
 }
 
-void Network::step_round(RunStats& phase) {
-  ++round_;
-  if (fault_enabled_) crash_index_.refresh(round_);
+void Network::compute_range(std::uint32_t begin, std::uint32_t end,
+                            RunStats& local, bool sweep_all) {
+  // Runs the run set — nodes with mail, awake nodes and nodes whose
+  // wake-up is due — in ascending id order. A crashed node is skipped and
+  // keeps its run bit, so a wake-up that lands while it is down fires in
+  // its first round back up. Running re-activates a halted node (mail or a
+  // due wake-up is what got it here). No flag-clearing pass: every queued
+  // slot was consumed (and its flag cleared) by its receiver in this
+  // round's deliver phase. Counter changes drain into the quiescence
+  // counters in one batched atomic per slice.
+  const std::uint32_t round = round_;
+  const bool audit_ran = memory_audit_ && !sweep_all;
+  std::uint64_t mem = 0;
+  std::int64_t sends = 0;
+  std::int64_t wakes = 0;
+  std::int64_t woken = 0;
+  for (std::size_t i = begin >> 6; begin < end && i <= (end - 1) >> 6; ++i) {
+    const std::uint64_t mask = range_mask(i, begin, end);
+    std::uint64_t down = 0;
+    for (std::uint64_t bits = (run_bits_[i] | awake_bits_[i]) & mask;
+         bits != 0; bits &= bits - 1) {
+      const auto v = static_cast<NodeId>(i * 64 + std::countr_zero(bits));
+      if (fault_enabled_ && crash_index_.down(v)) {
+        down |= bit_of(v);
+        continue;
+      }
+      auto& ctx = contexts_[v];
+      if (ctx.wake_round_ - 1 < round) {  // due; 0 (none) wraps around
+        ctx.wake_round_ = 0;  // the wake-up fires now
+        --wakes;
+      }
+      if (ctx.halted_) {
+        ctx.halted_ = false;
+        ++woken;
+      }
+      const std::uint32_t armed = ctx.wake_round_;
+      ctx.round_ = round;
+      programs_[v]->on_round(ctx);
+      after_run(v, armed, sends, wakes);
+      if (audit_ran) mem = std::max(mem, programs_[v]->memory_bits());
+    }
+    run_bits_[i] &= ~mask | down;
+  }
+  if (memory_audit_ && sweep_all) {
+    for (NodeId v = begin; v < end; ++v) {
+      mem = std::max(mem, programs_[v]->memory_bits());
+    }
+  }
+  local.max_node_memory_bits = std::max(local.max_node_memory_bits, mem);
+  if (sends != 0) {
+    quiesce_->inflight.fetch_add(sends, std::memory_order_relaxed);
+  }
+  if (wakes != 0) quiesce_->wakes.fetch_add(wakes, std::memory_order_relaxed);
+  if (woken != 0) quiesce_->halted.fetch_sub(woken, std::memory_order_relaxed);
+}
+
+void Network::step_round(RunStats& phase, bool first_of_phase) {
+  begin_round();
   RunStats local;
   deliver_range(0, n(), local, /*sink=*/nullptr);
-  compute_range(0, n());
-  if (memory_audit_) {
-    for (NodeId v = 0; v < n(); ++v) {
-      local.max_node_memory_bits =
-          std::max(local.max_node_memory_bits, programs_[v]->memory_bits());
-    }
-    // Every program reported "not audited" in the first round: stop paying
-    // the per-round virtual-call sweep (see NodeProgram::memory_bits).
-    if (round_ == 1 && local.max_node_memory_bits == 0) memory_audit_ = false;
+  compute_range(0, n(), local, /*sweep_all=*/first_of_phase);
+  // Every program reported "not audited" in the first round: stop polling
+  // memory_bits() (see NodeProgram::memory_bits).
+  if (memory_audit_ && round_ == 1 && local.max_node_memory_bits == 0) {
+    memory_audit_ = false;
   }
   local.rounds = 1;
   phase += local;
@@ -367,31 +495,18 @@ void Network::shard_drop_observers() {
 }
 
 void Network::shard_start_range(std::uint32_t begin, std::uint32_t end) {
-  std::uint32_t sends = 0;
+  std::int64_t sends = 0;
+  std::int64_t wakes = 0;
   for (NodeId v = begin; v < end; ++v) {
     require(programs_[v] != nullptr,
-            "Network::shard_start_range: init_programs was not called");
+            "Network::run: init_programs was not called");
     programs_[v]->on_start(contexts_[v]);
-    sends += contexts_[v].pending_sends_;
-    contexts_[v].pending_sends_ = 0;
+    after_run(v, /*armed=*/0, sends, wakes);
   }
   if (sends != 0) {
     quiesce_->inflight.fetch_add(sends, std::memory_order_relaxed);
   }
-}
-
-void Network::shard_begin_round() {
-  ++round_;
-  if (fault_enabled_) crash_index_.refresh(round_);
-}
-
-std::uint64_t Network::shard_memory_max_range(std::uint32_t begin,
-                                              std::uint32_t end) const {
-  std::uint64_t mx = 0;
-  for (NodeId v = begin; v < end; ++v) {
-    mx = std::max(mx, programs_[v]->memory_bits());
-  }
-  return mx;
+  if (wakes != 0) quiesce_->wakes.fetch_add(wakes, std::memory_order_relaxed);
 }
 
 Message Network::shard_extract_slot(std::uint32_t slot) {
@@ -406,21 +521,15 @@ void Network::shard_inject_slot(std::uint32_t slot, Message msg) {
           "Network::shard_inject_slot: slot is already queued");
   outbox_flat_[slot] = std::move(msg);
   port_used_flat_[slot] = 1;
+  // Slots are laid out like the CSR arcs, so the slot's receiver is the
+  // arc's head.
+  const NodeId to = graph_->csr_neighbors()[slot];
+  mail_bits_[to >> 6] |= bit_of(to);
 }
 
 void Network::start_if_needed() {
   if (started_) return;
-  std::uint32_t sends = 0;
-  for (NodeId v = 0; v < n(); ++v) {
-    require(programs_[v] != nullptr,
-            "Network::run: init_programs was not called");
-    programs_[v]->on_start(contexts_[v]);
-    sends += contexts_[v].pending_sends_;
-    contexts_[v].pending_sends_ = 0;
-  }
-  if (sends != 0) {
-    quiesce_->inflight.fetch_add(sends, std::memory_order_relaxed);
-  }
+  shard_start_range(0, n());
   started_ = true;
 }
 
@@ -429,7 +538,7 @@ RunStats Network::run_phase(std::uint32_t max_rounds, bool until_quiet) {
   RunStats phase;
   for (std::uint32_t executed = 0;
        executed < max_rounds && !(until_quiet && all_quiet()); ++executed) {
-    step_round(phase);
+    step_round(phase, /*first_of_phase=*/executed == 0);
   }
   // Per-phase truth, not lifetime state: quiesced reports whether the
   // network is quiescent *now*, at the end of this call.

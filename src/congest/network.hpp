@@ -30,16 +30,17 @@ struct Incoming {
 
 /// Incrementally maintained quiescence state: the exact quantities the old
 /// O(n + Σdeg) all_quiet() scan recomputed per round, so the check is O(1).
-/// Halt transitions update `halted` immediately; message counts are batched
-/// (each compute/deliver slice flushes one add/sub for its whole range, see
-/// NodeContext::pending_sends_), so the hot loops pay no per-message atomic
-/// RMW. Updates are relaxed atomics; the counters never influence message
-/// contents or delivery order, so traces stay bit-identical whether one
-/// process runs every node or shard workers each run a slice. Debug builds
-/// cross-check against the scan.
+/// vote_halt updates `halted` immediately; message counts, re-activations
+/// and wake-up counts are batched (each compute/deliver slice flushes one
+/// add/sub for its whole range, see NodeContext::pending_sends_), so the
+/// hot loops pay no per-message atomic RMW. Updates are relaxed atomics;
+/// the counters never influence message contents or delivery order, so
+/// traces stay bit-identical whether one process runs every node or shard
+/// workers each run a slice. Debug builds cross-check against the scan.
 struct QuiesceCounters {
   std::atomic<std::int64_t> inflight{0};  ///< queued outbox slots not yet consumed
   std::atomic<std::int64_t> halted{0};    ///< nodes whose halted flag is set
+  std::atomic<std::int64_t> wakes{0};     ///< nodes with a pending wake_at
 };
 
 /// Per-round view a NodeProgram gets of its node. This is the *entire*
@@ -72,7 +73,10 @@ class NodeContext {
   std::uint32_t round() const { return round_; }
 
   /// Messages delivered this round (sent by neighbors last round).
-  std::span<const Incoming> inbox() const { return inbox_; }
+  std::span<const Incoming> inbox() const {
+    return inbox_round_ == round_ ? std::span<const Incoming>(inbox_)
+                                  : std::span<const Incoming>();
+  }
 
   /// Queues a message on `port` for delivery next round. At most one
   /// message per port per round.
@@ -85,14 +89,27 @@ class NodeContext {
   void broadcast(const Message& msg);
 
   /// Signals that this node has no further work; the quiescence run mode
-  /// stops when every node has halted and no message is in flight. A halted
-  /// node is re-activated automatically if a message arrives. Halts are
-  /// rare (at most one transition per node per round), so the counter
-  /// update is immediate rather than batched like the message counts.
+  /// stops when every node has halted, no message is in flight and no
+  /// wake-up is pending. A halted node is re-activated automatically if a
+  /// message arrives or its wake-up falls due. Halts are rare (at most one
+  /// transition per node per round), so the counter update is immediate
+  /// rather than batched like the message counts.
   void vote_halt() {
     if (halted_) return;
     halted_ = true;
     quiesce_->halted.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Asks the engine to run this node in round `r` even if no mail
+  /// arrives — the wake-up an on-demand program (NodeProgram::on_demand)
+  /// needs for every round in which it acts on its own. `r` must be later
+  /// than round(); a node has one pending wake-up, and a later call
+  /// replaces it. A wake-up that falls on a round in which the node is
+  /// crashed fires in the node's first round back up.
+  void wake_at(std::uint32_t r) {
+    require(r > round_,
+            "NodeContext::wake_at: the round must be in the future");
+    wake_round_ = r;
   }
 
   /// Deterministic per-node randomness (seeded from the network seed and
@@ -104,8 +121,14 @@ class NodeContext {
   NodeId id_ = 0;
   std::uint32_t n_ = 0;
   std::uint32_t round_ = 0;
-  std::vector<NodeId> neighbors_;
+  /// This node's adjacency: a view into the Graph's CSR arrays (the
+  /// Network already requires the graph to outlive it).
+  std::span<const NodeId> neighbors_;
   std::vector<Incoming> inbox_;
+  /// Round whose mail inbox_ holds. An older inbox is stale and reads as
+  /// empty; delivery clears it only when new mail arrives, so no pass
+  /// clears the inboxes of nodes without mail.
+  std::uint32_t inbox_round_ = 0;
   /// This node's slice [0, degree) of the Network's flat directed-edge
   /// outbox storage (outbox_flat_ / port_used_flat_): one Message slot and
   /// one used flag per port. Flat storage keeps every sender slot a
@@ -118,18 +141,23 @@ class NodeContext {
   Message* outbox_ = nullptr;
   std::uint8_t* port_used_ = nullptr;
   /// in_slot_[p] is the flat index of the outbox slot on neighbors_[p]
-  /// that targets this node: out_base[neighbor] + reverse port, with the
-  /// reverse port precomputed from the sorted-adjacency invariant (see
-  /// build_reverse_ports). Lets delivery find the sender's slot in O(1)
-  /// with a single indirection instead of binary-searching port_to per
-  /// edge per round.
-  std::vector<std::uint32_t> in_slot_;
+  /// that targets this node (the reverse arc of port p); a slice of the
+  /// Network's in_slot_ array, indexed like the outbox. Lets delivery find
+  /// the sender's slot in O(1) with a single indirection.
+  const std::uint32_t* in_slot_ = nullptr;
+  /// The Network's receiver bitmap: send/broadcast set the receiving
+  /// neighbor's bit so delivery visits only nodes with mail.
+  std::uint64_t* mail_ = nullptr;
   /// Messages queued by this node since the last counter flush. Owner-
   /// thread-only plain counter; compute_range drains it into
   /// QuiesceCounters::inflight in one batched atomic per slice.
   std::uint32_t pending_sends_ = 0;
+  /// Round of the pending wake-up, 0 when none (see wake_at).
+  std::uint32_t wake_round_ = 0;
   QuiesceCounters* quiesce_ = nullptr;  ///< owned by the Network
   bool halted_ = false;
+  /// NodeProgram::on_demand of the installed program, read once.
+  bool on_demand_ = false;
   Rng rng_{0};
 };
 
@@ -144,9 +172,21 @@ class NodeProgram {
   /// messages (e.g. the BFS root of Figure 1 activating its neighbors).
   virtual void on_start(NodeContext& /*ctx*/) {}
 
-  /// Called every round after delivery; read ctx.inbox(), update state,
-  /// send messages.
+  /// Called after delivery in every round in which the node runs; read
+  /// ctx.inbox(), update state, send messages. A node runs in round r iff
+  /// it is up and it has mail, or it is awake (not halted and not
+  /// on-demand), or its wake-up (NodeContext::wake_at) is due.
   virtual void on_round(NodeContext& ctx) = 0;
+
+  /// Opt-in to activity-proportional scheduling; read once per
+  /// init_programs. An on-demand program is not run in rounds in which it
+  /// has no mail and no due wake-up, even while it is not halted. The
+  /// contract that makes this invisible: an on_round call with an empty
+  /// inbox at a round the program did not ask for (via wake_at) must do
+  /// nothing beyond re-arming its wake-up — no sends, no state change, no
+  /// change in memory_bits(). A program that keeps this contract gives the
+  /// same execution whether or not it declares itself on-demand.
+  virtual bool on_demand() const { return false; }
 
   /// Number of bits of local working state the program currently holds;
   /// used to audit the paper's per-node memory claims (e.g. O(log n) for
@@ -155,6 +195,9 @@ class NodeProgram {
   /// polling this for the rest of the run (the per-round virtual-call sweep
   /// is pure overhead for non-reporting programs); a program that audits
   /// memory must therefore report a nonzero value from round 1 onward.
+  /// The value may change only inside on_start/on_round: the audit polls
+  /// every node in the first round of a phase and afterwards only the
+  /// nodes that ran.
   virtual std::uint64_t memory_bits() const { return 0; }
 
   /// State transfer for the multi-process shard backend: append every bit
@@ -187,16 +230,23 @@ enum class BandwidthPolicy {
 bool neighbors_strictly_sorted(std::span<const graph::NodeId> neighbors);
 
 /// Precomputes, for every node w and port p with neighbor u = adjacency[w][p],
-/// the reverse port q such that adjacency[u][q] == w. The Network builds this
-/// table once at construction so the delivery loop reaches the sender's
-/// outbox slot in O(1) instead of binary-searching port_to on every edge
-/// every round. Throws InvalidArgumentError if any list is not strictly
-/// sorted (the invariant that makes port numbering well-defined), names a
-/// node outside [0, adjacency.size()), or is not symmetric (w lists u but
-/// u does not list w) — a corrupted adjacency must fail construction loudly
-/// instead of silently misrouting messages.
+/// the reverse port q such that adjacency[u][q] == w. Throws
+/// InvalidArgumentError if any list is not strictly sorted (the invariant
+/// that makes port numbering well-defined), names a node outside
+/// [0, adjacency.size()), or is not symmetric (w lists u but u does not
+/// list w) — a corrupted adjacency must fail loudly instead of silently
+/// misrouting messages. Nested-list form of build_reverse_arcs.
 std::vector<std::vector<std::uint32_t>> build_reverse_ports(
     std::span<const std::vector<graph::NodeId>> adjacency);
+
+/// CSR form used by the Network constructor: arc a = offsets[w] + p (node
+/// w's port p, neighbor u = neighbors[a]) maps to the index of the reverse
+/// arc offsets[u] + q with neighbors[offsets[u] + q] == w. Arc indices are
+/// the Network's flat outbox slots, so the result is the slot a receiver
+/// pulls from on each port. Same checks as build_reverse_ports.
+std::vector<std::uint32_t> build_reverse_arcs(
+    std::span<const std::uint32_t> offsets,
+    std::span<const graph::NodeId> neighbors);
 
 struct NetworkConfig {
   /// Per-edge per-direction per-round bandwidth in bits. Zero means "use
@@ -333,9 +383,10 @@ class Network {
   /// one-time start phase; queued sends are counted locally.
   void shard_start_range(std::uint32_t begin, std::uint32_t end);
 
-  /// Advances to the next round (round_+1) and refreshes the crash index,
-  /// exactly as step_round's round prologue does.
-  void shard_begin_round();
+  /// Advances to the next round (round_+1), exactly as step_round's round
+  /// prologue does: refreshes the crash index and marks the nodes whose
+  /// wake-up falls due.
+  void shard_begin_round() { begin_round(); }
   std::uint32_t shard_round() const { return round_; }
 
   void shard_deliver_range(std::uint32_t begin, std::uint32_t end,
@@ -343,14 +394,16 @@ class Network {
                            std::vector<PendingDelivery>* sink) {
     deliver_range(begin, end, local, sink);
   }
-  void shard_compute_range(std::uint32_t begin, std::uint32_t end) {
-    compute_range(begin, end);
+  /// Runs the run set within [begin, end). While the memory audit is armed
+  /// (shard_set_memory_audit) it folds memory_bits() into
+  /// local.max_node_memory_bits: of every node in the range when
+  /// `sweep_all` (the coordinator's first round of a phase), else of the
+  /// nodes that ran.
+  void shard_compute_range(std::uint32_t begin, std::uint32_t end,
+                           RunStats& local, bool sweep_all) {
+    compute_range(begin, end, local, sweep_all);
   }
 
-  /// Max of memory_bits() over [begin, end); the worker's contribution to
-  /// the coordinator's audit decision (see memory_audit_).
-  std::uint64_t shard_memory_max_range(std::uint32_t begin,
-                                       std::uint32_t end) const;
   /// The coordinator owns the disarm-after-round-1 decision for the whole
   /// network; workers just follow it.
   void shard_set_memory_audit(bool on) { memory_audit_ = on; }
@@ -360,7 +413,7 @@ class Network {
   }
   /// First flat outbox slot of node v; v's port p queues into slot
   /// shard_out_base(v) + p.
-  std::uint32_t shard_out_base(NodeId v) const { return out_base_[v]; }
+  std::uint32_t shard_out_base(NodeId v) const { return offsets_[v]; }
   bool shard_slot_pending(std::uint32_t slot) const {
     return port_used_flat_[slot] != 0;
   }
@@ -381,9 +434,9 @@ class Network {
     port_used_flat_[slot] = 0;
     outbox_flat_[slot].clear();
   }
-  /// Places a boundary message into `slot` (which must be free) and sets
-  /// its flag. Does NOT increment inflight: the sender's worker already
-  /// counted the send.
+  /// Places a boundary message into `slot` (which must be free), sets its
+  /// flag and marks the receiver as having mail. Does NOT increment
+  /// inflight: the sender's worker already counted the send.
   void shard_inject_slot(std::uint32_t slot, Message msg);
 
   std::int64_t shard_inflight() const {
@@ -391,6 +444,9 @@ class Network {
   }
   std::int64_t shard_halted() const {
     return quiesce_->halted.load(std::memory_order_relaxed);
+  }
+  std::int64_t shard_wakes() const {
+    return quiesce_->wakes.load(std::memory_order_relaxed);
   }
 
   /// The message a buffered PendingDelivery refers to, as delivered.
@@ -403,20 +459,28 @@ class Network {
   /// Shared body of run_rounds / run_until_quiescent: executes one phase,
   /// accumulates it into the lifetime stats_, and returns the phase stats.
   RunStats run_phase(std::uint32_t max_rounds, bool until_quiet);
-  void step_round(RunStats& phase);
-  void compute_range(std::uint32_t begin, std::uint32_t end);
-  /// Delivers to receivers [begin, end). Each delivery is recorded into
-  /// `sink` when it is non-null, else reported to cfg_.observer if set.
+  void step_round(RunStats& phase, bool first_of_phase);
+  /// Round prologue shared by step_round and shard_begin_round.
+  void begin_round();
+  void compute_range(std::uint32_t begin, std::uint32_t end, RunStats& local,
+                     bool sweep_all);
+  /// Delivers to the receivers in [begin, end) that have mail. Each
+  /// delivery is recorded into `sink` when it is non-null, else reported to
+  /// cfg_.observer if set.
   void deliver_range(std::uint32_t begin, std::uint32_t end,
                      RunStats& local_stats,
                      std::vector<PendingDelivery>* sink);
+  /// Bookkeeping after on_start/on_round of node v: drains its send count
+  /// into `sends`, updates its awake bit and registers a newly armed
+  /// wake-up (`armed` = the wake round before the call).
+  void after_run(NodeId v, std::uint32_t armed, std::int64_t& sends,
+                 std::int64_t& wakes);
   /// O(1) quiescence check off the incrementally maintained QuiesceCounters;
   /// debug builds assert it against all_quiet_scan().
   bool all_quiet() const;
   /// The original O(n + Σdeg) rescan, kept as the debug-build ground truth
   /// for the counters.
   bool all_quiet_scan() const;
-  void reseed_node_rngs();
 
   const graph::Graph* graph_;
   NetworkConfig cfg_;
@@ -434,23 +498,43 @@ class Network {
   std::uint32_t round_ = 0;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
   std::vector<NodeContext> contexts_;
-  /// Flat directed-edge outbox storage: slot out_base_[u] + q holds the
+  /// The graph's CSR offsets: node u's ports are arcs offsets_[u] + q.
+  const std::uint32_t* offsets_ = nullptr;
+  /// Flat directed-edge outbox storage: slot offsets_[u] + q holds the
   /// message node u queued on its port q. Receivers consume slots through
-  /// NodeContext::in_slot_ and clear the used flag as they do — every
-  /// queued slot is examined by its unique receiver each round (delivered
-  /// or dropped), so the flags are self-clearing and no per-round reset
+  /// in_slot_ and clear the used flag as they do — every queued slot is
+  /// examined by its unique receiver (delivered or dropped) in the next
+  /// deliver pass, so the flags are self-clearing and no per-round reset
   /// pass exists.
   std::vector<Message> outbox_flat_;
   std::vector<std::uint8_t> port_used_flat_;
-  std::vector<std::uint32_t> out_base_;
+  /// in_slot_[offsets_[w] + p]: the outbox slot w pulls from on port p.
+  std::vector<std::uint32_t> in_slot_;
+  /// Activity bitmaps, one bit per node (bit v&63 of word v>>6):
+  ///  * mail_bits_  — receivers with at least one queued message;
+  ///  * run_bits_   — nodes that must run this round beyond the awake ones:
+  ///    a non-empty inbox, or a due wake-up (kept set while the node is
+  ///    crashed, which is the wake-up deferral);
+  ///  * awake_bits_ — nodes neither halted nor on-demand.
+  /// Delivery walks mail_bits_ and compute walks run_bits_ | awake_bits_,
+  /// both in ascending node order, so a round costs O(n/64 + messages +
+  /// nodes that run) instead of O(n + m).
+  std::vector<std::uint64_t> mail_bits_;
+  std::vector<std::uint64_t> run_bits_;
+  std::vector<std::uint64_t> awake_bits_;
+  /// Min-heap of armed wake-ups (round, node). Entries superseded by a
+  /// later wake_at are skipped when they surface (lazy deletion).
+  std::vector<std::pair<std::uint32_t, NodeId>> wake_heap_;
   /// Heap-allocated so NodeContext's raw pointer stays valid if the
   /// Network object itself moves.
   std::unique_ptr<QuiesceCounters> quiesce_ =
       std::make_unique<QuiesceCounters>();
   /// While true, step_round (and the shard coordinator, through
-  /// shard_set_memory_audit) sweeps every program's virtual memory_bits()
-  /// after compute. Cleared permanently (until the
-  /// next init_programs) once a whole round reports 0 everywhere — see
+  /// shard_set_memory_audit) polls memory_bits(): every node in the first
+  /// round of a phase, afterwards the nodes that ran (a value changes only
+  /// when its program runs, so the phase maximum is the same as polling
+  /// every node every round). Cleared permanently (until the next
+  /// init_programs) once round 1 reports 0 everywhere — see
   /// NodeProgram::memory_bits.
   bool memory_audit_ = true;
   RunStats stats_;

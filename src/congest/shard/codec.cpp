@@ -230,7 +230,8 @@ template <class W>
 void put_round_begin(W& w, const RoundBeginFrame& f) {
   put_header(w, ShardOp::kRoundBegin);
   w.u32(f.round);
-  w.u8(f.memory_audit ? 1 : 0);
+  w.u8(static_cast<std::uint8_t>((f.memory_audit ? 1 : 0) |
+                                  (f.memory_sweep_all ? 2 : 0)));
   put_boundary(w, f.boundary);
 }
 
@@ -240,6 +241,7 @@ void put_round_end(W& w, const RoundEndFrame& f) {
   w.u32(f.round);
   w.u64(static_cast<std::uint64_t>(f.inflight));
   w.u64(static_cast<std::uint64_t>(f.halted));
+  w.u64(static_cast<std::uint64_t>(f.wakes));
   w.u64(f.boundary_bytes);
   w.u64(f.boundary_msgs);
   put_stats(w, f.stats);
@@ -293,6 +295,7 @@ std::vector<std::uint8_t> encode_start_done(const StartDoneFrame& f) {
   put_header(w, ShardOp::kStartDone);
   w.u64(static_cast<std::uint64_t>(f.inflight));
   w.u64(static_cast<std::uint64_t>(f.halted));
+  w.u64(static_cast<std::uint64_t>(f.wakes));
   put_boundary(w, f.boundary);
   return out;
 }
@@ -302,6 +305,7 @@ StartDoneFrame decode_start_done(std::span<const std::uint8_t> payload) {
   StartDoneFrame f;
   f.inflight = r.i64();
   f.halted = r.i64();
+  f.wakes = r.i64();
   read_boundary_into(r, f.boundary);
   r.done();
   return f;
@@ -319,8 +323,9 @@ void decode_round_begin_into(std::span<const std::uint8_t> payload,
   Reader r = open_body(payload, ShardOp::kRoundBegin);
   f.round = r.u32();
   const std::uint8_t flags = r.u8();
-  proto_require(flags <= 1, "shard: unknown round-begin flag bits");
-  f.memory_audit = flags == 1;
+  proto_require(flags <= 3, "shard: unknown round-begin flag bits");
+  f.memory_audit = (flags & 1) != 0;
+  f.memory_sweep_all = (flags & 2) != 0;
   read_boundary_into(r, f.boundary);
   r.done();
 }
@@ -344,6 +349,7 @@ void decode_round_end_into(std::span<const std::uint8_t> payload,
   f.round = r.u32();
   f.inflight = r.i64();
   f.halted = r.i64();
+  f.wakes = r.i64();
   f.boundary_bytes = r.u64();
   f.boundary_msgs = r.u64();
   f.stats = read_stats(r);

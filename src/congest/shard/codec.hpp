@@ -26,10 +26,13 @@
 //
 //   body by op (direction):
 //     start        (c->w) := (empty)                 run on_start, report
-//     start_done   (w->c) := i64 inflight | i64 halted | boundary
+//     start_done   (w->c) := i64 inflight | i64 halted | i64 wakes | boundary
 //     round_begin  (c->w) := u32 round | u8 flags | boundary
 //                            flags bit 0: memory audit armed
-//     round_end    (w->c) := u32 round | i64 inflight | i64 halted
+//                            flags bit 1: audit every owned node (the
+//                            first round of a phase), not only those
+//                            that ran
+//     round_end    (w->c) := u32 round | i64 inflight | i64 halted | i64 wakes
 //                          | u64 boundary_bytes | u64 boundary_msgs
 //                          | stats | boundary | events
 //     harvest      (c->w) := (empty)                 serialize owned programs
@@ -115,12 +118,14 @@ struct DeliveryEvent {
 struct StartDoneFrame {
   std::int64_t inflight = 0;
   std::int64_t halted = 0;
+  std::int64_t wakes = 0;
   std::vector<BoundaryMsg> boundary;
 };
 
 struct RoundBeginFrame {
   std::uint32_t round = 0;
   bool memory_audit = false;
+  bool memory_sweep_all = false;
   std::vector<BoundaryMsg> boundary;
 };
 
@@ -128,6 +133,7 @@ struct RoundEndFrame {
   std::uint32_t round = 0;
   std::int64_t inflight = 0;
   std::int64_t halted = 0;
+  std::int64_t wakes = 0;
   /// Boundary payload the worker moved this round over both transports
   /// (mesh segments + the spill list below), for the coordinator's
   /// shard.boundary_bytes accounting.

@@ -330,6 +330,7 @@ void ShardedNetwork::dispatch(std::size_t w,
       StartDoneFrame f = decode_start_done(payload);
       workers_[w].inflight = f.inflight;
       workers_[w].halted = f.halted;
+      workers_[w].wakes = f.wakes;
       route_boundary(w, f.boundary);
       break;
     }
@@ -465,15 +466,18 @@ void ShardedNetwork::route_boundary(std::size_t from_worker,
 bool ShardedNetwork::all_quiet() const {
   std::int64_t inflight = 0;
   std::int64_t halted = 0;
+  std::int64_t wakes = 0;
   for (const auto& w : workers_) {
     inflight += w.inflight;
     halted += w.halted;
+    wakes += w.wakes;
   }
   // Per-worker counters can individually go negative (a worker that mostly
   // receives decrements more than it increments), but the sums track the
   // single-process counters exactly: every queued message is counted +1 by
   // its sender's worker and -1 by its receiver's worker.
-  return halted == static_cast<std::int64_t>(n()) && inflight == 0;
+  return halted == static_cast<std::int64_t>(n()) && inflight == 0 &&
+         wakes == 0;
 }
 
 void ShardedNetwork::start_if_needed() {
@@ -533,6 +537,9 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
     ++round_;
     rb_.round = round_;
     rb_.memory_audit = memory_audit_;
+    // The in-process engine polls every node in a phase's first round and
+    // afterwards only the nodes that ran; workers do the same on request.
+    rb_.memory_sweep_all = executed == 0;
     // Publish round_begin to EVERY worker before blocking on ANY
     // round_end: blocking on worker 0's reply before worker 1 has its
     // round_begin serializes the cluster behind whichever worker happens
@@ -556,6 +563,7 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
       merge_worker_stats(round_merged, re.stats);
       workers_[w].inflight = re.inflight;
       workers_[w].halted = re.halted;
+      workers_[w].wakes = re.wakes;
       boundary_messages += re.boundary_msgs;
       boundary_bytes += re.boundary_bytes;
       if (!re.boundary.empty()) route_boundary(w, re.boundary);

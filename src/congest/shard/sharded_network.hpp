@@ -117,7 +117,8 @@ class ShardedNetwork {
   RunStats run_rounds(std::uint32_t rounds);
 
   /// Runs until global quiescence (every node halted, no message in
-  /// flight anywhere) or `max_rounds`; stats.quiesced tells which.
+  /// flight anywhere, no wake-up pending) or `max_rounds`;
+  /// stats.quiesced tells which.
   RunStats run_until_quiescent(std::uint32_t max_rounds);
 
   const graph::Graph& topology() const { return *graph_; }
@@ -166,6 +167,7 @@ class ShardedNetwork {
     /// shard hooks in congest/network.hpp).
     std::int64_t inflight = 0;
     std::int64_t halted = 0;
+    std::int64_t wakes = 0;
     /// Boundary messages routed to this worker, delivered with the next
     /// round-begin frame.
     std::vector<BoundaryMsg> pending;

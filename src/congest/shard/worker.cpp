@@ -268,6 +268,7 @@ class WorkerState {
     start_boundary_msgs_ = boundary_msgs_;
     f.inflight = net_.shard_inflight();
     f.halted = net_.shard_halted();
+    f.wakes = net_.shard_wakes();
     send_reply(encode_start_done(f));
   }
 
@@ -296,19 +297,13 @@ class WorkerState {
                                link_.collect_events ? &sink_ : nullptr);
     }
     for (const auto& [b, e] : asn_.runs[link_.shard]) {
-      net_.shard_compute_range(b, e);
-    }
-    if (rb_.memory_audit) {
-      for (const auto& [b, e] : asn_.runs[link_.shard]) {
-        re_.stats.max_node_memory_bits =
-            std::max(re_.stats.max_node_memory_bits,
-                     net_.shard_memory_max_range(b, e));
-      }
+      net_.shard_compute_range(b, e, re_.stats, rb_.memory_sweep_all);
     }
     re_.boundary.clear();
     ship_boundary(/*consume_round=*/rb_.round + 1, re_.boundary);
     re_.inflight = net_.shard_inflight();
     re_.halted = net_.shard_halted();
+    re_.wakes = net_.shard_wakes();
     re_.boundary_bytes = boundary_bytes_ + start_boundary_bytes_;
     re_.boundary_msgs = boundary_msgs_ + start_boundary_msgs_;
     start_boundary_bytes_ = start_boundary_msgs_ = 0;

@@ -146,12 +146,17 @@ void MetricsRegistry::register_histogram(std::string_view name,
 }
 
 void MetricsRegistry::observe(std::string_view name, double value) {
+  observe(name, value, 1);
+}
+
+void MetricsRegistry::observe(std::string_view name, double value,
+                              std::uint64_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   Histogram& h = histogram_locked(name);
   const auto it = std::lower_bound(h.bounds.begin(), h.bounds.end(), value);
-  ++h.counts[static_cast<std::size_t>(it - h.bounds.begin())];
-  ++h.total;
-  h.sum += value;
+  h.counts[static_cast<std::size_t>(it - h.bounds.begin())] += count;
+  h.total += count;
+  h.sum += value * static_cast<double>(count);
 }
 
 std::uint64_t MetricsRegistry::begin_span(std::string_view name) {

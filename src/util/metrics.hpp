@@ -88,6 +88,11 @@ class MetricsRegistry {
   /// Records one observation; auto-registers with power-of-two bounds
   /// (1, 2, 4, ..., 2^20) when the name is new.
   void observe(std::string_view name, double value);
+  /// Records `count` observations of the same value under one lock — the
+  /// flush path of callers that tally integer values locally. The sum
+  /// grows by value * count, which is exact for integer values (below
+  /// 2^53), so batching leaves the exported histogram unchanged.
+  void observe(std::string_view name, double value, std::uint64_t count);
 
   // -- spans (use PhaseTimer / ScopedTimer rather than calling directly) --
   /// Opens a span; its parent is the innermost span this thread currently

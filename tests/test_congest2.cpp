@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "congest/network.hpp"
 #include "congest/trace.hpp"
@@ -248,6 +249,155 @@ TEST(Bandwidth, PerDirectionIndependent) {
   auto stats = net.run_rounds(1);
   EXPECT_EQ(stats.violations, 0u);
   EXPECT_EQ(stats.messages, 2u);
+}
+
+
+// ---------------------------------------------------------------------------
+// The run rule: a node runs iff it is up and has mail, is awake (not halted,
+// not on-demand) or has a due wake-up; and the wake_at contract.
+// ---------------------------------------------------------------------------
+
+/// On-demand program driven by a per-node list of wake-ups: arms the first
+/// in on_start, and on every run records the round, arms the next listed
+/// round after it, and (on node 0 at `send_round`) mails port 0.
+class Alarm : public NodeProgram {
+ public:
+  explicit Alarm(std::vector<std::uint32_t> wakes, std::uint32_t send_round = 0)
+      : wakes_(std::move(wakes)), send_round_(send_round) {}
+  bool on_demand() const override { return true; }
+  void on_start(NodeContext& ctx) override { arm(ctx); }
+  void on_round(NodeContext& ctx) override {
+    ran.push_back(ctx.round());
+    if (ctx.round() == send_round_) ctx.send(0, Message().push(1, 2));
+    arm(ctx);
+  }
+  std::vector<std::uint32_t> ran;
+
+ private:
+  void arm(NodeContext& ctx) const {
+    for (const std::uint32_t r : wakes_) {
+      if (r > ctx.round()) {
+        ctx.wake_at(r);
+        return;
+      }
+    }
+  }
+  std::vector<std::uint32_t> wakes_;
+  std::uint32_t send_round_;
+};
+
+using Rounds = std::vector<std::uint32_t>;
+
+TEST(RunRule, OnDemandRunsOnlyWithMailOrADueWakeUp) {
+  auto g = graph::make_path(3);
+  Network net(g);
+  net.init_programs([](NodeId v) {
+    return v == 0 ? std::make_unique<Alarm>(Rounds{3, 5}, 3)
+                  : std::make_unique<Alarm>(Rounds{});
+  });
+  net.run_rounds(8);
+  EXPECT_EQ(net.program_as<Alarm>(0).ran, (Rounds{3, 5}));
+  EXPECT_EQ(net.program_as<Alarm>(1).ran, (Rounds{4}));  // mail only
+  EXPECT_TRUE(net.program_as<Alarm>(2).ran.empty());
+}
+
+TEST(RunRule, WakeAtRejectsPastRoundsAndALaterCallReplaces) {
+  auto g = graph::make_path(2);
+  class Rearm : public NodeProgram {
+   public:
+    bool on_demand() const override { return true; }
+    void on_start(NodeContext& ctx) override {
+      EXPECT_THROW(ctx.wake_at(0), InvalidArgumentError);
+      ctx.wake_at(5);
+      ctx.wake_at(3);  // replaces 5
+    }
+    void on_round(NodeContext& ctx) override {
+      ran.push_back(ctx.round());
+      EXPECT_THROW(ctx.wake_at(ctx.round()), InvalidArgumentError);
+      EXPECT_THROW(ctx.wake_at(ctx.round() - 1), InvalidArgumentError);
+    }
+    Rounds ran;
+  };
+  Network net(g);
+  net.init_programs([](NodeId) { return std::make_unique<Rearm>(); });
+  net.run_rounds(8);
+  EXPECT_EQ(net.program_as<Rearm>(0).ran, (Rounds{3}));
+  EXPECT_EQ(net.program_as<Rearm>(1).ran, (Rounds{3}));
+}
+
+TEST(RunRule, WakeUpOfACrashedNodeFiresInItsFirstRoundUp) {
+  auto g = graph::make_path(2);
+  NetworkConfig cfg;
+  cfg.fault.crashes = {CrashWindow{0, 2, 5}};
+  Network net(g, cfg);
+  net.init_programs([](NodeId v) {
+    return std::make_unique<Alarm>(v == 0 ? Rounds{3, 7} : Rounds{3});
+  });
+  net.run_rounds(9);
+  // Node 0 is down in rounds 2-4: its round-3 wake-up fires in round 5.
+  EXPECT_EQ(net.program_as<Alarm>(0).ran, (Rounds{5, 7}));
+  EXPECT_EQ(net.program_as<Alarm>(1).ran, (Rounds{3}));
+}
+
+TEST(RunRule, HaltedNodeLeavesTheRunSetAndRejoinsOnMail) {
+  auto g = graph::make_path(2);
+  class Halter : public NodeProgram {
+   public:
+    void on_round(NodeContext& ctx) override {
+      ran.push_back(ctx.round());
+      if (ctx.id() == 0 && ctx.round() == 3) ctx.send(0, Message().push(1, 2));
+      if (ctx.id() == 1) ctx.vote_halt();
+    }
+    Rounds ran;
+  };
+  Network net(g);
+  net.init_programs([](NodeId) { return std::make_unique<Halter>(); });
+  net.run_rounds(6);
+  EXPECT_EQ(net.program_as<Halter>(0).ran, (Rounds{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(net.program_as<Halter>(1).ran, (Rounds{1, 4}));
+}
+
+TEST(RunRule, PendingWakeUpBlocksQuiescence) {
+  auto g = graph::make_path(3);
+  class LateAlarm : public NodeProgram {
+   public:
+    void on_start(NodeContext& ctx) override {
+      if (ctx.id() == 0) ctx.wake_at(10);
+    }
+    void on_round(NodeContext& ctx) override {
+      ran.push_back(ctx.round());
+      ctx.vote_halt();
+    }
+    Rounds ran;
+  };
+  Network net(g);
+  net.init_programs([](NodeId) { return std::make_unique<LateAlarm>(); });
+  const auto st = net.run_until_quiescent(50);
+  EXPECT_TRUE(st.quiesced);
+  EXPECT_EQ(st.rounds, 10u);
+  // The due wake-up re-activates the halted node, like mail would.
+  EXPECT_EQ(net.program_as<LateAlarm>(0).ran, (Rounds{1, 10}));
+  EXPECT_EQ(net.program_as<LateAlarm>(1).ran, (Rounds{1}));
+}
+
+TEST(RunRule, AuditKeepsTheMaximumOfANodeThatNeverRunsAgain) {
+  auto g = graph::make_path(3);
+  class Peak : public NodeProgram {
+   public:
+    bool on_demand() const override { return true; }
+    void on_start(NodeContext& ctx) override {
+      if (ctx.id() == 0) ctx.wake_at(2);
+    }
+    void on_round(NodeContext&) override { bits = 900; }
+    std::uint64_t memory_bits() const override { return bits; }
+    std::uint64_t bits = 1;
+  };
+  Network net(g);
+  net.init_programs([](NodeId) { return std::make_unique<Peak>(); });
+  EXPECT_EQ(net.run_rounds(4).max_node_memory_bits, 900u);
+  // Node 0 never runs again, yet every later phase still reports it.
+  EXPECT_EQ(net.run_rounds(3).max_node_memory_bits, 900u);
+  EXPECT_EQ(net.run_rounds(1).max_node_memory_bits, 900u);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "core/quantum_radius.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,6 +30,7 @@ namespace qc {
 namespace {
 
 using graph::Graph;
+using graph::NodeId;
 
 Graph random_graph(std::uint32_t n, std::uint32_t d, std::uint64_t seed) {
   Rng rng(seed);
@@ -318,6 +320,159 @@ TEST(BranchThreads, ObservedDirectRunIsInitThenOneValidation) {
   EXPECT_EQ(rec.events().size(),
             init_rec.events().size() + eval.stats.messages);
   EXPECT_EQ(rec.events(), expected);
+}
+
+
+// ---------------------------------------------------------------------------
+// Figure 2 pinned to golden hashes. Each hash covers the outcome of one
+// evaluate_window_ecc run — max_ecc, the window, tau', every RunStats field
+// and the delivered event stream (round, sender, receiver, every field) —
+// or, when the run throws, the events up to the throw plus the error text.
+// The values were captured with the engine that ran every node every round
+// and scanned every slot; activity-proportional rounds (on-demand programs,
+// crash-deferred wake-ups) must reproduce them exactly.
+// ---------------------------------------------------------------------------
+
+class Fnv64 {
+ public:
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(x >> (8 * i)));
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(std::uint8_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+enum class PinMode { kNone, kDrops, kCrashes, kTraced };
+
+/// Crash windows for the pin: u0 is down in round 2 (its first probe-reply
+/// round, so its wake-up must be deferred, not lost), plus short random
+/// windows over the whole schedule that hit token holders, wave starts and
+/// convergecast reports.
+std::vector<congest::CrashWindow> pin_crashes(std::uint32_t n, NodeId u0,
+                                              std::uint32_t total,
+                                              std::uint64_t seed) {
+  std::vector<congest::CrashWindow> out = {{u0, 2, 3}};
+  Rng rng(seed);
+  for (int i = 0; i < 8; ++i) {
+    const auto node = static_cast<NodeId>(rng.next_below(n));
+    const auto start = static_cast<std::uint32_t>(1 + rng.next_below(total));
+    const auto len = static_cast<std::uint32_t>(1 + rng.next_below(4));
+    out.push_back({node, start, start + len});
+  }
+  return out;
+}
+
+std::uint64_t fig2_outcome_hash(const Graph& g, const algos::TreeState& tree,
+                                NodeId u0, PinMode mode) {
+  const std::uint32_t steps = 2 * tree.height;
+  const std::uint32_t total =
+      3 * steps + (2 * steps + 2 * tree.height + 2) + tree.height + 1;
+  Fnv64 h;
+  congest::NetworkConfig cfg;
+  cfg.observer = std::make_shared<congest::CallbackObserver>(
+      [&h](NodeId from, NodeId to, const congest::Message& msg,
+           std::uint32_t round) {
+        h.add(round);
+        h.add(from);
+        h.add(to);
+        h.add(msg.num_fields());
+        for (std::size_t i = 0; i < msg.num_fields(); ++i) {
+          h.add(msg.field(i));
+          h.add(msg.field_bits(i));
+        }
+      });
+  congest::TraceRecorder rec;
+  switch (mode) {
+    case PinMode::kNone:
+      break;
+    case PinMode::kDrops:
+      cfg.fault.drop_probability = 0.01;
+      cfg.fault.seed = 9;
+      break;
+    case PinMode::kCrashes:
+      cfg.fault.crashes = pin_crashes(g.n(), u0, total, 1000 + u0);
+      break;
+    case PinMode::kTraced:
+      cfg = rec.arm(std::move(cfg));
+      break;
+  }
+  try {
+    const auto out = algos::evaluate_window_ecc(g, tree, u0, steps, cfg);
+    h.add(out.max_ecc);
+    h.add(out.window.size());
+    for (const NodeId v : out.window) h.add(v);
+    for (const std::int64_t t : out.tau_prime) {
+      h.add(static_cast<std::uint64_t>(t));
+    }
+    const congest::RunStats& s = out.stats;
+    for (const std::uint64_t x :
+         {std::uint64_t{s.rounds}, s.messages, s.bits,
+          std::uint64_t{s.max_edge_bits}, s.violations,
+          std::uint64_t{s.quiesced}, s.max_node_memory_bits,
+          s.messages_dropped, s.messages_corrupted, s.crashed_node_rounds}) {
+      h.add(x);
+    }
+  } catch (const Error& e) {
+    h.add(std::string("error: ") + e.what());
+  }
+  for (const auto& e : rec.events()) {
+    h.add(e.round);
+    h.add(e.from);
+    h.add(e.to);
+    h.add(e.bits);
+  }
+  return h.value();
+}
+
+TEST(Figure2Pin, OutcomesMatchGoldenHashes) {
+  struct Case {
+    std::uint32_t n, d;
+    std::uint64_t seed;
+  };
+  const std::vector<Case> cases = {{64, 6, 41}, {300, 9, 42}};
+  const std::vector<std::uint64_t> golden = {
+      // n=64: u0 in {0, 1, 32, 63} x modes {none, drops, crashes, traced}
+      0xa5332d5e604c1cfeULL, 0x3c1693c830a6109aULL, 0x45a2d3aa8fb3b4d3ULL,
+      0xf15617b7241fb72aULL, 0x155f4c0b407f7f22ULL, 0x77f2d37d49d123e3ULL,
+      0xb561e04f8a644908ULL, 0xd3e3dcfd0c74ce78ULL, 0x2e5cbc7085080ef4ULL,
+      0x5ca19e1cc21f7d8cULL, 0xb37324fbe6168b5aULL, 0x7c6d0c83bc1a7021ULL,
+      0xeced0017a2def7f8ULL, 0x37d2d2df96fc13c8ULL, 0x69a497f912a43adbULL,
+      0x45010ea2e42e8a06ULL,
+      // n=300: u0 in {0, 1, 150, 299}
+      0xf36bb43293cf2992ULL, 0x8e85042acf4a8a81ULL, 0x6eff0ed248b0ccd4ULL,
+      0x72c47e3bbbed7a6eULL, 0xfdb08aad58027ec4ULL, 0xe4e09228bf773e54ULL,
+      0xe726cb1a3cae12fcULL, 0x1b5b8ca96fd029a6ULL, 0xf55ea0582a02de73ULL,
+      0xe1da3ced103234e6ULL, 0x867bcf9c201cf532ULL, 0x2af6ef8408d65949ULL,
+      0x1ecbfdbbf50772e3ULL, 0xc062a6811923aa2bULL, 0xa385a9dc81e2a732ULL,
+      0x54eced962c44a2b4ULL,
+  };
+  std::vector<std::uint64_t> got;
+  for (const Case& c : cases) {
+    const Graph g = random_graph(c.n, c.d, c.seed);
+    const auto tree = algos::build_bfs_tree(g, 0).tree;
+    for (const NodeId u0 : {NodeId{0}, NodeId{1}, c.n / 2, c.n - 1}) {
+      for (const PinMode mode : {PinMode::kNone, PinMode::kDrops,
+                                 PinMode::kCrashes, PinMode::kTraced}) {
+        got.push_back(fig2_outcome_hash(g, tree, u0, mode));
+      }
+    }
+  }
+  std::string listing;
+  for (const std::uint64_t x : got) listing += std::to_string(x) + "ULL,\n";
+  ASSERT_EQ(got.size(), golden.size()) << listing;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], golden[i]) << "case " << i << "\n" << listing;
+  }
 }
 
 }  // namespace

@@ -283,6 +283,27 @@ TEST(Metrics, HistogramBucketingAndIdempotentRegistration) {
   EXPECT_EQ(hist->at("sum").num, 0.5 + 10.0 + 99.0 + 1e6);
 }
 
+TEST(Metrics, BatchedObserveExportsLikeSingleObservations) {
+  // MetricsObserver flushes integer tallies as observe(name, value, count);
+  // the export must be byte-identical to observing one value at a time.
+  metrics::MetricsRegistry one;
+  metrics::MetricsRegistry batched;
+  for (auto* reg : {&one, &batched}) {
+    reg->register_histogram("bits", {8.0, 16.0, 32.0});
+  }
+  const std::vector<std::pair<double, std::uint64_t>> tally = {
+      {7.0, 3}, {16.0, 5}, {17.0, 1}, {4096.0, 2}};
+  for (const auto& [value, count] : tally) {
+    for (std::uint64_t i = 0; i < count; ++i) one.observe("bits", value);
+    batched.observe("bits", value, count);
+  }
+  std::ostringstream a;
+  std::ostringstream b;
+  one.write_jsonl(a);
+  batched.write_jsonl(b);
+  EXPECT_EQ(a.str(), b.str());
+}
+
 TEST(Metrics, GoldenSchemaRoundTrip) {
   metrics::MetricsRegistry reg;
   reg.add_counter("c.one", 7, "with \"quotes\"\n");

@@ -270,6 +270,32 @@ TEST(ShardCodec, RoundBeginRoundTrips) {
   }
 }
 
+TEST(ShardCodec, WakeCountsAndSweepFlagRoundTrip) {
+  StartDoneFrame s = sample_start_done();
+  s.wakes = -4;  // like inflight, a per-worker count may go negative
+  EXPECT_EQ(decode_start_done(encode_start_done(s)).wakes, -4);
+  RoundEndFrame e = sample_round_end();
+  e.wakes = 37;
+  EXPECT_EQ(decode_round_end(encode_round_end(e)).wakes, 37);
+  for (const bool audit : {false, true}) {
+    for (const bool sweep : {false, true}) {
+      RoundBeginFrame f;
+      f.round = 9;
+      f.memory_audit = audit;
+      f.memory_sweep_all = sweep;
+      const RoundBeginFrame d = decode_round_begin(encode_round_begin(f));
+      EXPECT_EQ(d.memory_audit, audit);
+      EXPECT_EQ(d.memory_sweep_all, sweep);
+    }
+  }
+  // Flag bits beyond the two defined ones are rejected.
+  RoundBeginFrame f;
+  f.round = 1;
+  auto p = encode_round_begin(f);
+  p[4 + 4] = 4;  // header, u32 round, then the flags byte
+  EXPECT_THROW(decode_round_begin(p), serve::ProtocolError);
+}
+
 TEST(ShardCodec, RoundEndRoundTripsIncludingStats) {
   const RoundEndFrame f = sample_round_end();
   const RoundEndFrame d = decode_round_end(encode_round_end(f));
@@ -460,6 +486,141 @@ TEST(ShardedNetwork, LeaderElectionMatchesInProcessEngineBitForBit) {
               expect.stats.max_node_memory_bits);
     EXPECT_EQ(got.stats.quiesced, expect.stats.quiesced);
     net.shutdown();
+  }
+}
+
+/// On-demand program whose work comes from wake-ups and mail: node v wakes
+/// every 2 + v % 3 rounds until round `until`, mails one port per wake-up,
+/// folds its inbox into a digest, and halts once no wake-up is left. A
+/// wake-up deferred by a crash still acts (round >= next_).
+class Beacon final : public NodeProgram {
+ public:
+  explicit Beacon(std::uint32_t until) : until_(until) {}
+  bool on_demand() const override { return true; }
+  void on_start(NodeContext& ctx) override {
+    next_ = 1 + ctx.id() % 4;
+    ctx.wake_at(next_);
+  }
+  void on_round(NodeContext& ctx) override {
+    ++runs_;
+    for (const auto& in : ctx.inbox()) {
+      digest_ = digest_ * 31 + in.msg.field(0) + in.port;
+    }
+    if (ctx.round() >= next_) {
+      ctx.send(ctx.round() % ctx.degree(),
+               Message().push(ctx.round() & 0xff, 8));
+      next_ = ctx.round() + 2 + ctx.id() % 3;
+    }
+    if (next_ <= until_) {
+      ctx.wake_at(next_);
+    } else {
+      ctx.vote_halt();
+    }
+  }
+  std::uint64_t memory_bits() const override { return 8 + runs_; }
+  void serialize_state(Message& out) const override {
+    out.push(runs_, 32).push(digest_, 64).push(next_, 32);
+  }
+  void restore_state(const Message& in) override {
+    runs_ = static_cast<std::uint32_t>(in.field(0));
+    digest_ = in.field(1);
+    next_ = static_cast<std::uint32_t>(in.field(2));
+  }
+  std::uint32_t runs_ = 0;
+  std::uint64_t digest_ = 0;
+  std::uint32_t next_ = 0;
+
+ private:
+  std::uint32_t until_;
+};
+
+void expect_same_stats(const RunStats& a, const RunStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.rounds, b.rounds) << where;
+  EXPECT_EQ(a.messages, b.messages) << where;
+  EXPECT_EQ(a.bits, b.bits) << where;
+  EXPECT_EQ(a.max_edge_bits, b.max_edge_bits) << where;
+  EXPECT_EQ(a.violations, b.violations) << where;
+  EXPECT_EQ(a.quiesced, b.quiesced) << where;
+  EXPECT_EQ(a.max_node_memory_bits, b.max_node_memory_bits) << where;
+  EXPECT_EQ(a.messages_dropped, b.messages_dropped) << where;
+  EXPECT_EQ(a.messages_corrupted, b.messages_corrupted) << where;
+  EXPECT_EQ(a.crashed_node_rounds, b.crashed_node_rounds) << where;
+}
+
+TEST(ShardedNetwork, OnDemandProgramUnderCrashPlanIsBitIdentical) {
+  // Wake-ups live in the worker replicas; the coordinator must sum their
+  // pending counts for quiescence, defer a crashed node's wake-up exactly
+  // like the in-process engine, and audit memory the same way (all nodes
+  // in a phase's first round, afterwards the nodes that ran).
+  Rng rng(17);
+  const Graph g = graph::make_connected_er(30, 0.15, rng);
+  using Event = std::tuple<NodeId, NodeId, std::uint32_t, std::uint64_t>;
+  const auto record = [](std::vector<Event>& into) {
+    return std::make_shared<CallbackObserver>(
+        [&into](NodeId from, NodeId to, const Message& m,
+                std::uint32_t round) {
+          into.emplace_back(from, to, round, m.field(0));
+        });
+  };
+  NetworkConfig base;
+  base.fault.crashes = {CrashWindow{0, 1, 4}, CrashWindow{7, 3, 9},
+                        CrashWindow{12, 6, 7}, CrashWindow{21, 2, 0}};
+  base.fault.drop_probability = 0.05;
+  base.fault.seed = 3;
+  const auto make = [](NodeId) { return std::make_unique<Beacon>(25); };
+
+  std::vector<Event> seq_events;
+  NetworkConfig seq_cfg = base;
+  seq_cfg.observer = record(seq_events);
+  Network seq(g, seq_cfg);
+  seq.init_programs(make);
+  const RunStats seq_first = seq.run_rounds(7);
+  const RunStats seq_rest = seq.run_until_quiescent(200);
+  // Node 21 crashes for good before it halts, so the run cannot quiesce;
+  // a run that ended on a pending wake-up would stop early instead.
+  EXPECT_FALSE(seq_rest.quiesced);
+  EXPECT_EQ(seq_rest.rounds, 200u);
+  ASSERT_FALSE(seq_events.empty());
+
+  for (const std::uint32_t w : {1u, 2u, 3u}) {
+    const std::string where = "W=" + std::to_string(w);
+    std::vector<Event> events;
+    ShardConfig cfg;
+    cfg.shards = w;
+    cfg.net = base;
+    cfg.net.observer = record(events);
+    ShardedNetwork net(g, cfg);
+    net.init_programs(make);
+    expect_same_stats(net.run_rounds(7), seq_first, where);
+    expect_same_stats(net.run_until_quiescent(200), seq_rest, where);
+    EXPECT_EQ(events, seq_events) << where;
+    for (NodeId v = 0; v < g.n(); ++v) {
+      const auto& a = net.program_as<Beacon>(v);
+      const auto& b = seq.program_as<Beacon>(v);
+      EXPECT_EQ(a.runs_, b.runs_) << where << " node " << v;
+      EXPECT_EQ(a.digest_, b.digest_) << where << " node " << v;
+    }
+  }
+}
+
+TEST(ShardedNetwork, PendingWakeUpsKeepTheShardedRunFromQuiescing) {
+  Rng rng(23);
+  const Graph g = graph::make_connected_er(20, 0.2, rng);
+  const auto make = [](NodeId) { return std::make_unique<Beacon>(30); };
+  Network seq(g);
+  seq.init_programs(make);
+  const RunStats expect = seq.run_until_quiescent(500);
+  ASSERT_TRUE(expect.quiesced);
+  // Quiescence waits for the last wake-up, not just the last message.
+  EXPECT_GE(expect.rounds, 30u);
+  for (const std::uint32_t w : {2u, 3u}) {
+    ShardConfig cfg;
+    cfg.shards = w;
+    ShardedNetwork net(g, cfg);
+    net.init_programs(make);
+    expect_same_stats(net.run_until_quiescent(500), expect,
+                      "W=" + std::to_string(w));
   }
 }
 
