@@ -76,7 +76,7 @@ void BM_EvaluationProcedure(benchmark::State& state) {
     benchmark::DoNotOptimize(out.max_ecc);
   }
 }
-BENCHMARK(BM_EvaluationProcedure)->Arg(128)->Arg(512);
+BENCHMARK(BM_EvaluationProcedure)->Arg(128)->Arg(512)->Arg(1024);
 
 void BM_GroverIterateAmplitude(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));

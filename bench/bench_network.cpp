@@ -1,8 +1,8 @@
 // The CONGEST delivery hot path (SBO messages, precomputed reverse ports,
-// move-based delivery, incremental quiescence) on the flooding workload:
-// every node broadcasts a two-field message every round, so every directed
-// edge carries one delivery per round — the densest traffic the model
-// allows.
+// send arenas with inbox views, incremental quiescence) on the flooding
+// workload: every node broadcasts a two-field message every round, so
+// every directed edge carries one delivery per round — the densest
+// traffic the model allows.
 //
 // Fault-free runs are validated against a closed-form reference computed
 // from the graph alone: message and bit totals, and an order-sensitive

@@ -62,8 +62,8 @@ class Message {
     return *this;
   }
 
-  /// Moves reset the source to an empty message: a moved-from outbox slot
-  /// must be indistinguishable from a fresh one when it is reused.
+  /// Moves reset the source to an empty message, so a moved-from Message
+  /// is indistinguishable from a fresh one when it is reused.
   Message(Message&& other) noexcept
       : count_(other.count_),
         bits_(other.bits_),
@@ -107,9 +107,9 @@ class Message {
   }
 
   /// Removes every field but keeps any spill block's capacity, so a
-  /// message reused as a decode target (or a cleared outbox slot) stays
-  /// allocation-free once warmed — unlike move-from, which steals the
-  /// spill block, or `*this = Message{}`, which frees it.
+  /// message reused as a decode target stays allocation-free once warmed
+  /// — unlike move-from, which steals the spill block, or
+  /// `*this = Message{}`, which frees it.
   Message& clear() {
     count_ = 0;
     bits_ = 0;

@@ -83,25 +83,27 @@ std::uint32_t NodeContext::port_to(NodeId v) const {
 
 void NodeContext::send(std::uint32_t port, Message msg) {
   require(port < degree(), "NodeContext::send: port out of range");
-  require(!port_used_[port],
+  require(sent_[port] == kNoSend,
           "NodeContext::send: at most one message per port per round");
-  outbox_[port] = std::move(msg);
-  port_used_[port] = 1;
+  sent_[port] = arenas_[round_ & 1].store(std::move(msg));
   const NodeId to = neighbors_[port];
   mail_[to >> 6] |= std::uint64_t{1} << (to & 63);
   ++pending_sends_;  // drained into the quiescence counter per slice
 }
 
 void NodeContext::broadcast(const Message& msg) {
-  // Copy-assigns straight into each outbox slot instead of routing through
-  // send(): the by-value Message parameter there costs a second copy per
-  // port, and broadcast is the hot send primitive of flooding workloads.
+  // One payload for every port. Every port is checked before anything is
+  // queued (kNoSend is all ones, so the AND of free references is
+  // kNoSend), which keeps a throwing broadcast free of side effects.
   const std::uint32_t deg = degree();
+  std::uint32_t all_refs = kNoSend;
+  for (std::uint32_t p = 0; p < deg; ++p) all_refs &= sent_[p];
+  require(all_refs == kNoSend,
+          "NodeContext::send: at most one message per port per round");
+  if (deg == 0) return;
+  const std::uint32_t ref = arenas_[round_ & 1].store(msg);
   for (std::uint32_t p = 0; p < deg; ++p) {
-    require(!port_used_[p],
-            "NodeContext::send: at most one message per port per round");
-    outbox_[p] = msg;
-    port_used_[p] = 1;
+    sent_[p] = ref;
     const NodeId to = neighbors_[p];
     mail_[to >> 6] |= std::uint64_t{1} << (to & 63);
   }
@@ -182,14 +184,17 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg)
   }
   if (g.n() != 0) {
     // Validates sortedness and symmetry of every adjacency list, then gives
-    // delivery O(1) access to the sender's outbox slot for each edge. The
-    // flat outbox is laid out like the CSR arcs, so the reverse arc of a
+    // delivery O(1) access to the sender's arc reference for each edge.
+    // sent_ is laid out like the CSR arcs, so the reverse arc of a
     // receiver's port is exactly the slot it pulls from.
     in_slot_ = build_reverse_arcs(g.csr_offsets(), g.csr_neighbors());
     offsets_ = g.csr_offsets().data();
   }
-  outbox_flat_.resize(in_slot_.size());
-  port_used_flat_.assign(in_slot_.size(), 0);
+  sent_.assign(in_slot_.size(), kNoSend);
+  if (cfg_.fault.corrupt_probability > 0.0 ||
+      cfg_.policy == BandwidthPolicy::kTruncate) {
+    altered_.resize(in_slot_.size());
+  }
   const std::size_t words = (static_cast<std::size_t>(g.n()) + 63) / 64;
   mail_bits_.assign(words, 0);
   run_bits_.assign(words, 0);
@@ -200,8 +205,9 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg)
     ctx.id_ = v;
     ctx.n_ = g.n();
     ctx.neighbors_ = g.neighbors(v);
-    ctx.outbox_ = outbox_flat_.data() + offsets_[v];
-    ctx.port_used_ = port_used_flat_.data() + offsets_[v];
+    ctx.sent_ = sent_.data() + offsets_[v];
+    ctx.arenas_ = arenas_->data();
+    ctx.views_ = views_.get();
     ctx.in_slot_ = in_slot_.data() + offsets_[v];
     ctx.mail_ = mail_bits_.data();
     ctx.quiesce_ = quiesce_.get();
@@ -222,7 +228,7 @@ void Network::init_programs(
             "Network::init_programs: factory returned null");
     auto& ctx = contexts_[v];
     ctx.round_ = 0;
-    ctx.inbox_.clear();
+    ctx.inbox_size_ = 0;
     ctx.inbox_round_ = 0;
     ctx.pending_sends_ = 0;
     ctx.wake_round_ = 0;
@@ -231,9 +237,11 @@ void Network::init_programs(
     ctx.on_demand_ = programs_[v]->on_demand();
     if (!ctx.on_demand_) awake_bits_[v >> 6] |= bit_of(v);
   }
-  // A mid-run re-init may leave queued-but-undelivered slots, mail and
+  // A mid-run re-init may leave queued-but-undelivered arcs, mail and
   // wake-ups behind; wipe them so every invariant restarts from empty.
-  std::fill(port_used_flat_.begin(), port_used_flat_.end(), std::uint8_t{0});
+  std::fill(sent_.begin(), sent_.end(), kNoSend);
+  for (auto& arena : *arenas_) arena.recycle();
+  views_->clear();
   std::fill(mail_bits_.begin(), mail_bits_.end(), std::uint64_t{0});
   std::fill(run_bits_.begin(), run_bits_.end(), std::uint64_t{0});
   wake_heap_.clear();
@@ -250,8 +258,8 @@ bool Network::all_quiet_scan() const {
   for (NodeId v = 0; v < n(); ++v) {
     if (!contexts_[v].halted_ || contexts_[v].wake_round_ != 0) return false;
   }
-  for (const std::uint8_t used : port_used_flat_) {
-    if (used) return false;
+  for (const std::uint32_t ref : sent_) {
+    if (ref != kNoSend) return false;
   }
   return true;
 }
@@ -263,9 +271,9 @@ bool Network::all_quiet() const {
       quiesce_->inflight.load(std::memory_order_relaxed) == 0 &&
       quiesce_->wakes.load(std::memory_order_relaxed) == 0;
   // The counters are the old scan incrementally maintained; keep the scan
-  // as the debug-build ground truth. (inflight counts un-consumed outbox
-  // slots, but at every all_quiet call site delivery has consumed all
-  // slots of the previous round and only fresh sends remain, so the two
+  // as the debug-build ground truth. (inflight counts un-consumed arcs,
+  // but at every all_quiet call site delivery has consumed all arcs of
+  // the previous round and only fresh sends remain, so the two
   // formulations agree exactly.)
   assert(quiet == all_quiet_scan());
   return quiet;
@@ -273,6 +281,10 @@ bool Network::all_quiet() const {
 
 void Network::begin_round() {
   ++round_;
+  // This round's sends reuse the arena of the round before last, whose
+  // views expired when that round's on_round calls returned.
+  (*arenas_)[round_ & 1].recycle();
+  views_->clear();
   if (fault_enabled_) crash_index_.refresh(round_);
   // Surface the wake-ups due this round; an entry whose node re-armed
   // since is stale and skipped.
@@ -302,23 +314,29 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
   // list per edge.
   //
   // The common path is allocation-free and O(1) per edge: the sender's
-  // outbox slot is one flat array index away (in_slot_, the reverse arc)
-  // and is *moved* into the receiver's inbox — each directed edge has
-  // exactly one receiver, so the slot is consumed exactly once per round;
-  // the receiver clears the used flag as it consumes, and the sender only
-  // writes it again in the compute phase that follows. Only bandwidth
-  // truncation builds a new message; fault corruption flips a bit in the
-  // inbox slot in place. Consumed messages are counted locally and drained
-  // into the quiescence counter once per call, not once per message.
-  // Loop-invariant members hoisted into locals: the compiler cannot keep
-  // them in registers itself because the opaque calls in the loop body
-  // (observer virtual call, inbox growth) could alias any member.
+  // arc reference is one flat array index away (in_slot_, the reverse arc)
+  // and names the payload in last round's send arena; the receiver's inbox
+  // is a run of views of such payloads in views_, so no message is copied
+  // or moved. Each directed edge has exactly one receiver, so an arc is
+  // consumed exactly once per round; the receiver resets the reference as
+  // it consumes it, and the sender only writes it again in the compute
+  // phase that follows. A delivery that differs from the payload
+  // (bandwidth truncation, fault corruption) goes to the arc's private
+  // copy in altered_ instead — a broadcast payload is shared by all its
+  // receivers and is never modified. Consumed arcs are counted locally and
+  // drained into the quiescence counter once per call, not once per
+  // message.
+  // Loop-invariant members and the tallies are held in locals: the
+  // compiler cannot keep them in registers itself because the opaque calls
+  // in the loop body (observer virtual call, view-list growth) could alias
+  // any member.
   const FaultPlan& fault = cfg_.fault;
   const bool fault_enabled = fault_enabled_;
   const std::uint32_t round = round_;
   const std::uint32_t bandwidth_bits = bandwidth_bits_;
-  std::uint8_t* const port_used = port_used_flat_.data();
-  Message* const outbox = outbox_flat_.data();
+  std::uint32_t* const sent = sent_.data();
+  const SendArena& payloads = (*arenas_)[(round - 1) & 1];
+  std::vector<Incoming>& views = *views_;
   DeliveryObserver* const observer = cfg_.observer.get();
   // One predictable branch per delivery when nothing observes.
   const bool notify = sink != nullptr || observer != nullptr;
@@ -326,19 +344,23 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
     local.crashed_node_rounds += crash_index_.down_in(begin, end);
   }
   std::int64_t consumed = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t bits = 0;
+  std::uint32_t max_edge_bits = local.max_edge_bits;
   for (std::size_t i = begin >> 6; begin < end && i <= (end - 1) >> 6; ++i) {
     std::uint64_t receivers = mail_bits_[i] & range_mask(i, begin, end);
     mail_bits_[i] &= ~receivers;
     for (; receivers != 0; receivers &= receivers - 1) {
       const auto w = static_cast<NodeId>(i * 64 + std::countr_zero(receivers));
       auto& ctx = contexts_[w];
-      ctx.inbox_.clear();
+      const auto first = static_cast<std::uint32_t>(views.size());
       const bool w_crashed = fault_enabled && crash_index_.down(w);
       const std::uint32_t deg = ctx.degree();
       for (std::uint32_t p = 0; p < deg; ++p) {
         const std::uint32_t s = ctx.in_slot_[p];
-        if (!port_used[s]) continue;
-        port_used[s] = 0;
+        const std::uint32_t ref = sent[s];
+        if (ref == kNoSend) continue;
+        sent[s] = kNoSend;
         ++consumed;
         const NodeId u = ctx.neighbors_[p];
         if (fault_enabled &&
@@ -346,8 +368,9 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
           ++local.messages_dropped;
           continue;
         }
-        Message& slot = outbox[s];
-        const std::uint32_t sz = slot.size_bits();
+        const Message& payload = payloads[ref];
+        const std::uint32_t sz = payload.size_bits();
+        bool altered = false;
         if (sz > bandwidth_bits) [[unlikely]] {
           if (cfg_.policy == BandwidthPolicy::kEnforce) {
             std::ostringstream os;
@@ -358,43 +381,48 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
           }
           ++local.violations;
           if (cfg_.policy == BandwidthPolicy::kTruncate) {
-            ctx.inbox_.emplace_back(p, slot.truncated(bandwidth_bits_));
-          } else {
-            ctx.inbox_.emplace_back(p, std::move(slot));
+            altered_[s] = payload.truncated(bandwidth_bits_);
+            altered = true;
           }
-        } else {
-          ctx.inbox_.emplace_back(p, std::move(slot));
         }
-        Message& delivered = ctx.inbox_.back().msg;
         if (fault_enabled && fault.corrupts(round, u, w)) {
-          fault.corrupt_in_place(delivered, round, u, w);
+          if (!altered) altered_[s] = payload;
+          fault.corrupt_in_place(altered_[s], round, u, w);
+          altered = true;
           ++local.messages_corrupted;
         }
+        const Message& delivered = altered ? altered_[s] : payload;
+        views.emplace_back(p, delivered);
         const std::uint32_t delivered_bits = delivered.size_bits();
-        ++local.messages;
-        local.bits += delivered_bits;
-        local.max_edge_bits = std::max(local.max_edge_bits, delivered_bits);
+        ++messages;
+        bits += delivered_bits;
+        max_edge_bits = std::max(max_edge_bits, delivered_bits);
         if (notify) {
           if (sink != nullptr) {
             sink->push_back(PendingDelivery{
-                u, w, static_cast<std::uint32_t>(ctx.inbox_.size() - 1)});
+                u, w, static_cast<std::uint32_t>(views.size() - 1)});
           } else {
             observer->on_deliver(u, w, delivered, round);
           }
         }
       }
-      if (!ctx.inbox_.empty()) {
+      if (views.size() != first) {
+        ctx.inbox_first_ = first;
+        ctx.inbox_size_ = static_cast<std::uint32_t>(views.size()) - first;
         ctx.inbox_round_ = round;
         run_bits_[i] |= bit_of(w);
       }
     }
   }
+  local.messages += messages;
+  local.bits += bits;
+  local.max_edge_bits = max_edge_bits;
 #ifndef NDEBUG
-  // The invariant a sweep over every slot used to guarantee: each queued
-  // slot addressed to this range was consumed (delivered or dropped).
+  // The invariant a sweep over every arc used to guarantee: each queued
+  // arc addressed to this range was consumed (delivered or dropped).
   for (NodeId w = begin; w < end; ++w) {
     for (std::uint32_t p = 0; p < contexts_[w].degree(); ++p) {
-      assert(port_used[contexts_[w].in_slot_[p]] == 0);
+      assert(sent[contexts_[w].in_slot_[p]] == kNoSend);
     }
   }
 #endif
@@ -510,17 +538,19 @@ void Network::shard_start_range(std::uint32_t begin, std::uint32_t end) {
 }
 
 Message Network::shard_extract_slot(std::uint32_t slot) {
-  require(slot < outbox_flat_.size() && port_used_flat_[slot] != 0,
+  require(slot < sent_.size() && sent_[slot] != kNoSend,
           "Network::shard_extract_slot: slot is not queued");
-  port_used_flat_[slot] = 0;
-  return std::move(outbox_flat_[slot]);  // move resets the slot to empty
+  Message msg = shard_slot_message(slot);
+  sent_[slot] = kNoSend;
+  return msg;
 }
 
 void Network::shard_inject_slot(std::uint32_t slot, Message msg) {
-  require(slot < outbox_flat_.size() && port_used_flat_[slot] == 0,
+  require(slot < sent_.size() && sent_[slot] == kNoSend,
           "Network::shard_inject_slot: slot is already queued");
-  outbox_flat_[slot] = std::move(msg);
-  port_used_flat_[slot] = 1;
+  // Injected before the round that delivers it begins, i.e. into the
+  // arena of the round it was sent in, next to the replica's own sends.
+  sent_[slot] = (*arenas_)[round_ & 1].store(std::move(msg));
   // Slots are laid out like the CSR arcs, so the slot's receiver is the
   // arc's head.
   const NodeId to = graph_->csr_neighbors()[slot];

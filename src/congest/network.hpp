@@ -1,11 +1,13 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/fault.hpp"
@@ -23,9 +25,43 @@ using graph::NodeId;
 class Network;
 
 /// A message delivered to a node, tagged with the port it arrived on.
+///
+/// Lifetime: an Incoming is a view. `msg` refers to engine-owned storage —
+/// the payload the sender stored once in its round's send arena (shared by
+/// every port of a broadcast), or a private per-arc copy when the delivery
+/// was corrupted or truncated. The engine recycles that storage after the
+/// round, so a view is valid only during the on_round call that reads it:
+/// copy the Message (or the fields) you want to keep. Passing `in.msg` to
+/// send/broadcast inside that on_round is fine; the send stores its own copy.
 struct Incoming {
   std::uint32_t port;
-  Message msg;
+  const Message& msg;
+};
+
+/// Sentinel arc reference: nothing is queued on the arc.
+inline constexpr std::uint32_t kNoSend = ~std::uint32_t{0};
+
+/// One round's send storage. A send stores its payload once and the arcs
+/// it goes out on hold the returned index; elements are reused by
+/// assignment after recycle(), so a warmed arena keeps its capacity (and
+/// every spill block) and storing stays allocation-free.
+class SendArena {
+ public:
+  template <typename M>
+  std::uint32_t store(M&& msg) {
+    if (used_ < slots_.size()) {
+      slots_[used_] = std::forward<M>(msg);
+    } else {
+      slots_.push_back(std::forward<M>(msg));
+    }
+    return used_++;
+  }
+  const Message& operator[](std::uint32_t i) const { return slots_[i]; }
+  void recycle() { used_ = 0; }
+
+ private:
+  std::vector<Message> slots_;
+  std::uint32_t used_ = 0;
 };
 
 /// Incrementally maintained quiescence state: the exact quantities the old
@@ -38,7 +74,7 @@ struct Incoming {
 /// traces stay bit-identical whether one process runs every node or shard
 /// workers each run a slice. Debug builds cross-check against the scan.
 struct QuiesceCounters {
-  std::atomic<std::int64_t> inflight{0};  ///< queued outbox slots not yet consumed
+  std::atomic<std::int64_t> inflight{0};  ///< queued arcs not yet consumed
   std::atomic<std::int64_t> halted{0};    ///< nodes whose halted flag is set
   std::atomic<std::int64_t> wakes{0};     ///< nodes with a pending wake_at
 };
@@ -72,10 +108,14 @@ class NodeContext {
   /// Current round, starting at 1 for the first round with deliveries.
   std::uint32_t round() const { return round_; }
 
-  /// Messages delivered this round (sent by neighbors last round).
+  /// Messages delivered this round (sent by neighbors last round), in port
+  /// order. The views are valid only during this on_round call (see
+  /// Incoming): copy what you keep.
   std::span<const Incoming> inbox() const {
-    return inbox_round_ == round_ ? std::span<const Incoming>(inbox_)
-                                  : std::span<const Incoming>();
+    return inbox_round_ == round_
+               ? std::span<const Incoming>(views_->data() + inbox_first_,
+                                           inbox_size_)
+               : std::span<const Incoming>();
   }
 
   /// Queues a message on `port` for delivery next round. At most one
@@ -85,7 +125,9 @@ class NodeContext {
   /// Queues a message to the neighbor with id `v`.
   void send_to(NodeId v, Message msg) { send(port_to(v), std::move(msg)); }
 
-  /// Sends a copy of `msg` on every port.
+  /// Sends `msg` on every port. The payload is stored once and every port
+  /// refers to it. Throws, without queueing anything, if a port already
+  /// has a message this round.
   void broadcast(const Message& msg);
 
   /// Signals that this node has no further work; the quiescence run mode
@@ -124,26 +166,29 @@ class NodeContext {
   /// This node's adjacency: a view into the Graph's CSR arrays (the
   /// Network already requires the graph to outlive it).
   std::span<const NodeId> neighbors_;
-  std::vector<Incoming> inbox_;
-  /// Round whose mail inbox_ holds. An older inbox is stale and reads as
-  /// empty; delivery clears it only when new mail arrives, so no pass
-  /// clears the inboxes of nodes without mail.
+  /// This node's inbox: views_[inbox_first_, inbox_first_ + inbox_size_)
+  /// of the round's view list (the Network's views_), valid while
+  /// inbox_round_ is the current round. An older inbox is stale and reads
+  /// as empty, so no pass clears the inboxes of nodes without mail.
+  const std::vector<Incoming>* views_ = nullptr;
+  std::uint32_t inbox_first_ = 0;
+  std::uint32_t inbox_size_ = 0;
   std::uint32_t inbox_round_ = 0;
-  /// This node's slice [0, degree) of the Network's flat directed-edge
-  /// outbox storage (outbox_flat_ / port_used_flat_): one Message slot and
-  /// one used flag per port. Flat storage keeps every sender slot a
-  /// receiver pulls from one array index away (see in_slot_) instead of
-  /// three dependent loads through the sender's NodeContext. Flags are
-  /// uint8_t, not vector<bool>: the delivery loop sits on these
-  /// reads/writes and bit-proxy accesses are measurably slower than byte
-  /// loads. Raw pointers stay valid across Network moves (vector storage
-  /// is stable); the arrays are sized once at construction.
-  Message* outbox_ = nullptr;
-  std::uint8_t* port_used_ = nullptr;
-  /// in_slot_[p] is the flat index of the outbox slot on neighbors_[p]
-  /// that targets this node (the reverse arc of port p); a slice of the
-  /// Network's in_slot_ array, indexed like the outbox. Lets delivery find
-  /// the sender's slot in O(1) with a single indirection.
+  /// This node's slice [0, degree) of the Network's arc references
+  /// (sent_): entry p is the index, in the send arena of the round the
+  /// message was sent, of the payload queued on port p, or kNoSend. One
+  /// uint32_t per arc instead of a Message slot per arc: a broadcast
+  /// stores its payload once and every port refers to it. Raw pointers
+  /// stay valid across Network moves (vector and heap storage is stable);
+  /// the array is sized once at construction.
+  std::uint32_t* sent_ = nullptr;
+  /// The Network's two send arenas; a send in round r stores into
+  /// arenas_[r & 1].
+  SendArena* arenas_ = nullptr;
+  /// in_slot_[p] is the flat index of the arc on neighbors_[p] that
+  /// targets this node (the reverse arc of port p); a slice of the
+  /// Network's in_slot_ array, indexed like sent_. Lets delivery find the
+  /// sender's arc reference in O(1) with a single indirection.
   const std::uint32_t* in_slot_ = nullptr;
   /// The Network's receiver bitmap: send/broadcast set the receiving
   /// neighbor's bit so delivery visits only nodes with mail.
@@ -242,7 +287,7 @@ std::vector<std::vector<std::uint32_t>> build_reverse_ports(
 /// CSR form used by the Network constructor: arc a = offsets[w] + p (node
 /// w's port p, neighbor u = neighbors[a]) maps to the index of the reverse
 /// arc offsets[u] + q with neighbors[offsets[u] + q] == w. Arc indices are
-/// the Network's flat outbox slots, so the result is the slot a receiver
+/// the Network's arc-reference slots, so the result is the slot a receiver
 /// pulls from on each port. Same checks as build_reverse_ports.
 std::vector<std::uint32_t> build_reverse_arcs(
     std::span<const std::uint32_t> offsets,
@@ -348,15 +393,15 @@ class Network {
 
   /// A delivery buffered for a deferred observer flush: shard workers
   /// collect these and ship the events to the coordinator, which replays
-  /// them to the real observer. It names the receiver's inbox slot rather
-  /// than the sender's outbox slot so the shipped event carries the message
-  /// *as delivered* (after any fault corruption or bandwidth truncation);
-  /// the inbox is fully assembled and stable once the deliver pass of the
-  /// round is over.
+  /// them to the real observer. It names the delivery's entry in the
+  /// round's view list rather than the sender's arc so the shipped event
+  /// carries the message *as delivered* (after any fault corruption or
+  /// bandwidth truncation); the views stay valid until the next round
+  /// begins.
   struct PendingDelivery {
     NodeId from;
     NodeId to;
-    std::uint32_t inbox_index;
+    std::uint32_t view_index;
   };
 
   // ---- Shard-backend hooks (src/congest/shard) ---------------------------
@@ -365,13 +410,14 @@ class Network {
   // run_until_quiescent: the coordinator owns the round loop and the
   // quiescence / memory-audit decisions, and each worker executes only its
   // owned slice of every round. The hooks reuse the exact deliver_range /
-  // compute_range / flat-outbox code paths of the in-process engine —
+  // compute_range / send-arena code paths of the in-process engine —
   // which is what makes sharded executions bit-identical by construction.
-  // Boundary traffic moves by flat outbox slot index: the sending worker
-  // extracts a queued slot (without touching the quiescence counter — the
-  // send was already counted), the coordinator routes it, and the owning
-  // worker injects it into the same slot of its replica, where the normal
-  // delivery pass consumes it.
+  // Boundary traffic moves by slot, the flat arc index (node u's port q is
+  // slot offsets[u] + q): the sending worker copies a queued slot's payload
+  // out (without touching the quiescence counter — the send was already
+  // counted), the transport routes it, and the owning worker injects it
+  // into the same slot of its replica, where the normal delivery pass
+  // consumes it.
 
   /// Drops the user observer and the construction-time MetricsObserver:
   /// the real observer lives coordinator-side (a worker records events only
@@ -409,34 +455,34 @@ class Network {
   void shard_set_memory_audit(bool on) { memory_audit_ = on; }
 
   std::uint32_t shard_slot_count() const {
-    return static_cast<std::uint32_t>(outbox_flat_.size());
+    return static_cast<std::uint32_t>(sent_.size());
   }
-  /// First flat outbox slot of node v; v's port p queues into slot
+  /// First slot of node v; v's port p queues into slot
   /// shard_out_base(v) + p.
   std::uint32_t shard_out_base(NodeId v) const { return offsets_[v]; }
   bool shard_slot_pending(std::uint32_t slot) const {
-    return port_used_flat_[slot] != 0;
+    return sent_[slot] != kNoSend;
   }
-  /// Moves a queued message out of `slot` and clears its flag. Does NOT
-  /// decrement the inflight counter: the message is still in flight (its
-  /// receiving worker's delivery pass decrements on consume), so the
-  /// per-worker counters sum to the single-process value.
+  /// Copies a queued slot's payload out and clears the slot (the payload
+  /// may be a broadcast's, shared with other ports). Does NOT decrement
+  /// the inflight counter: the message is still in flight (its receiving
+  /// worker's delivery pass decrements on consume), so the per-worker
+  /// counters sum to the single-process value.
   Message shard_extract_slot(std::uint32_t slot);
-  /// Reads a queued slot's message in place — the shm mesh transport
-  /// serializes it straight into shared memory without moving it out.
+  /// Reads a queued slot's payload in place, in the current round's send
+  /// arena — the shm mesh transport serializes it straight into shared
+  /// memory without copying it out.
   const Message& shard_slot_message(std::uint32_t slot) const {
-    return outbox_flat_[slot];
+    return (*arenas_)[round_ & 1][sent_[slot]];
   }
-  /// Clears a queued slot after its contents were copied out, keeping the
-  /// message's spill capacity (Message::clear). Same quiescence-counter
-  /// contract as shard_extract_slot: the in-flight count is untouched.
-  void shard_clear_slot(std::uint32_t slot) {
-    port_used_flat_[slot] = 0;
-    outbox_flat_[slot].clear();
-  }
-  /// Places a boundary message into `slot` (which must be free), sets its
-  /// flag and marks the receiver as having mail. Does NOT increment
-  /// inflight: the sender's worker already counted the send.
+  /// Clears a queued slot after its payload was copied out. Same
+  /// quiescence-counter contract as shard_extract_slot: the in-flight
+  /// count is untouched.
+  void shard_clear_slot(std::uint32_t slot) { sent_[slot] = kNoSend; }
+  /// Stores a boundary message in the current round's send arena, points
+  /// `slot` (which must be free) at it and marks the receiver as having
+  /// mail. Does NOT increment inflight: the sender's worker already
+  /// counted the send.
   void shard_inject_slot(std::uint32_t slot, Message msg);
 
   std::int64_t shard_inflight() const {
@@ -451,7 +497,7 @@ class Network {
 
   /// The message a buffered PendingDelivery refers to, as delivered.
   const Message& shard_inbox_message(const PendingDelivery& d) const {
-    return contexts_[d.to].inbox_[d.inbox_index].msg;
+    return (*views_)[d.view_index].msg;
   }
 
  private:
@@ -500,15 +546,35 @@ class Network {
   std::vector<NodeContext> contexts_;
   /// The graph's CSR offsets: node u's ports are arcs offsets_[u] + q.
   const std::uint32_t* offsets_ = nullptr;
-  /// Flat directed-edge outbox storage: slot offsets_[u] + q holds the
-  /// message node u queued on its port q. Receivers consume slots through
-  /// in_slot_ and clear the used flag as they do — every queued slot is
-  /// examined by its unique receiver (delivered or dropped) in the next
-  /// deliver pass, so the flags are self-clearing and no per-round reset
-  /// pass exists.
-  std::vector<Message> outbox_flat_;
-  std::vector<std::uint8_t> port_used_flat_;
-  /// in_slot_[offsets_[w] + p]: the outbox slot w pulls from on port p.
+  /// Arc references: sent_[offsets_[u] + q] is the index of the payload
+  /// node u queued on its port q in the send arena of the round it was
+  /// sent, or kNoSend. Receivers consume arcs through in_slot_ and reset
+  /// them as they do — every queued arc is examined by its unique receiver
+  /// (delivered or dropped) in the next deliver pass, so the references
+  /// are self-clearing and no per-round reset pass exists.
+  std::vector<std::uint32_t> sent_;
+  /// Send arenas by round parity: sends of round r (on_start is round 0)
+  /// store their payload once in arena r & 1, and the deliver pass of
+  /// round r + 1 hands out views into it. begin_round recycles the arena
+  /// of the round before last — its views expired with that round.
+  /// Heap-allocated so NodeContext's raw pointer stays valid if the
+  /// Network object itself moves.
+  std::unique_ptr<std::array<SendArena, 2>> arenas_ =
+      std::make_unique<std::array<SendArena, 2>>();
+  /// The round's deliveries as views, receiver by receiver in ascending
+  /// order and ports in order within a receiver, so each inbox is one
+  /// contiguous run. begin_round empties it (the views are trivially
+  /// destructible, so that frees nothing). Heap-allocated for the same
+  /// reason as arenas_.
+  std::unique_ptr<std::vector<Incoming>> views_ =
+      std::make_unique<std::vector<Incoming>>();
+  /// Private per-arc copies for deliveries that differ from the shared
+  /// payload (fault corruption, kTruncate), so a change never leaks to the
+  /// other receivers of a broadcast. Sized only when the config can
+  /// corrupt or truncate; a copy lives until its arc's next delivery,
+  /// which outlasts the round its view is valid in.
+  std::vector<Message> altered_;
+  /// in_slot_[offsets_[w] + p]: the arc w pulls from on port p.
   std::vector<std::uint32_t> in_slot_;
   /// Activity bitmaps, one bit per node (bit v&63 of word v>>6):
   ///  * mail_bits_  — receivers with at least one queued message;

@@ -52,7 +52,7 @@
 // them); boundary_bytes/boundary_msgs report what the worker moved through
 // both paths combined.
 //
-// `slot` is a flat outbox slot index of the (identical) Network replica
+// `slot` is a flat arc index of the (identical) Network replica
 // every process holds — see Network::shard_out_base. `boundary` lists are
 // in extraction order (sender ascending, port ascending); `events` are in
 // delivery order (receiver ascending, port ascending). Full protocol and
@@ -100,8 +100,8 @@ inline constexpr std::uint8_t kMaxShardOp =
 
 const char* shard_op_name(ShardOp op);
 
-/// A boundary-edge message in transit, addressed by the flat outbox slot it
-/// occupies in every replica.
+/// A boundary-edge message in transit, addressed by the flat arc index
+/// (slot) it is queued on in every replica.
 struct BoundaryMsg {
   std::uint32_t slot = 0;
   Message msg;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -209,6 +210,73 @@ TEST(Api, FactoryReturningNullThrows) {
         return nullptr;
       }),
       InvalidArgumentError);
+}
+
+TEST(Api, RejectedBroadcastQueuesNothing) {
+  // Node 1 (the middle of a path 0-1-2) sends on port 1, then broadcasts:
+  // port 1 is taken, so the broadcast throws — and must not have queued
+  // port 0 first. Otherwise node 0 would get mail nobody counted as in
+  // flight, and the quiescence counter would never settle.
+  auto g = graph::make_path(3);
+  class Contested : public NodeProgram {
+   public:
+    void on_round(NodeContext& ctx) override {
+      for (const auto& in : ctx.inbox()) {
+        heard.push_back({ctx.round(), in.msg.field(0)});
+      }
+      if (ctx.id() == 1 && ctx.round() == 1) {
+        ctx.send(1, Message().push(5, 4));
+        try {
+          ctx.broadcast(Message().push(9, 4));
+        } catch (const InvalidArgumentError&) {
+          threw = true;
+        }
+      }
+      ctx.vote_halt();
+    }
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> heard;
+    bool threw = false;
+  };
+  Network net(g);
+  net.init_programs([](NodeId) { return std::make_unique<Contested>(); });
+  const auto stats = net.run_until_quiescent(10);
+  EXPECT_TRUE(net.program_as<Contested>(1).threw);
+  EXPECT_TRUE(stats.quiesced);
+  EXPECT_EQ(stats.rounds, 2u);
+  EXPECT_EQ(stats.messages, 1u);
+  EXPECT_TRUE(net.program_as<Contested>(0).heard.empty());
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>> sent = {{2, 5}};
+  EXPECT_EQ(net.program_as<Contested>(2).heard, sent);
+}
+
+TEST(Api, ReinitStartsWithEmptyInboxes) {
+  // on_start runs in round 0, like the first on_start did: the inboxes of
+  // the abandoned run must not show through.
+  auto g = graph::make_cycle(4);
+  class Chatter : public NodeProgram {
+   public:
+    void on_round(NodeContext& ctx) override {
+      ctx.broadcast(Message().push(1, 2));
+    }
+  };
+  class Peek : public NodeProgram {
+   public:
+    void on_start(NodeContext& ctx) override {
+      start_inbox = ctx.inbox().size();
+    }
+    void on_round(NodeContext& ctx) override { ctx.vote_halt(); }
+    std::size_t start_inbox = 99;
+  };
+  Network net(g);
+  net.init_programs([](NodeId) { return std::make_unique<Chatter>(); });
+  net.run_rounds(3);
+  net.init_programs([](NodeId) { return std::make_unique<Peek>(); });
+  const auto stats = net.run_until_quiescent(5);
+  EXPECT_TRUE(stats.quiesced);
+  EXPECT_EQ(stats.messages, 0u);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    EXPECT_EQ(net.program_as<Peek>(v).start_inbox, 0u) << "node " << v;
+  }
 }
 
 TEST(Api, ReinitResetsState) {

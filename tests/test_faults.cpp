@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "algos/bfs_tree.hpp"
@@ -390,6 +392,158 @@ TEST(FaultPlan, ShardedEngineAgreesUnderActiveFaultPlan) {
               seq_bfs.stats.crashed_node_rounds)
         << "W=" << w;
   }
+}
+
+/// Each round, sends (id, fold of everything heard, round) on every port —
+/// by one broadcast or by one send per port — and records its inbox. What
+/// it hears feeds what it sends, so a delivery that differs between the
+/// two modes changes the rest of the execution.
+class EchoFold : public congest::NodeProgram {
+ public:
+  explicit EchoFold(bool use_broadcast) : use_broadcast_(use_broadcast) {}
+
+  void on_start(NodeContext& ctx) override { emit(ctx); }
+
+  void on_round(NodeContext& ctx) override {
+    for (const auto& in : ctx.inbox()) {
+      heard.push_back({ctx.round(), in.port, in.msg});
+      for (std::size_t i = 0; i < in.msg.num_fields(); ++i) {
+        fold_ = (fold_ * 31 + in.msg.field(i)) & 0xfff;
+      }
+    }
+    if (ctx.round() < 8) emit(ctx);
+  }
+
+  struct Heard {
+    std::uint32_t round;
+    std::uint32_t port;
+    Message msg;
+    bool operator==(const Heard&) const = default;
+  };
+  std::vector<Heard> heard;
+
+ private:
+  void emit(NodeContext& ctx) const {
+    const Message m = Message()
+                          .push(ctx.id(), ctx.id_bits())
+                          .push(fold_, 12)
+                          .push(ctx.round(), 8);
+    if (use_broadcast_) {
+      ctx.broadcast(m);
+    } else {
+      for (std::uint32_t p = 0; p < ctx.degree(); ++p) ctx.send(p, m);
+    }
+  }
+
+  bool use_broadcast_;
+  std::uint64_t fold_ = 0;
+};
+
+struct Observed {
+  std::uint32_t round;
+  NodeId from;
+  NodeId to;
+  Message msg;
+  bool operator==(const Observed&) const = default;
+};
+
+struct EchoRun {
+  std::vector<Observed> events;
+  std::vector<std::vector<EchoFold::Heard>> inboxes;
+  congest::RunStats stats;
+};
+
+EchoRun run_echo(const Graph& g, NetworkConfig cfg, bool use_broadcast) {
+  EchoRun run;
+  cfg.observer = std::make_shared<congest::CallbackObserver>(
+      [&run](NodeId from, NodeId to, const Message& msg, std::uint32_t r) {
+        run.events.push_back({r, from, to, msg});
+      });
+  Network net(g, cfg);
+  net.init_programs([use_broadcast](NodeId) {
+    return std::make_unique<EchoFold>(use_broadcast);
+  });
+  run.stats = net.run_rounds(9);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    run.inboxes.push_back(net.program_as<EchoFold>(v).heard);
+  }
+  return run;
+}
+
+TEST(FaultPlan, SharedBroadcastPayloadNeverLeaksAPrivateChange) {
+  // A broadcast stores one payload that every port refers to; corruption
+  // and truncation must act on a private copy per delivery. So a broadcast
+  // and a send on every port must give the same execution under every
+  // plan and policy: same observed events, same inboxes, same stats.
+  auto g = random_graph(24, 4, 17);
+  NetworkConfig clean;
+  clean.bandwidth_bits = 32;  // the 3-field message is 25 bits at n = 24
+  struct Case {
+    const char* name;
+    NetworkConfig cfg;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"drops", clean});
+  cases.back().cfg.fault.drop_probability = 0.2;
+  cases.back().cfg.fault.seed = 3;
+  cases.push_back({"corrupt", clean});
+  cases.back().cfg.fault.corrupt_probability = 0.3;
+  cases.back().cfg.fault.seed = 5;
+  cases.push_back({"truncate", clean});
+  cases.back().cfg.bandwidth_bits = 16;
+  cases.back().cfg.policy = congest::BandwidthPolicy::kTruncate;
+  cases.push_back({"truncate+corrupt", cases.back().cfg});
+  cases.back().cfg.fault.corrupt_probability = 0.3;
+  cases.back().cfg.fault.seed = 7;
+  cases.push_back({"record", clean});
+  cases.back().cfg.bandwidth_bits = 16;
+  cases.back().cfg.policy = congest::BandwidthPolicy::kRecord;
+
+  for (const auto& c : cases) {
+    const EchoRun bcast = run_echo(g, c.cfg, /*use_broadcast=*/true);
+    const EchoRun ports = run_echo(g, c.cfg, /*use_broadcast=*/false);
+    ASSERT_FALSE(bcast.events.empty()) << c.name;
+    EXPECT_TRUE(bcast.events == ports.events) << c.name;
+    EXPECT_TRUE(bcast.inboxes == ports.inboxes) << c.name;
+    EXPECT_EQ(bcast.stats.messages, ports.stats.messages) << c.name;
+    EXPECT_EQ(bcast.stats.bits, ports.stats.bits) << c.name;
+    EXPECT_EQ(bcast.stats.max_edge_bits, ports.stats.max_edge_bits) << c.name;
+    EXPECT_EQ(bcast.stats.violations, ports.stats.violations) << c.name;
+    EXPECT_EQ(bcast.stats.messages_dropped, ports.stats.messages_dropped)
+        << c.name;
+    EXPECT_EQ(bcast.stats.messages_corrupted, ports.stats.messages_corrupted)
+        << c.name;
+    EXPECT_EQ(bcast.stats.rounds, ports.stats.rounds) << c.name;
+  }
+
+  // The corrupt case really splits broadcasts: some (round, sender) group
+  // has both a corrupted and a clean receiver, and exactly the deliveries
+  // the plan corrupts differ from what the sender sent.
+  const NetworkConfig& corrupt = cases[1].cfg;
+  const EchoRun run = run_echo(g, corrupt, /*use_broadcast=*/true);
+  EXPECT_GT(run.stats.messages_corrupted, 0u);
+  EXPECT_LT(run.stats.messages_corrupted, run.stats.messages);
+  // One clean payload per (round, sender): every receiver the plan leaves
+  // alone got exactly what the sender broadcast.
+  std::map<std::pair<std::uint32_t, NodeId>, Message> sent;
+  for (const auto& e : run.events) {
+    if (corrupt.fault.corrupts(e.round, e.from, e.to)) continue;
+    EXPECT_EQ(e.msg.field(0), e.from);
+    EXPECT_EQ(e.msg.field(2), (e.round - 1) & 0xff);
+    const auto [it, fresh] = sent.emplace(std::pair{e.round, e.from}, e.msg);
+    if (!fresh) {
+      EXPECT_TRUE(it->second == e.msg);
+    }
+  }
+  bool some_split = false;
+  for (const auto& e : run.events) {
+    if (!corrupt.fault.corrupts(e.round, e.from, e.to)) continue;
+    const auto it = sent.find({e.round, e.from});
+    if (it == sent.end()) continue;
+    some_split = true;
+    EXPECT_FALSE(it->second == e.msg);
+  }
+  EXPECT_TRUE(some_split);
 }
 
 TEST(FaultPlan, ForAttemptDecorrelatesButKeepsAttemptZero) {

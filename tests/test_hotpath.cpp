@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -123,25 +124,131 @@ class Flood : public NodeProgram {
   std::uint64_t sink = 0;
 };
 
+/// Sends on every port, one message per port, with a different message on
+/// one port (as BfsTreeProgram's child claim does): the per-port send path
+/// stores one payload per port in the send arena.
+class PortFlood : public NodeProgram {
+ public:
+  void on_start(NodeContext& ctx) override { send_all(ctx); }
+  void on_round(NodeContext& ctx) override {
+    for (const auto& in : ctx.inbox()) sink += in.msg.field(1);
+    send_all(ctx);
+  }
+  std::uint64_t sink = 0;
+
+ private:
+  static void send_all(NodeContext& ctx) {
+    const std::uint32_t marked = ctx.round() % ctx.degree();
+    for (std::uint32_t p = 0; p < ctx.degree(); ++p) {
+      Message m;
+      m.push(ctx.id() & 0xff, 8).push(p == marked ? 1 : 0, 1);
+      ctx.send(p, m);
+    }
+  }
+};
+
 TEST(HotPath, ZeroAllocationsPerDeliveryAtSteadyState) {
+  // Both send paths store into the send arena: one payload per broadcast
+  // (Flood), one per port (PortFlood).
   Rng rng(11);
   auto g = graph::make_connected_er(48, 0.12, rng);
-  Network net(g);
-  net.init_programs([](NodeId) { return std::make_unique<Flood>(); });
-  // Warm-up: inbox/outbox capacities and the one-time start costs settle.
-  net.run_rounds(3);
-  const std::uint64_t before = qc::alloc_probe_count().load();
-  const RunStats st = net.run_rounds(50);
-  const std::uint64_t after = qc::alloc_probe_count().load();
-  ASSERT_GT(st.messages, 4000u);  // the region really delivered traffic
-  EXPECT_EQ(after - before, 0u)
-      << "the no-fault sequential delivery path must not touch the heap";
+  const std::vector<std::function<std::unique_ptr<NodeProgram>(NodeId)>>
+      programs = {[](NodeId) { return std::make_unique<Flood>(); },
+                  [](NodeId) { return std::make_unique<PortFlood>(); }};
+  for (const auto& make : programs) {
+    Network net(g);
+    net.init_programs(make);
+    // Warm-up: view-list and send-arena capacities and the one-time start
+    // costs settle.
+    net.run_rounds(3);
+    const std::uint64_t before = qc::alloc_probe_count().load();
+    const RunStats st = net.run_rounds(50);
+    const std::uint64_t after = qc::alloc_probe_count().load();
+    ASSERT_GT(st.messages, 4000u);  // the region really delivered traffic
+    ASSERT_EQ(st.messages, 50 * 2 * g.m());  // every arc, every round
+    EXPECT_EQ(after - before, 0u)
+        << "the no-fault sequential delivery path must not touch the heap";
+  }
+}
+
+/// A seed message of 1 to kInlineFields + 2 fields, so some relayed
+/// payloads spill to the heap.
+Message relay_seed(NodeId v) {
+  Message m;
+  for (std::size_t i = 0; i <= v % (Message::kInlineFields + 2); ++i) {
+    m.push((v * 7 + i) & 0xff, 8);
+  }
+  return m;
+}
+
+/// Relays received views from inside the inbox loop: either echoes each
+/// one back on the port it came in on (send(in.port, in.msg)), or
+/// broadcasts the first one (broadcast(in.msg)).
+class Relay : public NodeProgram {
+ public:
+  explicit Relay(bool by_broadcast) : by_broadcast_(by_broadcast) {}
+  void on_start(NodeContext& ctx) override {
+    ctx.broadcast(relay_seed(ctx.id()));
+    sent.push_back(relay_seed(ctx.id()));
+  }
+  void on_round(NodeContext& ctx) override {
+    got.emplace_back();
+    for (const auto& in : ctx.inbox()) {
+      got.back().push_back(in.msg);
+      if (!by_broadcast_) {
+        ctx.send(in.port, in.msg);
+      } else if (&in == &ctx.inbox().front()) {
+        ctx.broadcast(in.msg);
+        sent.push_back(in.msg);
+      }
+    }
+  }
+  std::vector<std::vector<Message>> got;  ///< got[r - 1][port]
+  std::vector<Message> sent;              ///< sent[r]: the round-r broadcast
+
+ private:
+  bool by_broadcast_;
+};
+
+TEST(HotPath, InboxViewsSurviveSameRoundSends) {
+  Rng rng(3);
+  auto g = graph::make_connected_er(40, 0.15, rng);
+  NetworkConfig cfg;
+  cfg.bandwidth_bits = 128;
+  const std::uint32_t rounds = 12;
+  for (const bool by_broadcast : {false, true}) {
+    Network net(g, cfg);
+    net.init_programs([by_broadcast](NodeId) {
+      return std::make_unique<Relay>(by_broadcast);
+    });
+    const RunStats st = net.run_rounds(rounds);
+    EXPECT_EQ(st.messages, rounds * 2 * g.m());
+    for (NodeId v = 0; v < g.n(); ++v) {
+      const auto& relay = net.program_as<Relay>(v);
+      ASSERT_EQ(relay.got.size(), rounds);
+      const auto nb = g.neighbors(v);
+      for (std::uint32_t r = 1; r <= rounds; ++r) {
+        const auto& inbox = relay.got[r - 1];
+        ASSERT_EQ(inbox.size(), nb.size()) << "node " << v << " round " << r;
+        for (std::size_t p = 0; p < nb.size(); ++p) {
+          // An echo bounces between the two ends of an edge unchanged; a
+          // broadcast relay delivers what the neighbor sent last round.
+          const Message want =
+              by_broadcast ? net.program_as<Relay>(nb[p]).sent[r - 1]
+                           : relay_seed(r % 2 == 1 ? nb[p] : v);
+          EXPECT_TRUE(inbox[p] == want)
+              << (by_broadcast ? "broadcast" : "echo") << " node " << v
+              << " round " << r << " port " << p;
+        }
+      }
+    }
+  }
 }
 
 TEST(HotPath, MovedOutboxSlotsAreReusable) {
-  // Delivery moves the sender's outbox slot into the receiver's inbox; the
-  // next round must be able to queue on the same port again, including a
-  // message large enough to spill.
+  // A port is free again in the round after its message was delivered
+  // (the receiver consumed the arc), so a sender can queue on the same
+  // port every round, including a message large enough to spill.
   auto g = graph::make_path(2);
   NetworkConfig cfg;
   cfg.bandwidth_bits = 64;

@@ -72,8 +72,7 @@ TEST(MessageSbo, CopyAndMovePreserveSpilledFields) {
   EXPECT_EQ(moved.num_fields(), Message::kInlineFields + 4);
   EXPECT_EQ(moved.field(Message::kInlineFields + 3),
             Message::kInlineFields + 3);
-  // Moved-from messages reset to empty and are freely reusable — reused
-  // outbox slots depend on this.
+  // Moved-from messages reset to empty and are freely reusable.
   EXPECT_EQ(m.num_fields(), 0u);  // NOLINT(bugprone-use-after-move)
   EXPECT_EQ(m.size_bits(), 0u);
   EXPECT_EQ(m, Message{});
