@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     }
     t.print(std::cout);
     print_fit("  rounds ~ d^e", xs, ys, 1.0);
-    std::cout << "  (the Figure 2 budget is 2d + (6d+2) + (d+1) ~ 9d)\n\n";
+    std::cout << "  (the Figure 2 budget is 3*(2d) + (6d+2) + (d+1) ~ 13d)\n\n";
   }
 
   // ---- Window coverage (Lemma 1): the fraction of starting points whose

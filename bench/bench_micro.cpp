@@ -1,6 +1,6 @@
 // Infrastructure microbenchmarks (google-benchmark): CONGEST simulator
 // round throughput, state-vector gates, amplitude-vector Grover iterates,
-// and the graph substrate.
+// quantum maximization, and the graph substrate.
 
 #include <benchmark/benchmark.h>
 
@@ -17,6 +17,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "qsim/amplitude_vector.hpp"
+#include "qsim/search.hpp"
 #include "qsim/statevector.hpp"
 #include "util/rng.hpp"
 
@@ -90,6 +91,30 @@ void BM_GroverIterateAmplitude(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * dim);
 }
 BENCHMARK(BM_GroverIterateAmplitude)->Arg(1 << 10)->Arg(10000)->Arg(1 << 16);
+
+// One Durr-Hoyer maximization (Corollary 1) as the front-ends run it: f is
+// read from a fixed table, epsilon = 1/dim, delta = 0.01, and the same seed
+// each time, so every iteration samples the same outcomes.
+void BM_QuantumMaximize(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  const auto setup = qsim::AmplitudeVector::uniform(dim);
+  std::vector<std::int64_t> table(dim);
+  for (std::size_t x = 0; x < dim; ++x) {
+    table[x] = static_cast<std::int64_t>((x * 7919u + 13u) % 1009u);
+  }
+  const auto f = [&table](std::size_t x) { return table[x]; };
+  std::uint64_t iterates = 0;
+  for (auto _ : state) {
+    Rng rng(1);
+    const auto m = qsim::quantum_maximize(
+        setup, f, 1.0 / static_cast<double>(dim), 0.01, rng);
+    benchmark::DoNotOptimize(m.argmax);
+    iterates += m.costs.grover_iterations;
+  }
+  state.counters["grover_iterations"] = benchmark::Counter(
+      static_cast<double>(iterates), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_QuantumMaximize)->Arg(1 << 10)->Arg(10000)->Arg(1 << 16);
 
 void BM_StateVectorGroverIterate(benchmark::State& state) {
   const auto nq = static_cast<std::uint32_t>(state.range(0));

@@ -123,36 +123,9 @@ void AmplitudeVector::grover_iterate(std::span<const std::uint8_t> marked,
                                      std::uint64_t times) {
   require(marked.size() == amps_.size(), "grover_iterate: mask size mismatch");
   require(psi0.dim() == dim(), "grover_iterate: dimension mismatch");
-  if (times == 0) return;
-  // `times` rounds of phase_flip then reflect_about, in times + 1 passes
-  // instead of 3 * times: the reflection of iterate k and the flip and
-  // overlap of iterate k + 1 share one pass. Amplitude i of iterate k + 1
-  // needs only amplitude i of iterate k and the overlap, and the overlap
-  // still sums i = 0, 1, ... in order, so every double is the one the
-  // separate operations compute.
-  const std::size_t n = amps_.size();
-  const double* p = reinterpret_cast<const double*>(psi0.amps_.data());
-  double* a = reinterpret_cast<double*>(amps_.data());
-  double ov_re = 0, ov_im = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    flip(marked[i], a[2 * i], a[2 * i + 1]);
-    add_overlap(p[2 * i], p[2 * i + 1], a[2 * i], a[2 * i + 1], ov_re, ov_im);
-  }
-  for (std::uint64_t k = 1; k < times; ++k) {
-    const double tr = 2.0 * ov_re, ti = 2.0 * ov_im;
-    ov_re = ov_im = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double ar = a[2 * i], ai = a[2 * i + 1];
-      reflect(tr, ti, p[2 * i], p[2 * i + 1], ar, ai);
-      flip(marked[i], ar, ai);
-      add_overlap(p[2 * i], p[2 * i + 1], ar, ai, ov_re, ov_im);
-      a[2 * i] = ar;
-      a[2 * i + 1] = ai;
-    }
-  }
-  const double tr = 2.0 * ov_re, ti = 2.0 * ov_im;
-  for (std::size_t i = 0; i < n; ++i) {
-    reflect(tr, ti, p[2 * i], p[2 * i + 1], a[2 * i], a[2 * i + 1]);
+  for (std::uint64_t k = 0; k < times; ++k) {
+    phase_flip(marked);
+    reflect_about(psi0);
   }
   // The amplitude-amplification operator is -S_psi0 S_M; the global minus
   // sign is physically irrelevant and omitted.

@@ -24,7 +24,9 @@ using BasisPredicate = std::function<bool(std::size_t)>;
 /// evolution — not an approximation (see DESIGN.md §4.1).
 ///
 /// The gate-level qsim::StateVector validates these operators on small
-/// power-of-two dimensions.
+/// power-of-two dimensions. The search primitives run the same evolution
+/// on qsim::GroverPlane, its exact two-coefficient form; this class is the
+/// full-vector reference the plane is tested against.
 class AmplitudeVector {
  public:
   /// Uniform superposition over [0, dim) — the Setup state of Section 3.1.
@@ -63,7 +65,8 @@ class AmplitudeVector {
   void reflect_about(const AmplitudeVector& psi0);
 
   /// `times` Grover/amplitude-amplification iterates, each phase_flip
-  /// then reflect_about(psi0), bit-identical to applying them one by one.
+  /// then reflect_about(psi0). The full-vector reference: searches run on
+  /// GroverPlane, which tests compare against this.
   void grover_iterate(std::span<const std::uint8_t> marked,
                       const AmplitudeVector& psi0, std::uint64_t times = 1);
 

@@ -30,8 +30,9 @@ struct PhaseCountEstimate {
 };
 
 /// Runs quantum counting with a `precision_qubits`-bit counting register.
-/// `setup_state` must be a uniform-style state (the algorithm only assumes
-/// G is built from phase_flip(marked) and reflect_about(setup_state)).
+/// `setup_state` must be uniform over its support (the algorithm only
+/// assumes G is built from phase_flip(marked) and reflect_about(setup_state);
+/// the blocks G^c|psi0> are simulated on its GroverPlane).
 PhaseCountEstimate quantum_count_phase_estimation(
     const AmplitudeVector& setup_state, const BasisPredicate& marked,
     std::uint32_t precision_qubits, Rng& rng);

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "qsim/grover_plane.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 
@@ -25,10 +26,10 @@ void record_costs(const char* primitive, const SearchCosts& costs) {
 /// One BBHT phase: randomized iteration counts with the classic m <- 6m/5
 /// growth, capped at sqrt(1/epsilon). Returns when a marked item is
 /// sampled or when the phase's iteration budget is spent. `marked` is the
-/// search's marked-set mask and `state` its reusable Setup buffer.
-SearchResult bbht_phase(const AmplitudeVector& setup_state,
+/// search's marked-set mask and `plane` the Setup state split by it.
+SearchResult bbht_phase(GroverPlane& plane,
                         std::span<const std::uint8_t> marked, double epsilon,
-                        AmplitudeVector& state, Rng& rng) {
+                        Rng& rng) {
   SearchResult res;
   const double m_cap = std::max(1.0, std::sqrt(1.0 / epsilon));
   // A phase succeeds with constant probability when P_M >= epsilon and
@@ -40,11 +41,11 @@ SearchResult bbht_phase(const AmplitudeVector& setup_state,
   while (res.costs.grover_iterations < budget) {
     const auto j = static_cast<std::uint64_t>(
         rng.next_below(static_cast<std::uint64_t>(std::floor(m)) + 1));
-    state = setup_state;  // a fresh Setup
+    plane.reset();  // a fresh Setup
     ++res.costs.setup_invocations;
-    state.grover_iterate(marked, setup_state, j);
+    plane.iterate(j);
     res.costs.grover_iterations += j;
-    const std::size_t sampled = state.sample(rng);
+    const std::size_t sampled = plane.sample(rng);
     ++res.costs.candidate_evaluations;  // classical check of the sample
     if (marked[sampled] != 0) {
       res.found = true;
@@ -68,13 +69,14 @@ SearchResult amplitude_amplification_search(const AmplitudeVector& setup_state,
           "amplitude_amplification_search: delta must be in (0, 1)");
   SearchResult total;
   // The marked set is fixed for the whole search: ask the oracle once per
-  // populated branch, then every iterate of every phase reads the mask.
+  // populated branch, and split the Setup state by the mask once; every
+  // iterate of every phase then moves two coefficients of that plane.
   const std::vector<std::uint8_t> mask = setup_state.mark(marked);
-  AmplitudeVector state = setup_state;
+  GroverPlane plane(setup_state, mask);
   const auto phases = static_cast<std::uint32_t>(
       std::ceil(std::log2(1.0 / delta))) + 1;
   for (std::uint32_t p = 0; p < phases; ++p) {
-    SearchResult res = bbht_phase(setup_state, mask, epsilon, state, rng);
+    SearchResult res = bbht_phase(plane, mask, epsilon, rng);
     total.costs += res.costs;
     if (res.found) {
       total.found = true;
@@ -151,15 +153,15 @@ CountEstimate estimate_marked_fraction(const AmplitudeVector& setup_state,
 
   // Gather success counts per amplification depth.
   const std::vector<std::uint8_t> mask = setup_state.mark(marked);
-  AmplitudeVector state = setup_state;
+  GroverPlane plane(setup_state, mask);
   std::vector<std::uint32_t> successes(max_depth + 1, 0);
   for (std::uint32_t j = 0; j <= max_depth; ++j) {
     for (std::uint32_t s = 0; s < shots; ++s) {
-      state = setup_state;
+      plane.reset();
       ++est.costs.setup_invocations;
-      state.grover_iterate(mask, setup_state, j);
+      plane.iterate(j);
       est.costs.grover_iterations += j;
-      const std::size_t sampled = state.sample(rng);
+      const std::size_t sampled = plane.sample(rng);
       ++est.costs.candidate_evaluations;
       if (mask[sampled] != 0) ++successes[j];
     }

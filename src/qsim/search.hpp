@@ -43,9 +43,11 @@ struct SearchResult {
 /// probability <= delta, using O(sqrt(1/epsilon) * log(1/delta)) Setup and
 /// Checking (phase-oracle) applications.
 ///
-/// `setup_state` is the state Setup prepares; `marked` is the checking
-/// predicate. Randomness (iteration counts j and measurement outcomes) is
-/// drawn from `rng`, so runs are reproducible.
+/// `setup_state` is the state Setup prepares, uniform over its support
+/// (AmplitudeVector::uniform / over_support); `marked` is the checking
+/// predicate. Every primitive below simulates the iterates exactly on the
+/// state's GroverPlane. Randomness (iteration counts j and measurement
+/// outcomes) is drawn from `rng`, so runs are reproducible.
 SearchResult amplitude_amplification_search(const AmplitudeVector& setup_state,
                                             const BasisPredicate& marked,
                                             double epsilon, double delta,

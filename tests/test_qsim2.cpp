@@ -5,9 +5,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "qsim/amplitude_vector.hpp"
 #include "qsim/counting.hpp"
+#include "qsim/grover_plane.hpp"
 #include "qsim/search.hpp"
 #include "qsim/statevector.hpp"
 #include "util/error.hpp"
@@ -307,10 +310,11 @@ TEST(PhaseEstimationCounting, AgreesWithSamplingEstimator) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden values. The Grover kernels (marked mask, real/imag reflection) must
-// reproduce the std::complex, predicate-per-iterate implementation bit for
-// bit: these numbers were captured from that implementation and pin every
-// sampled outcome, every cost counter and every amplitude bit.
+// Golden values, captured from the std::complex, predicate-per-iterate
+// full-vector implementation. They pin every sampled outcome and every cost
+// counter of the search primitives, which now run on GroverPlane (the same
+// state in exact arithmetic), and every amplitude bit of the
+// AmplitudeVector reference kernels.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kGoldenDim = 1000;
@@ -471,6 +475,147 @@ TEST(GoldenKernels, SearchAsksThePredicateOncePerBranch) {
     EXPECT_GT(res.costs.grover_iterations, 0u);
     EXPECT_LE(calls, support.size() + res.costs.candidate_evaluations);
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// GroverPlane: the two-coefficient form of amplitude amplification that the
+// search primitives run on, checked against the full-vector reference.
+// ---------------------------------------------------------------------------
+
+/// One Setup state with one marked set, plus a name for failure messages.
+struct PlaneCase {
+  std::string name;
+  AmplitudeVector psi0;
+  std::vector<std::uint8_t> mask;
+};
+
+/// Dims {1, 2, 17, 1000} x {uniform, every third} supports x marked sets
+/// {none, one, all, golden_marked}.
+std::vector<PlaneCase> plane_cases() {
+  std::vector<PlaneCase> cases;
+  for (const std::size_t dim : {1u, 2u, 17u, 1000u}) {
+    for (const bool sparse : {false, true}) {
+      const auto psi0 = sparse ? AmplitudeVector::over_support(
+                                     dim, every_third(dim))
+                               : AmplitudeVector::uniform(dim);
+      const std::size_t one = sparse ? every_third(dim).back() : dim / 2;
+      const std::pair<const char*, BasisPredicate> marks[] = {
+          {"none", [](std::size_t) { return false; }},
+          {"one", [one](std::size_t x) { return x == one; }},
+          {"all", [](std::size_t) { return true; }},
+          {"golden", golden_marked}};
+      for (const auto& [mark_name, pred] : marks) {
+        cases.push_back({"dim=" + std::to_string(dim) +
+                             (sparse ? " every_third " : " uniform ") +
+                             mark_name,
+                         psi0, psi0.mark(pred)});
+      }
+    }
+  }
+  return cases;
+}
+
+/// c_x * lambda_class(x): the plane's amplitude of x.
+double plane_amp(const PlaneCase& c, const GroverPlane& plane,
+                 std::size_t x) {
+  const double lambda = c.mask[x] != 0 ? plane.lambda_marked()
+                                       : plane.lambda_unmarked();
+  return c.psi0.amp(x).real() * lambda;
+}
+
+TEST(GroverPlane, MatchesTheFullVectorReference) {
+  for (const auto& c : plane_cases()) {
+    GroverPlane plane(c.psi0, c.mask);
+    auto ref = c.psi0;
+    for (int j = 0; j <= 64; ++j) {
+      for (std::size_t x = 0; x < ref.dim(); ++x) {
+        ASSERT_EQ(ref.amp(x).imag(), 0.0);
+        ASSERT_NEAR(plane_amp(c, plane, x), ref.amp(x).real(), 1e-12)
+            << c.name << " j=" << j << " x=" << x;
+      }
+      plane.iterate();
+      ref.grover_iterate(c.mask, c.psi0);
+    }
+    // iterate(j) after reset() is the same state as j single iterates.
+    GroverPlane at_once(c.psi0, c.mask);
+    at_once.iterate(65);
+    EXPECT_EQ(at_once.lambda_marked(), plane.lambda_marked()) << c.name;
+    EXPECT_EQ(at_once.lambda_unmarked(), plane.lambda_unmarked()) << c.name;
+    at_once.reset();
+    EXPECT_EQ(at_once.lambda_marked(), 1.0);
+    EXPECT_EQ(at_once.lambda_unmarked(), 1.0);
+  }
+}
+
+TEST(GroverPlane, SamplesLikeTheReference) {
+  const double below_one = std::nextafter(1.0, 0.0);
+  for (const auto& c : plane_cases()) {
+    GroverPlane plane(c.psi0, c.mask);
+    auto ref = c.psi0;
+    for (int j = 0; j <= 16; ++j) {
+      EXPECT_EQ(plane.sample_at(0.0), ref.sample_at(0.0))
+          << c.name << " j=" << j;
+      EXPECT_EQ(plane.sample_at(below_one), ref.sample_at(below_one))
+          << c.name << " j=" << j;
+      // The midpoint of every cell of the reference's measurement: both
+      // samplers must land in that cell. Cells thinner than the rounding
+      // of a cumulative sum have no well-defined midpoint and are skipped.
+      const double norm = ref.norm_sq();
+      double before = 0;
+      for (std::size_t x = 0; x < ref.dim(); ++x) {
+        const double p = std::norm(ref.amp(x));
+        if (p <= 0) continue;
+        const double u01 = (before + p / 2) / norm;
+        before += p;
+        if (p < 1e-12) continue;
+        ASSERT_EQ(ref.sample_at(u01), x) << c.name << " j=" << j;
+        ASSERT_EQ(plane.sample_at(u01), x) << c.name << " j=" << j;
+      }
+      plane.iterate();
+      ref.grover_iterate(c.mask, c.psi0);
+    }
+  }
+}
+
+TEST(GroverPlane, NeverSamplesAZeroMassClass) {
+  const double below_one = std::nextafter(1.0, 0.0);
+  const double draws[] = {0.0, 1e-18, 0.25, 0.5, 0.75, below_one};
+  // No branch marked / every branch marked: the empty class has no mass,
+  // and every draw lands on the support inside the other class.
+  for (const bool all : {false, true}) {
+    const auto psi0 = AmplitudeVector::over_support(30, every_third(30));
+    const auto mask = psi0.mark([all](std::size_t) { return all; });
+    GroverPlane plane(psi0, mask);
+    for (int j = 0; j <= 20; ++j) {
+      for (const double u : draws) {
+        const std::size_t x = plane.sample_at(u);
+        EXPECT_EQ(x % 3, 0u) << "all=" << all << " j=" << j << " u=" << u;
+        EXPECT_EQ(mask[x], all ? 1 : 0);
+      }
+      plane.iterate();
+    }
+  }
+  // P_M = 1/4 exactly: one iterate rotates psi0 onto the marked branch,
+  // lambda_U is exactly 0, and the unmarked class must never be sampled —
+  // not even at u01 = 0, where the first three indices would absorb the
+  // draw if zero-mass cells were not skipped.
+  const auto psi0 = AmplitudeVector::uniform(4);
+  GroverPlane plane(psi0, psi0.mark([](std::size_t x) { return x == 3; }));
+  plane.iterate();
+  ASSERT_EQ(plane.lambda_unmarked(), 0.0);
+  for (const double u : draws) EXPECT_EQ(plane.sample_at(u), 3u) << u;
+}
+
+TEST(GroverPlane, RejectsWhatItCannotRepresent) {
+  const auto psi0 = AmplitudeVector::uniform(8);
+  const auto mask = psi0.mark([](std::size_t x) { return x == 3; });
+  EXPECT_THROW(GroverPlane(psi0, std::vector<std::uint8_t>(7, 0)),
+               InvalidArgumentError);
+  // A Setup state is uniform over its support; an evolved state is not.
+  auto evolved = psi0;
+  evolved.grover_iterate(mask, psi0);
+  EXPECT_THROW(GroverPlane(evolved, mask), InvalidArgumentError);
 }
 
 }  // namespace

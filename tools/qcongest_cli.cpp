@@ -18,7 +18,10 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <initializer_list>
 #include <iostream>
+#include <stdexcept>
+#include <string_view>
 
 #include <atomic>
 
@@ -85,6 +88,8 @@ common flags:
   --seed=N              quantum sampling / generator seed (default 7)
   --oracle=direct|simulate  branch-oracle mode (default simulate; direct
                             for big sweeps — bit-identical results)
+  --delta=P             failure probability target of the quantum search,
+                        0 < P < 1 (default 0.01)
   --fault-drop=P        per-message drop probability in [0,1] (default 0)
   --fault-corrupt=P     per-message bit-flip probability in [0,1] (default 0)
   --fault-seed=N        fault-plan seed (default 1; same seed = same faults)
@@ -124,12 +129,39 @@ void require_subroutine_ok(const Report& rep) {
           "quantum subroutine failed: " + rep.failure_reason);
 }
 
+// A flag value outside its documented set. main() prints it and exits 2,
+// so a typo never silently selects a default path.
+struct BadFlagValue : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// The value of --name (`def` when absent), which must be one of `valid`.
+std::string choice(const Cli& cli, const std::string& name,
+                   const std::string& def,
+                   std::initializer_list<std::string_view> valid) {
+  const std::string value = cli.get_string(name, def);
+  std::string expected;
+  for (const std::string_view v : valid) {
+    if (value == v) return value;
+    if (!expected.empty()) expected += '|';
+    expected += v;
+  }
+  throw BadFlagValue("unknown --" + name + " '" + value + "' (expected " +
+                     expected + ")");
+}
+
 core::QuantumConfig quantum_config(const Cli& cli) {
   core::QuantumConfig cfg;
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
-  cfg.oracle = cli.get_string("oracle", "simulate") == "direct"
+  cfg.oracle = choice(cli, "oracle", "simulate", {"direct", "simulate"}) ==
+                       "direct"
                    ? core::OracleMode::kDirect
                    : core::OracleMode::kSimulate;
+  cfg.delta = cli.get_double("delta", cfg.delta);
+  if (!(cfg.delta > 0 && cfg.delta < 1)) {
+    throw BadFlagValue("--delta must be in (0, 1), got " +
+                       cli.get_string("delta", ""));
+  }
   cfg.net = net_config(cli);
   return cfg;
 }
@@ -335,7 +367,7 @@ int main(int argc, char** argv) try {
   cli.expect_flags({"seed", "oracle", "fault-drop", "fault-corrupt",
                     "fault-seed", "quiet", "algo", "s", "threshold", "out",
                     "metrics-out", "encoding", "server", "v", "root",
-                    "shards", "rounds", "partitioner"});
+                    "shards", "rounds", "partitioner", "delta"});
   const auto& pos = cli.positional();
   if (pos.empty()) return usage();
   const std::string cmd = pos[0];
@@ -343,6 +375,9 @@ int main(int argc, char** argv) try {
   if (cmd == "help") return usage();
   if (cli.has("server")) return run_client(cli, cmd, pos);
   if (pos.size() < 2) return usage();
+  // Parsed before any work, whichever command runs, so a bad --oracle or
+  // --delta is rejected even where it would not be read.
+  const core::QuantumConfig qcfg = quantum_config(cli);
   // The export session outlives the root span (destruction runs in reverse
   // order), so the span is closed by the time the JSONL is written.
   metrics::ScopedExport metrics_session(cli.get_string("metrics-out", ""));
@@ -433,7 +468,8 @@ int main(int argc, char** argv) try {
   require(g.is_connected(), "this command requires a connected graph");
 
   if (cmd == "diameter") {
-    const std::string algo = cli.get_string("algo", "quantum");
+    const std::string algo =
+        choice(cli, "algo", "quantum", {"classical", "quantum", "simple"});
     if (algo == "classical") {
       auto rep = algos::classical_exact_diameter(g, net_config(cli));
       if (quiet) {
@@ -444,9 +480,8 @@ int main(int argc, char** argv) try {
                 << rep.stats.rounds << " CONGEST rounds, classical O(n+D))\n";
       return 0;
     }
-    auto cfg = quantum_config(cli);
-    auto rep = algo == "simple" ? core::quantum_diameter_simple(g, cfg)
-                                : core::quantum_diameter_exact(g, cfg);
+    auto rep = algo == "simple" ? core::quantum_diameter_simple(g, qcfg)
+                                : core::quantum_diameter_exact(g, qcfg);
     require_subroutine_ok(rep);
     if (quiet) {
       std::cout << rep.diameter << "\n";
@@ -463,7 +498,8 @@ int main(int argc, char** argv) try {
   }
 
   if (cmd == "approx") {
-    const std::string algo = cli.get_string("algo", "quantum");
+    const std::string algo =
+        choice(cli, "algo", "quantum", {"classical", "quantum"});
     const auto s = static_cast<std::uint32_t>(cli.get_int("s", 0));
     if (algo == "classical") {
       auto rep = algos::classical_approx_diameter(g, s, net_config(cli));
@@ -477,7 +513,7 @@ int main(int argc, char** argv) try {
                 << ", guarantee est <= D <= 3*est/2)\n";
       return 0;
     }
-    auto rep = core::quantum_diameter_approx(g, quantum_config(cli), s);
+    auto rep = core::quantum_diameter_approx(g, qcfg, s);
     require_subroutine_ok(rep);
     require(!rep.aborted, "approx: sampling aborted; re-run");
     if (quiet) {
@@ -492,7 +528,8 @@ int main(int argc, char** argv) try {
   }
 
   if (cmd == "radius") {
-    const std::string algo = cli.get_string("algo", "quantum");
+    const std::string algo =
+        choice(cli, "algo", "quantum", {"census", "quantum"});
     if (algo == "census") {
       auto rep = algos::classical_apsp_census(g, net_config(cli));
       if (quiet) {
@@ -503,7 +540,7 @@ int main(int argc, char** argv) try {
                 << "  (" << rep.stats.rounds << " rounds, classical census)\n";
       return 0;
     }
-    auto rep = core::quantum_radius(g, quantum_config(cli));
+    auto rep = core::quantum_radius(g, qcfg);
     require_subroutine_ok(rep);
     if (quiet) {
       std::cout << rep.radius << "\n";
@@ -517,8 +554,9 @@ int main(int argc, char** argv) try {
 
   if (cmd == "decide") {
     require(cli.has("threshold"), "decide: --threshold=K is required");
+    choice(cli, "algo", "quantum", {"quantum"});
     const auto k = static_cast<std::uint32_t>(cli.get_int("threshold", 0));
-    auto rep = core::quantum_diameter_decide(g, k, quantum_config(cli));
+    auto rep = core::quantum_diameter_decide(g, k, qcfg);
     require_subroutine_ok(rep);
     if (quiet) {
       std::cout << (rep.diameter_exceeds ? 1 : 0) << "\n";
@@ -570,7 +608,8 @@ int main(int argc, char** argv) try {
   }
 
   if (cmd == "run") {
-    const std::string algo = cli.get_string("algo", "ecc");
+    const std::string algo =
+        choice(cli, "algo", "ecc", {"bfs", "ecc", "sweep"});
     const auto root =
         static_cast<graph::NodeId>(cli.get_int("root", 0));
     const auto shards = static_cast<std::uint32_t>(cli.get_int("shards", 0));
@@ -585,14 +624,10 @@ int main(int argc, char** argv) try {
     scfg.shards = shards;
     scfg.net = net_config(cli);
     scfg.stop = &g_stop;
-    const std::string part = cli.get_string("partitioner", "contiguous");
-    if (part == "greedy") {
+    if (choice(cli, "partitioner", "contiguous", {"contiguous", "greedy"}) ==
+        "greedy") {
       scfg.partitioner =
           std::make_shared<congest::shard::GreedyGrowPartitioner>();
-    } else if (part != "contiguous") {
-      std::cerr << "unknown --partitioner '" << part
-                << "' (expected contiguous|greedy)\n";
-      return 2;
     }
     congest::shard::ShardedNetwork net(g, scfg);
     const int rc = run_distributed(net, g, algo, root, spin, quiet);
@@ -609,6 +644,9 @@ int main(int argc, char** argv) try {
 
   std::cerr << "unknown command '" << cmd << "'\n";
   return usage();
+} catch (const BadFlagValue& e) {
+  std::cerr << e.what() << "\n";
+  return 2;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";
   return 1;
