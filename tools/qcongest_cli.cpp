@@ -88,8 +88,6 @@ common flags:
   --seed=N              quantum sampling / generator seed (default 7)
   --oracle=direct|simulate  branch-oracle mode (default simulate; direct
                             for big sweeps — bit-identical results)
-  --delta=P             failure probability target of the quantum search,
-                        0 < P < 1 (default 0.01)
   --fault-drop=P        per-message drop probability in [0,1] (default 0)
   --fault-corrupt=P     per-message bit-flip probability in [0,1] (default 0)
   --fault-seed=N        fault-plan seed (default 1; same seed = same faults)
@@ -157,11 +155,6 @@ core::QuantumConfig quantum_config(const Cli& cli) {
                        "direct"
                    ? core::OracleMode::kDirect
                    : core::OracleMode::kSimulate;
-  cfg.delta = cli.get_double("delta", cfg.delta);
-  if (!(cfg.delta > 0 && cfg.delta < 1)) {
-    throw BadFlagValue("--delta must be in (0, 1), got " +
-                       cli.get_string("delta", ""));
-  }
   cfg.net = net_config(cli);
   return cfg;
 }
@@ -173,6 +166,14 @@ core::QuantumConfig quantum_config(const Cli& cli) {
 int run_client(const Cli& cli, const std::string& cmd,
                const std::vector<std::string>& pos) {
   const bool quiet = cli.get_bool("quiet", false);
+  // The daemon answers from its exact engine and is sent neither flag, so
+  // any value would be silently ignored.
+  for (const char* flag : {"oracle", "algo"}) {
+    if (cli.has(flag)) {
+      throw BadFlagValue(std::string("client mode does not take --") + flag +
+                         " (the daemon answers from its exact engine)");
+    }
+  }
 #ifdef SIGPIPE
   // A daemon that dies mid-conversation must surface as a write error,
   // not kill the client (MSG_NOSIGNAL covers Linux; this covers macOS).
@@ -333,8 +334,6 @@ int run_distributed(Net& net, const graph::Graph& g, const std::string& algo,
     t.add_row({"diameter lower bound", fmt(second.ecc)});
     t.add_row({"status", algos::to_string(
                              algos::worst_of(first.status, second.status))});
-  } else {
-    require(false, "run: --algo must be bfs, ecc or sweep");
   }
   // Optional spin phase: keep the (quiescent) network ticking so signal
   // handling and long-running shard sessions can be exercised end to end.
@@ -367,7 +366,7 @@ int main(int argc, char** argv) try {
   cli.expect_flags({"seed", "oracle", "fault-drop", "fault-corrupt",
                     "fault-seed", "quiet", "algo", "s", "threshold", "out",
                     "metrics-out", "encoding", "server", "v", "root",
-                    "shards", "rounds", "partitioner", "delta"});
+                    "shards", "rounds", "partitioner"});
   const auto& pos = cli.positional();
   if (pos.empty()) return usage();
   const std::string cmd = pos[0];
@@ -375,8 +374,8 @@ int main(int argc, char** argv) try {
   if (cmd == "help") return usage();
   if (cli.has("server")) return run_client(cli, cmd, pos);
   if (pos.size() < 2) return usage();
-  // Parsed before any work, whichever command runs, so a bad --oracle or
-  // --delta is rejected even where it would not be read.
+  // Parsed before any work, whichever local command runs, so a bad
+  // --oracle is rejected even where it would not be read.
   const core::QuantumConfig qcfg = quantum_config(cli);
   // The export session outlives the root span (destruction runs in reverse
   // order), so the span is closed by the time the JSONL is written.
