@@ -15,7 +15,7 @@
 // W ∈ {1, 2, 4, 8} workers under the contiguous partitioner and
 // W ∈ {2, 4, 8} under the greedy (cut-minimizing) one. Per row the table
 // reports the static boundary fraction, the coordinator's barrier wait per
-// round and the boundary bytes moved per round (shm mesh + spill).
+// round and the boundary bytes moved per round through the shm mesh.
 //
 // Every sharded row is gated on bit-identical parity with the sequential
 // run — message count, bit count, round count, quiescence flag, and an
@@ -115,7 +115,6 @@ struct Result {
   double barrier_us_per_round = 0.0;
   double boundary_bytes_per_round = 0.0;
   std::uint64_t events_elided = 0;
-  std::uint64_t spilled_frames = 0;
 
   double msgs_per_sec() const {
     return static_cast<double>(messages) / std::max(ms, 1e-9) * 1e3;
@@ -193,7 +192,6 @@ Result run_sharded(const graph::Graph& g, std::uint32_t shards,
   r.boundary_bytes_per_round =
       static_cast<double>(perf.boundary_bytes) * per_round;
   r.events_elided = perf.events_elided;
-  r.spilled_frames = perf.spilled_frames;
   net.shutdown();
   return r;
 }
@@ -341,7 +339,6 @@ int main(int argc, char** argv) {
          << ", \"boundary_bytes_per_round\": "
          << fmt(nr.r.boundary_bytes_per_round, 0)
          << ", \"events_elided\": " << nr.r.events_elided
-         << ", \"spilled_frames\": " << nr.r.spilled_frames
          << ", \"speedup_vs_seq\": "
          << fmt(seq.ms / std::max(nr.r.ms, 1e-9), 3) << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";

@@ -537,14 +537,6 @@ void Network::shard_start_range(std::uint32_t begin, std::uint32_t end) {
   if (wakes != 0) quiesce_->wakes.fetch_add(wakes, std::memory_order_relaxed);
 }
 
-Message Network::shard_extract_slot(std::uint32_t slot) {
-  require(slot < sent_.size() && sent_[slot] != kNoSend,
-          "Network::shard_extract_slot: slot is not queued");
-  Message msg = shard_slot_message(slot);
-  sent_[slot] = kNoSend;
-  return msg;
-}
-
 void Network::shard_inject_slot(std::uint32_t slot, Message msg) {
   require(slot < sent_.size() && sent_[slot] == kNoSend,
           "Network::shard_inject_slot: slot is already queued");

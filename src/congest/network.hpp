@@ -43,8 +43,8 @@ inline constexpr std::uint32_t kNoSend = ~std::uint32_t{0};
 
 /// One round's send storage. A send stores its payload once and the arcs
 /// it goes out on hold the returned index; elements are reused by
-/// assignment after recycle(), so a warmed arena keeps its capacity (and
-/// every spill block) and storing stays allocation-free.
+/// assignment after recycle(), so a warmed arena keeps its capacity and
+/// storing stays allocation-free.
 class SendArena {
  public:
   template <typename M>
@@ -413,11 +413,11 @@ class Network {
   // compute_range / send-arena code paths of the in-process engine —
   // which is what makes sharded executions bit-identical by construction.
   // Boundary traffic moves by slot, the flat arc index (node u's port q is
-  // slot offsets[u] + q): the sending worker copies a queued slot's payload
-  // out (without touching the quiescence counter — the send was already
-  // counted), the transport routes it, and the owning worker injects it
-  // into the same slot of its replica, where the normal delivery pass
-  // consumes it.
+  // slot offsets[u] + q): the sending worker serializes a queued slot's
+  // payload into the mesh ring of the receiver's shard and clears the slot
+  // (without touching the quiescence counter — the send was already
+  // counted), and the owning worker injects it into the same slot of its
+  // replica, where the normal delivery pass consumes it.
 
   /// Drops the user observer and the construction-time MetricsObserver:
   /// the real observer lives coordinator-side (a worker records events only
@@ -463,21 +463,16 @@ class Network {
   bool shard_slot_pending(std::uint32_t slot) const {
     return sent_[slot] != kNoSend;
   }
-  /// Copies a queued slot's payload out and clears the slot (the payload
-  /// may be a broadcast's, shared with other ports). Does NOT decrement
-  /// the inflight counter: the message is still in flight (its receiving
-  /// worker's delivery pass decrements on consume), so the per-worker
-  /// counters sum to the single-process value.
-  Message shard_extract_slot(std::uint32_t slot);
   /// Reads a queued slot's payload in place, in the current round's send
-  /// arena — the shm mesh transport serializes it straight into shared
-  /// memory without copying it out.
+  /// arena (the payload may be a broadcast's, shared with other ports) —
+  /// the shm mesh transport serializes it straight into shared memory.
   const Message& shard_slot_message(std::uint32_t slot) const {
     return (*arenas_)[round_ & 1][sent_[slot]];
   }
-  /// Clears a queued slot after its payload was copied out. Same
-  /// quiescence-counter contract as shard_extract_slot: the in-flight
-  /// count is untouched.
+  /// Clears a queued slot after its payload was serialized. Does NOT
+  /// decrement the inflight counter: the message is still in flight (its
+  /// receiving worker's delivery pass decrements on consume), so the
+  /// per-worker counters sum to the single-process value.
   void shard_clear_slot(std::uint32_t slot) { sent_[slot] = kNoSend; }
   /// Stores a boundary message in the current round's send arena, points
   /// `slot` (which must be free) at it and marks the receiver as having

@@ -19,9 +19,8 @@ void proto_require(bool cond, const char* msg) {
 }
 
 /// Unbounded writer over a growing vector — the socket-frame encode path.
-/// Mirrors FrameWriter's interface so the body encoders below are written
-/// once and instantiated for both destinations (an encoder that diverged
-/// between the ring and the socket would break frame parity silently).
+/// Mirrors FrameWriter's interface so the header and message encoders
+/// below are written once for both destinations.
 class VecWriter {
  public:
   explicit VecWriter(std::vector<std::uint8_t>& out) : out_(out) {}
@@ -122,8 +121,6 @@ Reader open_body(std::span<const std::uint8_t> payload, ShardOp expect) {
 
 template <class W>
 void put_message(W& w, const Message& m) {
-  require(m.num_fields() <= kMaxWireMessageFields,
-          "shard: message has more fields than the wire cap");
   w.u32(static_cast<std::uint32_t>(m.num_fields()));
   for (std::size_t i = 0; i < m.num_fields(); ++i) {
     w.u8(static_cast<std::uint8_t>(m.field_bits(i)));
@@ -133,8 +130,8 @@ void put_message(W& w, const Message& m) {
 
 void read_message_into(Reader& r, Message& m) {
   const std::uint32_t count = r.u32();
-  proto_require(count <= kMaxWireMessageFields,
-                "shard: message field count exceeds the cap");
+  proto_require(count <= Message::kMaxFields,
+                "shard: message field count exceeds Message::kMaxFields");
   proto_require(r.remaining() >= static_cast<std::size_t>(count) * 9,
                 "shard: message field count disagrees with the payload size");
   m.clear();
@@ -149,30 +146,7 @@ void read_message_into(Reader& r, Message& m) {
   }
 }
 
-template <class W>
-void put_boundary(W& w, const std::vector<BoundaryMsg>& boundary) {
-  w.u32(static_cast<std::uint32_t>(boundary.size()));
-  for (const auto& b : boundary) {
-    w.u32(b.slot);
-    put_message(w, b.msg);
-  }
-}
-
-void read_boundary_into(Reader& r, std::vector<BoundaryMsg>& out) {
-  const std::uint32_t count = r.u32();
-  // Cheapest-possible encoding of one entry is 8 bytes (slot + empty
-  // message); reject length bombs before any allocation of that size.
-  proto_require(r.remaining() >= static_cast<std::size_t>(count) * 8,
-                "shard: boundary count disagrees with the payload size");
-  out.resize(count);
-  for (auto& b : out) {
-    b.slot = r.u32();
-    read_message_into(r, b.msg);
-  }
-}
-
-template <class W>
-void put_events(W& w, const std::vector<DeliveryEvent>& events) {
+void put_events(FrameWriter& w, const std::vector<DeliveryEvent>& events) {
   w.u32(static_cast<std::uint32_t>(events.size()));
   for (const auto& e : events) {
     w.u32(e.from);
@@ -193,8 +167,7 @@ void read_events_into(Reader& r, std::vector<DeliveryEvent>& out) {
   }
 }
 
-template <class W>
-void put_stats(W& w, const RunStats& s) {
+void put_stats(FrameWriter& w, const RunStats& s) {
   w.u32(s.rounds);
   w.u64(s.messages);
   w.u64(s.bits);
@@ -224,29 +197,6 @@ RunStats read_stats(Reader& r) {
   s.messages_corrupted = r.u64();
   s.crashed_node_rounds = r.u64();
   return s;
-}
-
-template <class W>
-void put_round_begin(W& w, const RoundBeginFrame& f) {
-  put_header(w, ShardOp::kRoundBegin);
-  w.u32(f.round);
-  w.u8(static_cast<std::uint8_t>((f.memory_audit ? 1 : 0) |
-                                  (f.memory_sweep_all ? 2 : 0)));
-  put_boundary(w, f.boundary);
-}
-
-template <class W>
-void put_round_end(W& w, const RoundEndFrame& f) {
-  put_header(w, ShardOp::kRoundEnd);
-  w.u32(f.round);
-  w.u64(static_cast<std::uint64_t>(f.inflight));
-  w.u64(static_cast<std::uint64_t>(f.halted));
-  w.u64(static_cast<std::uint64_t>(f.wakes));
-  w.u64(f.boundary_bytes);
-  w.u64(f.boundary_msgs);
-  put_stats(w, f.stats);
-  put_boundary(w, f.boundary);
-  put_events(w, f.events);
 }
 
 }  // namespace
@@ -296,7 +246,6 @@ std::vector<std::uint8_t> encode_start_done(const StartDoneFrame& f) {
   w.u64(static_cast<std::uint64_t>(f.inflight));
   w.u64(static_cast<std::uint64_t>(f.halted));
   w.u64(static_cast<std::uint64_t>(f.wakes));
-  put_boundary(w, f.boundary);
   return out;
 }
 
@@ -306,16 +255,18 @@ StartDoneFrame decode_start_done(std::span<const std::uint8_t> payload) {
   f.inflight = r.i64();
   f.halted = r.i64();
   f.wakes = r.i64();
-  read_boundary_into(r, f.boundary);
   r.done();
   return f;
 }
 
-std::vector<std::uint8_t> encode_round_begin(const RoundBeginFrame& f) {
-  std::vector<std::uint8_t> out;
-  VecWriter w(out);
-  put_round_begin(w, f);
-  return out;
+std::size_t encode_round_begin_to(std::span<std::uint8_t> buf,
+                                  const RoundBeginFrame& f) {
+  FrameWriter w(buf);
+  put_header(w, ShardOp::kRoundBegin);
+  w.u32(f.round);
+  w.u8(static_cast<std::uint8_t>((f.memory_audit ? 1 : 0) |
+                                  (f.memory_sweep_all ? 2 : 0)));
+  return w.size();
 }
 
 void decode_round_begin_into(std::span<const std::uint8_t> payload,
@@ -326,21 +277,22 @@ void decode_round_begin_into(std::span<const std::uint8_t> payload,
   proto_require(flags <= 3, "shard: unknown round-begin flag bits");
   f.memory_audit = (flags & 1) != 0;
   f.memory_sweep_all = (flags & 2) != 0;
-  read_boundary_into(r, f.boundary);
   r.done();
 }
 
-RoundBeginFrame decode_round_begin(std::span<const std::uint8_t> payload) {
-  RoundBeginFrame f;
-  decode_round_begin_into(payload, f);
-  return f;
-}
-
-std::vector<std::uint8_t> encode_round_end(const RoundEndFrame& f) {
-  std::vector<std::uint8_t> out;
-  VecWriter w(out);
-  put_round_end(w, f);
-  return out;
+std::size_t encode_round_end_to(std::span<std::uint8_t> buf,
+                                const RoundEndFrame& f) {
+  FrameWriter w(buf);
+  put_header(w, ShardOp::kRoundEnd);
+  w.u32(f.round);
+  w.u64(static_cast<std::uint64_t>(f.inflight));
+  w.u64(static_cast<std::uint64_t>(f.halted));
+  w.u64(static_cast<std::uint64_t>(f.wakes));
+  w.u64(f.boundary_bytes);
+  w.u64(f.boundary_msgs);
+  put_stats(w, f.stats);
+  put_events(w, f.events);
+  return w.size();
 }
 
 void decode_round_end_into(std::span<const std::uint8_t> payload,
@@ -353,42 +305,8 @@ void decode_round_end_into(std::span<const std::uint8_t> payload,
   f.boundary_bytes = r.u64();
   f.boundary_msgs = r.u64();
   f.stats = read_stats(r);
-  read_boundary_into(r, f.boundary);
   read_events_into(r, f.events);
   r.done();
-}
-
-RoundEndFrame decode_round_end(std::span<const std::uint8_t> payload) {
-  RoundEndFrame f;
-  decode_round_end_into(payload, f);
-  return f;
-}
-
-bool encode_round_begin_to(std::span<std::uint8_t> buf,
-                           const RoundBeginFrame& f, std::size_t& len) {
-  FrameWriter w(buf);
-  put_round_begin(w, f);
-  if (!w.ok()) return false;
-  len = w.size();
-  return true;
-}
-
-bool encode_round_end_to(std::span<std::uint8_t> buf, const RoundEndFrame& f,
-                         std::size_t& len) {
-  FrameWriter w(buf);
-  put_round_end(w, f);
-  if (!w.ok()) return false;
-  len = w.size();
-  return true;
-}
-
-bool encode_empty_to(std::span<std::uint8_t> buf, ShardOp op,
-                     std::size_t& len) {
-  FrameWriter w(buf);
-  put_header(w, op);
-  if (!w.ok()) return false;
-  len = w.size();
-  return true;
 }
 
 std::vector<std::uint8_t> encode_harvest_done(const HarvestDoneFrame& f) {
@@ -450,19 +368,15 @@ MeshWriter::MeshWriter(std::span<std::uint8_t> buf, std::uint32_t round)
   w_.u32(0);  // entry count, patched by finish()
 }
 
-bool MeshWriter::add(std::uint32_t slot, const Message& m) {
+void MeshWriter::add(std::uint32_t slot, const Message& m) {
   w_.u32(slot);
   put_message(w_, m);
-  if (!w_.ok()) return false;
   ++count_;
-  return true;
 }
 
-bool MeshWriter::finish(std::size_t& len) {
-  if (!w_.ok()) return false;
+std::size_t MeshWriter::finish() {
   w_.patch_u32(count_at_, count_);
-  len = w_.size();
-  return true;
+  return w_.size();
 }
 
 MeshReader::MeshReader(std::span<const std::uint8_t> payload,

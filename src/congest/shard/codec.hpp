@@ -16,8 +16,8 @@
 //   frame        := u32 payload_len | payload      len in [1, kMaxShardFrameBytes]
 //   payload      := u8 version | u8 op | u8 x2 reserved(0) | body
 //   message      := u32 num_fields | num_fields x (u8 width | u64 value)
+//                   num_fields <= Message::kMaxFields,
 //                   width in [1,64], value < 2^width
-//   boundary     := u32 count | count x (u32 slot | message)
 //   events       := u32 count | count x (u32 from | u32 to | message)
 //   stats        := u32 rounds | u64 messages | u64 bits | u32 max_edge_bits
 //                 | u64 violations | u8 quiesced | u64 max_node_memory_bits
@@ -26,15 +26,15 @@
 //
 //   body by op (direction):
 //     start        (c->w) := (empty)                 run on_start, report
-//     start_done   (w->c) := i64 inflight | i64 halted | i64 wakes | boundary
-//     round_begin  (c->w) := u32 round | u8 flags | boundary
+//     start_done   (w->c) := i64 inflight | i64 halted | i64 wakes
+//     round_begin  (c->w) := u32 round | u8 flags
 //                            flags bit 0: memory audit armed
 //                            flags bit 1: audit every owned node (the
 //                            first round of a phase), not only those
 //                            that ran
 //     round_end    (w->c) := u32 round | i64 inflight | i64 halted | i64 wakes
 //                          | u64 boundary_bytes | u64 boundary_msgs
-//                          | stats | boundary | events
+//                          | stats | events
 //     harvest      (c->w) := (empty)                 serialize owned programs
 //     harvest_done (w->c) := u32 count | count x message
 //     shutdown     (c->w) := (empty)                 worker exits 0
@@ -46,15 +46,16 @@
 // worker-to-worker shared-memory segments (shm_ring.hpp), carrying one
 // round's boundary batch for one directed shard pair. They keep the full
 // version/op/reserved header and the same adversarial validation as every
-// socket frame — shared memory is still untrusted input. round_end's
-// boundary list is the overflow path for batches that did not fit their
-// mesh segment (routed through the coordinator like PR 9 did for all of
-// them); boundary_bytes/boundary_msgs report what the worker moved through
-// both paths combined.
+// socket frame — shared memory is still untrusted input. Boundary
+// messages travel only there: the CONGEST model puts at most one message
+// of at most Message::kMaxFields fields on an arc per round, so a batch
+// never outgrows a segment sized by plan_layout, and round_begin /
+// round_end never outgrow their channel slots. boundary_bytes /
+// boundary_msgs report what the worker moved through its mesh segments.
 //
 // `slot` is a flat arc index of the (identical) Network replica
-// every process holds — see Network::shard_out_base. `boundary` lists are
-// in extraction order (sender ascending, port ascending); `events` are in
+// every process holds — see Network::shard_out_base. Mesh batches are in
+// extraction order (sender ascending, port ascending); `events` are in
 // delivery order (receiver ascending, port ascending). Full protocol and
 // determinism contract: docs/distributed.md.
 
@@ -66,23 +67,20 @@
 #include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "serve/protocol.hpp"
+#include "util/error.hpp"
 
 namespace qc::congest::shard {
 
 using graph::NodeId;
 
-inline constexpr std::uint8_t kShardProtocolVersion = 1;
+inline constexpr std::uint8_t kShardProtocolVersion = 2;
 
-/// Hard cap on one shard frame's payload. Round frames carry one message
-/// per boundary arc (or per delivered edge when observer events ship), so
-/// the cap scales with the largest supported per-round cut, not with n;
-/// 64 MiB covers every workload in this repo with two orders of margin.
-/// A frame above the cap is a protocol error — producers must respect it.
+/// Hard cap on one shard frame's payload. Only lifecycle frames cross the
+/// socket (start, harvest, error, shutdown); the largest is harvest_done,
+/// one serialized program state per owned node, so 64 MiB covers every
+/// workload in this repo with two orders of margin. A frame above the cap
+/// is a protocol error — producers must respect it.
 inline constexpr std::uint32_t kMaxShardFrameBytes = 1u << 26;
-/// Cap on fields in one wire message. CONGEST messages are bandwidth-
-/// bounded (O(log n) bits, so a handful of fields); 4096 is absurdly
-/// generous and still rejects length-bomb payloads cheaply.
-inline constexpr std::uint32_t kMaxWireMessageFields = 4096;
 
 enum class ShardOp : std::uint8_t {
   kStart = 0,
@@ -100,13 +98,6 @@ inline constexpr std::uint8_t kMaxShardOp =
 
 const char* shard_op_name(ShardOp op);
 
-/// A boundary-edge message in transit, addressed by the flat arc index
-/// (slot) it is queued on in every replica.
-struct BoundaryMsg {
-  std::uint32_t slot = 0;
-  Message msg;
-};
-
 /// One delivered message a worker ships for the coordinator's observer
 /// flush (the round is implicit in the enclosing round_end frame).
 struct DeliveryEvent {
@@ -119,14 +110,12 @@ struct StartDoneFrame {
   std::int64_t inflight = 0;
   std::int64_t halted = 0;
   std::int64_t wakes = 0;
-  std::vector<BoundaryMsg> boundary;
 };
 
 struct RoundBeginFrame {
   std::uint32_t round = 0;
   bool memory_audit = false;
   bool memory_sweep_all = false;
-  std::vector<BoundaryMsg> boundary;
 };
 
 struct RoundEndFrame {
@@ -134,13 +123,11 @@ struct RoundEndFrame {
   std::int64_t inflight = 0;
   std::int64_t halted = 0;
   std::int64_t wakes = 0;
-  /// Boundary payload the worker moved this round over both transports
-  /// (mesh segments + the spill list below), for the coordinator's
-  /// shard.boundary_bytes accounting.
+  /// Boundary payload the worker published to its mesh segments this
+  /// round, for the coordinator's shard.boundary_bytes accounting.
   std::uint64_t boundary_bytes = 0;
   std::uint64_t boundary_msgs = 0;
   RunStats stats;  ///< this worker's slice of the round (quiesced unused)
-  std::vector<BoundaryMsg> boundary;  ///< mesh-overflow spill only
   std::vector<DeliveryEvent> events;
 };
 
@@ -163,57 +150,37 @@ void decode_empty(std::span<const std::uint8_t> payload, ShardOp op);
 std::vector<std::uint8_t> encode_start_done(const StartDoneFrame& f);
 StartDoneFrame decode_start_done(std::span<const std::uint8_t> payload);
 
-std::vector<std::uint8_t> encode_round_begin(const RoundBeginFrame& f);
-RoundBeginFrame decode_round_begin(std::span<const std::uint8_t> payload);
-
-std::vector<std::uint8_t> encode_round_end(const RoundEndFrame& f);
-RoundEndFrame decode_round_end(std::span<const std::uint8_t> payload);
-
 std::vector<std::uint8_t> encode_harvest_done(const HarvestDoneFrame& f);
 HarvestDoneFrame decode_harvest_done(std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encode_error(const std::string& text);
 std::string decode_error(std::span<const std::uint8_t> payload);
 
-// ---- Allocation-free variants ---------------------------------------------
-// The round loop runs every round of every phase; the vector-returning API
-// above allocates per call, which PR 9 paid on both sides of the barrier.
-// These variants encode into a caller-owned bounded buffer (a shm ring
-// slot) and decode into caller-owned reusable frame structs, so a warmed
-// steady-state round performs zero heap allocations end to end —
-// bench_shard --check pins that with the alloc probe.
+// ---- Round frames ---------------------------------------------------------
+// The round loop runs every round of every phase, so its frames encode into
+// a caller-owned shm slot and decode into caller-owned reusable frame
+// structs: a warmed steady-state round performs zero heap allocations end
+// to end (bench_shard --check pins that with the alloc probe).
 
-/// Bounded little-endian writer over a fixed buffer (a ring slot). An
-/// append past the end latches overflow instead of throwing: producers
-/// probe whether a frame fits and fall back to the socket path when it
-/// does not, so overflow is an expected outcome, not an error.
+/// Bounded little-endian writer over a fixed buffer (a shm slot). Round
+/// frames and mesh batches are sized by the CONGEST bound, so a write past
+/// the end is a bug in that sizing and throws qc::InternalError.
 class FrameWriter {
  public:
   explicit FrameWriter(std::span<std::uint8_t> buf) : buf_(buf) {}
 
   void u8(std::uint8_t x) {
-    if (pos_ + 1 > buf_.size()) {
-      ok_ = false;
-      return;
-    }
+    need(1);
     buf_[pos_++] = x;
   }
   void u32(std::uint32_t x) {
-    if (pos_ + 4 > buf_.size()) {
-      ok_ = false;
-      pos_ = buf_.size();
-      return;
-    }
+    need(4);
     for (int i = 0; i < 4; ++i) {
       buf_[pos_++] = static_cast<std::uint8_t>(x >> (8 * i));
     }
   }
   void u64(std::uint64_t x) {
-    if (pos_ + 8 > buf_.size()) {
-      ok_ = false;
-      pos_ = buf_.size();
-      return;
-    }
+    need(8);
     for (int i = 0; i < 8; ++i) {
       buf_[pos_++] = static_cast<std::uint8_t>(x >> (8 * i));
     }
@@ -228,49 +195,45 @@ class FrameWriter {
     }
   }
 
-  bool ok() const { return ok_; }
   std::size_t size() const { return pos_; }
 
  private:
+  void need(std::size_t k) const {
+    check_internal(buf_.size() - pos_ >= k,
+                   "shard: frame outgrew its shared-memory slot, which is "
+                   "sized by the CONGEST per-arc bound");
+  }
+
   std::span<std::uint8_t> buf_;
   std::size_t pos_ = 0;
-  bool ok_ = true;
 };
 
-/// Encode into `buf`; on success set `len` and return true. Returns false
-/// when the frame does not fit — the caller re-encodes with the vector API
-/// and ships it over the socket instead.
-bool encode_round_begin_to(std::span<std::uint8_t> buf,
-                           const RoundBeginFrame& f, std::size_t& len);
-bool encode_round_end_to(std::span<std::uint8_t> buf, const RoundEndFrame& f,
-                         std::size_t& len);
-bool encode_empty_to(std::span<std::uint8_t> buf, ShardOp op,
-                     std::size_t& len);
+/// Encode into `buf` and return the payload length; throws
+/// qc::InternalError if the frame does not fit.
+std::size_t encode_round_begin_to(std::span<std::uint8_t> buf,
+                                  const RoundBeginFrame& f);
+std::size_t encode_round_end_to(std::span<std::uint8_t> buf,
+                                const RoundEndFrame& f);
 
 /// Decode into a reused frame struct: vectors are resized in place and
 /// Messages rebuilt with Message::clear() + push, so a warmed frame
-/// decodes without touching the heap. Same validation (and the same
-/// serve::ProtocolError throws) as the returning variants, which are
-/// implemented on top of these.
+/// decodes without touching the heap.
 void decode_round_begin_into(std::span<const std::uint8_t> payload,
                              RoundBeginFrame& f);
 void decode_round_end_into(std::span<const std::uint8_t> payload,
                            RoundEndFrame& f);
 
-/// Streams one mesh batch (op kMesh) into a ring slot. add() latches
-/// overflow like FrameWriter; the producer then publishes an *empty* batch
-/// for the pair (consumers require a publication per ring per round) and
-/// spills the messages to the coordinator path.
+/// Streams one mesh batch (op kMesh) into a ring slot.
 class MeshWriter {
  public:
   MeshWriter(std::span<std::uint8_t> buf, std::uint32_t round);
 
-  /// Appends one (slot, message) entry; false once anything overflowed.
-  bool add(std::uint32_t slot, const Message& m);
+  /// Appends one (slot, message) entry; throws qc::InternalError past the
+  /// end of the slot, like FrameWriter.
+  void add(std::uint32_t slot, const Message& m);
   std::uint32_t count() const { return count_; }
-  /// Patches the entry count and returns the final byte size; false when
-  /// the batch overflowed (the buffer contents are then unusable).
-  bool finish(std::size_t& len);
+  /// Patches the entry count and returns the final byte size.
+  std::size_t finish();
 
  private:
   FrameWriter w_;

@@ -83,16 +83,6 @@ ShardedNetwork::ShardedNetwork(const graph::Graph& g, ShardConfig cfg)
   const Partitioner& p =
       cfg_.partitioner != nullptr ? *cfg_.partitioner : contiguous;
   asn_ = make_assignment(g, cfg_.shards, p);
-  // Routing table for spilled boundary messages: the flat slot of sender
-  // u's port p targets neighbors(u)[p], so the slot's messages belong to
-  // that receiver's worker. Built once; slot numbering is identical in
-  // every replica because it derives from the shared CSR adjacency alone.
-  slot_receiver_shard_.reserve(g.csr_neighbors().size());
-  for (NodeId u = 0; u < g.n(); ++u) {
-    for (const NodeId v : g.neighbors(u)) {
-      slot_receiver_shard_.push_back(asn_.shard_of[v]);
-    }
-  }
   replicas_.resize(g.n());
 }
 
@@ -283,7 +273,7 @@ void ShardedNetwork::send_frame(std::size_t w,
   // poll, if the channel was too busy even for the hint).
   if (ch.valid()) ch.try_publish_signal(ShmSignal::kSocket);
   try {
-    serve::write_frame(workers_[w].fd, payload, kMaxShardFrameBytes, tx_);
+    serve::write_frame(workers_[w].fd, payload, kMaxShardFrameBytes);
   } catch (const std::exception& e) {
     const std::string what = e.what();
     mark_broken();
@@ -292,35 +282,18 @@ void ShardedNetwork::send_frame(std::size_t w,
   }
 }
 
-void ShardedNetwork::send_round_begin(std::size_t w) {
-  // Borrow the worker's pending spill list as rb_'s boundary (both are
-  // empty in steady state), encode straight into the ring slot, and hand
-  // the vector's capacity back afterwards.
-  std::swap(rb_.boundary, workers_[w].pending);
-  bool sent = false;
-  auto& ch = c2w_[w];
-  if (ch.valid() && ch.idle()) {
-    std::size_t len = 0;
-    if (encode_round_begin_to(ch.buffer(), rb_, len)) {
-      ch.publish_frame(len);
-      sent = true;
-    }
-  }
-  if (!sent) {
-    ++perf_.spilled_frames;
-    send_frame(w, encode_round_begin(rb_));
-  }
-  rb_.boundary.clear();
-  std::swap(rb_.boundary, workers_[w].pending);
-}
-
 void ShardedNetwork::dispatch(std::size_t w,
                               std::span<const std::uint8_t> payload,
-                              Collect what) {
+                              Collect what, bool via_socket) {
   if (decode_op(payload) == ShardOp::kError) {
     const std::string text = decode_error(payload);
     mark_broken();
     throw Error("shard: worker " + std::to_string(w) + " failed: " + text);
+  }
+  // Round frames always fit their slot: only lifecycle and error frames
+  // may take the socket.
+  if (via_socket && what == Collect::kRoundEnd) {
+    throw serve::ProtocolError("shard: round_end arrived over the socket");
   }
   switch (what) {
     case Collect::kRoundEnd:
@@ -331,7 +304,6 @@ void ShardedNetwork::dispatch(std::size_t w,
       workers_[w].inflight = f.inflight;
       workers_[w].halted = f.halted;
       workers_[w].wakes = f.wakes;
-      route_boundary(w, f.boundary);
       break;
     }
     case Collect::kHarvestDone: {
@@ -383,7 +355,7 @@ void ShardedNetwork::check_liveness(Collect what) {
                     " exited mid-run (crashed?)");
       }
       try {
-        dispatch(w, rx_, what);
+        dispatch(w, rx_, what, /*via_socket=*/true);
       } catch (const serve::ProtocolError& e) {
         const std::string text = e.what();
         mark_broken();
@@ -412,9 +384,9 @@ void ShardedNetwork::collect_all(Collect what) {
         if (sig == ShmSignal::kFrame) {
           // dispatch() copies everything out of the slot before release()
           // returns the channel to the worker.
-          dispatch(w, w2c_[w].frame(), what);
+          dispatch(w, w2c_[w].frame(), what, /*via_socket=*/false);
           w2c_[w].release();
-        } else {  // kSocket hint: the frame took the spill path
+        } else {  // kSocket hint: a lifecycle frame too big for the slot
           bool ok = false;
           ok = serve::read_frame(workers_[w].fd, rx_, kMaxShardFrameBytes);
           if (!ok) {
@@ -423,7 +395,7 @@ void ShardedNetwork::collect_all(Collect what) {
                         " exited mid-run (crashed?)");
           }
           w2c_[w].release();
-          dispatch(w, rx_, what);
+          dispatch(w, rx_, what, /*via_socket=*/true);
         }
       } catch (const serve::ProtocolError& e) {
         const std::string text = e.what();
@@ -448,19 +420,6 @@ void ShardedNetwork::collect_all(Collect what) {
       if (completion_seen_ == seen) check_liveness(what);
     }
   }
-}
-
-void ShardedNetwork::route_boundary(std::size_t from_worker,
-                                    std::vector<BoundaryMsg>& boundary) {
-  for (auto& bm : boundary) {
-    if (bm.slot >= slot_receiver_shard_.size()) {
-      mark_broken();
-      throw Error("shard: worker " + std::to_string(from_worker) +
-                  " sent an out-of-range boundary slot");
-    }
-    workers_[slot_receiver_shard_[bm.slot]].pending.push_back(std::move(bm));
-  }
-  boundary.clear();
 }
 
 bool ShardedNetwork::all_quiet() const {
@@ -544,7 +503,11 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
     // round_end: blocking on worker 0's reply before worker 1 has its
     // round_begin serializes the cluster behind whichever worker happens
     // to be slow (regression-tested with a deliberately delayed worker).
-    for (std::size_t w = 0; w < workers_.size(); ++w) send_round_begin(w);
+    // The ping-pong protocol leaves every c2w channel idle here, and a
+    // round_begin always fits its slot (publish_frame checks both).
+    for (auto& ch : c2w_) {
+      ch.publish_frame(encode_round_begin_to(ch.buffer(), rb_));
+    }
     const auto barrier_t0 = std::chrono::steady_clock::now();
     collect_all(Collect::kRoundEnd);
     const std::uint64_t wait_us = static_cast<std::uint64_t>(
@@ -566,7 +529,6 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
       workers_[w].wakes = re.wakes;
       boundary_messages += re.boundary_msgs;
       boundary_bytes += re.boundary_bytes;
-      if (!re.boundary.empty()) route_boundary(w, re.boundary);
       events_merged += re.events.size();
     }
     if (have_observer) {

@@ -14,9 +14,10 @@
 // worker-to-worker mesh rings and run the unchanged zero-allocation
 // deliver/compute hot path over their owned ranges, then publish a
 // round-end frame with their stats delta, quiescence counters and (when an
-// observer is installed) their delivery events. The sockets remain as the
-// control/lifecycle/error path and as the spill transport for frames that
-// outgrow their shm segment. The round barrier is the only synchronization
+// observer is installed) their delivery events. Round frames and boundary
+// batches always fit their shm segments (they are sized from the CONGEST
+// per-arc bound); the sockets carry only lifecycle frames that can outgrow
+// a slot (a large harvest) and error reports. The round barrier is the only synchronization
 // point in the whole design: within a round workers share nothing and
 // proceed independently, and the coordinator harvests round-end frames in
 // completion order (one shared futex word), not file-descriptor order.
@@ -73,8 +74,7 @@ struct ShardConfig {
   /// interrupted() reports it. The workers still shut down cleanly.
   std::atomic<bool>* stop = nullptr;
   /// When nonzero, every worker arms its allocation probe after this round
-  /// and fails the run if a later steady-state (fast-path) round heap-
-  /// allocates. Effective only in binaries that install the probe
+  /// and fails the run if a later round heap-allocates. Effective only in binaries that install the probe
   /// (QC_INSTALL_ALLOC_PROBE); see bench_shard --check.
   std::uint32_t verify_zero_alloc_from_round = 0;
 };
@@ -86,15 +86,12 @@ struct ShardPerfCounters {
   /// Wall time the coordinator spent inside the round barrier waiting for
   /// round-end publications.
   std::uint64_t barrier_wait_us = 0;
-  /// Encoded boundary payload the workers moved (mesh rings + spill).
+  /// Encoded boundary payload the workers moved through the mesh rings.
   std::uint64_t boundary_bytes = 0;
   std::uint64_t boundary_messages = 0;
   /// Delivery events that were never built or shipped because no observer
   /// is installed (one per delivered message in observer-less runs).
   std::uint64_t events_elided = 0;
-  /// Control frames that did not fit their shm slot and fell back to the
-  /// socket path (0 in steady state).
-  std::uint64_t spilled_frames = 0;
 };
 
 class ShardedNetwork {
@@ -168,9 +165,6 @@ class ShardedNetwork {
     std::int64_t inflight = 0;
     std::int64_t halted = 0;
     std::int64_t wakes = 0;
-    /// Boundary messages routed to this worker, delivered with the next
-    /// round-begin frame.
-    std::vector<BoundaryMsg> pending;
   };
 
   /// What a barrier collection expects from every worker; selects the
@@ -186,25 +180,22 @@ class ShardedNetwork {
   RunStats run_phase(std::uint32_t max_rounds, bool until_quiet);
   void start_if_needed();
   bool all_quiet() const;
-  /// Ships `payload` to worker w: shm channel when it fits and is idle,
-  /// else a kSocket hint plus a socket frame. Throws (after force-teardown)
-  /// when the worker is unreachable.
+  /// Ships a lifecycle frame to worker w: shm channel when it fits and is
+  /// idle, else a kSocket hint plus a socket frame. Throws (after
+  /// force-teardown) when the worker is unreachable.
   void send_frame(std::size_t w, std::span<const std::uint8_t> payload);
-  /// Publishes the (reused) rb_ frame to worker w, encoding straight into
-  /// the ring slot on the fast path.
-  void send_round_begin(std::size_t w);
   /// Waits for one frame from every worker, servicing them in completion
   /// order, and dispatch()es each. A dead worker, a malformed frame or an
   /// error frame becomes a thrown qc::Error after force-tearing down the
   /// remaining workers — a crashed worker is a clean failure, not a hang.
   void collect_all(Collect what);
+  /// A round_end read from the socket (`via_socket`) is a protocol error:
+  /// round frames always fit their slot.
   void dispatch(std::size_t w, std::span<const std::uint8_t> payload,
-                Collect what);
+                Collect what, bool via_socket);
   /// Timeout path of collect_all: peeks every pending worker's socket to
   /// tell "slow" from "dead" and to pick up unhinted error frames.
   void check_liveness(Collect what);
-  void route_boundary(std::size_t from_worker,
-                      std::vector<BoundaryMsg>& boundary);
   /// Merges the per-worker event batches in re_ into canonical
   /// receiver-ascending order and invokes the user observer.
   void flush_events(std::uint32_t round);
@@ -214,9 +205,6 @@ class ShardedNetwork {
   ShardConfig cfg_;
   ShardAssignment asn_;
   std::uint32_t bandwidth_bits_ = 0;
-  /// slot -> shard owning the slot's *receiver*: the routing table for
-  /// boundary messages spilled through the coordinator.
-  std::vector<std::uint32_t> slot_receiver_shard_;
   ProgramFactory factory_;
   std::vector<std::unique_ptr<NodeProgram>> replicas_;
   std::vector<Worker> workers_;
@@ -243,7 +231,6 @@ class ShardedNetwork {
   std::vector<std::uint8_t> done_;   ///< collect_all scoreboard
   std::vector<std::size_t> evt_idx_; ///< flush_events merge cursors
   std::vector<std::uint8_t> rx_;     ///< socket-frame receive scratch
-  std::vector<std::uint8_t> tx_;     ///< write_frame assembly scratch
 };
 
 }  // namespace qc::congest::shard

@@ -309,9 +309,9 @@ ShmLayout plan_layout(const graph::Graph& g, const ShardAssignment& asn,
     l.c2w[s] = {place(ShmChannel::bytes_needed(kControlChannelBytes)),
                 kControlChannelBytes};
     // When events ship, a worker's round_end carries up to one event per
-    // delivered edge; inbound boundary arcs are the part a remote sender
-    // feeds, owned-internal arcs the rest. Budget the worker's full owned
-    // in-degree so the common case stays on the ring.
+    // delivered arc; inbound boundary arcs are the part a remote sender
+    // feeds, owned-internal arcs the rest. Budgeting the worker's full
+    // owned in-degree makes the slot a bound, not an estimate.
     std::size_t w2c_cap = kControlChannelBytes;
     if (collect_events) {
       std::size_t owned_deg = owned_in_arcs[s];

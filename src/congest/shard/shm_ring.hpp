@@ -24,9 +24,10 @@
 //    frame per direction), so a single slot is a ring of capacity one and
 //    `publish` never waits. A publication is either a codec frame placed
 //    in the slot (`kFrame`) or a hint that a frame was written to the
-//    control socket instead (`kSocket`) — the socket remains the
-//    lifecycle/control/spill path, and the hint keeps the consumer
-//    blocking on one futex word only.
+//    control socket instead (`kSocket`). Round frames always fit their
+//    slot; the socket carries only lifecycle frames that can outgrow it
+//    (a large harvest_done) and error reports, and the hint keeps the
+//    consumer blocking on one futex word only.
 //  * `MeshRing` — a double-buffered worker->worker segment carrying one
 //    round's boundary batch for one directed shard pair. Workers exchange
 //    boundary messages directly; the coordinator never touches the bytes.
@@ -37,7 +38,9 @@
 //    reader. A slot is stamped with the round its contents feed; a
 //    consumer finding any other stamp (a stale slot, a torn writer, a
 //    crafted segment) rejects it as a protocol error, exactly like a
-//    malformed socket frame.
+//    malformed socket frame. Rings are sized once at spawn from the
+//    CONGEST bound — at most one message of at most Message::kMaxFields
+//    fields per arc per round — so a batch always fits its segment.
 //  * `CompletionCounter` — one shared futex word the coordinator sleeps
 //    on while waiting for "any worker finished": every worker publication
 //    bumps it, so the barrier services workers in completion order
@@ -60,6 +63,7 @@
 #include <span>
 #include <vector>
 
+#include "congest/message.hpp"
 #include "graph/graph.hpp"
 
 namespace qc::congest::shard {
@@ -243,21 +247,24 @@ struct ShmLayout {
   }
 };
 
-/// Worst-case encoded bytes budgeted per boundary arc when sizing mesh
-/// rings: slot id + field count + Message::kInlineFields full fields. A
-/// message that spills past the inline capacity may exceed the budget;
-/// the transport then falls back to the coordinator-routed socket path
-/// for that round (correct, just slower), so the rings stay small while
-/// covering every protocol in this repo.
-inline constexpr std::size_t kMeshBytesPerArc = 4 + 4 + 7 * 9;
-/// Fixed per-mesh-frame overhead (round + count) plus slack.
-inline constexpr std::size_t kMeshFrameOverhead = 16;
-/// Control-channel slot size: round_begin/round_end skeletons plus spill
-/// headroom. Frames that outgrow it take the socket path.
+/// Most bytes one encoded message takes on the wire: its field count plus
+/// Message::kMaxFields (width, value) pairs (codec.hpp grammar).
+inline constexpr std::size_t kMaxMessageWireBytes =
+    4 + 9 * Message::kMaxFields;
+/// Bytes per boundary arc in a mesh batch: slot id + one message. The
+/// model sends at most one message per arc per round, so a ring sized
+/// with this per arc always holds the round's batch.
+inline constexpr std::size_t kMeshBytesPerArc = 4 + kMaxMessageWireBytes;
+/// Fixed per-mesh-batch bytes: header, round stamp and entry count.
+inline constexpr std::size_t kMeshFrameOverhead = 4 + 4 + 4;
+/// Control-channel slot size: round_begin and the fixed part of round_end
+/// (~120 bytes) plus room for small lifecycle frames. A lifecycle frame
+/// that outgrows it (a large harvest_done) takes the socket path.
 inline constexpr std::size_t kControlChannelBytes = 4096;
 /// Extra w2c capacity budgeted per owned inbound arc when the observer
-/// stream is collected (events ride the worker->coordinator channel).
-inline constexpr std::size_t kEventBytesPerArc = 8 + 4 + 7 * 9;
+/// stream is collected (events ride the worker->coordinator channel):
+/// from + to + one message, at most one delivery per arc per round.
+inline constexpr std::size_t kEventBytesPerArc = 8 + kMaxMessageWireBytes;
 
 ShmLayout plan_layout(const graph::Graph& g, const ShardAssignment& asn,
                       bool collect_events);

@@ -132,6 +132,12 @@ class WorkerState {
           handle_start();
           break;
         case ShardOp::kRoundBegin:
+          // Round frames always fit their slot; one on the socket is a
+          // peer that does not follow the protocol.
+          if (sig != ShmSignal::kFrame) {
+            throw serve::ProtocolError(
+                "shard worker: round_begin arrived over the socket");
+          }
           decode_round_begin_into(payload, rb_);
           if (hinted) c2w_.release();
           handle_round();
@@ -175,9 +181,9 @@ class WorkerState {
            (p.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
   }
 
-  /// Ships a reply frame: through the w2c ring when it fits, else hinted
-  /// over the socket. The ping-pong protocol guarantees the ring is idle
-  /// at every legitimate reply point.
+  /// Ships a lifecycle reply: through the w2c ring when it fits, else
+  /// hinted over the socket (a large harvest_done). The ping-pong protocol
+  /// guarantees the ring is idle at every legitimate reply point.
   void send_reply(std::span<const std::uint8_t> payload) {
     if (payload.size() <= w2c_.capacity()) {
       auto buf = w2c_.buffer();
@@ -185,55 +191,31 @@ class WorkerState {
       w2c_.publish_frame(payload.size());
       return;
     }
-    slow_path_ = true;
     w2c_.publish_signal(ShmSignal::kSocket);  // before the write: see wait()
-    serve::write_frame(link_.fd, payload, kMaxShardFrameBytes, tx_scratch_);
+    serve::write_frame(link_.fd, payload, kMaxShardFrameBytes);
   }
 
   /// Moves this round's queued outbound boundary messages into the mesh
-  /// segments, stamped for the round that will consume them. A batch that
-  /// does not fit its segment is published empty and its messages spill to
-  /// `spill` for the coordinator-routed path instead. Every existing
-  /// segment gets exactly one publication per round — consumers validate
-  /// the stamp, so a skipped publication would (correctly) kill the run.
-  void ship_boundary(std::uint32_t consume_round,
-                     std::vector<BoundaryMsg>& spill) {
+  /// segments, stamped for the round that will consume them. A segment
+  /// holds one full-size message per boundary arc, so the batch always
+  /// fits. Every existing segment gets exactly one publication per round —
+  /// consumers validate the stamp, so a skipped publication would
+  /// (correctly) kill the run.
+  void ship_boundary(std::uint32_t consume_round) {
     boundary_bytes_ = 0;
     boundary_msgs_ = 0;
     for (const std::uint32_t t : out_peers_) {
       MeshRing& ring = mesh_out_[t];
       MeshWriter w(ring.produce_buffer(consume_round), consume_round);
-      bool fits = true;
       for (const std::uint32_t slot : out_slots_[t]) {
         if (!net_.shard_slot_pending(slot)) continue;
-        if (!w.add(slot, net_.shard_slot_message(slot))) {
-          fits = false;
-          break;
-        }
+        w.add(slot, net_.shard_slot_message(slot));
+        net_.shard_clear_slot(slot);
       }
-      std::size_t len = 0;
-      if (fits && w.finish(len)) {
-        for (const std::uint32_t slot : out_slots_[t]) {
-          if (net_.shard_slot_pending(slot)) net_.shard_clear_slot(slot);
-        }
-        boundary_bytes_ += len;
-        boundary_msgs_ += w.count();
-        ring.publish(consume_round, len);
-        continue;
-      }
-      // Overflow (a spilled many-field message blew the per-arc budget):
-      // publish the mandatory empty batch and reroute via the coordinator.
-      slow_path_ = true;
-      MeshWriter empty(ring.produce_buffer(consume_round), consume_round);
-      require(empty.finish(len), "shard worker: mesh segment too small for "
-                                 "an empty batch");
+      const std::size_t len = w.finish();
+      boundary_bytes_ += len;
+      boundary_msgs_ += w.count();
       ring.publish(consume_round, len);
-      for (const std::uint32_t slot : out_slots_[t]) {
-        if (!net_.shard_slot_pending(slot)) continue;
-        spill.push_back(BoundaryMsg{slot, net_.shard_extract_slot(slot)});
-        boundary_bytes_ += 8 + 9 * spill.back().msg.num_fields();
-        ++boundary_msgs_;
-      }
     }
   }
 
@@ -263,7 +245,7 @@ class WorkerState {
       net_.shard_start_range(b, e);
     }
     StartDoneFrame f;
-    ship_boundary(/*consume_round=*/1, f.boundary);
+    ship_boundary(/*consume_round=*/1);
     start_boundary_bytes_ = boundary_bytes_;
     start_boundary_msgs_ = boundary_msgs_;
     f.inflight = net_.shard_inflight();
@@ -273,18 +255,9 @@ class WorkerState {
   }
 
   void handle_round() {
-    slow_path_ = false;
     if (rb_.round != net_.shard_round() + 1) {
       throw serve::ProtocolError(
           "shard worker: coordinator round out of sequence");
-    }
-    // Spilled boundary messages routed through the coordinator land in the
-    // same replica slots the mesh path fills — delivery below cannot tell
-    // the transports apart, which is why parity is transport-independent.
-    for (auto& bm : rb_.boundary) {
-      check_inbound(bm.slot);
-      net_.shard_inject_slot(bm.slot, std::move(bm.msg));
-      slow_path_ = true;
     }
     drain_mesh(rb_.round);
     net_.shard_set_memory_audit(rb_.memory_audit);
@@ -299,8 +272,7 @@ class WorkerState {
     for (const auto& [b, e] : asn_.runs[link_.shard]) {
       net_.shard_compute_range(b, e, re_.stats, rb_.memory_sweep_all);
     }
-    re_.boundary.clear();
-    ship_boundary(/*consume_round=*/rb_.round + 1, re_.boundary);
+    ship_boundary(/*consume_round=*/rb_.round + 1);
     re_.inflight = net_.shard_inflight();
     re_.halted = net_.shard_halted();
     re_.wakes = net_.shard_wakes();
@@ -315,16 +287,14 @@ class WorkerState {
             DeliveryEvent{d.from, d.to, net_.shard_inbox_message(d)});
       }
     }
-    std::size_t len = 0;
-    if (encode_round_end_to(w2c_.buffer(), re_, len)) {
-      w2c_.publish_frame(len);
-    } else {
-      send_reply(encode_round_end(re_));
-    }
+    // The w2c slot is sized for the fixed fields plus one event per owned
+    // in-arc, so round_end always fits.
+    w2c_.publish_frame(encode_round_end_to(w2c_.buffer(), re_));
     verify_steady_state_allocs();
   }
 
   void handle_harvest() {
+    alloc_armed_ = false;  // building the reply allocates; re-arm next round
     HarvestDoneFrame f;
     for (const auto& [b, e] : asn_.runs[link_.shard]) {
       for (NodeId v = b; v < e; ++v) {
@@ -336,16 +306,16 @@ class WorkerState {
     send_reply(encode_harvest_done(f));
   }
 
-  /// The PR 5 alloc_probe discipline applied to the whole worker round:
-  /// once past the arm round, a round that stayed on the fast path (ring
-  /// transport, no spill) must not have allocated at all. Slow-path rounds
-  /// re-arm — they are allowed to touch the heap, that is what makes them
-  /// the slow path.
+  /// The alloc_probe discipline applied to the whole worker round: once
+  /// past the arm round, every round must be allocation-free — round
+  /// frames and boundary batches only ever use the shm slots. A harvest
+  /// between phases allocates its reply, so it disarms until the next
+  /// round re-arms.
   void verify_steady_state_allocs() {
     const std::uint32_t arm = link_.verify_zero_alloc_from_round;
     if (arm == 0 || rb_.round < arm) return;
     const std::uint64_t now = qc::alloc_probe_count();
-    if (alloc_armed_ && !slow_path_ && now != alloc_mark_) {
+    if (alloc_armed_ && now != alloc_mark_) {
       throw Error("shard worker: steady-state round " +
                   std::to_string(rb_.round) + " performed " +
                   std::to_string(now - alloc_mark_) +
@@ -375,12 +345,10 @@ class WorkerState {
   std::vector<Network::PendingDelivery> sink_;
   Message scratch_msg_;
   std::vector<std::uint8_t> rx_;
-  std::vector<std::uint8_t> tx_scratch_;
   std::uint64_t boundary_bytes_ = 0;
   std::uint64_t boundary_msgs_ = 0;
   std::uint64_t start_boundary_bytes_ = 0;
   std::uint64_t start_boundary_msgs_ = 0;
-  bool slow_path_ = false;
   bool alloc_armed_ = false;
   std::uint64_t alloc_mark_ = 0;
 };

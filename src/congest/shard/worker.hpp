@@ -20,9 +20,8 @@ struct WorkerLink {
   std::uint32_t shard = 0;
   bool collect_events = false;
   /// When nonzero, the worker snapshots the alloc probe after this round
-  /// and fails the run if any later steady-state round allocates (rounds
-  /// that took a legitimate slow path — socket or mesh spill — re-arm
-  /// instead). Only meaningful in binaries that install the probe.
+  /// and fails the run if any later round allocates (a harvest in between
+  /// re-arms). Only meaningful in binaries that install the probe.
   std::uint32_t verify_zero_alloc_from_round = 0;
 };
 
@@ -32,7 +31,7 @@ struct WorkerLink {
 /// identical state — instantiates `make(v)` programs for the nodes shard
 /// `link.shard` owns (inert placeholders elsewhere), and services
 /// coordinator publications on its shm channel (with the socket as the
-/// hinted control/spill path) until a shutdown frame or EOF (coordinator
+/// hinted path for lifecycle frames too big for it) until a shutdown frame or EOF (coordinator
 /// gone), both of which return 0. Any failure is reported back as an error
 /// frame and returns 1; the function never throws — the caller _exit()s
 /// with the returned code, skipping atexit machinery the forked child must

@@ -206,16 +206,9 @@ bool read_frame(int fd, std::vector<std::uint8_t>& payload,
 
 void write_frame(int fd, std::span<const std::uint8_t> payload,
                  std::uint32_t max_frame_bytes) {
-  std::vector<std::uint8_t> scratch;
-  write_frame(fd, payload, max_frame_bytes, scratch);
-}
-
-void write_frame(int fd, std::span<const std::uint8_t> payload,
-                 std::uint32_t max_frame_bytes,
-                 std::vector<std::uint8_t>& buf) {
   require(!payload.empty() && payload.size() <= max_frame_bytes,
           "serve: write_frame payload outside [1, max_frame_bytes]");
-  buf.clear();
+  std::vector<std::uint8_t> buf;
   buf.reserve(4 + payload.size());
   append_le32(buf, static_cast<std::uint32_t>(payload.size()));
   buf.insert(buf.end(), payload.begin(), payload.end());
@@ -245,11 +238,6 @@ bool read_frame(int, std::vector<std::uint8_t>&, std::uint32_t) {
 }
 
 void write_frame(int, std::span<const std::uint8_t>, std::uint32_t) {
-  throw Error("serve: socket IO is not available on this platform");
-}
-
-void write_frame(int, std::span<const std::uint8_t>, std::uint32_t,
-                 std::vector<std::uint8_t>&) {
   throw Error("serve: socket IO is not available on this platform");
 }
 

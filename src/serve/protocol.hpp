@@ -109,18 +109,11 @@ Response decode_response(std::span<const std::uint8_t> payload);
 ///
 /// Both ends take the cap as a parameter because the framing layer is
 /// shared: qcongestd frames stay under kMaxFrameBytes, while the shard
-/// backend (src/congest/shard) moves boundary-message batches under its
-/// own, larger cap.
+/// backend (src/congest/shard) moves its lifecycle frames (a harvest of
+/// every owned program's state) under its own, larger cap.
 bool read_frame(int fd, std::vector<std::uint8_t>& payload,
                 std::uint32_t max_frame_bytes = kMaxFrameBytes);
 void write_frame(int fd, std::span<const std::uint8_t> payload,
                  std::uint32_t max_frame_bytes = kMaxFrameBytes);
-/// As write_frame, but assembles the length-prefixed frame in `scratch`
-/// (cleared and reused; capacity is kept across calls) instead of a fresh
-/// buffer — the allocation-free path for callers that frame in a loop
-/// (the shard backend's socket spill path, qcongestd responses).
-void write_frame(int fd, std::span<const std::uint8_t> payload,
-                 std::uint32_t max_frame_bytes,
-                 std::vector<std::uint8_t>& scratch);
 
 }  // namespace qc::serve

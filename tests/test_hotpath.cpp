@@ -171,11 +171,11 @@ TEST(HotPath, ZeroAllocationsPerDeliveryAtSteadyState) {
   }
 }
 
-/// A seed message of 1 to kInlineFields + 2 fields, so some relayed
-/// payloads spill to the heap.
+/// A seed message of 1 to kMaxFields fields, so relayed payloads cover
+/// every message size up to the cap.
 Message relay_seed(NodeId v) {
   Message m;
-  for (std::size_t i = 0; i <= v % (Message::kInlineFields + 2); ++i) {
+  for (std::size_t i = 0; i < 1 + v % Message::kMaxFields; ++i) {
     m.push((v * 7 + i) & 0xff, 8);
   }
   return m;
@@ -248,7 +248,7 @@ TEST(HotPath, InboxViewsSurviveSameRoundSends) {
 TEST(HotPath, MovedOutboxSlotsAreReusable) {
   // A port is free again in the round after its message was delivered
   // (the receiver consumed the arc), so a sender can queue on the same
-  // port every round, including a message large enough to spill.
+  // port every round, with every message size up to the cap.
   auto g = graph::make_path(2);
   NetworkConfig cfg;
   cfg.bandwidth_bits = 64;
@@ -261,7 +261,7 @@ TEST(HotPath, MovedOutboxSlotsAreReusable) {
       }
       Message m;
       const auto fields =
-          1 + (ctx.round() % (Message::kInlineFields + 2));
+          1 + (ctx.round() % Message::kMaxFields);
       for (std::size_t i = 0; i < fields; ++i) {
         m.push(ctx.round() & 1, 1);
       }
@@ -272,7 +272,7 @@ TEST(HotPath, MovedOutboxSlotsAreReusable) {
   };
   Network net(g, cfg);
   net.init_programs([](NodeId) { return std::make_unique<Pitcher>(); });
-  for (std::uint32_t r = 1; r <= 2 * Message::kInlineFields + 4; ++r) {
+  for (std::uint32_t r = 1; r <= 2 * Message::kMaxFields + 4; ++r) {
     net.run_rounds(1);
     auto& receiver = net.program_as<Pitcher>(1);
     if (r >= 2) {
@@ -280,7 +280,7 @@ TEST(HotPath, MovedOutboxSlotsAreReusable) {
       ASSERT_EQ(receiver.last_seen,
                 std::vector<std::uint64_t>{sent_round & 1});
       EXPECT_EQ(receiver.fields_seen,
-                1 + (sent_round % (Message::kInlineFields + 2)));
+                1 + (sent_round % Message::kMaxFields));
     }
   }
 }

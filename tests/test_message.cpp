@@ -1,14 +1,14 @@
-// The small-buffer-optimized congest::Message: wire-format semantics
-// (push/field/set_field/truncated/equality) must be exactly those of the
-// original vector-backed representation, with no heap traffic until a
-// message exceeds the inline field capacity. The allocation probe replaces
-// this binary's global allocator, so the no-spill-no-allocation invariant
-// the delivery hot path relies on is asserted directly.
+// The fixed-capacity congest::Message: wire-format semantics
+// (push/field/set_field/truncated/equality), the Message::kMaxFields cap
+// that stands for the CONGEST bandwidth bound, and value semantics with no
+// heap traffic. The allocation probe replaces this binary's global
+// allocator, so the no-allocation invariant the delivery hot path relies
+// on is asserted directly.
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "congest/message.hpp"
 #include "util/alloc_probe.hpp"
@@ -21,10 +21,12 @@ namespace {
 
 std::uint64_t allocs() { return qc::alloc_probe_count().load(); }
 
-TEST(MessageSbo, InlineCapacityMessagesNeverAllocate) {
+static_assert(std::is_trivially_copyable_v<Message>);
+
+TEST(MessageValue, FullCapacityMessagesNeverAllocate) {
   const std::uint64_t before = allocs();
   Message m;
-  for (std::size_t i = 0; i < Message::kInlineFields; ++i) {
+  for (std::size_t i = 0; i < Message::kMaxFields; ++i) {
     m.push(i, 8);
   }
   Message copy = m;
@@ -34,53 +36,30 @@ TEST(MessageSbo, InlineCapacityMessagesNeverAllocate) {
   EXPECT_EQ(after, before);
 }
 
-TEST(MessageSbo, SpillBeyondInlineCapacity) {
+TEST(MessageCap, PushPastTheCapThrowsAndLeavesTheMessageIntact) {
   Message m;
-  const std::size_t fields = 3 * Message::kInlineFields + 2;
-  std::uint32_t expected_bits = 0;
-  for (std::size_t i = 0; i < fields; ++i) {
-    const std::uint32_t w = 1 + static_cast<std::uint32_t>(i % 3);
-    m.push(i % 2, w);
-    expected_bits += w;
-  }
-  ASSERT_EQ(m.num_fields(), fields);
-  EXPECT_EQ(m.size_bits(), expected_bits);
-  for (std::size_t i = 0; i < fields; ++i) {
-    EXPECT_EQ(m.field(i), i % 2) << i;
-    EXPECT_EQ(m.field_bits(i), 1 + static_cast<std::uint32_t>(i % 3)) << i;
-  }
-  const std::uint64_t before = allocs();
-  Message m2;
-  for (std::size_t i = 0; i <= Message::kInlineFields; ++i) m2.push(0, 1);
-  EXPECT_GT(allocs(), before) << "field " << Message::kInlineFields + 1
-                              << " must spill to the heap";
+  for (std::size_t i = 0; i < Message::kMaxFields; ++i) m.push(i, 64);
+  ASSERT_EQ(m.num_fields(), Message::kMaxFields);
+  const Message before = m;
+  EXPECT_THROW(m.push(0, 1), Error);
+  EXPECT_EQ(m, before);
+  EXPECT_EQ(m.size_bits(), 64 * Message::kMaxFields);
+  // clear() frees the capacity again.
+  m.clear();
+  EXPECT_EQ(m.push(1, 1).num_fields(), 1u);
 }
 
-TEST(MessageSbo, CopyAndMovePreserveSpilledFields) {
+TEST(MessageCap, CopiesAreIndependentValues) {
   Message m;
-  for (std::size_t i = 0; i < Message::kInlineFields + 4; ++i) {
-    m.push(i, 16);
-  }
+  for (std::size_t i = 0; i < Message::kMaxFields; ++i) m.push(i, 16);
   Message copy = m;
   EXPECT_EQ(copy, m);
-  copy.set_field(Message::kInlineFields + 2, 999);  // spilled index
-  EXPECT_EQ(copy.field(Message::kInlineFields + 2), 999u);
-  EXPECT_EQ(m.field(Message::kInlineFields + 2), Message::kInlineFields + 2)
-      << "copies must not share spill storage";
-
-  Message moved = std::move(m);
-  EXPECT_EQ(moved.num_fields(), Message::kInlineFields + 4);
-  EXPECT_EQ(moved.field(Message::kInlineFields + 3),
-            Message::kInlineFields + 3);
-  // Moved-from messages reset to empty and are freely reusable.
-  EXPECT_EQ(m.num_fields(), 0u);  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(m.size_bits(), 0u);
-  EXPECT_EQ(m, Message{});
-  m.push(7, 3);
-  EXPECT_EQ(m.field(0), 7u);
+  copy.set_field(Message::kMaxFields - 1, 999);
+  EXPECT_EQ(copy.field(Message::kMaxFields - 1), 999u);
+  EXPECT_EQ(m.field(Message::kMaxFields - 1), Message::kMaxFields - 1);
 }
 
-TEST(MessageSbo, EqualityIsFieldWiseNotRepresentational) {
+TEST(MessageValue, EqualityIsFieldWiseNotRepresentational) {
   Message a;
   Message b;
   a.push(5, 4).push(9, 8);
@@ -94,7 +73,7 @@ TEST(MessageSbo, EqualityIsFieldWiseNotRepresentational) {
   EXPECT_FALSE(a == shorter);
 }
 
-TEST(MessageSbo, CachedSizeBitsMatchesFieldSum) {
+TEST(MessageValue, CachedSizeBitsMatchesFieldSum) {
   Message m;
   m.push(1, 1).push(~0ULL, 64).push(100, 7);
   std::uint32_t sum = 0;
@@ -109,12 +88,13 @@ TEST(MessageSbo, CachedSizeBitsMatchesFieldSum) {
   EXPECT_EQ(t.size_bits(), 30u);
 }
 
-TEST(MessageSbo, SetFieldValidatesWidthOnSpilledFields) {
+TEST(MessageValue, SetFieldValidatesWidthOnTheLastField) {
   Message m;
-  for (std::size_t i = 0; i < Message::kInlineFields + 1; ++i) m.push(0, 4);
-  EXPECT_THROW(m.set_field(Message::kInlineFields, 16), InvalidArgumentError);
-  m.set_field(Message::kInlineFields, 15);
-  EXPECT_EQ(m.field(Message::kInlineFields), 15u);
+  for (std::size_t i = 0; i < Message::kMaxFields; ++i) m.push(0, 4);
+  const std::size_t last = Message::kMaxFields - 1;
+  EXPECT_THROW(m.set_field(last, 16), InvalidArgumentError);
+  m.set_field(last, 15);
+  EXPECT_EQ(m.field(last), 15u);
 }
 
 TEST(MessageTruncate, FieldExactlyFillingBudgetIsKeptWhole) {
@@ -155,12 +135,11 @@ TEST(MessageTruncate, ZeroBudgetYieldsEmptyMessage) {
   EXPECT_EQ(Message{}.truncated(0), Message{});
 }
 
-TEST(MessageTruncate, ClipsAcrossTheInlineBoundary) {
+TEST(MessageTruncate, ClipsAFullCapacityMessage) {
   Message m;
-  const std::size_t fields = Message::kInlineFields + 3;
-  for (std::size_t i = 0; i < fields; ++i) m.push(0x1F, 5);
-  // Keep one field past the inline capacity whole, then narrow the next.
-  const auto keep = static_cast<std::uint32_t>(Message::kInlineFields + 1);
+  for (std::size_t i = 0; i < Message::kMaxFields; ++i) m.push(0x1F, 5);
+  // Keep all but the last two fields whole, then narrow the next.
+  const auto keep = static_cast<std::uint32_t>(Message::kMaxFields - 2);
   const Message t = m.truncated(5 * keep + 2);
   ASSERT_EQ(t.num_fields(), keep + 1);
   EXPECT_EQ(t.field_bits(keep), 2u);
@@ -168,31 +147,18 @@ TEST(MessageTruncate, ClipsAcrossTheInlineBoundary) {
   EXPECT_EQ(t.size_bits(), 5 * keep + 2);
 }
 
-TEST(MessageClear, RemovesFieldsAndKeepsSpillCapacity) {
+TEST(MessageClear, RemovesFieldsAndIsImmediatelyReusable) {
   Message m;
-  const std::size_t fields = Message::kInlineFields + 4;
-  for (std::size_t i = 0; i < fields; ++i) m.push(i, 9);
-  ASSERT_EQ(m.num_fields(), fields);
-
+  for (std::size_t i = 0; i < Message::kMaxFields; ++i) m.push(i, 9);
   m.clear();
   EXPECT_EQ(m.num_fields(), 0u);
   EXPECT_EQ(m.size_bits(), 0u);
   EXPECT_EQ(m, Message{});
-
-  // Refilling up to the previous spill depth reuses the retained block:
-  // the shard decode loop leans on this to stay allocation-free once a
-  // reused frame's messages are warmed.
   const std::uint64_t before = allocs();
-  for (std::size_t i = 0; i < fields; ++i) m.push(fields - i, 7);
-  const std::uint64_t after = allocs();
-  EXPECT_EQ(after, before);
-  ASSERT_EQ(m.num_fields(), fields);
-  EXPECT_EQ(m.field(0), fields);
-  EXPECT_EQ(m.field_bits(fields - 1), 7u);
-
-  // clear() is not move-from: a cleared message is immediately reusable.
-  m.clear();
-  EXPECT_EQ(m.push(1, 1).num_fields(), 1u);
+  for (std::size_t i = 0; i < Message::kMaxFields; ++i) m.push(i + 1, 7);
+  EXPECT_EQ(allocs(), before);
+  EXPECT_EQ(m.field(0), 1u);
+  EXPECT_EQ(m.field_bits(Message::kMaxFields - 1), 7u);
 }
 
 }  // namespace

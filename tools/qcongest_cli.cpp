@@ -20,6 +20,7 @@
 #include <csignal>
 #include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <stdexcept>
 #include <string_view>
 
@@ -377,6 +378,14 @@ int main(int argc, char** argv) try {
   // Parsed before any work, whichever local command runs, so a bad
   // --oracle is rejected even where it would not be read.
   const core::QuantumConfig qcfg = quantum_config(cli);
+  // Likewise --algo: a command without an algorithm choice would ignore it.
+  constexpr std::string_view kTakesAlgo[] = {"diameter", "approx", "radius",
+                                             "decide", "run"};
+  if (cli.has("algo") && std::find(std::begin(kTakesAlgo),
+                                   std::end(kTakesAlgo),
+                                   cmd) == std::end(kTakesAlgo)) {
+    throw BadFlagValue(cmd + " does not take --algo");
+  }
   // The export session outlives the root span (destruction runs in reverse
   // order), so the span is closed by the time the JSONL is written.
   metrics::ScopedExport metrics_session(cli.get_string("metrics-out", ""));
