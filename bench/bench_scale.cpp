@@ -13,20 +13,13 @@
 //              generated-and-cached 10^6-node graph, including the
 //              exhaustive n-BFS engine sweep (bit-parallel kernel)
 //
-// Every config a mode skips leaves an explicit entry in the row's
-// "skipped" JSON array, so BENCH_*.json trajectories distinguish "not
-// run in this mode" from "missing".
-//
-// Emits a JSON summary (stdout and --out=FILE); full-mode rows seed the
-// "scale" sections committed in BENCH_ecc.json / BENCH_net.json.
+// A table cell a mode does not run prints `-`.
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "algos/bfs_tree.hpp"
@@ -50,7 +43,6 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 }
 
 struct CongestRow {
-  std::uint32_t ecc = 0;
   std::uint32_t rounds = 0;
   std::uint64_t messages = 0;
 };
@@ -58,9 +50,6 @@ struct CongestRow {
 struct EngineRow {
   std::uint32_t diameter = 0;
   std::uint32_t radius = 0;
-  std::uint64_t bfs_runs = 0;
-  std::string kernel;
-  std::uint32_t threads = 0;
   double ms = 0;
 };
 
@@ -72,13 +61,10 @@ struct ScaleRow {
   std::optional<double> varint_load_ms;
   std::optional<double> raw_load_ms;
   bool mapped = false;
-  std::uint32_t bfs_sources = 0;
   double bfs_avg_ms = 0;
   std::uint32_t dsweep_lb = 0;
   std::optional<CongestRow> congest;
   std::optional<EngineRow> engine;
-  std::optional<std::uint32_t> sampled_lb;  ///< max ecc over sampled roots
-  std::vector<std::string> skipped;  ///< configs this mode did not run
 };
 
 struct TimedLoad {
@@ -93,13 +79,6 @@ TimedLoad time_load(const std::string& path) {
   return {std::move(g), ms};
 }
 
-// Records a skipped config both in the JSON row and on stdout.
-void skip(ScaleRow& row, const std::string& what, const std::string& why) {
-  row.skipped.push_back(what + " (" + why + ")");
-  std::cout << "skipped (" << why << "): " << what << " [" << row.dataset
-            << "]\n";
-}
-
 // k-source flat BFS: average per-source time, plus the double-sweep lower
 // bound (BFS from 0, then from the farthest *reachable* vertex found).
 void measure_bfs(const graph::Graph& g, std::uint32_t sources,
@@ -112,7 +91,6 @@ void measure_bfs(const graph::Graph& g, std::uint32_t sources,
         (static_cast<std::uint64_t>(i) * g.n()) / sources);
     graph::flat_bfs_distances(g, root, scratch);
   }
-  row.bfs_sources = sources;
   row.bfs_avg_ms = ms_since(t0) / sources;
 
   graph::flat_bfs_distances(g, 0, scratch);
@@ -131,7 +109,7 @@ CongestRow congest_ecc(const graph::Graph& g) {
   const auto out = algos::compute_eccentricity(g, 0);
   check_internal(out.status == algos::PhaseStatus::kQuiesced,
                  "bench_scale: fault-free eccentricity did not quiesce");
-  return {out.ecc, out.stats.rounds, out.stats.messages};
+  return {out.stats.rounds, out.stats.messages};
 }
 
 EngineRow engine_sweep(const graph::Graph& g) {
@@ -140,66 +118,23 @@ EngineRow engine_sweep(const graph::Graph& g) {
   EngineRow e;
   e.diameter = engine.diameter();
   e.radius = engine.radius();
-  e.bfs_runs = engine.bfs_runs();
-  e.kernel = g.n() >= 256 ? "bit_parallel" : "flat";
-  e.threads = std::max(1u, std::thread::hardware_concurrency());
   e.ms = ms_since(t0);
   return e;
 }
 
 std::string opt_num(const std::optional<double>& v) {
-  return v ? fmt(*v, 2) : std::string("null");
-}
-
-void emit_row(std::ostringstream& json, const ScaleRow& r, bool last) {
-  json << "    {\"dataset\": \"" << r.dataset << "\", \"n\": " << r.n
-       << ", \"m\": " << r.m << ",\n"
-       << "     \"text_load_ms\": " << opt_num(r.text_load_ms)
-       << ", \"varint_load_ms\": " << opt_num(r.varint_load_ms)
-       << ", \"raw_load_ms\": " << opt_num(r.raw_load_ms)
-       << ", \"mapped\": " << (r.mapped ? "true" : "false") << ",\n"
-       << "     \"bfs_sources\": " << r.bfs_sources
-       << ", \"bfs_avg_ms\": " << fmt(r.bfs_avg_ms, 3)
-       << ", \"dsweep_lb\": " << r.dsweep_lb << ",\n"
-       << "     \"congest\": ";
-  if (r.congest) {
-    json << "{\"ecc_root0\": " << r.congest->ecc
-         << ", \"rounds\": " << r.congest->rounds
-         << ", \"messages\": " << r.congest->messages << "}";
-  } else {
-    json << "null";
-  }
-  json << ",\n     \"ecc_engine\": ";
-  if (r.engine) {
-    json << "{\"diameter\": " << r.engine->diameter
-         << ", \"radius\": " << r.engine->radius
-         << ", \"bfs_runs\": " << r.engine->bfs_runs << ", \"kernel\": \""
-         << r.engine->kernel << "\", \"threads\": " << r.engine->threads
-         << ", \"ms\": " << fmt(r.engine->ms, 1) << "}";
-  } else {
-    json << "null";
-  }
-  json << ",\n     \"sampled_lb\": "
-       << (r.sampled_lb ? fmt(*r.sampled_lb) : std::string("null"))
-       << ",\n     \"skipped\": [";
-  for (std::size_t i = 0; i < r.skipped.size(); ++i) {
-    json << (i == 0 ? "" : ", ") << "\"" << r.skipped[i] << "\"";
-  }
-  json << "]}" << (last ? "" : ",") << "\n";
+  return v ? fmt(*v, 2) : std::string("-");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto opt =
-      BenchOptions::parse(argc, argv, {"out", "full", "data-dir"});
+      BenchOptions::parse(argc, argv, {"full", "data-dir"});
   Cli cli(argc, argv);
   const bool full = cli.get_bool("full", false);
   require(!(full && opt.quick), "bench_scale: pick one of --quick / --full");
-  const std::string mode =
-      opt.quick ? "quick" : (full ? "full" : "default");
   const std::string data_dir = cli.get_string("data-dir", QC_DATA_DIR);
-  const std::string out = cli.get_string("out", "");
   const auto cache_dir = fs::temp_directory_path() / "qc_bench_scale";
   fs::create_directories(cache_dir);
 
@@ -228,11 +163,7 @@ int main(int argc, char** argv) {
     r.m = mapped.m();
     measure_bfs(mapped, opt.quick ? 4 : 8, r);
     r.congest = congest_ecc(mapped);
-    if (full) {
-      r.engine = engine_sweep(mapped);
-    } else {
-      skip(r, "ecc_engine full sweep", mode + ": pass --full");
-    }
+    if (full) r.engine = engine_sweep(mapped);
     rows.push_back(std::move(r));
   }
 
@@ -251,16 +182,8 @@ int main(int argc, char** argv) {
     r.n = mapped.n();
     r.m = mapped.m();
     measure_bfs(mapped, opt.quick ? 4 : 8, r);
-    if (!opt.quick) {
-      r.congest = congest_ecc(mapped);
-    } else {
-      skip(r, "congest eccentricity", "quick");
-    }
-    if (full) {
-      r.engine = engine_sweep(mapped);
-    } else {
-      skip(r, "ecc_engine full sweep", mode + ": pass --full");
-    }
+    if (!opt.quick) r.congest = congest_ecc(mapped);
+    if (full) r.engine = engine_sweep(mapped);
     rows.push_back(std::move(r));
   }
 
@@ -293,49 +216,29 @@ int main(int argc, char** argv) {
       graph::flat_bfs_distances(mapped, root, scratch);
       best = std::max(best, scratch.finite_ecc);
     }
-    r.sampled_lb = best;
     // The exhaustive n-BFS sweep — infeasible on the flat kernel (hours),
     // feasible on the bit-parallel one. This is the row PR 7 exists for.
     r.engine = engine_sweep(mapped);
-    check_internal(r.engine->diameter >= *r.sampled_lb,
+    check_internal(r.engine->diameter >= best,
                    "bench_scale: exhaustive diameter below sampled bound");
-    rows.push_back(std::move(r));
-  } else {
-    ScaleRow r;
-    r.dataset = "pa-1m";
-    skip(r, "all configs (generate + load + BFS + congest + ecc_engine)",
-         mode + ": pass --full");
     rows.push_back(std::move(r));
   }
 
   std::cout << "\n";
   Table t({"dataset", "n", "m", "text ms", "varint ms", "raw ms", "mapped",
-           "bfs ms", "dsweep lb", "congest rounds", "engine D",
-           "engine ms"});
+           "bfs ms", "dsweep lb", "congest rounds", "congest msgs",
+           "engine D", "engine R", "engine ms"});
   for (const auto& r : rows) {
     t.add_row({r.dataset, fmt(r.n), fmt(r.m), opt_num(r.text_load_ms),
                opt_num(r.varint_load_ms), opt_num(r.raw_load_ms),
                r.mapped ? "yes" : "no", fmt(r.bfs_avg_ms, 3),
                fmt(r.dsweep_lb),
                r.congest ? fmt(r.congest->rounds) : std::string("-"),
+               r.congest ? fmt(r.congest->messages) : std::string("-"),
                r.engine ? fmt(r.engine->diameter) : std::string("-"),
+               r.engine ? fmt(r.engine->radius) : std::string("-"),
                r.engine ? fmt(r.engine->ms, 1) : std::string("-")});
   }
   t.print(std::cout);
-
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"scale\",\n  \"mode\": \"" << mode << "\",\n"
-       << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    emit_row(json, rows[i], i + 1 == rows.size());
-  }
-  json << "  ]\n}\n";
-  std::cout << "\n" << json.str();
-  if (!out.empty()) {
-    std::ofstream f(out);
-    require(f.good(), "bench_scale: cannot open --out file " + out);
-    f << json.str();
-    std::cout << "wrote " << out << "\n";
-  }
   return 0;
 }

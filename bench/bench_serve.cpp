@@ -18,14 +18,11 @@
 //   * the resident phase does zero BFS work (bfs_runs frozen),
 //   * per-invocation median >= 10x the resident p50.
 //
-// Modes: --quick (CI smoke, fewer requests), default. Emits a JSON summary
-// (stdout and --out=FILE); full-mode rows are committed as BENCH_serve.json.
+// Modes: --quick (fewer requests; ctest runs it), default.
 
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,7 +82,7 @@ void client_loop(const std::string& endpoint, const std::string& key,
 
 int main(int argc, char** argv) {
   const auto opt = BenchOptions::parse(
-      argc, argv, {"out", "dataset", "clients", "requests"});
+      argc, argv, {"dataset", "clients", "requests"});
   Cli cli(argc, argv);
   const std::string dataset =
       cli.get_string("dataset", std::string(QC_DATA_DIR) +
@@ -94,7 +91,6 @@ int main(int argc, char** argv) {
       static_cast<int>(cli.get_int_in("clients", 4, 1, 256));
   const int requests_per_client = static_cast<int>(cli.get_int_in(
       "requests", opt.quick ? 250 : 2500, 1, 1 << 24));
-  const std::string out = cli.get_string("out", "");
 
   banner("Resident-graph serving vs per-invocation lifecycle",
          "qcongestd keeps the graph and its compute-once eccentricity "
@@ -202,27 +198,5 @@ int main(int argc, char** argv) {
   t.print(std::cout);
   std::cout << "\nspeedup: resident p50 is " << fmt(speedup, 0)
             << "x faster than per-invocation (gate: >= 10x)\n";
-
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"serve\",\n  \"mode\": \""
-       << (opt.quick ? "quick" : "default") << "\",\n  \"dataset\": \""
-       << fs::path(dataset).filename().string() << "\",\n  \"n\": " << n
-       << ", \"m\": " << m << ",\n  \"clients\": " << clients
-       << ", \"requests\": " << phase.requests << ",\n"
-       << "  \"per_invocation_ms\": " << fmt(cold_median_ms, 2) << ",\n"
-       << "  \"resident\": {\"load_ms\": " << fmt(load_ms, 2)
-       << ", \"first_query_ms\": " << fmt(first_query_ms, 2)
-       << ", \"p50_us\": " << fmt(phase.p50_us, 1)
-       << ", \"p99_us\": " << fmt(phase.p99_us, 1)
-       << ", \"qps\": " << fmt(phase.qps, 0) << ", \"bfs_runs_delta\": 0},\n"
-       << "  \"diameter\": " << diameter_direct
-       << ", \"speedup_p50\": " << fmt(speedup, 0) << "\n}\n";
-  std::cout << "\n" << json.str();
-  if (!out.empty()) {
-    std::ofstream f(out);
-    require(f.good(), "bench_serve: cannot open --out file " + out);
-    f << json.str();
-    std::cout << "wrote " << out << "\n";
-  }
   return 0;
 }

@@ -26,16 +26,13 @@
 // reps must not allocate on the coordinator, and every worker arms its own
 // probe after warmup (ShardConfig::verify_zero_alloc_from_round) — a
 // steady-state allocation on either side of the barrier fails the bench.
-// `--out=FILE` emits the JSON summary that seeds BENCH_shard.json.
+// ctest runs `--quick --check` on the toy graph and on the 10k dataset.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -45,7 +42,6 @@
 #include "congest/shard/sharded_network.hpp"
 #include "graph/io.hpp"
 #include "util/alloc_probe.hpp"
-#include "util/bits.hpp"
 #include "util/error.hpp"
 
 QC_INSTALL_ALLOC_PROBE();
@@ -114,7 +110,6 @@ struct Result {
   // From ShardedNetwork::perf(), accumulated over warmup + reps:
   double barrier_us_per_round = 0.0;
   double boundary_bytes_per_round = 0.0;
-  std::uint64_t events_elided = 0;
 
   double msgs_per_sec() const {
     return static_cast<double>(messages) / std::max(ms, 1e-9) * 1e3;
@@ -191,7 +186,6 @@ Result run_sharded(const graph::Graph& g, std::uint32_t shards,
       static_cast<double>(perf.barrier_wait_us) * per_round;
   r.boundary_bytes_per_round =
       static_cast<double>(perf.boundary_bytes) * per_round;
-  r.events_elided = perf.events_elided;
   net.shutdown();
   return r;
 }
@@ -200,7 +194,7 @@ Result run_sharded(const graph::Graph& g, std::uint32_t shards,
 
 int main(int argc, char** argv) {
   const auto opt = BenchOptions::parse(
-      argc, argv, {"out", "n", "d", "rounds", "check", "dataset"});
+      argc, argv, {"n", "d", "rounds", "check", "dataset"});
   Cli cli(argc, argv);
   const std::string dataset = cli.get_string("dataset", "");
   const auto n =
@@ -212,7 +206,6 @@ int main(int argc, char** argv) {
   const auto rounds =
       static_cast<std::uint32_t>(cli.get_int("rounds", default_rounds));
   const bool check = cli.get_bool("check", false);
-  const std::string out = cli.get_string("out", "");
   const std::uint32_t warm = 8;
   const std::uint32_t reps = dataset.empty() ? (opt.quick ? 2 : 4)
                                              : (opt.quick ? 1 : 2);
@@ -221,10 +214,8 @@ int main(int argc, char** argv) {
          "flooding workload: one delivery per directed edge per round; "
          "every sharded row must be bit-identical to the sequential run");
 
-  std::string workload_name = "toy";
   graph::Graph g = [&] {
     if (dataset.empty()) return workload(n, d, opt.seed);
-    workload_name = dataset;
     std::cout << "dataset: " << dataset << "\n";
     return graph::load_graph_file(dataset);
   }();
@@ -313,46 +304,6 @@ int main(int argc, char** argv) {
     }
     std::cout << "\ncheck mode: parity + zero-alloc assertions passed for "
                  "every worker count\n";
-  }
-
-  std::ostringstream json;
-  json << "{\n"
-       << "  \"bench\": \"shard_scaling\",\n"
-       << "  \"workload\": \"" << workload_name << "\",\n"
-       << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
-       << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
-       << "  \"n\": " << g.n() << ",\n"
-       << "  \"edges\": " << g.m() << ",\n"
-       << "  \"rounds\": " << rounds << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"warmup_rounds\": " << warm << ",\n"
-       << "  \"bandwidth_bits\": " << congest_bandwidth_bits(g.n()) << ",\n"
-       << "  \"configs\": {\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& nr = results[i];
-    json << "    \"" << nr.name << "\": {\"ms\": " << fmt(nr.r.ms, 3)
-         << ", \"messages\": " << nr.r.messages
-         << ", \"msgs_per_sec\": " << fmt(nr.r.msgs_per_sec(), 0)
-         << ", \"ns_per_delivery\": " << fmt(nr.r.ns_per_delivery(), 1)
-         << ", \"boundary_arcs\": " << nr.r.boundary_arcs
-         << ", \"barrier_us_per_round\": " << fmt(nr.r.barrier_us_per_round, 1)
-         << ", \"boundary_bytes_per_round\": "
-         << fmt(nr.r.boundary_bytes_per_round, 0)
-         << ", \"events_elided\": " << nr.r.events_elided
-         << ", \"speedup_vs_seq\": "
-         << fmt(seq.ms / std::max(nr.r.ms, 1e-9), 3) << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  json << "  },\n"
-       << "  \"parity\": \"bit-identical\",\n"
-       << "  \"results_equal\": true\n"
-       << "}\n";
-  std::cout << "\n" << json.str();
-  if (!out.empty()) {
-    std::ofstream f(out);
-    require(f.good(), "bench_shard: cannot open --out file " + out);
-    f << json.str();
-    std::cout << "wrote " << out << "\n";
   }
   return 0;
 }

@@ -9,8 +9,7 @@
 // worker — with fresh codec buffers allocated at every hop. On the
 // flooding workload that put the coordinator's CPU and the allocator on
 // the critical path of every round and capped sharded throughput at a
-// fraction of the sequential engine (see BENCH_shard.json history and
-// docs/performance.md).
+// fraction of the sequential engine (docs/performance.md).
 //
 // This module replaces that data plane with memory the processes already
 // share. Everything is carved out of ONE anonymous `mmap(MAP_SHARED)`

@@ -57,21 +57,17 @@ SearchResult bbht_phase(GroverPlane& plane,
   return res;
 }
 
-}  // namespace
-
-SearchResult amplitude_amplification_search(const AmplitudeVector& setup_state,
-                                            const BasisPredicate& marked,
-                                            double epsilon, double delta,
-                                            Rng& rng) {
-  require(epsilon > 0 && epsilon <= 1,
-          "amplitude_amplification_search: epsilon must be in (0, 1]");
-  require(delta > 0 && delta < 1,
-          "amplitude_amplification_search: delta must be in (0, 1)");
+/// Amplitude amplification for the marked set `mask` (a
+/// AmplitudeVector::mark of `setup_state`): the body of
+/// amplitude_amplification_search, which quantum_maximize also runs once
+/// per threshold level on masks built from its cached objective values.
+/// The marked set is fixed for the whole search, so the Setup state is
+/// split by it once; every iterate of every phase then moves two
+/// coefficients of that plane.
+SearchResult search_on_mask(const AmplitudeVector& setup_state,
+                            std::span<const std::uint8_t> mask,
+                            double epsilon, double delta, Rng& rng) {
   SearchResult total;
-  // The marked set is fixed for the whole search: ask the oracle once per
-  // populated branch, and split the Setup state by the mask once; every
-  // iterate of every phase then moves two coefficients of that plane.
-  const std::vector<std::uint8_t> mask = setup_state.mark(marked);
   GroverPlane plane(setup_state, mask);
   const auto phases = static_cast<std::uint32_t>(
       std::ceil(std::log2(1.0 / delta))) + 1;
@@ -89,6 +85,21 @@ SearchResult amplitude_amplification_search(const AmplitudeVector& setup_state,
   return total;  // declared empty
 }
 
+}  // namespace
+
+SearchResult amplitude_amplification_search(const AmplitudeVector& setup_state,
+                                            const BasisPredicate& marked,
+                                            double epsilon, double delta,
+                                            Rng& rng) {
+  require(epsilon > 0 && epsilon <= 1,
+          "amplitude_amplification_search: epsilon must be in (0, 1]");
+  require(delta > 0 && delta < 1,
+          "amplitude_amplification_search: delta must be in (0, 1)");
+  // The oracle is asked once per populated branch, not once per iterate.
+  return search_on_mask(setup_state, setup_state.mark(marked), epsilon, delta,
+                        rng);
+}
+
 MaximizationResult quantum_maximize(
     const AmplitudeVector& setup_state,
     const std::function<std::int64_t(std::size_t)>& f, double epsilon,
@@ -99,11 +110,22 @@ MaximizationResult quantum_maximize(
 
   MaximizationResult res;
 
+  // f is deterministic on basis values (the Evaluation unitary), so it is
+  // asked once per populated branch; each level's marked set
+  // {x : f(x) > f(a)} and every f(a) below are read from this cache.
+  std::vector<std::int64_t> value(setup_state.dim());
+  const std::vector<std::uint8_t> populated =
+      setup_state.mark([&](std::size_t x) {
+        value[x] = f(x);
+        return true;
+      });
+  std::vector<std::uint8_t> marked(populated.size());
+
   // Line (1) of Corollary 1: start from a sample of the setup state (one
   // Setup, one classical evaluation to learn f(a)).
   std::size_t a = setup_state.sample(rng);
   ++res.costs.setup_invocations;
-  std::int64_t fa = f(a);
+  std::int64_t fa = value[a];
   ++res.costs.candidate_evaluations;
 
   // Worst-case abort (the final paragraph of the Corollary 1 proof):
@@ -119,18 +141,20 @@ MaximizationResult quantum_maximize(
       res.budget_exhausted = true;
       break;
     }
-    const auto marked = [&](std::size_t x) { return f(x) > fa; };
+    for (std::size_t x = 0; x < marked.size(); ++x) {
+      marked[x] = populated[x] != 0 && value[x] > fa ? 1 : 0;
+    }
     // A missed improvement at a shallow level gets retried at the next
     // (deeper) level, so intermediate searches only need constant
     // confidence; the full delta budget is spent at the final level
     // eps' <= eps, whose "empty" verdict terminates the algorithm.
     const double delta_level = eps_prime > epsilon ? 1.0 / 3.0 : delta;
-    SearchResult srch = amplitude_amplification_search(
-        setup_state, marked, eps_prime, delta_level, rng);
+    SearchResult srch =
+        search_on_mask(setup_state, marked, eps_prime, delta_level, rng);
     res.costs += srch.costs;
     if (srch.found) {
       a = srch.item;           // line (3): raise the threshold
-      fa = f(a);
+      fa = value[a];
       ++res.costs.candidate_evaluations;
     } else if (eps_prime > epsilon) {
       eps_prime /= 2;          // line (4): search deeper

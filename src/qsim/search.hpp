@@ -67,9 +67,10 @@ struct MaximizationResult {
 /// least epsilon (P_opt >= epsilon). Uses O(sqrt(log(1/delta)/epsilon))
 /// Setup and Evaluation applications.
 ///
-/// `f` is the function to maximize; it is invoked on basis values (and may
-/// be memoized by the caller — the same branch always evaluates to the
-/// same value, exactly like the deterministic Evaluation unitary).
+/// `f` is the function to maximize. Like the deterministic Evaluation
+/// unitary, the same branch always evaluates to the same value, so `f` is
+/// invoked once per populated basis value, however many threshold levels
+/// the search runs.
 MaximizationResult quantum_maximize(const AmplitudeVector& setup_state,
                                     const std::function<std::int64_t(std::size_t)>& f,
                                     double epsilon, double delta, Rng& rng);

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/algorithms.hpp"
+#include "graph/bfs_kernels.hpp"
 #include "graph/import.hpp"
 #include "graph/io.hpp"
 #include "graph/qcg.hpp"
@@ -115,6 +118,38 @@ TEST(Dataset, SmallSnapAutoDetectsAsSnap) {
   EXPECT_EQ(format, "snap");
   EXPECT_EQ(g.n(), 6u);
   EXPECT_EQ(g.m(), 7u);
+}
+
+TEST(Dataset, BfsKernelsAgreeOnSampledRoots) {
+  // The flat single-source kernel and the 64-sources-per-word kernel, push
+  // only and direction-optimizing, give one eccentricity per root on the
+  // 10k dataset: 512 roots spread evenly over the id space, batched 64 at
+  // a time as EccEngine's sweep batches them.
+  const auto g = load_graph_file(data_path("synth-p2p-10k.qcg"));
+  const std::uint32_t k = 512;
+  std::vector<NodeId> roots(k);
+  for (std::uint32_t i = 0; i < k; ++i) {
+    roots[i] = static_cast<NodeId>((std::uint64_t{i} * g.n()) / k);
+  }
+  std::vector<std::uint32_t> flat(k);
+  BfsScratch scratch;
+  for (std::uint32_t i = 0; i < k; ++i) {
+    flat[i] = flat_bfs_distances(g, roots[i], scratch);
+  }
+  // The sample includes a peripheral root: its maximum is the diameter.
+  EXPECT_EQ(*std::max_element(flat.begin(), flat.end()), 7u);
+  MultiBfsScratch mscratch;
+  for (const auto dir :
+       {MultiBfsDirection::kPushOnly, MultiBfsDirection::kOptimized}) {
+    std::vector<std::uint32_t> multi(k);
+    for (std::uint32_t first = 0; first < k; first += 64) {
+      multi_source_eccentricities(
+          g, std::span<const NodeId>(roots.data() + first, 64),
+          multi.data() + first, mscratch, dir);
+    }
+    EXPECT_EQ(multi, flat)
+        << (dir == MultiBfsDirection::kPushOnly ? "push-only" : "diropt");
+  }
 }
 
 TEST(Dataset, LargeQcgHeaderAgreesWithGraph) {

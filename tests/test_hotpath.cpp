@@ -1,8 +1,9 @@
 // The zero-allocation CONGEST delivery hot path: reverse-port table
 // correctness (randomized against port_to, corrupted-adjacency construction
 // failure), the no-heap-allocation-per-delivery invariant (this binary's
-// global allocator is replaced by the counting probe), the incremental
-// quiescence counters, and the memory_bits sweep skip.
+// global allocator is replaced by the counting probe), the flooding
+// workload against its closed-form reference, the incremental quiescence
+// counters, and the memory_bits sweep skip.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "congest/message.hpp"
 #include "congest/network.hpp"
+#include "congest/observer.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "util/alloc_probe.hpp"
@@ -109,19 +111,31 @@ TEST(ReversePorts, CorruptedAdjacencyFailsConstruction) {
   EXPECT_EQ(rev[2], (std::vector<std::uint32_t>{1, 1}));
 }
 
-/// Floods two fields on every port every round, never halts, allocates no
-/// heap memory of its own — the workload for the zero-allocation pin.
+/// Order-sensitive hash fold: the same deliveries in another order give
+/// another value.
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+/// Floods (id, round) on every port every round, never halts, allocates no
+/// heap memory of its own — the workload for the zero-allocation pin — and
+/// folds each inbox, in order, into `hash`.
 class Flood : public NodeProgram {
  public:
-  void on_start(NodeContext& ctx) override {
-    ctx.broadcast(Message().push(ctx.id() & 0xff, 8).push(1, 8));
-  }
+  void on_start(NodeContext& ctx) override { blast(ctx); }
   void on_round(NodeContext& ctx) override {
-    for (const auto& in : ctx.inbox()) sink += in.msg.field(0);
+    for (const auto& in : ctx.inbox()) {
+      hash = mix(mix(mix(hash, in.port), in.msg.field(0)), in.msg.field(1));
+    }
+    blast(ctx);
+  }
+  std::uint64_t hash = 0;
+
+ private:
+  static void blast(NodeContext& ctx) {
     ctx.broadcast(
         Message().push(ctx.id() & 0xff, 8).push(ctx.round() & 0xff, 8));
   }
-  std::uint64_t sink = 0;
 };
 
 /// Sends on every port, one message per port, with a different message on
@@ -168,6 +182,51 @@ TEST(HotPath, ZeroAllocationsPerDeliveryAtSteadyState) {
     ASSERT_EQ(st.messages, 50 * 2 * g.m());  // every arc, every round
     EXPECT_EQ(after - before, 0u)
         << "the no-fault sequential delivery path must not touch the heap";
+  }
+}
+
+TEST(HotPath, FloodMatchesTheClosedFormReference) {
+  // Flood's traffic follows from the graph alone: in round r node w hears,
+  // on each port p in order, (neighbor id, r - 1). Both phases of the run
+  // are checked against that replay — one delivery of 8 + 8 bits per arc
+  // per round, and every node's order-sensitive inbox hash — with and
+  // without an armed observer, which must see exactly the deliveries the
+  // stats count.
+  Rng rng(11);
+  auto g = graph::make_connected_er(48, 0.12, rng);
+  const std::uint32_t warm = 3;
+  const std::uint32_t rounds = 50;
+  for (const bool armed : {false, true}) {
+    NetworkConfig cfg;
+    std::uint64_t observed = 0;
+    if (armed) {
+      cfg.observer = std::make_shared<CallbackObserver>(
+          [&observed](NodeId, NodeId, const Message&, std::uint32_t) {
+            ++observed;
+          });
+    }
+    Network net(g, cfg);
+    net.init_programs([](NodeId) { return std::make_unique<Flood>(); });
+    net.run_rounds(warm);
+    const RunStats st = net.run_rounds(rounds);
+    EXPECT_EQ(st.messages, std::uint64_t{rounds} * 2 * g.m());
+    EXPECT_EQ(st.bits, st.messages * (8 + 8));
+    EXPECT_EQ(net.stats().messages, std::uint64_t{warm + rounds} * 2 * g.m());
+    EXPECT_EQ(net.stats().bits, net.stats().messages * (8 + 8));
+    if (armed) {
+      EXPECT_EQ(observed, net.stats().messages);
+    }
+    for (NodeId w = 0; w < g.n(); ++w) {
+      const auto nb = g.neighbors(w);
+      std::uint64_t want = 0;
+      for (std::uint32_t r = 1; r <= warm + rounds; ++r) {
+        for (std::uint32_t p = 0; p < nb.size(); ++p) {
+          want = mix(mix(mix(want, p), nb[p] & 0xff), (r - 1) & 0xff);
+        }
+      }
+      EXPECT_EQ(net.program_as<Flood>(w).hash, want)
+          << (armed ? "observed" : "unobserved") << " node " << w;
+    }
   }
 }
 

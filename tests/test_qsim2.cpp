@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "qsim/amplitude_vector.hpp"
 #include "qsim/counting.hpp"
@@ -474,6 +476,34 @@ TEST(GoldenKernels, SearchAsksThePredicateOncePerBranch) {
     EXPECT_EQ(res.found, marked_item < kGoldenDim);
     EXPECT_GT(res.costs.grover_iterations, 0u);
     EXPECT_LE(calls, support.size() + res.costs.candidate_evaluations);
+  }
+}
+
+TEST(GoldenKernels, MaximizeAsksTheObjectiveOncePerBranch) {
+  // Every threshold level searches a different marked set, but all of them
+  // are read from one evaluation of f per populated branch; the outcome is
+  // MaximizeUniform's / MaximizeOverSupport's.
+  const auto support = every_third(kGoldenDim);
+  for (const bool sparse : {false, true}) {
+    const auto setup =
+        sparse ? AmplitudeVector::over_support(kGoldenDim, support)
+               : AmplitudeVector::uniform(kGoldenDim);
+    std::vector<std::uint32_t> calls(kGoldenDim, 0);
+    Rng rng(2024);
+    const auto m = quantum_maximize(
+        setup,
+        [&](std::size_t x) {
+          ++calls.at(x);
+          return golden_f(x);
+        },
+        sparse ? 1.0 / static_cast<double>(support.size())
+               : 1.0 / kGoldenDim,
+        0.01, rng);
+    EXPECT_EQ(m.argmax, sparse ? 132u : 620u);
+    EXPECT_EQ(*std::max_element(calls.begin(), calls.end()), 1u);
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(calls.begin(), calls.end(), 1u)),
+              sparse ? support.size() : kGoldenDim);
   }
 }
 

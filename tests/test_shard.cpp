@@ -913,8 +913,8 @@ TEST(ShardPartition, GreedyHandlesDegenerateShardCountsNearN) {
 
 TEST(ShardPartition, GreedyCutsNoMoreArcsThanContiguousOn10kDataset) {
   // The acceptance workload: greedy exists to reduce boundary traffic on
-  // the checked-in 10k dataset at W=8 (BENCH_shard.json records the
-  // measured reduction; this pins the direction of the inequality).
+  // the checked-in 10k dataset at W=8 (docs/performance.md records the
+  // measured reduction, ~31%; this pins the direction of the inequality).
   const Graph g =
       graph::load_graph_file(std::string(QC_DATA_DIR) + "/synth-p2p-10k.qcg");
   const ShardAssignment greedy =
