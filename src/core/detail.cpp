@@ -20,16 +20,24 @@ std::uint32_t effective_branch_threads(const QuantumConfig& cfg) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-void record_quantum_costs(const char* algo, const qsim::SearchCosts& costs,
-                          std::uint64_t distinct_evaluations,
-                          std::uint64_t reference_bfs_runs) {
+void record_phase(const char* algo, const PhaseReport& phase,
+                  std::uint64_t reference_bfs_runs, QuantumReport& out) {
+  out.total_rounds = phase.total_rounds;
+  out.costs = phase.costs;
+  out.distinct_branch_evaluations = phase.distinct_evaluations;
+  out.reference_bfs_runs = reference_bfs_runs;
+  out.per_node_memory_qubits = phase.per_node_memory_qubits;
+  out.leader_memory_qubits = phase.leader_memory_qubits;
+  out.subroutine_failed = phase.subroutine_failed;
+  out.failure_reason = phase.failure_reason;
   if (!metrics::enabled()) return;
+  const auto& costs = phase.costs;
   metrics::count("core.grover_iterations", costs.grover_iterations, algo);
   metrics::count("core.setup_invocations", costs.setup_invocations, algo);
   metrics::count("core.candidate_evaluations", costs.candidate_evaluations,
                  algo);
-  metrics::count("core.distinct_branch_evaluations", distinct_evaluations,
-                 algo);
+  metrics::count("core.distinct_branch_evaluations",
+                 phase.distinct_evaluations, algo);
   metrics::count("core.reference_bfs_runs", reference_bfs_runs, algo);
 }
 

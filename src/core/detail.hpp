@@ -1,14 +1,16 @@
 #pragma once
 
-// Internal building blocks shared by the quantum diameter/radius/decision
-// front-ends: the classical initialization phase of Section 3, the
-// Figure 2 branch oracle, and the two helpers that run the oracle's side
-// work (eccentricity sweep, kDirect validation) beside the paper's
-// phases. Not part of the public API surface.
+// Internal building blocks shared by the quantum diameter/radius/decision/
+// approx front-ends: the classical initialization phase of Section 3, the
+// Figure 2 branch oracle, the two helpers that run the oracle's side work
+// (eccentricity sweep, kDirect validation) beside the paper's phases, and
+// the Theorem 7 quantum phase every front-end ends with. Not part of the
+// public API surface.
 
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "algos/evaluation.hpp"
@@ -19,6 +21,7 @@
 #include "graph/ecc_engine.hpp"
 #include "graph/graph.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 
 namespace qc::core::detail {
 
@@ -60,15 +63,6 @@ PreparedInit prepare_init_and_engine(const graph::Graph& g,
 /// a delivery observer is armed — concurrent branch simulations would
 /// interleave the observed event stream nondeterministically.
 std::uint32_t effective_branch_threads(const QuantumConfig& cfg);
-
-/// Tags a completed quantum phase in the global metrics registry (no-op
-/// when metrics are disabled): Grover/Setup/check counters labeled with
-/// the front-end name, plus the branch-evaluation and reference-BFS
-/// totals. Shared by all four front-ends so the exported counter names
-/// stay uniform.
-void record_quantum_costs(const char* algo, const qsim::SearchCosts& costs,
-                          std::uint64_t distinct_evaluations,
-                          std::uint64_t reference_bfs_runs);
 
 /// The branch oracle for f(u) = max_{v in segment window of u} ecc(v),
 /// with the two evaluation modes of OracleMode. Cross-checks the
@@ -152,6 +146,87 @@ auto run_validated_phase(const WindowOracle& oracle, std::uint32_t threads,
     return failed;
   }
   return quantum.valid() ? quantum.get() : phase();
+}
+
+/// What a front-end's quantum phase has of its own; run_quantum_phase
+/// does the rest.
+struct PhaseSpec {
+  const char* algo = nullptr;  ///< front-end name, labels the cost counters
+  /// The tree whose DFS numbering the branch windows walk.
+  const algos::TreeState* tree = nullptr;
+  std::uint32_t steps = 0;     ///< window width; 0 makes f(u) = ecc(u)
+  std::shared_ptr<const graph::EccEngine> engine;  ///< reference values
+  /// Restricts the branches, and the Setup support, to these nodes
+  /// (Figure 3's R); empty = every node.
+  std::vector<bool> mask = {};
+  std::uint32_t t_init = 0;    ///< Initialization rounds the phase charges
+  std::uint32_t t_setup = 0;
+  double epsilon = 0;
+  std::uint64_t seed_mix = 0;  ///< the phase's Rng is seeded cfg.seed ^ this
+};
+
+template <typename Report>
+struct PhaseResult {
+  Report report;  ///< the distributed_quantum_optimize/_search report
+  std::uint32_t t_eval_forward = 0;  ///< the oracle's Figure 2 Steps 1-4 cost
+};
+
+/// Copies a completed phase's costs into the front-end report and tags
+/// them in the global metrics registry (no-op when metrics are disabled):
+/// Grover/Setup/check counters labeled `algo`, plus the branch-evaluation
+/// and reference-BFS totals.
+void record_phase(const char* algo, const PhaseReport& phase,
+                  std::uint64_t reference_bfs_runs, QuantumReport& out);
+
+/// The Theorem 7 quantum phase: builds the Figure 2 WindowOracle, poses
+/// the problem over it — a search (Theorem 6) when `objective` maps f(u)
+/// to bool, a maximization when it maps f(u) to an integer — runs it
+/// beside the oracle's validation (run_validated_phase) inside the
+/// `core.quantum_phase` span, and records its costs in `out`. The
+/// front-end maps the returned report to its own answer.
+template <typename Objective>
+auto run_quantum_phase(const graph::Graph& g, const QuantumConfig& cfg,
+                       std::uint32_t threads, PhaseSpec spec,
+                       Objective objective, QuantumReport& out) {
+  constexpr bool kSearch =
+      std::is_same_v<std::invoke_result_t<Objective, std::int64_t>, bool>;
+  std::conditional_t<kSearch, SearchProblem, OptimizationProblem> prob;
+  prob.domain_size = g.n();
+  for (std::size_t v = 0; v < spec.mask.size(); ++v) {
+    if (spec.mask[v]) prob.support.push_back(v);
+  }
+  auto oracle = std::make_shared<WindowOracle>(
+      g, *spec.tree, spec.steps, cfg.oracle, cfg.net, std::move(spec.engine),
+      std::move(spec.mask));
+  auto f = [oracle, objective](std::size_t x) {
+    return objective((*oracle)(x));
+  };
+  if constexpr (kSearch) {
+    prob.marked = f;
+  } else {
+    prob.evaluate = f;
+  }
+  prob.t_init = spec.t_init;
+  prob.t_setup = spec.t_setup;
+  prob.t_eval_forward = oracle->t_eval_forward();
+  prob.epsilon = spec.epsilon;
+  prob.delta = cfg.delta;
+  prob.num_threads = threads;
+
+  Rng rng(cfg.seed ^ spec.seed_mix);
+  metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
+  auto report = run_validated_phase(*oracle, threads, [&] {
+    if constexpr (kSearch) {
+      return distributed_quantum_search(prob, rng);
+    } else {
+      return distributed_quantum_optimize(prob, rng);
+    }
+  });
+  quantum_span.add(report.total_rounds - spec.t_init, 0, 0);
+  quantum_span.finish();
+  record_phase(spec.algo, report, oracle->reference_bfs_runs(), out);
+  return PhaseResult<decltype(report)>{std::move(report),
+                                       oracle->t_eval_forward()};
 }
 
 }  // namespace qc::core::detail

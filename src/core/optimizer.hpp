@@ -10,9 +10,9 @@
 
 namespace qc::core {
 
-/// A distributed optimization problem in the framework of Section 2.4
-/// (Theorem 7): a leader coordinates quantum maximum finding over a domain
-/// X whose evaluation runs as a distributed subroutine.
+/// The part of a Section 2.4 (Theorem 7) problem that does not depend on
+/// its shape: a leader coordinates quantum amplification over a domain X
+/// whose evaluation runs as a distributed subroutine.
 ///
 /// The round costs of the three black boxes are *measured* from CONGEST
 /// executions by the caller and passed in:
@@ -22,42 +22,37 @@ namespace qc::core {
 ///  - t_eval_forward: rounds of Steps 1-4 of the Evaluation procedure
 ///    (Figure 2). The Evaluation *unitary* costs 2*t_eval_forward (Step 5
 ///    reverts Steps 1-4 to clean all registers).
-struct OptimizationProblem {
+struct PhaseProblem {
   std::size_t domain_size = 0;        ///< |X|
   /// Support of the Setup superposition; empty means uniform over X
   /// (Section 3), otherwise uniform over these indices (Figure 3's R).
   std::vector<std::size_t> support;
-  /// The objective f, evaluated per basis branch. Deterministic — the
-  /// framework memoizes it, exactly as the Evaluation unitary maps equal
-  /// branches to equal results.
-  std::function<std::int64_t(std::size_t)> evaluate;
 
   std::uint32_t t_init = 0;
   std::uint32_t t_setup = 0;
   std::uint32_t t_eval_forward = 0;
 
-  double epsilon = 0;  ///< lower bound on P_opt (e.g. d/2n from Lemma 1)
+  /// Lower bound on the success mass: P_opt for maximization (e.g. d/2n
+  /// from Lemma 1), the promise P_M = 0 or P_M >= epsilon for search.
+  double epsilon = 0;
   double delta = 0.01; ///< target failure probability
 
   /// Branch-evaluation workers: the whole support is evaluated up front
   /// through a core::BranchEvaluator (exactly the branch set every Grover
   /// iterate touches), so results and round accounting are independent of
   /// this value. 1 = inline on the calling thread (safe for any
-  /// `evaluate`); > 1 requires `evaluate` to be thread-safe; 0 = one
+  /// objective); > 1 requires the objective to be thread-safe; 0 = one
   /// worker per hardware thread.
   std::uint32_t num_threads = 1;
 };
 
-/// Outcome of distributed quantum optimization with full cost accounting.
-struct OptimizationReport {
-  std::size_t argmax = 0;
-  std::int64_t value = 0;
-  bool budget_exhausted = false;
+/// Costs of a Theorem 7 phase, shared by both report shapes.
+struct PhaseReport {
   /// True when a branch simulation (the distributed Evaluation subroutine)
   /// raised a qc::Error — e.g. a bandwidth violation under kEnforce or an
   /// internal consistency failure under a fault plan. The report is then
   /// returned with `failure_reason` instead of propagating the exception;
-  /// argmax/value/costs are meaningless.
+  /// every other field is meaningless.
   bool subroutine_failed = false;
   std::string failure_reason;
 
@@ -76,10 +71,26 @@ struct OptimizationReport {
 
   /// Qubit memory per the Theorem 7 analysis: every node holds the data
   /// register plus O(log n) working counters; the leader additionally
-  /// records O(log(1/epsilon)) amplification outcomes of log|X| qubits
-  /// each (measurements are deferred to the end).
+  /// records its amplification outcomes of log|X| qubits each
+  /// (measurements are deferred to the end): O(log(1/epsilon)) of them for
+  /// maximization, one for search.
   std::uint64_t per_node_memory_qubits = 0;
   std::uint64_t leader_memory_qubits = 0;
+};
+
+/// A distributed optimization problem: maximize f over X.
+struct OptimizationProblem : PhaseProblem {
+  /// The objective f, evaluated per basis branch. Deterministic — the
+  /// framework memoizes it, exactly as the Evaluation unitary maps equal
+  /// branches to equal results.
+  std::function<std::int64_t(std::size_t)> evaluate;
+};
+
+/// Outcome of distributed quantum optimization with full cost accounting.
+struct OptimizationReport : PhaseReport {
+  std::size_t argmax = 0;
+  std::int64_t value = 0;
+  bool budget_exhausted = false;
 };
 
 /// Runs Theorem 7: leader-coordinated quantum maximization with the given
@@ -93,37 +104,15 @@ OptimizationReport distributed_quantum_optimize(const OptimizationProblem& p,
 /// at most d1 or at least d2") and needs no threshold ladder — one
 /// amplitude-amplification search suffices, saving a log factor over full
 /// maximization.
-struct SearchProblem {
-  std::size_t domain_size = 0;
-  std::vector<std::size_t> support;  ///< empty = uniform over the domain
+struct SearchProblem : PhaseProblem {
   /// The checking predicate (implemented as Evaluation + comparison +
   /// Evaluation^-1 on the real machine). Memoized like the optimizer's f.
   std::function<bool(std::size_t)> marked;
-
-  std::uint32_t t_init = 0;
-  std::uint32_t t_setup = 0;
-  std::uint32_t t_eval_forward = 0;
-
-  double epsilon = 0;  ///< promise: P_M = 0 or P_M >= epsilon
-  double delta = 0.01;
-
-  /// Branch-evaluation workers; same semantics as
-  /// OptimizationProblem::num_threads.
-  std::uint32_t num_threads = 1;
 };
 
-struct SearchReport {
+struct SearchReport : PhaseReport {
   bool found = false;
   std::size_t witness = 0;  ///< a marked element when found
-  /// Same contract as OptimizationReport::subroutine_failed.
-  bool subroutine_failed = false;
-  std::string failure_reason;
-
-  qsim::SearchCosts costs;
-  std::uint64_t distinct_evaluations = 0;
-  std::uint64_t total_rounds = 0;  ///< same accounting as the optimizer
-  std::uint64_t per_node_memory_qubits = 0;
-  std::uint64_t leader_memory_qubits = 0;
 };
 
 /// Runs Theorem 6 distributively with the given measured subroutine costs.

@@ -15,8 +15,6 @@
 
 namespace qc::core {
 
-using graph::NodeId;
-
 QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
                                             const QuantumConfig& cfg,
                                             std::uint32_t s_override) {
@@ -60,14 +58,12 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
 
   // Quantum phase: maximize f over R with DFS windows on BFS(w) restricted
   // to R ("replacing leader by w and mod 2n by mod 2s", Section 4).
-  auto subtree =
-      graph::induced_subtree(prep.tree_w.to_bfs_tree(), prep.r_mask);
-  const std::uint32_t d_sub = subtree.height;  // depth of the R-ball
-  std::vector<std::size_t> support;
-  for (NodeId v = 0; v < g.n(); ++v) {
-    if (prep.r_mask[v]) support.push_back(v);
-  }
-  check_internal(support.size() == prep.r_size,
+  const std::uint32_t d_sub =
+      graph::induced_subtree(prep.tree_w.to_bfs_tree(), prep.r_mask)
+          .height;  // depth of the R-ball
+  check_internal(static_cast<std::uint32_t>(std::count(
+                     prep.r_mask.begin(), prep.r_mask.end(), true)) ==
+                     prep.r_size,
                  "quantum_diameter_approx: R size mismatch");
 
   std::uint32_t quantum_value = 0;
@@ -75,7 +71,6 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
     // R = {w}: its eccentricity is already known from BFS(w).
     quantum_value = prep.ecc_w;
   } else {
-    const std::uint32_t steps = 2 * std::max(1u, d_sub);
     const std::uint32_t id_bits = qc::bit_width_for(g.n()) + 1;
     // Setup distributes u0 over BFS(w); measure its cost (Prop. 2).
     const std::uint32_t t_setup =
@@ -88,50 +83,30 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
     rep.prep_rounds = prep_acc.rounds;
 
     // The same Figure 2 oracle as the exact algorithm, restricted to R via
-    // the mask (windows walk the DFS numbering of BFS(w) induced on R).
+    // the mask (windows walk the DFS numbering of BFS(w) induced on R). The
+    // preparation is charged in prep_rounds, so the phase charges no
+    // Initialization.
     const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
-    auto oracle = std::make_shared<detail::WindowOracle>(
-        g, prep.tree_w, steps, cfg.oracle, cfg.net,
-        std::make_shared<const graph::EccEngine>(g, branch_threads),
-        prep.r_mask);
-    const std::uint32_t t_eval_forward = oracle->t_eval_forward();
-
-    OptimizationProblem prob;
-    prob.domain_size = g.n();
-    prob.support = support;
-    prob.evaluate = [oracle](std::size_t x) { return (*oracle)(x); };
-    prob.t_init = 0;  // preparation is charged separately in prep_rounds
-    prob.t_setup = t_setup;
-    prob.t_eval_forward = t_eval_forward;
-    prob.epsilon = std::min(
-        1.0, static_cast<double>(std::max(1u, d_sub)) /
-                 (2.0 * static_cast<double>(prep.r_size)));
-    prob.delta = cfg.delta;
-    prob.num_threads = branch_threads;
-
-    Rng rng(cfg.seed ^ 0xa99ae5u);
-    metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
-    auto opt = detail::run_validated_phase(*oracle, branch_threads, [&] {
-      return distributed_quantum_optimize(prob, rng);
-    });
-    quantum_span.add(opt.total_rounds, 0, 0);
-    quantum_span.finish();
-    detail::record_quantum_costs("quantum_diameter_approx", opt.costs,
-                                 opt.distinct_evaluations,
-                                 oracle->reference_bfs_runs());
-    rep.subroutine_failed = opt.subroutine_failed;
-    rep.failure_reason = opt.failure_reason;
-    quantum_value =
-        opt.subroutine_failed ? 0 : static_cast<std::uint32_t>(opt.value);
-    rep.quantum_rounds = opt.total_rounds;
-    rep.costs = opt.costs;
-    rep.distinct_branch_evaluations = opt.distinct_evaluations;
-    rep.reference_bfs_runs = oracle->reference_bfs_runs();
-    rep.per_node_memory_qubits = opt.per_node_memory_qubits;
-    rep.leader_memory_qubits = opt.leader_memory_qubits;
+    const auto phase = detail::run_quantum_phase(
+        g, cfg, branch_threads,
+        {.algo = "quantum_diameter_approx",
+         .tree = &prep.tree_w,
+         .steps = 2 * std::max(1u, d_sub),
+         .engine = std::make_shared<const graph::EccEngine>(g, branch_threads),
+         .mask = std::move(prep.r_mask),
+         .t_setup = t_setup,
+         .epsilon = std::min(1.0, static_cast<double>(std::max(1u, d_sub)) /
+                                      (2.0 * static_cast<double>(prep.r_size))),
+         .seed_mix = 0xa99ae5u},
+        [](std::int64_t f) { return f; }, rep);
+    quantum_value = phase.report.subroutine_failed
+                        ? 0
+                        : static_cast<std::uint32_t>(phase.report.value);
+    rep.quantum_rounds = phase.report.total_rounds;
   }
 
   rep.estimate = std::max({prep.ecc_w, prep.max_ecc_sample, quantum_value});
+  // The phase reported its own rounds as total_rounds; charge both phases.
   rep.total_rounds = rep.prep_rounds + rep.quantum_rounds;
   span.add(rep.total_rounds, 0, 0);
   return rep;

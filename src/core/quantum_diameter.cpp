@@ -1,15 +1,11 @@
 #include "core/quantum_diameter.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/detail.hpp"
-#include "util/error.hpp"
 #include "util/metrics.hpp"
 
 namespace qc::core {
-
-using graph::NodeId;
 
 namespace {
 
@@ -44,40 +40,19 @@ QuantumDiameterReport run_diameter_optimization(const graph::Graph& g,
       windowed ? std::min(1.0, static_cast<double>(init.d) / (2.0 * n))
                : 1.0 / n;
 
-  auto oracle = std::make_shared<detail::WindowOracle>(
-      g, init.tree, steps, cfg.oracle, cfg.net, std::move(engine));
-  rep.t_eval_forward = oracle->t_eval_forward();
-
-  OptimizationProblem prob;
-  prob.domain_size = g.n();
-  prob.evaluate = [oracle](std::size_t x) { return (*oracle)(x); };
-  prob.t_init = init.rounds;
-  prob.t_setup = init.t_setup;
-  prob.t_eval_forward = oracle->t_eval_forward();
-  prob.epsilon = epsilon;
-  prob.delta = cfg.delta;
-  prob.num_threads = branch_threads;
-
-  Rng rng(cfg.seed);
-  metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
-  auto opt = detail::run_validated_phase(*oracle, branch_threads, [&] {
-    return distributed_quantum_optimize(prob, rng);
-  });
-  quantum_span.add(opt.total_rounds - init.rounds, 0, 0);
-  quantum_span.finish();
-  detail::record_quantum_costs(algo, opt.costs, opt.distinct_evaluations,
-                               oracle->reference_bfs_runs());
-
-  rep.diameter = static_cast<std::uint32_t>(opt.value);
-  rep.total_rounds = opt.total_rounds;
-  rep.costs = opt.costs;
-  rep.distinct_branch_evaluations = opt.distinct_evaluations;
-  rep.reference_bfs_runs = oracle->reference_bfs_runs();
-  rep.budget_exhausted = opt.budget_exhausted;
-  rep.per_node_memory_qubits = opt.per_node_memory_qubits;
-  rep.leader_memory_qubits = opt.leader_memory_qubits;
-  rep.subroutine_failed = opt.subroutine_failed;
-  rep.failure_reason = opt.failure_reason;
+  const auto phase = detail::run_quantum_phase(
+      g, cfg, branch_threads,
+      {.algo = algo,
+       .tree = &init.tree,
+       .steps = steps,
+       .engine = std::move(engine),
+       .t_init = init.rounds,
+       .t_setup = init.t_setup,
+       .epsilon = epsilon},
+      [](std::int64_t f) { return f; }, rep);
+  rep.t_eval_forward = phase.t_eval_forward;
+  rep.diameter = static_cast<std::uint32_t>(phase.report.value);
+  rep.budget_exhausted = phase.report.budget_exhausted;
   span.add(rep.total_rounds, 0, 0);
   return rep;
 }

@@ -38,22 +38,14 @@ struct QuantumConfig {
   std::uint32_t branch_threads = 0;
 };
 
-/// Full report of a quantum diameter computation; "rounds" quantities are
-/// CONGEST rounds of the simulated distributed execution, everything else
-/// is bookkeeping for the benchmark harness.
-struct QuantumDiameterReport {
-  std::uint32_t diameter = 0;      ///< the algorithm's output
-  graph::NodeId leader = graph::kInvalidNode;
-  std::uint32_t ecc_leader = 0;    ///< the d with d <= D <= 2d
-
-  std::uint64_t total_rounds = 0;  ///< init + quantum phase
-  std::uint32_t init_rounds = 0;   ///< measured classical initialization
-  std::uint32_t t_setup = 0;       ///< measured Setup cost (Prop. 2)
-  std::uint32_t t_eval_forward = 0;///< measured Figure 2 Steps 1-4 cost
-
+/// The costs every quantum front-end reports, filled from its Theorem 7
+/// phase; "rounds" quantities are CONGEST rounds of the simulated
+/// distributed execution, everything else is bookkeeping for the
+/// benchmark harness.
+struct QuantumReport {
+  std::uint64_t total_rounds = 0;  ///< everything charged, phase included
   qsim::SearchCosts costs;
   std::uint64_t distinct_branch_evaluations = 0;
-  bool budget_exhausted = false;
 
   /// BFS runs spent by the centralized reference path (the EccEngine
   /// behind the branch oracle): <= n, versus Theta(n*d) before the shared
@@ -63,11 +55,23 @@ struct QuantumDiameterReport {
   std::uint64_t per_node_memory_qubits = 0;
   std::uint64_t leader_memory_qubits = 0;
 
-  /// Propagated from OptimizationReport: the distributed Evaluation
-  /// subroutine raised a qc::Error (e.g. under a fault plan) and
-  /// `diameter` is meaningless.
+  /// Propagated from the phase's PhaseReport: the distributed Evaluation
+  /// subroutine raised a qc::Error (e.g. under a fault plan) and the
+  /// front-end's answer is meaningless.
   bool subroutine_failed = false;
   std::string failure_reason;
+};
+
+/// Full report of a quantum diameter computation.
+struct QuantumDiameterReport : QuantumReport {
+  std::uint32_t diameter = 0;      ///< the algorithm's output
+  graph::NodeId leader = graph::kInvalidNode;
+  std::uint32_t ecc_leader = 0;    ///< the d with d <= D <= 2d
+
+  std::uint32_t init_rounds = 0;   ///< measured classical initialization
+  std::uint32_t t_setup = 0;       ///< measured Setup cost (Prop. 2)
+  std::uint32_t t_eval_forward = 0;///< measured Figure 2 Steps 1-4 cost
+  bool budget_exhausted = false;
 };
 
 /// The simpler algorithm of Section 3.1: quantum maximization of
