@@ -16,9 +16,9 @@ using graph::NodeId;
 
 namespace {
 
-/// Count, via one broadcast+convergecast pair over `tree`, the nodes whose
-/// (depth, id) is lexicographically <= (t, c); c == kInvalidNode means
-/// "all ids at depth <= t-1 only... " — we encode the probe directly.
+/// Counts, via one broadcast+convergecast pair over `tree`, the nodes whose
+/// (depth, id) is lexicographically <= (t, c): every node at depth < t,
+/// plus the nodes at depth t with id <= c.
 std::uint64_t probe_count(const graph::Graph& g, const TreeState& tree,
                           std::uint32_t t, NodeId c,
                           congest::NetworkConfig cfg, congest::RunStats& acc) {
@@ -42,18 +42,13 @@ std::uint64_t probe_count(const graph::Graph& g, const TreeState& tree,
 }  // namespace
 
 PreparationOutcome hprw_preparation(const graph::Graph& g, std::uint32_t s,
+                                    NodeId leader, const TreeState& tree_l,
                                     congest::NetworkConfig cfg) {
   require(g.n() >= 2, "hprw_preparation: need at least 2 nodes");
   require(s >= 1, "hprw_preparation: need s >= 1");
+  require(leader < g.n(), "hprw_preparation: leader out of range");
   PreparationOutcome out;
   const std::uint32_t n = g.n();
-
-  // Leader and an aggregation tree.
-  const auto election = elect_leader(g, cfg);
-  out.stats += election.stats;
-  auto lead = compute_eccentricity(g, election.leader, cfg);
-  out.stats += lead.stats;
-  const TreeState& tree_l = lead.tree;
 
   // Step 1: every vertex joins S with probability ln(n)/s, using its own
   // (deterministic, per-node) randomness, then a count convergecast checks
@@ -70,7 +65,7 @@ PreparationOutcome hprw_preparation(const graph::Graph& g, std::uint32_t s,
   // only helps the estimate (ecc(leader) <= D).
   if (std::none_of(in_sample.begin(), in_sample.end(),
                    [](bool b) { return b; })) {
-    in_sample[election.leader] = true;
+    in_sample[leader] = true;
   }
   for (NodeId v = 0; v < n; ++v) {
     if (in_sample[v]) out.sample.push_back(v);
@@ -175,8 +170,15 @@ ApproxOutcome classical_approx_diameter(const graph::Graph& g,
   }
   out.s_used = s;
 
-  auto prep = hprw_preparation(g, s, cfg);
-  out.prep_stats = prep.stats;
+  // Leader and an aggregation tree: the O(D) preliminaries, charged to
+  // the preparation.
+  const auto election = elect_leader(g, cfg);
+  out.prep_stats += election.stats;
+  const auto lead = compute_eccentricity(g, election.leader, cfg);
+  out.prep_stats += lead.stats;
+
+  auto prep = hprw_preparation(g, s, election.leader, lead.tree, cfg);
+  out.prep_stats += prep.stats;
   out.aborted = prep.aborted;
   if (prep.aborted) {
     out.stats = out.prep_stats;

@@ -39,7 +39,14 @@ struct PreparationOutcome {
 /// selection; same O~ budget, simpler protocol. Ties broken by node id, so
 /// R is unique and ancestor-closed in BFS(w) (what the DFS-token of the
 /// quantum phase requires).
+///
+/// `leader` and `tree_l` = BFS(leader) are the standard O(D) preliminaries
+/// (elect_leader + compute_eccentricity); the caller runs them, and
+/// charges them once, since it also needs them to pick s. `tree_l` is the
+/// aggregation tree of Steps 1-2. `stats` covers Steps 1-3 only.
 PreparationOutcome hprw_preparation(const graph::Graph& g, std::uint32_t s,
+                                    graph::NodeId leader,
+                                    const TreeState& tree_l,
                                     congest::NetworkConfig cfg = {});
 
 /// Full classical 3/2-approximation of the diameter (the [LP13, HPRW14]

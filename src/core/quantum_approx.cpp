@@ -45,8 +45,10 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
   s = std::clamp<std::uint32_t>(s, 1, g.n());
   rep.s_used = s;
 
-  // Figure 3 preparation = [HPRW14] Steps 1-3.
-  auto prep = algos::hprw_preparation(g, s, cfg.net);
+  // Figure 3 preparation = [HPRW14] Steps 1-3. It aggregates over the
+  // leader and BFS tree above, so their rounds are charged once.
+  auto prep = algos::hprw_preparation(g, s, election.leader, lead_ecc.tree,
+                                      cfg.net);
   prep_acc += prep.stats;
   rep.prep_rounds = prep_acc.rounds;
   rep.aborted = prep.aborted;

@@ -25,6 +25,15 @@ Graph random_graph(std::uint32_t n, std::uint32_t d, std::uint64_t seed) {
   return graph::make_random_with_diameter(n, d, rng);
 }
 
+/// hprw_preparation over the standard preliminaries it expects its caller
+/// to have run: the elected leader and BFS(leader).
+PreparationOutcome prepare(const Graph& g, std::uint32_t s,
+                           congest::NetworkConfig cfg = {}) {
+  const NodeId leader = elect_leader(g, cfg).leader;
+  return hprw_preparation(g, s, leader,
+                          compute_eccentricity(g, leader, cfg).tree, cfg);
+}
+
 TEST(LeaderElection, FindsMaxIdInDiameterRounds) {
   auto g = random_graph(50, 8, 1);
   auto out = elect_leader(g);
@@ -367,7 +376,7 @@ TEST(BatchedEcc, MatchesCentralized) {
 TEST(HprwPreparation, ProducesValidR) {
   auto g = random_graph(60, 10, 16);
   const std::uint32_t s = 8;
-  auto prep = hprw_preparation(g, s);
+  auto prep = prepare(g, s);
   ASSERT_FALSE(prep.aborted);
   EXPECT_EQ(prep.r_size, s);
   // R is exactly the s closest nodes to w by (distance, id).
@@ -390,7 +399,7 @@ TEST(HprwPreparation, ProducesValidR) {
 
 TEST(HprwPreparation, WMaximizesDistanceToSample) {
   auto g = random_graph(50, 8, 17);
-  auto prep = hprw_preparation(g, 6);
+  auto prep = prepare(g, 6);
   ASSERT_FALSE(prep.aborted);
   ASSERT_FALSE(prep.sample.empty());
   auto dist_to_sample = [&](NodeId v) {

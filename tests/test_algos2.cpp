@@ -30,6 +30,15 @@ Graph random_graph(std::uint32_t n, std::uint32_t d, std::uint64_t seed) {
   return graph::make_random_with_diameter(n, d, rng);
 }
 
+/// hprw_preparation over the standard preliminaries it expects its caller
+/// to have run: the elected leader and BFS(leader).
+PreparationOutcome prepare(const Graph& g, std::uint32_t s,
+                           congest::NetworkConfig cfg = {}) {
+  const NodeId leader = elect_leader(g, cfg).leader;
+  return hprw_preparation(g, s, leader,
+                          compute_eccentricity(g, leader, cfg).tree, cfg);
+}
+
 // ---------------------------------------------------------------------------
 // Aggregation primitives across tree shapes.
 // ---------------------------------------------------------------------------
@@ -170,7 +179,7 @@ TEST(SourceDetection, MessagesRespectBandwidth) {
 
 TEST(HprwPrep, SampleEccentricitiesAreExact) {
   auto g = random_graph(50, 9, 604);
-  auto prep = hprw_preparation(g, 5);
+  auto prep = prepare(g, 5);
   ASSERT_FALSE(prep.aborted);
   std::uint32_t expect = 0;
   for (NodeId s : prep.sample) {
@@ -182,8 +191,8 @@ TEST(HprwPrep, SampleEccentricitiesAreExact) {
 TEST(HprwPrep, LargerSMeansSmallerSample) {
   auto g = random_graph(80, 8, 605);
   congest::NetworkConfig cfg;
-  auto small_s = hprw_preparation(g, 2, cfg);
-  auto large_s = hprw_preparation(g, 40, cfg);
+  auto small_s = prepare(g, 2, cfg);
+  auto large_s = prepare(g, 40, cfg);
   ASSERT_FALSE(small_s.aborted);
   ASSERT_FALSE(large_s.aborted);
   EXPECT_GT(small_s.sample.size(), large_s.sample.size());
@@ -192,7 +201,7 @@ TEST(HprwPrep, LargerSMeansSmallerSample) {
 TEST(HprwPrep, RIsExactlySizeS) {
   auto g = random_graph(60, 7, 606);
   for (std::uint32_t s : {1u, 3u, 10u, 60u, 100u}) {
-    auto prep = hprw_preparation(g, s);
+    auto prep = prepare(g, s);
     ASSERT_FALSE(prep.aborted);
     EXPECT_EQ(prep.r_size, std::min(s, g.n())) << "s=" << s;
   }

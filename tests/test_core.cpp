@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "algos/bfs_tree.hpp"
 #include "algos/evaluation.hpp"
 #include "algos/hprw.hpp"
 #include "core/detail.hpp"
@@ -13,6 +14,7 @@
 #include "core/quantum_diameter.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "util/bits.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -306,7 +308,9 @@ TEST(QuantumApprox, DirectOracleValidatesTheSmallestMemberOfR) {
   cfg.branch_threads = 4;
   const auto first = quantum_diameter_approx(g, cfg);
   ASSERT_FALSE(first.aborted);
-  const auto prep = algos::hprw_preparation(g, first.s_used);
+  const auto init = detail::run_initialization(g, {});
+  const auto prep =
+      algos::hprw_preparation(g, first.s_used, init.leader, init.tree);
   ASSERT_GT(prep.r_size, 1u);
   const auto r0 = static_cast<NodeId>(
       std::find(prep.r_mask.begin(), prep.r_mask.end(), true) -
@@ -328,6 +332,39 @@ TEST(QuantumApprox, DirectOracleValidatesTheSmallestMemberOfR) {
   }
   EXPECT_EQ(simulate_messages(reg),
             std::vector<std::uint64_t>(kRuns, expected));
+}
+
+TEST(QuantumApprox, PrepRoundsChargeThePreliminariesOnce) {
+  // The leader election and BFS(leader) that pick s are the ones the
+  // preparation aggregates over, charged once. With s = 1, R = {w} and no
+  // quantum phase runs, so the preparation costs exactly what the
+  // classical algorithm's does (the same preliminaries and Steps 1-3).
+  auto g = random_graph(64, 12, 23 * 64 + 12);
+  QuantumConfig cfg;
+  cfg.oracle = OracleMode::kDirect;
+  const auto single = quantum_diameter_approx(g, cfg, 1);
+  ASSERT_FALSE(single.aborted);
+  EXPECT_EQ(single.prep_rounds,
+            algos::classical_approx_diameter(g, 1).prep_stats.rounds);
+  EXPECT_EQ(single.total_rounds, single.prep_rounds);
+
+  // A larger R adds only the window announcement down BFS(w).
+  const auto rep = quantum_diameter_approx(g, cfg);
+  ASSERT_FALSE(rep.aborted);
+  const auto init = detail::run_initialization(g, {});
+  const auto prep =
+      algos::hprw_preparation(g, rep.s_used, init.leader, init.tree);
+  ASSERT_GT(prep.r_size, 1u);
+  const std::uint32_t d_sub =
+      graph::induced_subtree(prep.tree_w.to_bfs_tree(), prep.r_mask).height;
+  const std::uint32_t announce =
+      algos::broadcast_from_root(g, prep.tree_w, d_sub,
+                                 qc::bit_width_for(g.n()) + 1)
+          .stats.rounds;
+  EXPECT_EQ(rep.prep_rounds,
+            algos::classical_approx_diameter(g, rep.s_used).prep_stats.rounds +
+                announce);
+  EXPECT_EQ(rep.total_rounds, rep.prep_rounds + rep.quantum_rounds);
 }
 
 TEST(QuantumSimple, AlsoExactButSlower) {
