@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -57,18 +58,18 @@ SearchResult bbht_phase(GroverPlane& plane,
   return res;
 }
 
-/// Amplitude amplification for the marked set `mask` (a
-/// AmplitudeVector::mark of `setup_state`): the body of
+/// Amplitude amplification for the marked set `mask`, on `plane` (the
+/// Setup state split by `mask`): the body of
 /// amplitude_amplification_search, which quantum_maximize also runs once
 /// per threshold level on masks built from its cached objective values.
-/// The marked set is fixed for the whole search, so the Setup state is
-/// split by it once; every iterate of every phase then moves two
-/// coefficients of that plane.
-SearchResult search_on_mask(const AmplitudeVector& setup_state,
-                            std::span<const std::uint8_t> mask,
-                            double epsilon, double delta, Rng& rng) {
+/// The marked set is fixed for the whole search, so every iterate of every
+/// phase moves two coefficients of the one plane; each phase starts from
+/// a fresh Setup, so the plane may be reused by a later search on the
+/// same mask.
+SearchResult search_on_plane(GroverPlane& plane,
+                             std::span<const std::uint8_t> mask,
+                             double epsilon, double delta, Rng& rng) {
   SearchResult total;
-  GroverPlane plane(setup_state, mask);
   const auto phases = static_cast<std::uint32_t>(
       std::ceil(std::log2(1.0 / delta))) + 1;
   for (std::uint32_t p = 0; p < phases; ++p) {
@@ -96,8 +97,9 @@ SearchResult amplitude_amplification_search(const AmplitudeVector& setup_state,
   require(delta > 0 && delta < 1,
           "amplitude_amplification_search: delta must be in (0, 1)");
   // The oracle is asked once per populated branch, not once per iterate.
-  return search_on_mask(setup_state, setup_state.mark(marked), epsilon, delta,
-                        rng);
+  const std::vector<std::uint8_t> mask = setup_state.mark(marked);
+  GroverPlane plane(setup_state, mask);
+  return search_on_plane(plane, mask, epsilon, delta, rng);
 }
 
 MaximizationResult quantum_maximize(
@@ -119,7 +121,11 @@ MaximizationResult quantum_maximize(
         value[x] = f(x);
         return true;
       });
+  // The level's marked set and the Setup state split by it depend on f(a)
+  // only, so both are rebuilt (O(dim)) when the threshold rises, not when
+  // a failed level merely halves eps'.
   std::vector<std::uint8_t> marked(populated.size());
+  std::optional<GroverPlane> plane;
 
   // Line (1) of Corollary 1: start from a sample of the setup state (one
   // Setup, one classical evaluation to learn f(a)).
@@ -141,8 +147,11 @@ MaximizationResult quantum_maximize(
       res.budget_exhausted = true;
       break;
     }
-    for (std::size_t x = 0; x < marked.size(); ++x) {
-      marked[x] = populated[x] != 0 && value[x] > fa ? 1 : 0;
+    if (!plane) {
+      for (std::size_t x = 0; x < marked.size(); ++x) {
+        marked[x] = populated[x] != 0 && value[x] > fa ? 1 : 0;
+      }
+      plane.emplace(setup_state, marked);
     }
     // A missed improvement at a shallow level gets retried at the next
     // (deeper) level, so intermediate searches only need constant
@@ -150,12 +159,13 @@ MaximizationResult quantum_maximize(
     // eps' <= eps, whose "empty" verdict terminates the algorithm.
     const double delta_level = eps_prime > epsilon ? 1.0 / 3.0 : delta;
     SearchResult srch =
-        search_on_mask(setup_state, marked, eps_prime, delta_level, rng);
+        search_on_plane(*plane, marked, eps_prime, delta_level, rng);
     res.costs += srch.costs;
     if (srch.found) {
       a = srch.item;           // line (3): raise the threshold
       fa = value[a];
       ++res.costs.candidate_evaluations;
+      plane = std::nullopt;  // a new marked set
     } else if (eps_prime > epsilon) {
       eps_prime /= 2;          // line (4): search deeper
     } else {
