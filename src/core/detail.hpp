@@ -195,11 +195,11 @@ auto run_quantum_phase(const graph::Graph& g, const QuantumConfig& cfg,
   for (std::size_t v = 0; v < spec.mask.size(); ++v) {
     if (spec.mask[v]) prob.support.push_back(v);
   }
-  auto oracle = std::make_shared<WindowOracle>(
-      g, *spec.tree, spec.steps, cfg.oracle, cfg.net, std::move(spec.engine),
-      std::move(spec.mask));
-  auto f = [oracle, objective](std::size_t x) {
-    return objective((*oracle)(x));
+  // The oracle outlives every call: the phase is joined before returning.
+  const WindowOracle oracle(g, *spec.tree, spec.steps, cfg.oracle, cfg.net,
+                            std::move(spec.engine), std::move(spec.mask));
+  auto f = [&oracle, objective](std::size_t x) {
+    return objective(oracle(x));
   };
   if constexpr (kSearch) {
     prob.marked = f;
@@ -208,14 +208,14 @@ auto run_quantum_phase(const graph::Graph& g, const QuantumConfig& cfg,
   }
   prob.t_init = spec.t_init;
   prob.t_setup = spec.t_setup;
-  prob.t_eval_forward = oracle->t_eval_forward();
+  prob.t_eval_forward = oracle.t_eval_forward();
   prob.epsilon = spec.epsilon;
   prob.delta = cfg.delta;
   prob.num_threads = threads;
 
   Rng rng(cfg.seed ^ spec.seed_mix);
   metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
-  auto report = run_validated_phase(*oracle, threads, [&] {
+  auto report = run_validated_phase(oracle, threads, [&] {
     if constexpr (kSearch) {
       return distributed_quantum_search(prob, rng);
     } else {
@@ -224,9 +224,9 @@ auto run_quantum_phase(const graph::Graph& g, const QuantumConfig& cfg,
   });
   quantum_span.add(report.total_rounds - spec.t_init, 0, 0);
   quantum_span.finish();
-  record_phase(spec.algo, report, oracle->reference_bfs_runs(), out);
+  record_phase(spec.algo, report, oracle.reference_bfs_runs(), out);
   return PhaseResult<decltype(report)>{std::move(report),
-                                       oracle->t_eval_forward()};
+                                       oracle.t_eval_forward()};
 }
 
 }  // namespace qc::core::detail

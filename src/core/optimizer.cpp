@@ -51,7 +51,8 @@ Report run_phase(const PhaseProblem& p,
     rep.total_rounds =
         p.t_init +
         rep.costs.setup_invocations * static_cast<std::uint64_t>(p.t_setup) +
-        rep.costs.grover_iterations * (2ULL * t_eval_unitary + 2ULL * p.t_setup) +
+        rep.costs.grover_iterations *
+            (2ULL * t_eval_unitary + 2ULL * p.t_setup) +
         rep.costs.candidate_evaluations *
             static_cast<std::uint64_t>(p.t_eval_forward);
 
