@@ -9,14 +9,15 @@
 namespace qc::qsim {
 
 /// Resource counters shared by the search/optimization routines. The
-/// distributed layer (core::DistributedQuantumOptimizer) converts these to
-/// CONGEST rounds:
-///   rounds = T0 + setup_invocations * T_setup
+/// distributed layer (core::distributed_quantum_optimize / _search)
+/// converts these to CONGEST rounds:
+///   rounds = T_init + setup_invocations * T_setup
 ///               + grover_iterations * 2 * (T_setup + T_eval)
-///               + candidate_evaluations * T_eval
-/// (each Grover iterate applies the checking/evaluation unitary and its
-/// inverse plus Setup^-1 / Setup for the reflection; each measurement
-/// candidate is verified with one more classical evaluation pass).
+///               + candidate_evaluations * T_eval_forward
+/// where T_eval = 2 * T_eval_forward is the Evaluation unitary (each Grover
+/// iterate applies it and its inverse plus Setup^-1 / Setup for the
+/// reflection; each measurement candidate is verified with one more
+/// forward evaluation pass). See core::PhaseReport::total_rounds.
 struct SearchCosts {
   std::uint64_t setup_invocations = 0;    ///< fresh Setup preparations
   std::uint64_t grover_iterations = 0;    ///< total amplification iterates

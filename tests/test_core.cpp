@@ -11,7 +11,9 @@
 #include "core/detail.hpp"
 #include "core/optimizer.hpp"
 #include "core/quantum_approx.hpp"
+#include "core/quantum_decision.hpp"
 #include "core/quantum_diameter.hpp"
+#include "core/quantum_radius.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "util/bits.hpp"
@@ -377,22 +379,34 @@ TEST(QuantumSimple, AlsoExactButSlower) {
   EXPECT_EQ(final.diameter, 10u);
 }
 
-TEST(QuantumExact, RoundAccountingIdentity) {
+TEST(QuantumPhase, RoundAccountingIdentityAtEveryFrontEnd) {
+  // Each front-end's total_rounds is the Theorem 7 identity computed from
+  // its own report: one formula at every caller of the shared phase.
   auto g = random_graph(28, 6, 13);
   QuantumConfig cfg;
   cfg.seed = 3;
-  auto rep = quantum_diameter_exact(g, cfg);
-  const std::uint64_t expect =
-      rep.init_rounds +
-      rep.costs.setup_invocations * static_cast<std::uint64_t>(rep.t_setup) +
-      rep.costs.grover_iterations *
-          (4ULL * rep.t_eval_forward + 2ULL * rep.t_setup) +
-      rep.costs.candidate_evaluations *
-          static_cast<std::uint64_t>(rep.t_eval_forward);
-  EXPECT_EQ(rep.total_rounds, expect);
-  EXPECT_GT(rep.init_rounds, 0u);
-  EXPECT_GT(rep.t_setup, 0u);
-  EXPECT_GT(rep.t_eval_forward, 0u);
+  const auto check = [](const auto& rep, const char* algo) {
+    const std::uint64_t expect =
+        rep.init_rounds +
+        rep.costs.setup_invocations * static_cast<std::uint64_t>(rep.t_setup) +
+        rep.costs.grover_iterations *
+            (4ULL * rep.t_eval_forward + 2ULL * rep.t_setup) +
+        rep.costs.candidate_evaluations *
+            static_cast<std::uint64_t>(rep.t_eval_forward);
+    EXPECT_EQ(rep.total_rounds, expect) << algo;
+    EXPECT_GT(rep.init_rounds, 0u) << algo;
+    EXPECT_GT(rep.t_setup, 0u) << algo;
+    EXPECT_GT(rep.t_eval_forward, 0u) << algo;
+    EXPECT_GT(rep.costs.setup_invocations, 0u) << algo;
+  };
+  check(quantum_diameter_exact(g, cfg), "exact");
+  check(quantum_diameter_simple(g, cfg), "simple");
+  check(quantum_radius(g, cfg), "radius");
+  // A threshold in (d, 2d) leaves d <= D <= 2d undecided, so the decision
+  // runs its quantum search instead of a cheap exit.
+  const std::uint32_t d = detail::run_initialization(g, {}).d;
+  ASSERT_LT(d + 1, 2 * d);
+  check(quantum_diameter_decide(g, d + 1, cfg), "decide");
 }
 
 TEST(QuantumExact, EvalCostIsLinearInEccLeader) {
