@@ -8,14 +8,13 @@
 //   * toy (default): the synthetic fixed-diameter random graph the bench
 //     has always used (--n/--d override the size);
 //   * --dataset=FILE: any graph file (.qcg container, edge list, SNAP raw),
-//     e.g. data/synth-p2p-10k.qcg — a partition-structure-bearing graph
-//     where the greedy partitioner's cut reduction is visible.
+//     e.g. data/synth-p2p-10k.qcg.
 //
 // Rows: the in-process sequential engine, then ShardedNetwork at
-// W ∈ {1, 2, 4, 8} workers under the contiguous partitioner and
-// W ∈ {2, 4, 8} under the greedy (cut-minimizing) one. Per row the table
-// reports the static boundary fraction, the coordinator's barrier wait per
-// round and the boundary bytes moved per round through the shm mesh.
+// W ∈ {1, 2, 4, 8} workers, each owning one contiguous id range. Per row
+// the table reports the static boundary fraction, the coordinator's
+// barrier wait per round and the boundary bytes moved per round through
+// the shm mesh.
 //
 // Every sharded row is gated on bit-identical parity with the sequential
 // run — message count, bit count, round count, quiescence flag, and an
@@ -33,7 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -161,14 +159,12 @@ Result run_sequential(const graph::Graph& g, std::uint64_t seed,
   return drive(net, g, warm, rounds, reps);
 }
 
-Result run_sharded(const graph::Graph& g, std::uint32_t shards,
-                   std::shared_ptr<const congest::shard::Partitioner> part,
-                   bool check, std::uint64_t seed, std::uint32_t warm,
+Result run_sharded(const graph::Graph& g, std::uint32_t shards, bool check,
+                   std::uint64_t seed, std::uint32_t warm,
                    std::uint32_t rounds, std::uint32_t reps) {
   congest::shard::ShardConfig cfg;
   cfg.shards = shards;
   cfg.net.seed = seed;
-  cfg.partitioner = std::move(part);
   // Workers arm their own alloc probes after the warmup rounds; a
   // steady-state allocation in any worker fails its run (and thus the
   // bench) with a descriptive error.
@@ -220,10 +216,6 @@ int main(int argc, char** argv) {
     return graph::load_graph_file(dataset);
   }();
 
-  const auto contiguous =
-      std::make_shared<congest::shard::ContiguousPartitioner>();
-  const auto greedy = std::make_shared<congest::shard::GreedyGrowPartitioner>();
-
   struct NamedResult {
     std::string name;
     std::uint32_t shards;  ///< 0 = in-process
@@ -233,13 +225,8 @@ int main(int argc, char** argv) {
   results.push_back({"seq", 0, run_sequential(g, opt.seed, warm, rounds, reps)});
   for (const std::uint32_t w : {1u, 2u, 4u, 8u}) {
     results.push_back({"shard_w" + std::to_string(w), w,
-                       run_sharded(g, w, contiguous, check, opt.seed, warm,
-                                   rounds, reps)});
-  }
-  for (const std::uint32_t w : {2u, 4u, 8u}) {
-    results.push_back({"shard_w" + std::to_string(w) + "_greedy", w,
-                       run_sharded(g, w, greedy, check, opt.seed, warm,
-                                   rounds, reps)});
+                       run_sharded(g, w, check, opt.seed, warm, rounds,
+                                   reps)});
   }
 
   const Result& seq = results[0].r;
@@ -280,18 +267,6 @@ int main(int argc, char** argv) {
                              "the sequential engine");
   }
   check_internal(seq.total_messages > 0, "workload delivered no messages");
-  // The greedy partitioner must never cut more than contiguous does at the
-  // same W (it falls back to contiguous-like growth in the worst case and
-  // exploits locality when the graph has any).
-  for (const auto& nr : results) {
-    if (nr.name.find("_greedy") == std::string::npos) continue;
-    for (const auto& base : results) {
-      if (base.name == "shard_w" + std::to_string(nr.shards)) {
-        check_internal(nr.r.boundary_arcs <= base.r.boundary_arcs,
-                       nr.name + " cut MORE boundary arcs than contiguous");
-      }
-    }
-  }
   if (check) {
     // Zero-allocation gates. Worker-side violations already failed inside
     // run_sharded; this pins the coordinator's barrier loop.

@@ -1,144 +1,19 @@
 #include "congest/shard/partition.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <queue>
-
 #include "util/error.hpp"
 
 namespace qc::congest::shard {
 
-std::vector<std::uint32_t> ContiguousPartitioner::assign(
-    const graph::Graph& g, std::uint32_t shards) const {
-  const std::uint32_t n = g.n();
-  std::vector<std::uint32_t> shard_of(n);
-  const std::uint32_t base = n / shards;
-  const std::uint32_t extra = n % shards;
-  std::uint32_t v = 0;
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    const std::uint32_t size = base + (s < extra ? 1 : 0);
-    for (std::uint32_t i = 0; i < size; ++i) shard_of[v++] = s;
-  }
-  return shard_of;
-}
-
-GreedyGrowPartitioner::GreedyGrowPartitioner(double balance_slack)
-    : slack_(balance_slack) {
-  require(balance_slack >= 0.0 && balance_slack <= 1.0,
-          "GreedyGrowPartitioner: balance_slack must be in [0, 1]");
-}
-
-std::vector<std::uint32_t> GreedyGrowPartitioner::assign(
-    const graph::Graph& g, std::uint32_t shards) const {
-  const std::uint32_t n = g.n();
-  const std::uint32_t W = shards;
-  const std::uint32_t unassigned = W;  // sentinel owner
-  std::vector<std::uint32_t> shard_of(n, unassigned);
-  if (W <= 1) {
-    std::fill(shard_of.begin(), shard_of.end(), 0u);
-    return shard_of;
-  }
-
-  const std::uint32_t base = (n + W - 1) / W;  // ceil(n/W)
-  const std::uint32_t cap =
-      base + std::max<std::uint32_t>(
-                 1, static_cast<std::uint32_t>(slack_ * base));
-  const double m = static_cast<double>(g.csr_neighbors().size()) / 2.0;
-  const double alpha =
-      std::sqrt(static_cast<double>(W)) * m / std::pow(n, 1.5);
-  constexpr double kGamma = 1.5;
-
-  std::vector<std::uint32_t> sizes(W, 0);
-  std::vector<std::uint32_t> gains(W, 0);
-  std::queue<NodeId> frontier;
-
-  const auto placement_for = [&](NodeId v) {
-    for (std::uint32_t s = 0; s < W; ++s) gains[s] = 0;
-    for (const NodeId u : g.neighbors(v)) {
-      if (shard_of[u] != unassigned) ++gains[shard_of[u]];
-    }
-    std::uint32_t best = unassigned;
-    double best_score = 0.0;
-    for (std::uint32_t s = 0; s < W; ++s) {
-      if (sizes[s] >= cap) continue;  // hard balance cap
-      const double score =
-          static_cast<double>(gains[s]) -
-          alpha * kGamma * std::sqrt(static_cast<double>(sizes[s]));
-      if (best == unassigned || score > best_score) {
-        best = s;
-        best_score = score;
-      }
-    }
-    // Some shard is always below cap: sum(cap) >= W * ceil(n/W) >= n and
-    // fewer than n nodes are placed when we get here.
-    return best;
-  };
-
-  const auto place = [&](NodeId v) {
-    const std::uint32_t s = placement_for(v);
-    shard_of[v] = s;
-    ++sizes[s];
-    frontier.push(v);
-  };
-
-  for (NodeId seed = 0; seed < n; ++seed) {
-    if (shard_of[seed] != unassigned) continue;
-    place(seed);  // lowest unvisited id seeds the next component
-    while (!frontier.empty()) {
-      const NodeId v = frontier.front();
-      frontier.pop();
-      for (const NodeId u : g.neighbors(v)) {
-        if (shard_of[u] == unassigned) place(u);
-      }
-    }
-  }
-
-  // The balance penalty makes an empty shard very attractive long before
-  // any shard hits its cap, so shards are only left empty on degenerate
-  // inputs (W close to n). Repair deterministically: move the highest-id
-  // node of the largest shard into the empty one.
-  for (std::uint32_t s = 0; s < W; ++s) {
-    if (sizes[s] != 0) continue;
-    std::uint32_t donor = 0;
-    for (std::uint32_t t = 1; t < W; ++t) {
-      if (sizes[t] > sizes[donor]) donor = t;
-    }
-    for (NodeId v = n; v-- > 0;) {
-      if (shard_of[v] == donor) {
-        shard_of[v] = s;
-        --sizes[donor];
-        ++sizes[s];
-        break;
-      }
-    }
-  }
-  return shard_of;
-}
-
-ShardAssignment make_assignment(const graph::Graph& g, std::uint32_t shards,
-                                const Partitioner& p) {
-  require(shards >= 1, "shard: need at least one shard");
-  require(shards <= g.n(),
-          "shard: more shards than nodes (every worker must own a node)");
+ShardAssignment make_assignment(std::uint32_t n, std::uint32_t shards) {
+  require(shards >= 1 && shards <= n,
+          "shard: need 1 <= shards <= n (every worker must own a node)");
   ShardAssignment a;
   a.shards = shards;
-  a.shard_of = p.assign(g, shards);
-  require(a.shard_of.size() == g.n(),
-          "shard: partitioner returned the wrong number of owners");
-  a.runs.assign(shards, {});
-  for (NodeId v = 0; v < g.n(); ++v) {
-    const std::uint32_t s = a.shard_of[v];
-    require(s < shards, "shard: partitioner assigned an out-of-range shard");
-    auto& r = a.runs[s];
-    if (!r.empty() && r.back().second == v) {
-      r.back().second = v + 1;  // extend the current run
-    } else {
-      r.emplace_back(v, v + 1);
-    }
-  }
+  a.bounds.resize(shards + 1);
+  const std::uint32_t base = n / shards;
+  const std::uint32_t extra = n % shards;
   for (std::uint32_t s = 0; s < shards; ++s) {
-    require(!a.runs[s].empty(),
-            "shard: partitioner left shard " + std::to_string(s) + " empty");
+    a.bounds[s + 1] = a.bounds[s] + base + (s < extra ? 1 : 0);
   }
   return a;
 }
@@ -148,11 +23,9 @@ std::vector<std::pair<NodeId, NodeId>> boundary_arcs(const graph::Graph& g,
                                                      std::uint32_t s) {
   require(s < a.shards, "boundary_arcs: shard out of range");
   std::vector<std::pair<NodeId, NodeId>> arcs;
-  for (const auto& [b, e] : a.runs[s]) {
-    for (NodeId u = b; u < e; ++u) {
-      for (const NodeId v : g.neighbors(u)) {
-        if (a.shard_of[v] != s) arcs.emplace_back(u, v);
-      }
+  for (NodeId u = a.begin(s); u < a.end(s); ++u) {
+    for (const NodeId v : g.neighbors(u)) {
+      if (!a.owns(s, v)) arcs.emplace_back(u, v);
     }
   }
   return arcs;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -10,80 +11,36 @@ namespace qc::congest::shard {
 
 using graph::NodeId;
 
-/// A validated node-to-worker assignment plus the derived structure the
-/// runtime iterates: per shard, the maximal runs of consecutively owned
-/// node ids. The contiguous default yields exactly one run per shard, so
-/// worker round loops cost one range call; an arbitrary owner map (a
-/// future PowerGraph-style edge-cut partitioner) still works, just with
-/// more runs. Runs are ascending, which keeps every worker's delivery and
-/// event order ascending in receiver id — the property the coordinator's
-/// canonical observer merge relies on (see docs/distributed.md).
+/// Which worker owns which node: shard s owns the contiguous id range
+/// [begin(s), end(s)). The split is balanced — the first n % W shards own
+/// ceil(n/W) ids, the rest floor(n/W) — so every shard is non-empty
+/// whenever W <= n. One ascending range per worker keeps every worker's
+/// delivery and event order ascending in receiver id, and the ranges are
+/// disjoint and ascending in s, so concatenating the workers' event
+/// batches in shard order is the sequential engine's order (see
+/// docs/distributed.md).
 struct ShardAssignment {
   std::uint32_t shards = 0;
-  std::vector<std::uint32_t> shard_of;  ///< node -> owning shard
-  /// Per shard: maximal [begin, end) runs of owned ids, ascending.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> runs;
+  /// W + 1 ascending range bounds: bounds[0] = 0, bounds[W] = n.
+  std::vector<NodeId> bounds;
 
-  std::uint32_t owner(NodeId v) const { return shard_of[v]; }
-
-  std::uint64_t owned_count(std::uint32_t s) const {
-    std::uint64_t c = 0;
-    for (const auto& [b, e] : runs[s]) c += e - b;
-    return c;
+  NodeId begin(std::uint32_t s) const { return bounds[s]; }
+  NodeId end(std::uint32_t s) const { return bounds[s + 1]; }
+  std::uint32_t owned_count(std::uint32_t s) const { return end(s) - begin(s); }
+  bool owns(std::uint32_t s, NodeId v) const {
+    return begin(s) <= v && v < end(s);
+  }
+  /// The shard whose range holds v (v < n).
+  std::uint32_t owner(NodeId v) const {
+    return static_cast<std::uint32_t>(
+        std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin() -
+        1);
   }
 };
 
-/// Strategy interface: maps every node to one of `shards` workers.
-/// Implementations must cover every node exactly once (enforced by
-/// make_assignment) and leave no shard empty.
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-
-  /// Returns shard_of: one owner in [0, shards) per node.
-  virtual std::vector<std::uint32_t> assign(const graph::Graph& g,
-                                            std::uint32_t shards) const = 0;
-  virtual const char* name() const = 0;
-};
-
-/// Balanced contiguous ranges: the first n % W shards own ceil(n/W) ids,
-/// the rest floor(n/W) — every shard non-empty whenever W <= n. Contiguity
-/// keeps boundary arcs proportional to the cut of an interval partition
-/// and gives each worker a single iteration run.
-class ContiguousPartitioner final : public Partitioner {
- public:
-  std::vector<std::uint32_t> assign(const graph::Graph& g,
-                                    std::uint32_t shards) const override;
-  const char* name() const override { return "contiguous"; }
-};
-
-/// Cut-minimizing partitioner: visits nodes in BFS order (lowest-id seed
-/// per component) and places each on the shard where it has the most
-/// already-placed neighbors, minus a Fennel-style balance penalty
-/// alpha * gamma * size^(gamma-1) (gamma = 3/2, alpha = sqrt(W) * m /
-/// n^(3/2) — Tsourakakis et al., WSDM'14), under a hard capacity cap of
-/// ceil(n/W) * (1 + balance_slack). BFS order keeps the stream's
-/// neighborhoods warm (a streamed node has placed neighbors to score), the
-/// penalty keeps blocks from starving each other, and the cap plus a
-/// deterministic repair pass guarantee make_assignment's invariants.
-/// Everything tie-breaks on lowest shard id, so the partition is a pure
-/// function of the graph — every replica can recompute it identically.
-class GreedyGrowPartitioner final : public Partitioner {
- public:
-  explicit GreedyGrowPartitioner(double balance_slack = 0.05);
-  std::vector<std::uint32_t> assign(const graph::Graph& g,
-                                    std::uint32_t shards) const override;
-  const char* name() const override { return "greedy"; }
-
- private:
-  double slack_;
-};
-
-/// Validates a partitioner's output (size n, every owner in range, every
-/// node assigned exactly once by construction of the map, every shard
-/// non-empty) and derives the per-shard runs. Requires 1 <= shards <= n.
-ShardAssignment make_assignment(const graph::Graph& g, std::uint32_t shards,
-                                const Partitioner& p);
+/// The balanced contiguous split of n nodes over `shards` workers.
+/// Requires 1 <= shards <= n.
+ShardAssignment make_assignment(std::uint32_t n, std::uint32_t shards);
 
 /// Directed boundary arcs (u, v) with owner(u) == s and owner(v) != s, in
 /// (u ascending, port ascending) order — exactly the order shard s

@@ -79,10 +79,7 @@ ShardedNetwork::ShardedNetwork(const graph::Graph& g, ShardConfig cfg)
   bandwidth_bits_ = cfg_.net.bandwidth_bits != 0
                         ? cfg_.net.bandwidth_bits
                         : qc::congest_bandwidth_bits(g.n());
-  const ContiguousPartitioner contiguous;
-  const Partitioner& p =
-      cfg_.partitioner != nullptr ? *cfg_.partitioner : contiguous;
-  asn_ = make_assignment(g, cfg_.shards, p);
+  asn_ = make_assignment(g.n(), cfg_.shards);
   replicas_.resize(g.n());
 }
 
@@ -125,15 +122,12 @@ void ShardedNetwork::spawn_workers() {
   c2w_.clear();
   w2c_.clear();
   arena_ = ShmArena(layout_.total_bytes);
-  completion_ = CompletionCounter(arena_.base() + layout_.completion_off);
-  completion_seen_ = 0;
   for (std::uint32_t s = 0; s < asn_.shards; ++s) {
     c2w_.emplace_back(arena_.base() + layout_.c2w[s].off, layout_.c2w[s].cap);
     w2c_.emplace_back(arena_.base() + layout_.w2c[s].off, layout_.w2c[s].cap);
   }
   re_.assign(asn_.shards, RoundEndFrame{});
   done_.assign(asn_.shards, 0);
-  evt_idx_.assign(asn_.shards, 0);
   // Any buffered stdio the child inherits would be flushed twice (once per
   // process); drain it while there is still only one process.
   std::fflush(nullptr);
@@ -314,11 +308,9 @@ void ShardedNetwork::dispatch(std::size_t w,
         throw Error("shard: worker " + std::to_string(w) +
                     " harvested the wrong number of programs");
       }
-      std::size_t i = 0;
-      for (const auto& [b, e] : asn_.runs[w]) {
-        for (NodeId v = b; v < e; ++v) {
-          replicas_[v]->restore_state(f.states[i++]);
-        }
+      const NodeId begin = asn_.begin(static_cast<std::uint32_t>(w));
+      for (std::size_t i = 0; i < f.states.size(); ++i) {
+        replicas_[begin + i]->restore_state(f.states[i]);
       }
       break;
     }
@@ -412,12 +404,15 @@ void ShardedNetwork::collect_all(Collect what) {
     }
     if (remaining == 0) break;
     if (!progressed) {
-      // Sleep on the shared completion word until ANY pending worker
-      // publishes (completion order, not fd order). A full slice with no
-      // movement means someone may be dead — ask the sockets.
-      const std::uint32_t seen = completion_seen_;
-      completion_seen_ = completion_.wait_past(seen, kBarrierWaitSliceMs);
-      if (completion_seen_ == seen) check_liveness(what);
+      // Sleep on the first pending worker's doorbell, then scan everyone
+      // again: the barrier ends only when all have published, so which
+      // one wakes the coordinator does not matter. A full slice with no
+      // publication means someone may be dead — ask the sockets.
+      const auto first = static_cast<std::size_t>(
+          std::find(done_.begin(), done_.end(), 0) - done_.begin());
+      if (w2c_[first].wait(kBarrierWaitSliceMs) == ShmSignal::kNone) {
+        check_liveness(what);
+      }
     }
   }
 }
@@ -449,24 +444,14 @@ void ShardedNetwork::start_if_needed() {
 
 void ShardedNetwork::flush_events(std::uint32_t round) {
   DeliveryObserver* const obs = cfg_.net.observer.get();
-  // Each worker's batch is already ascending in receiver id (workers
-  // deliver their runs in ascending order) and receivers are disjoint
-  // across workers, so merging by smallest front receiver reproduces the
-  // sequential engine's (round, receiver, port) order exactly. For the
-  // contiguous partitioner this degenerates to concatenation.
-  std::fill(evt_idx_.begin(), evt_idx_.end(), 0);
-  for (;;) {
-    std::size_t best = re_.size();
-    for (std::size_t w = 0; w < re_.size(); ++w) {
-      if (evt_idx_[w] >= re_[w].events.size()) continue;
-      if (best == re_.size() ||
-          re_[w].events[evt_idx_[w]].to < re_[best].events[evt_idx_[best]].to) {
-        best = w;
-      }
+  // Each worker's batch is ascending in (receiver, port) — a worker
+  // delivers its range in id order — and worker s's range lies wholly
+  // below worker s+1's, so the batches concatenated in shard order are
+  // the sequential engine's (round, receiver, port) order exactly.
+  for (const RoundEndFrame& re : re_) {
+    for (const DeliveryEvent& e : re.events) {
+      obs->on_deliver(e.from, e.to, e.msg, round);
     }
-    if (best == re_.size()) break;
-    const DeliveryEvent& e = re_[best].events[evt_idx_[best]++];
-    obs->on_deliver(e.from, e.to, e.msg, round);
   }
 }
 

@@ -8,20 +8,20 @@
 // coordinator maps one shared-memory arena (shm_ring.hpp), then forks W
 // workers connected by socketpairs; fork inherits the graph, the program
 // factory and the arena, so every worker builds a bit-identical Network
-// replica and owns one partition slice of its nodes. Each round the
-// coordinator publishes every worker a round-begin frame on its shm
-// channel, workers exchange boundary messages directly through the
+// replica and owns one contiguous id range of its nodes (partition.hpp).
+// Each round the coordinator publishes every worker a round-begin frame on
+// its shm channel, workers exchange boundary messages directly through the
 // worker-to-worker mesh rings and run the unchanged zero-allocation
-// deliver/compute hot path over their owned ranges, then publish a
+// deliver/compute hot path over their owned range, then publish a
 // round-end frame with their stats delta, quiescence counters and (when an
 // observer is installed) their delivery events. Round frames and boundary
 // batches always fit their shm segments (they are sized from the CONGEST
 // per-arc bound); the sockets carry only lifecycle frames that can outgrow
-// a slot (a large harvest) and error reports. The round barrier is the only synchronization
-// point in the whole design: within a round workers share nothing and
-// proceed independently, and the coordinator harvests round-end frames in
-// completion order (one shared futex word), not file-descriptor order.
-// A warmed steady-state round allocates nothing on the coordinator —
+// a slot (a large harvest) and error reports. The round barrier is the
+// only synchronization point in the whole design: within a round workers
+// share nothing and proceed independently, and the coordinator sleeps on
+// one pending worker's doorbell at a time until every round-end frame is
+// in. A warmed steady-state round allocates nothing on the coordinator —
 // frames encode into ring slots and decode into reused frame structs
 // (bench_shard --check pins this with the alloc probe).
 //
@@ -32,9 +32,14 @@
 // (order-independent), fault decisions are stateless hashes of
 // (seed, round, from, to) (process-invariant by construction), per-node
 // RNGs derive from (seed, node id) identically in every replica, and the
-// coordinator k-way merges worker event batches back into the canonical
-// (round, receiver ascending, port ascending) order before invoking the
-// user observer. See docs/distributed.md for the full argument.
+// coordinator replays worker event batches in shard order, which is the
+// canonical (round, receiver ascending, port ascending) order because the
+// ranges ascend with the shard id. See docs/distributed.md for the full
+// argument.
+//
+// Sharding exists to show that those results do not depend on process
+// layout; it is slower than the in-process engine on this workload
+// (docs/performance.md), so it carries no performance-only machinery.
 //
 // Program results flow back through NodeProgram::serialize_state /
 // restore_state: on first access to program(v) after a run the coordinator
@@ -67,8 +72,6 @@ struct ShardConfig {
   /// observer (if any) is invoked coordinator-side only, in canonical
   /// order; bandwidth/fault/seed semantics are identical to Network's.
   NetworkConfig net;
-  /// Node-to-worker strategy; null means ContiguousPartitioner.
-  std::shared_ptr<const Partitioner> partitioner;
   /// Optional cooperative stop: checked between rounds (e.g. from a
   /// SIGTERM handler); when it reads true the phase ends early and
   /// interrupted() reports it. The workers still shut down cleanly.
@@ -184,10 +187,10 @@ class ShardedNetwork {
   /// idle, else a kSocket hint plus a socket frame. Throws (after
   /// force-teardown) when the worker is unreachable.
   void send_frame(std::size_t w, std::span<const std::uint8_t> payload);
-  /// Waits for one frame from every worker, servicing them in completion
-  /// order, and dispatch()es each. A dead worker, a malformed frame or an
-  /// error frame becomes a thrown qc::Error after force-tearing down the
-  /// remaining workers — a crashed worker is a clean failure, not a hang.
+  /// Waits for one frame from every worker and dispatch()es each. A dead
+  /// worker, a malformed frame or an error frame becomes a thrown
+  /// qc::Error after force-tearing down the remaining workers — a crashed
+  /// worker is a clean failure, not a hang.
   void collect_all(Collect what);
   /// A round_end read from the socket (`via_socket`) is a protocol error:
   /// round frames always fit their slot.
@@ -196,8 +199,8 @@ class ShardedNetwork {
   /// Timeout path of collect_all: peeks every pending worker's socket to
   /// tell "slow" from "dead" and to pick up unhinted error frames.
   void check_liveness(Collect what);
-  /// Merges the per-worker event batches in re_ into canonical
-  /// receiver-ascending order and invokes the user observer.
+  /// Replays the per-worker event batches in re_, in shard order, to the
+  /// user observer.
   void flush_events(std::uint32_t round);
   void sync_programs();
 
@@ -221,15 +224,12 @@ class ShardedNetwork {
   // -- shared-memory transport (rebuilt by every spawn_workers) -------------
   ShmArena arena_;
   ShmLayout layout_;
-  CompletionCounter completion_;
-  std::uint32_t completion_seen_ = 0;
   std::vector<ShmChannel> c2w_;
   std::vector<ShmChannel> w2c_;
   // -- reused per-round state (the allocation-free barrier) -----------------
   RoundBeginFrame rb_;               ///< encode source, reused every round
   std::vector<RoundEndFrame> re_;    ///< per-worker decode targets
   std::vector<std::uint8_t> done_;   ///< collect_all scoreboard
-  std::vector<std::size_t> evt_idx_; ///< flush_events merge cursors
   std::vector<std::uint8_t> rx_;     ///< socket-frame receive scratch
 };
 

@@ -111,42 +111,16 @@ ShmArena& ShmArena::operator=(ShmArena&& other) noexcept {
   return *this;
 }
 
-// ---- CompletionCounter ----------------------------------------------------
-
-CompletionCounter::CompletionCounter(std::uint8_t* mem)
-    : word_(reinterpret_cast<std::atomic<std::uint32_t>*>(mem)) {}
-
-void CompletionCounter::bump() {
-  word_->fetch_add(1, std::memory_order_release);
-  futex_wake_all(word_);
-}
-
-std::uint32_t CompletionCounter::load() const {
-  return word_->load(std::memory_order_acquire);
-}
-
-std::uint32_t CompletionCounter::wait_past(std::uint32_t last_seen,
-                                           int timeout_ms) const {
-  for (int i = 0; i < spin_budget(); ++i) {
-    const std::uint32_t now = load();
-    if (now != last_seen) return now;
-  }
-  futex_wait(word_, last_seen, timeout_ms);
-  return load();
-}
-
 // ---- ShmChannel -----------------------------------------------------------
 
 std::size_t ShmChannel::bytes_needed(std::size_t capacity) {
   return kHeaderBytes + capacity;
 }
 
-ShmChannel::ShmChannel(std::uint8_t* mem, std::size_t capacity,
-                       CompletionCounter* agg)
+ShmChannel::ShmChannel(std::uint8_t* mem, std::size_t capacity)
     : hdr_(reinterpret_cast<Header*>(mem)),
       payload_(mem + kHeaderBytes),
-      capacity_(capacity),
-      agg_(agg) {}
+      capacity_(capacity) {}
 
 bool ShmChannel::idle() const {
   return hdr_->doorbell.load(std::memory_order_acquire) ==
@@ -164,7 +138,6 @@ void ShmChannel::publish_frame(std::size_t len) {
   hdr_->kind = static_cast<std::uint32_t>(ShmSignal::kFrame);
   hdr_->doorbell.fetch_add(1, std::memory_order_release);
   futex_wake_all(&hdr_->doorbell);
-  if (agg_ != nullptr) agg_->bump();
 }
 
 void ShmChannel::publish_signal(ShmSignal kind) {
@@ -178,7 +151,6 @@ bool ShmChannel::try_publish_signal(ShmSignal kind) {
   hdr_->kind = static_cast<std::uint32_t>(kind);
   hdr_->doorbell.fetch_add(1, std::memory_order_release);
   futex_wake_all(&hdr_->doorbell);
-  if (agg_ != nullptr) agg_->bump();
   return true;
 }
 
@@ -288,18 +260,16 @@ ShmLayout plan_layout(const graph::Graph& g, const ShardAssignment& asn,
     return at;
   };
 
-  l.completion_off = place(CompletionCounter::kBytes);
-
   // Directed boundary arc counts per shard pair size the mesh rings, and
-  // each shard's inbound boundary degree sizes its w2c event headroom.
+  // each shard's owned in-degree (every arc into one of its nodes) sizes
+  // its w2c event headroom.
   std::vector<std::size_t> arcs(static_cast<std::size_t>(W) * W, 0);
   std::vector<std::size_t> owned_in_arcs(W, 0);
-  for (NodeId u = 0; u < g.n(); ++u) {
-    const std::uint32_t s = asn.shard_of[u];
-    for (const NodeId v : g.neighbors(u)) {
-      const std::uint32_t t = asn.shard_of[v];
-      if (s != t) {
-        ++arcs[static_cast<std::size_t>(s) * W + t];
+  for (std::uint32_t s = 0; s < W; ++s) {
+    for (NodeId u = asn.begin(s); u < asn.end(s); ++u) {
+      for (const NodeId v : g.neighbors(u)) {
+        const std::uint32_t t = asn.owner(v);
+        if (s != t) ++arcs[static_cast<std::size_t>(s) * W + t];
         ++owned_in_arcs[t];
       }
     }
@@ -313,17 +283,7 @@ ShmLayout plan_layout(const graph::Graph& g, const ShardAssignment& asn,
     // feeds, owned-internal arcs the rest. Budgeting the worker's full
     // owned in-degree makes the slot a bound, not an estimate.
     std::size_t w2c_cap = kControlChannelBytes;
-    if (collect_events) {
-      std::size_t owned_deg = owned_in_arcs[s];
-      for (const auto& [b, e] : asn.runs[s]) {
-        for (NodeId v = b; v < e; ++v) {
-          for (const NodeId u : g.neighbors(v)) {
-            if (asn.shard_of[u] == s) ++owned_deg;
-          }
-        }
-      }
-      w2c_cap += owned_deg * kEventBytesPerArc;
-    }
+    if (collect_events) w2c_cap += owned_in_arcs[s] * kEventBytesPerArc;
     l.w2c[s] = {place(ShmChannel::bytes_needed(w2c_cap)), w2c_cap};
   }
 

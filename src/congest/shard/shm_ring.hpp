@@ -40,11 +40,10 @@
 //    malformed socket frame. Rings are sized once at spawn from the
 //    CONGEST bound — at most one message of at most Message::kMaxFields
 //    fields per arc per round — so a batch always fits its segment.
-//  * `CompletionCounter` — one shared futex word the coordinator sleeps
-//    on while waiting for "any worker finished": every worker publication
-//    bumps it, so the barrier services workers in completion order
-//    instead of file-descriptor order (a slow worker 0 no longer
-//    serializes the harvest of workers 1..W-1).
+//
+// The round barrier needs no extra wake-up word: the coordinator sleeps on
+// the w2c doorbell of the first worker it still waits for, then scans
+// every channel (sharded_network.cpp, collect_all).
 //
 // Segment contents are untrusted input: every frame read out of shared
 // memory goes through the same codec validation as a socket frame
@@ -99,25 +98,6 @@ class ShmArena {
   std::size_t size_ = 0;
 };
 
-/// Shared futex word the coordinator waits on for "any worker published".
-/// Monotonic; the waiter only ever compares against its last-seen value.
-class CompletionCounter {
- public:
-  static constexpr std::size_t kBytes = 64;  // one exclusive cache line
-
-  CompletionCounter() = default;
-  explicit CompletionCounter(std::uint8_t* mem);
-
-  void bump();  ///< producer: increment and wake any waiter
-  std::uint32_t load() const;
-  /// Sleeps until the counter moves past `last_seen` or `timeout_ms`
-  /// expires; returns the current value either way.
-  std::uint32_t wait_past(std::uint32_t last_seen, int timeout_ms) const;
-
- private:
-  std::atomic<std::uint32_t>* word_ = nullptr;
-};
-
 /// Single-slot SPSC mailbox with a futex doorbell. See file comment.
 class ShmChannel {
  public:
@@ -128,11 +108,8 @@ class ShmChannel {
   /// Wraps a header+payload region inside the arena. Both sides construct
   /// their own (trivially cheap) view over the same memory; the zero-
   /// initialized mmap page IS the valid empty state, so there is no
-  /// explicit create/attach distinction. `agg`, when non-null, is bumped
-  /// on every publication (the worker->coordinator channels aggregate
-  /// into the barrier's CompletionCounter).
-  ShmChannel(std::uint8_t* mem, std::size_t capacity,
-             CompletionCounter* agg = nullptr);
+  /// explicit create/attach distinction.
+  ShmChannel(std::uint8_t* mem, std::size_t capacity);
 
   std::size_t capacity() const { return capacity_; }
   bool valid() const { return hdr_ != nullptr; }
@@ -178,7 +155,6 @@ class ShmChannel {
   Header* hdr_ = nullptr;
   std::uint8_t* payload_ = nullptr;
   std::size_t capacity_ = 0;
-  CompletionCounter* agg_ = nullptr;
 };
 
 /// Double-buffered worker->worker boundary segment for one directed shard
@@ -233,7 +209,6 @@ struct ShmLayout {
     std::size_t cap = 0;  ///< payload capacity; 0 = segment absent
   };
   std::size_t total_bytes = 0;
-  std::size_t completion_off = 0;
   std::vector<Seg> c2w;   ///< per worker: coordinator -> worker channel
   std::vector<Seg> w2c;   ///< per worker: worker -> coordinator channel
   /// mesh[s * shards + t]: boundary segment for arcs owner(u)=s ->

@@ -37,21 +37,23 @@ class WorkerState {
   WorkerState(const WorkerLink& link, const graph::Graph& g,
               const NetworkConfig& net_cfg, const ShardAssignment& asn,
               const std::function<std::unique_ptr<NodeProgram>(NodeId)>& make)
-      : link_(link), asn_(asn), net_(g, net_cfg) {
+      : link_(link),
+        begin_(asn.begin(link.shard)),
+        end_(asn.end(link.shard)),
+        net_(g, net_cfg) {
     // The user observer lives coordinator-side; with collect_events the
     // worker records deliveries into sink_ and ships them instead.
     net_.shard_drop_observers();
     net_.init_programs([&](NodeId v) -> std::unique_ptr<NodeProgram> {
-      if (asn.shard_of[v] == link_.shard) return make(v);
+      if (asn.owns(link_.shard, v)) return make(v);
       return std::make_unique<InertProgram>();
     });
 
     const ShmLayout& l = *link_.layout;
-    completion_ = CompletionCounter(link_.shm + l.completion_off);
     c2w_ = ShmChannel(link_.shm + l.c2w[link_.shard].off,
                       l.c2w[link_.shard].cap);
     w2c_ = ShmChannel(link_.shm + l.w2c[link_.shard].off,
-                      l.w2c[link_.shard].cap, &completion_);
+                      l.w2c[link_.shard].cap);
     mesh_out_.resize(l.shards);
     mesh_in_.resize(l.shards);
     for (std::uint32_t t = 0; t < l.shards; ++t) {
@@ -74,23 +76,19 @@ class WorkerState {
     // transport is a protocol violation.
     out_slots_.resize(l.shards);
     inbound_ok_.assign(net_.shard_slot_count(), 0);
-    for (const auto& [b, e] : asn.runs[link_.shard]) {
-      for (NodeId u = b; u < e; ++u) {
-        const auto nb = g.neighbors(u);
-        const std::uint32_t base = net_.shard_out_base(u);
-        for (std::uint32_t p = 0; p < nb.size(); ++p) {
-          const std::uint32_t t = asn.shard_of[nb[p]];
-          if (t != link_.shard) out_slots_[t].push_back(base + p);
-        }
-        for (const NodeId v : nb) {
-          if (asn.shard_of[v] == link_.shard) continue;
-          // The foreign sender v queues for u in slot out_base(v) + port,
-          // where port is u's position in v's sorted neighbor list.
-          const auto vnb = g.neighbors(v);
-          const auto it = std::lower_bound(vnb.begin(), vnb.end(), u);
-          inbound_ok_[net_.shard_out_base(v) +
-                      static_cast<std::uint32_t>(it - vnb.begin())] = 1;
-        }
+    for (NodeId u = begin_; u < end_; ++u) {
+      const auto nb = g.neighbors(u);
+      const std::uint32_t base = net_.shard_out_base(u);
+      for (std::uint32_t p = 0; p < nb.size(); ++p) {
+        const NodeId v = nb[p];
+        if (asn.owns(link_.shard, v)) continue;
+        out_slots_[asn.owner(v)].push_back(base + p);
+        // The foreign sender v queues for u in slot out_base(v) + port,
+        // where port is u's position in v's sorted neighbor list.
+        const auto vnb = g.neighbors(v);
+        const auto it = std::lower_bound(vnb.begin(), vnb.end(), u);
+        inbound_ok_[net_.shard_out_base(v) +
+                    static_cast<std::uint32_t>(it - vnb.begin())] = 1;
       }
     }
   }
@@ -160,16 +158,17 @@ class WorkerState {
   }
 
   /// Best-effort error report: the frame goes over the socket (always
-  /// writable regardless of channel state) and the doorbell layer is
-  /// poked so a coordinator sleeping on the barrier wakes up to find it.
+  /// writable regardless of channel state) and the doorbell is rung so a
+  /// coordinator sleeping on this channel wakes up to find it. A busy
+  /// channel holds a publication the coordinator has yet to consume, so
+  /// it wakes anyway; the unhinted frame then reaches it through the
+  /// socket (check_liveness).
   void report_error(const char* what) {
     try {
       serve::write_frame(link_.fd, encode_error(what), kMaxShardFrameBytes);
     } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
-    if (w2c_.valid() && !w2c_.try_publish_signal(ShmSignal::kSocket)) {
-      completion_.bump();  // busy channel: wake the waiter anyway
-    }
+    if (w2c_.valid()) w2c_.try_publish_signal(ShmSignal::kSocket);
   }
 
  private:
@@ -241,9 +240,7 @@ class WorkerState {
   }
 
   void handle_start() {
-    for (const auto& [b, e] : asn_.runs[link_.shard]) {
-      net_.shard_start_range(b, e);
-    }
+    net_.shard_start_range(begin_, end_);
     StartDoneFrame f;
     ship_boundary(/*consume_round=*/1);
     start_boundary_bytes_ = boundary_bytes_;
@@ -265,13 +262,9 @@ class WorkerState {
     re_.round = rb_.round;
     re_.stats = RunStats{};
     sink_.clear();
-    for (const auto& [b, e] : asn_.runs[link_.shard]) {
-      net_.shard_deliver_range(b, e, re_.stats,
-                               link_.collect_events ? &sink_ : nullptr);
-    }
-    for (const auto& [b, e] : asn_.runs[link_.shard]) {
-      net_.shard_compute_range(b, e, re_.stats, rb_.memory_sweep_all);
-    }
+    net_.shard_deliver_range(begin_, end_, re_.stats,
+                             link_.collect_events ? &sink_ : nullptr);
+    net_.shard_compute_range(begin_, end_, re_.stats, rb_.memory_sweep_all);
     ship_boundary(/*consume_round=*/rb_.round + 1);
     re_.inflight = net_.shard_inflight();
     re_.halted = net_.shard_halted();
@@ -296,12 +289,10 @@ class WorkerState {
   void handle_harvest() {
     alloc_armed_ = false;  // building the reply allocates; re-arm next round
     HarvestDoneFrame f;
-    for (const auto& [b, e] : asn_.runs[link_.shard]) {
-      for (NodeId v = b; v < e; ++v) {
-        Message m;
-        net_.program(v).serialize_state(m);
-        f.states.push_back(std::move(m));
-      }
+    for (NodeId v = begin_; v < end_; ++v) {
+      Message m;
+      net_.program(v).serialize_state(m);
+      f.states.push_back(std::move(m));
     }
     send_reply(encode_harvest_done(f));
   }
@@ -327,10 +318,10 @@ class WorkerState {
   }
 
   WorkerLink link_;
-  const ShardAssignment& asn_;
+  NodeId begin_;  ///< this worker owns [begin_, end_)
+  NodeId end_;
   Network net_;
 
-  CompletionCounter completion_;
   ShmChannel c2w_;
   ShmChannel w2c_;
   std::vector<MeshRing> mesh_out_;

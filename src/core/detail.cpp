@@ -20,6 +20,11 @@ std::uint32_t effective_branch_threads(const QuantumConfig& cfg) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+void mark_failed(const qc::Error& e, QuantumReport& out) {
+  out.subroutine_failed = true;
+  out.failure_reason = e.what();
+}
+
 void record_phase(const char* algo, const PhaseReport& phase,
                   std::uint64_t reference_bfs_runs, QuantumReport& out) {
   out.total_rounds = phase.total_rounds;
@@ -55,6 +60,11 @@ InitPhase run_initialization(const graph::Graph& g,
   acc += ecc.stats;
   init.tree = std::move(ecc.tree);
   init.d = ecc.ecc;
+  // A connected graph on n > 1 nodes has ecc >= 1; d = 0 means the fault
+  // plan cut BFS(leader) short, and no schedule can be built from it.
+  if (g.n() > 1 && init.d == 0) {
+    throw Error("initialization: BFS(leader) measured ecc(leader) = 0");
+  }
 
   const std::uint32_t id_bits = qc::bit_width_for(g.n()) + 1;
   acc += algos::broadcast_from_root(g, init.tree, init.d, id_bits, net).stats;

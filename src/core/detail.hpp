@@ -29,7 +29,8 @@ namespace qc::core::detail {
 /// BFS(leader) with distances (Proposition 1), learn d = ecc(leader), and
 /// broadcast d so every node can compute the Figure 2 schedule lengths.
 /// Also measures the Proposition 2 Setup cost with one instrumentation
-/// broadcast (not charged).
+/// broadcast (not charged). Throws qc::Error when a fault plan breaks a
+/// step, including a BFS that measures d = 0 on n > 1 nodes.
 struct InitPhase {
   graph::NodeId leader = graph::kInvalidNode;
   std::uint32_t d = 0;
@@ -57,6 +58,11 @@ struct PreparedInit {
 PreparedInit prepare_init_and_engine(const graph::Graph& g,
                                      const congest::NetworkConfig& net,
                                      std::uint32_t threads);
+
+/// Marks `out` failed with `e`'s message. A front-end calls it when its
+/// classical preliminaries throw, so a fault plan that breaks them is
+/// reported the way a failing branch is, not thrown.
+void mark_failed(const qc::Error& e, QuantumReport& out);
 
 /// Branch-evaluation workers a front-end should actually use: the
 /// configured branch_threads (0 = hardware concurrency), forced to 1 when
@@ -222,7 +228,10 @@ auto run_quantum_phase(const graph::Graph& g, const QuantumConfig& cfg,
       return distributed_quantum_optimize(prob, rng);
     }
   });
-  quantum_span.add(report.total_rounds - spec.t_init, 0, 0);
+  // A failed phase reports no rounds, so it charges none.
+  if (!report.subroutine_failed) {
+    quantum_span.add(report.total_rounds - spec.t_init, 0, 0);
+  }
   quantum_span.finish();
   record_phase(spec.algo, report, oracle.reference_bfs_runs(), out);
   return PhaseResult<decltype(report)>{std::move(report),

@@ -27,28 +27,36 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
   }
 
   congest::RunStats prep_acc;
+  algos::PreparationOutcome prep;
+  // A fault plan that breaks the classical preliminaries is reported the
+  // way a failing branch is, not thrown.
+  try {
+    // Choosing s needs an estimate of D; use d = ecc(leader) (within a
+    // factor 2 of D), obtained with the standard O(D) preliminaries.
+    const auto election = algos::elect_leader(g, cfg.net);
+    prep_acc += election.stats;
+    const auto lead_ecc =
+        algos::compute_eccentricity(g, election.leader, cfg.net);
+    prep_acc += lead_ecc.stats;
+    const std::uint32_t d_leader = std::max(1u, lead_ecc.ecc);
 
-  // Choosing s needs an estimate of D; use d = ecc(leader) (within a
-  // factor 2 of D), obtained with the standard O(D) preliminaries.
-  const auto election = algos::elect_leader(g, cfg.net);
-  prep_acc += election.stats;
-  auto lead_ecc = algos::compute_eccentricity(g, election.leader, cfg.net);
-  prep_acc += lead_ecc.stats;
-  const std::uint32_t d_leader = std::max(1u, lead_ecc.ecc);
+    std::uint32_t s = s_override;
+    if (s == 0) {
+      const double n = static_cast<double>(g.n());
+      s = static_cast<std::uint32_t>(std::ceil(
+          std::pow(n, 2.0 / 3.0) / std::cbrt(static_cast<double>(d_leader))));
+    }
+    s = std::clamp<std::uint32_t>(s, 1, g.n());
+    rep.s_used = s;
 
-  std::uint32_t s = s_override;
-  if (s == 0) {
-    const double n = static_cast<double>(g.n());
-    s = static_cast<std::uint32_t>(std::ceil(
-        std::pow(n, 2.0 / 3.0) / std::cbrt(static_cast<double>(d_leader))));
+    // Figure 3 preparation = [HPRW14] Steps 1-3. It aggregates over the
+    // leader and BFS tree above, so their rounds are charged once.
+    prep = algos::hprw_preparation(g, s, election.leader, lead_ecc.tree,
+                                   cfg.net);
+  } catch (const qc::Error& e) {
+    detail::mark_failed(e, rep);
+    return rep;
   }
-  s = std::clamp<std::uint32_t>(s, 1, g.n());
-  rep.s_used = s;
-
-  // Figure 3 preparation = [HPRW14] Steps 1-3. It aggregates over the
-  // leader and BFS tree above, so their rounds are charged once.
-  auto prep = algos::hprw_preparation(g, s, election.leader, lead_ecc.tree,
-                                      cfg.net);
   prep_acc += prep.stats;
   rep.prep_rounds = prep_acc.rounds;
   rep.aborted = prep.aborted;

@@ -19,7 +19,13 @@ DecisionReport quantum_diameter_decide(const graph::Graph& g,
     return rep;
   }
 
-  detail::InitPhase init = detail::run_initialization(g, cfg.net);
+  detail::InitPhase init;
+  try {
+    init = detail::run_initialization(g, cfg.net);
+  } catch (const qc::Error& e) {
+    detail::mark_failed(e, rep);
+    return rep;
+  }
   rep.init_rounds = init.rounds;
   rep.t_setup = init.t_setup;
 

@@ -15,8 +15,14 @@ RadiusReport quantum_radius(const graph::Graph& g, const QuantumConfig& cfg) {
   }
 
   const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
-  auto [init, engine] =
-      detail::prepare_init_and_engine(g, cfg.net, branch_threads);
+  detail::PreparedInit prep;
+  try {
+    prep = detail::prepare_init_and_engine(g, cfg.net, branch_threads);
+  } catch (const qc::Error& e) {
+    detail::mark_failed(e, rep);
+    return rep;
+  }
+  auto& [init, engine] = prep;
   rep.leader = init.leader;
   rep.init_rounds = init.rounds;
   rep.t_setup = init.t_setup;

@@ -17,9 +17,15 @@
 #include "congest/shard/sharded_network.hpp"
 #include "congest/trace.hpp"
 #include "core/optimizer.hpp"
+#include "core/quantum_approx.hpp"
+#include "core/quantum_decision.hpp"
+#include "core/quantum_diameter.hpp"
+#include "core/quantum_radius.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace qc {
@@ -720,6 +726,65 @@ TEST(GracefulDegradation, OptimizerSurfacesSubroutineFailure) {
   core::OptimizationProblem bad;
   EXPECT_THROW(core::distributed_quantum_optimize(bad, rng),
                InvalidArgumentError);
+}
+
+// The plan of `qcongest <cmd> diam:60:6:3 --seed=S --fault-drop=0.005
+// --fault-seed=S`.
+core::QuantumConfig drop_plan(std::uint64_t seed) {
+  core::QuantumConfig cfg;
+  cfg.seed = seed;
+  cfg.net.fault.drop_probability = 0.005;
+  cfg.net.fault.seed = seed;
+  return cfg;
+}
+
+TEST(GracefulDegradation, FailedQuantumPhaseChargesItsSpanNoRounds) {
+  // Under this plan a Figure 2 branch disagrees with the reference, so the
+  // phase fails and reports total_rounds = 0; its span must not charge
+  // 0 - t_init (which wraps to ~2^64).
+  const Graph g = graph::make_from_spec("diam:60:6:3");
+  metrics::MetricsRegistry reg;
+  metrics::set_global(&reg);
+  const auto rep = core::quantum_diameter_exact(g, drop_plan(1));
+  metrics::set_global(nullptr);
+  ASSERT_TRUE(rep.subroutine_failed);
+  bool found = false;
+  for (const auto& span : reg.spans()) {
+    if (span.name != "core.quantum_phase") continue;
+    found = true;
+    EXPECT_EQ(span.rounds, 0u);
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(GracefulDegradation, BrokenPreliminariesReportSubroutineFailure) {
+  // Plan 2 makes the election miss the maximum id; plan 3 cuts BFS(leader)
+  // short so that it measures d = 0, which must neither reach the
+  // optimizer's epsilon precondition nor let decide answer from it.
+  const Graph g = graph::make_from_spec("diam:60:6:3");
+  for (const std::uint64_t seed : {2u, 3u}) {
+    const core::QuantumConfig cfg = drop_plan(seed);
+    core::QuantumDiameterReport dia;
+    EXPECT_NO_THROW(dia = core::quantum_diameter_exact(g, cfg)) << seed;
+    EXPECT_TRUE(dia.subroutine_failed) << seed;
+    EXPECT_FALSE(dia.failure_reason.empty()) << seed;
+    core::RadiusReport rad;
+    EXPECT_NO_THROW(rad = core::quantum_radius(g, cfg)) << seed;
+    EXPECT_TRUE(rad.subroutine_failed) << seed;
+    core::DecisionReport dec;
+    EXPECT_NO_THROW(dec = core::quantum_diameter_decide(g, 5, cfg)) << seed;
+    EXPECT_TRUE(dec.subroutine_failed) << seed;
+    EXPECT_EQ(dec.failure_reason, dia.failure_reason) << seed;
+    if (seed == 3) {
+      EXPECT_NE(dia.failure_reason.find("ecc(leader) = 0"), std::string::npos)
+          << dia.failure_reason;
+    }
+  }
+  // Plan 1 leaves a ragged distance table in Theorem 4's preparation.
+  core::QuantumApproxReport approx;
+  EXPECT_NO_THROW(approx = core::quantum_diameter_approx(g, drop_plan(1)));
+  EXPECT_TRUE(approx.subroutine_failed);
+  EXPECT_FALSE(approx.failure_reason.empty());
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// The shard backend, bottom up: partitioner invariants (full cover,
+// The shard backend, bottom up: assignment invariants (full cover,
 // balance, boundary-arc symmetry), codec round-trips for every frame shape
 // (messages up to Message::kMaxFields fields) with the same adversarial rejection
 // discipline as the serve protocol (every strict prefix, every overlong
 // buffer, unknown version/op, nonzero reserved, length bombs), and the
 // coordinator end to end: bit-identical parity against the in-process
-// engine, custom partitioners, observer-stream merge order, cooperative
+// engine up to one node per worker, observer-stream order, cooperative
 // stop, worker-crash containment, process/fd hygiene across lifecycles,
 // and worst-case boundary traffic that fills every mesh ring exactly.
 
@@ -40,7 +40,6 @@
 #include "congest/shard/shm_ring.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/io.hpp"
 #include "serve/protocol.hpp"
 #include "util/alloc_probe.hpp"
 #include "util/error.hpp"
@@ -57,117 +56,76 @@ using graph::Graph;
 using graph::NodeId;
 
 // ---------------------------------------------------------------------------
-// Partitioner
+// Assignment
 // ---------------------------------------------------------------------------
 
 TEST(ShardPartition, ContiguousCoversEveryNodeExactlyOnceAndBalances) {
-  Rng rng(7);
-  const Graph g = graph::make_connected_er(97, 0.08, rng);
-  const ContiguousPartitioner part;
   for (const std::uint32_t w : {1u, 2u, 3u, 8u, 97u}) {
-    const ShardAssignment a = make_assignment(g, w, part);
+    const ShardAssignment a = make_assignment(97, w);
     ASSERT_EQ(a.shards, w);
-    ASSERT_EQ(a.shard_of.size(), g.n());
-    std::vector<std::uint64_t> seen(w, 0);
-    for (NodeId v = 0; v < g.n(); ++v) {
-      ASSERT_LT(a.owner(v), w);
-      ++seen[a.owner(v)];
-    }
-    std::uint64_t total = 0;
+    ASSERT_EQ(a.bounds.size(), w + 1);
+    // Ranges cover [0, n) in order, back to back, each non-empty and
+    // balanced within one node.
+    EXPECT_EQ(a.begin(0), 0u);
+    EXPECT_EQ(a.end(w - 1), 97u);
     for (std::uint32_t s = 0; s < w; ++s) {
-      EXPECT_GE(seen[s], 1u) << "empty shard " << s;
-      EXPECT_EQ(seen[s], a.owned_count(s));
-      // Balanced within one node, and contiguous: exactly one run.
-      EXPECT_LE(seen[s], (g.n() + w - 1) / w);
-      ASSERT_EQ(a.runs[s].size(), 1u);
-      total += seen[s];
+      if (s > 0) {
+        EXPECT_EQ(a.begin(s), a.end(s - 1));
+      }
+      EXPECT_GE(a.owned_count(s), 1u) << "empty shard " << s;
+      EXPECT_LE(a.owned_count(s), (97 + w - 1) / w);
+      EXPECT_GE(a.owned_count(s), 97 / w);
     }
-    EXPECT_EQ(total, g.n());
-    // Runs cover [0, n) in order, back to back.
-    std::uint32_t cursor = 0;
-    for (std::uint32_t s = 0; s < w; ++s) {
-      EXPECT_EQ(a.runs[s].front().first, cursor);
-      cursor = a.runs[s].front().second;
+    for (NodeId v = 0; v < 97; ++v) {
+      const std::uint32_t s = a.owner(v);
+      ASSERT_LT(s, w);
+      EXPECT_TRUE(a.owns(s, v)) << "node " << v;
     }
-    EXPECT_EQ(cursor, g.n());
   }
 }
 
 TEST(ShardPartition, RejectsDegenerateShardCounts) {
-  const Graph g = graph::make_path(5);
-  const ContiguousPartitioner part;
-  EXPECT_THROW(make_assignment(g, 0, part), Error);
-  EXPECT_THROW(make_assignment(g, 6, part), Error);
-}
-
-// An adversarial partitioner whose output skips a shard.
-class EmptyShardPartitioner final : public Partitioner {
- public:
-  std::vector<std::uint32_t> assign(const Graph& g,
-                                    std::uint32_t) const override {
-    return std::vector<std::uint32_t>(g.n(), 0);
-  }
-  const char* name() const override { return "empty-shard"; }
-};
-
-// Non-contiguous ownership: node v belongs to shard v % W. Worst case for
-// run derivation and for the coordinator's observer merge — every node is
-// its own run and every edge is a boundary edge.
-class StripePartitioner final : public Partitioner {
- public:
-  std::vector<std::uint32_t> assign(const Graph& g,
-                                    std::uint32_t shards) const override {
-    std::vector<std::uint32_t> owner(g.n());
-    for (NodeId v = 0; v < g.n(); ++v) owner[v] = v % shards;
-    return owner;
-  }
-  const char* name() const override { return "stripe"; }
-};
-
-TEST(ShardPartition, RejectsPartitionerLeavingAShardEmpty) {
-  const Graph g = graph::make_path(8);
-  EXPECT_THROW(make_assignment(g, 2, EmptyShardPartitioner()), Error);
+  EXPECT_THROW(make_assignment(5, 0), Error);
+  EXPECT_THROW(make_assignment(5, 6), Error);
 }
 
 TEST(ShardPartition, BoundaryArcsAreSymmetricAndOrdered) {
   Rng rng(11);
   const Graph g = graph::make_connected_er(60, 0.1, rng);
-  const ContiguousPartitioner contiguous;
-  const StripePartitioner stripe;
-  for (const std::uint32_t w : {2u, 3u, 8u}) {
-    for (const Partitioner* p :
-         {static_cast<const Partitioner*>(&contiguous),
-          static_cast<const Partitioner*>(&stripe)}) {
-      const ShardAssignment a = make_assignment(g, w, *p);
-      std::uint64_t arcs = 0;
-      for (std::uint32_t s = 0; s < w; ++s) {
-        const auto out = boundary_arcs(g, a, s);
-        arcs += out.size();
-        // (u ascending, port ascending) order; port order on a sorted
-        // adjacency is neighbor-id order.
-        for (std::size_t i = 1; i < out.size(); ++i) {
-          EXPECT_TRUE(out[i - 1].first < out[i].first ||
-                      (out[i - 1].first == out[i].first &&
-                       out[i - 1].second < out[i].second));
-        }
-        for (const auto& [u, v] : out) {
-          EXPECT_EQ(a.owner(u), s);
-          EXPECT_NE(a.owner(v), s);
-          // The reverse arc is a boundary arc of the peer shard.
-          const auto back = boundary_arcs(g, a, a.owner(v));
-          EXPECT_NE(std::find(back.begin(), back.end(),
-                              std::make_pair(v, u)),
-                    back.end());
-        }
+  // W = n puts every node in its own shard, so every arc is a boundary arc.
+  for (const std::uint32_t w : {2u, 3u, 8u, g.n()}) {
+    const ShardAssignment a = make_assignment(g.n(), w);
+    std::uint64_t arcs = 0;
+    for (std::uint32_t s = 0; s < w; ++s) {
+      const auto out = boundary_arcs(g, a, s);
+      arcs += out.size();
+      // (u ascending, port ascending) order; port order on a sorted
+      // adjacency is neighbor-id order.
+      for (std::size_t i = 1; i < out.size(); ++i) {
+        EXPECT_TRUE(out[i - 1].first < out[i].first ||
+                    (out[i - 1].first == out[i].first &&
+                     out[i - 1].second < out[i].second));
       }
-      // Every cut edge contributes exactly two directed arcs.
-      std::uint64_t cut2 = 0;
-      for (NodeId u = 0; u < g.n(); ++u) {
-        for (const NodeId v : g.neighbors(u)) {
-          if (a.owner(u) != a.owner(v)) ++cut2;
-        }
+      for (const auto& [u, v] : out) {
+        EXPECT_EQ(a.owner(u), s);
+        EXPECT_NE(a.owner(v), s);
+        // The reverse arc is a boundary arc of the peer shard.
+        const auto back = boundary_arcs(g, a, a.owner(v));
+        EXPECT_NE(std::find(back.begin(), back.end(),
+                            std::make_pair(v, u)),
+                  back.end());
       }
-      EXPECT_EQ(arcs, cut2);
+    }
+    // Every cut edge contributes exactly two directed arcs.
+    std::uint64_t cut2 = 0;
+    for (NodeId u = 0; u < g.n(); ++u) {
+      for (const NodeId v : g.neighbors(u)) {
+        if (a.owner(u) != a.owner(v)) ++cut2;
+      }
+    }
+    EXPECT_EQ(arcs, cut2);
+    if (w == g.n()) {
+      EXPECT_EQ(arcs, 2 * g.m());
     }
   }
 }
@@ -681,23 +639,6 @@ TEST(ShardedNetwork, PendingWakeUpsKeepTheShardedRunFromQuiescing) {
   }
 }
 
-TEST(ShardedNetwork, StripePartitionerStillBitIdentical) {
-  Rng rng(5);
-  const Graph g = graph::make_connected_er(33, 0.15, rng);
-  const auto expect = algos::compute_eccentricity(g, 0);
-  ShardConfig cfg;
-  cfg.shards = 3;
-  cfg.partitioner = std::make_shared<StripePartitioner>();
-  ShardedNetwork net(g, cfg);
-  const auto got = algos::compute_eccentricity_on(net, 0);
-  EXPECT_EQ(got.ecc, expect.ecc);
-  EXPECT_EQ(got.stats.rounds, expect.stats.rounds);
-  EXPECT_EQ(got.stats.messages, expect.stats.messages);
-  EXPECT_EQ(got.stats.bits, expect.stats.bits);
-  EXPECT_EQ(got.tree.parent, expect.tree.parent);
-  EXPECT_EQ(got.tree.depth, expect.tree.depth);
-}
-
 TEST(ShardedNetwork, ObserverStreamMergesIntoCanonicalOrder) {
   Rng rng(9);
   const Graph g = graph::make_connected_er(24, 0.2, rng);
@@ -718,18 +659,16 @@ TEST(ShardedNetwork, ObserverStreamMergesIntoCanonicalOrder) {
     algos::elect_leader_on(net);
   }
   ASSERT_FALSE(sequential.empty());
-  // The stripe partitioner maximally interleaves receivers across workers,
-  // so a correct stream here demonstrates a real k-way merge, not
-  // concatenation.
-  for (const bool stripe : {false, true}) {
+  // At W = n every worker owns one node and every delivery crosses a
+  // shard, so the concatenated batches must interleave nothing.
+  for (const std::uint32_t w : {3u, g.n()}) {
     std::vector<Event> sharded;
     ShardConfig cfg;
-    cfg.shards = 3;
+    cfg.shards = w;
     cfg.net.observer = record(sharded);
-    if (stripe) cfg.partitioner = std::make_shared<StripePartitioner>();
     ShardedNetwork net(g, cfg);
     algos::elect_leader_on(net);
-    EXPECT_EQ(sharded, sequential) << "stripe=" << stripe;
+    EXPECT_EQ(sharded, sequential) << "W=" << w;
   }
 }
 
@@ -846,108 +785,15 @@ TEST(ShardedNetwork, ShutdownIsIdempotentAndRefusesLateReads) {
 }
 
 // ---------------------------------------------------------------------------
-// GreedyGrowPartitioner
-// ---------------------------------------------------------------------------
-
-std::uint64_t cut_arcs(const Graph& g, const ShardAssignment& a) {
-  std::uint64_t arcs = 0;
-  for (NodeId u = 0; u < g.n(); ++u) {
-    for (const NodeId v : g.neighbors(u)) {
-      if (a.owner(u) != a.owner(v)) ++arcs;
-    }
-  }
-  return arcs;
-}
-
-TEST(ShardPartition, GreedyCoversBalancesAndIsDeterministic) {
-  Rng rng(11);
-  const std::vector<Graph> graphs = {
-      graph::make_connected_er(120, 0.06, rng),
-      graph::make_path(75),
-      graph::make_cycle(64),
-  };
-  const GreedyGrowPartitioner part;
-  for (const Graph& g : graphs) {
-    for (const std::uint32_t w : {2u, 3u, 8u}) {
-      const ShardAssignment a = make_assignment(g, w, part);
-      ASSERT_EQ(a.shards, w);
-      ASSERT_EQ(a.shard_of.size(), g.n());
-      // Full cover, every owner in range, no shard empty, and the
-      // documented hard capacity cap ceil(n/W) + max(1, slack * ceil(n/W)).
-      std::vector<std::uint64_t> sizes(w, 0);
-      for (const std::uint32_t s : a.shard_of) {
-        ASSERT_LT(s, w);
-        ++sizes[s];
-      }
-      const std::uint64_t base = (g.n() + w - 1) / w;
-      const std::uint64_t cap =
-          base +
-          std::max<std::uint64_t>(1, static_cast<std::uint64_t>(0.05 * base));
-      std::uint64_t covered = 0;
-      for (std::uint32_t s = 0; s < w; ++s) {
-        EXPECT_GE(sizes[s], 1u);
-        EXPECT_LE(sizes[s], cap);
-        EXPECT_EQ(a.owned_count(s), sizes[s]);
-        covered += sizes[s];
-      }
-      EXPECT_EQ(covered, g.n());
-      // Pure function of the graph: every replica recomputes it identically.
-      EXPECT_EQ(GreedyGrowPartitioner().assign(g, w), a.shard_of);
-    }
-  }
-}
-
-TEST(ShardPartition, GreedyHandlesDegenerateShardCountsNearN) {
-  const Graph g = graph::make_cycle(9);
-  const GreedyGrowPartitioner part;
-  for (const std::uint32_t w : {8u, 9u}) {
-    const ShardAssignment a = make_assignment(g, w, part);
-    std::vector<std::uint64_t> sizes(w, 0);
-    for (const std::uint32_t s : a.shard_of) ++sizes[s];
-    for (std::uint32_t s = 0; s < w; ++s) {
-      EXPECT_GE(sizes[s], 1u) << "W=" << w << " shard " << s;
-    }
-  }
-  EXPECT_THROW(make_assignment(g, 10, part), Error);
-}
-
-TEST(ShardPartition, GreedyCutsNoMoreArcsThanContiguousOn10kDataset) {
-  // The acceptance workload: greedy exists to reduce boundary traffic on
-  // the checked-in 10k dataset at W=8 (docs/performance.md records the
-  // measured reduction, ~31%; this pins the direction of the inequality).
-  const Graph g =
-      graph::load_graph_file(std::string(QC_DATA_DIR) + "/synth-p2p-10k.qcg");
-  const ShardAssignment greedy =
-      make_assignment(g, 8, GreedyGrowPartitioner());
-  const ShardAssignment cont = make_assignment(g, 8, ContiguousPartitioner());
-  EXPECT_LE(cut_arcs(g, greedy), cut_arcs(g, cont));
-}
-
-// ---------------------------------------------------------------------------
 // Shared-memory transport
 // ---------------------------------------------------------------------------
 
-TEST(ShmTransport, CompletionCounterWaitIsBoundedAndSeesBumps) {
-  alignas(64) std::uint8_t mem[CompletionCounter::kBytes] = {};
-  CompletionCounter c(mem);
-  EXPECT_EQ(c.load(), 0u);
-  // Nothing published: the bounded wait expires and reports no movement.
-  EXPECT_EQ(c.wait_past(0, 1), 0u);
-  c.bump();
-  c.bump();
-  EXPECT_EQ(c.load(), 2u);
-  // A counter that already moved past last_seen returns without sleeping.
-  EXPECT_EQ(c.wait_past(0, 10000), 2u);
-}
-
-TEST(ShmTransport, ChannelPingPongCarriesFramesSignalsAndAggregates) {
+TEST(ShmTransport, ChannelPingPongCarriesFramesAndSignals) {
   constexpr std::size_t kCap = 64;
   std::vector<std::uint8_t> mem(ShmChannel::bytes_needed(kCap), 0);
-  alignas(64) std::uint8_t cmem[CompletionCounter::kBytes] = {};
-  CompletionCounter agg(cmem);
   // Producer and consumer construct independent views over the same bytes,
   // exactly as coordinator and worker do over the inherited arena.
-  ShmChannel prod(mem.data(), kCap, &agg);
+  ShmChannel prod(mem.data(), kCap);
   ShmChannel cons(mem.data(), kCap);
   ASSERT_TRUE(prod.idle());
   EXPECT_EQ(cons.poll(), ShmSignal::kNone);
@@ -958,7 +804,6 @@ TEST(ShmTransport, ChannelPingPongCarriesFramesSignalsAndAggregates) {
   ASSERT_GE(slot.size(), payload.size());
   std::copy(payload.begin(), payload.end(), slot.begin());
   prod.publish_frame(payload.size());
-  EXPECT_EQ(agg.load(), 1u);  // w2c publications bump the barrier counter
   EXPECT_FALSE(prod.idle());
   ASSERT_EQ(cons.poll(), ShmSignal::kFrame);
   const auto frame = cons.frame();
@@ -971,7 +816,6 @@ TEST(ShmTransport, ChannelPingPongCarriesFramesSignalsAndAggregates) {
   // Socket hints ride the same doorbell; a busy channel refuses the
   // best-effort publish instead of clobbering the pending publication.
   prod.publish_signal(ShmSignal::kSocket);
-  EXPECT_EQ(agg.load(), 2u);
   EXPECT_FALSE(prod.try_publish_signal(ShmSignal::kSocket));
   EXPECT_EQ(cons.wait(10000), ShmSignal::kSocket);
   cons.release();
@@ -1068,7 +912,7 @@ TEST(ShmTransport, MeshRingWithOddCapacityKeepsBothSlotHeadersAligned) {
 TEST(ShmTransport, PlanLayoutPlacesEverySegmentAlignedAndDisjoint) {
   Rng rng(5);
   const Graph g = graph::make_random_with_diameter(97, 7, rng);
-  const ShardAssignment asn = make_assignment(g, 3, ContiguousPartitioner());
+  const ShardAssignment asn = make_assignment(g.n(), 3);
   for (const bool events : {false, true}) {
     const ShmLayout l = plan_layout(g, asn, events);
     std::vector<std::pair<std::size_t, std::size_t>> spans;  // [off, end)

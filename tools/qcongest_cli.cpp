@@ -72,10 +72,7 @@ commands:
               --algo=bfs|ecc|sweep (default ecc), --root=N (default 0),
               --shards=W (default 0 = in-process; W>=1 forks W workers —
               results are bit-identical at every W), --rounds=N (spin N
-              extra rounds after the answer; SIGTERM interrupts cleanly),
-              --partitioner=contiguous|greedy (node-to-worker placement;
-              greedy grows BFS blocks to cut boundary traffic — results
-              are bit-identical either way)
+              extra rounds after the answer; SIGTERM interrupts cleanly)
 
 client mode (against a running qcongestd — see docs/serving.md):
   --server=ENDPOINT     unix:PATH or HOST:PORT; forwards the command to the
@@ -367,7 +364,7 @@ int main(int argc, char** argv) try {
   cli.expect_flags({"seed", "oracle", "fault-drop", "fault-corrupt",
                     "fault-seed", "quiet", "algo", "s", "threshold", "out",
                     "metrics-out", "encoding", "server", "v", "root",
-                    "shards", "rounds", "partitioner"});
+                    "shards", "rounds"});
   const auto& pos = cli.positional();
   if (pos.empty()) return usage();
   const std::string cmd = pos[0];
@@ -632,11 +629,6 @@ int main(int argc, char** argv) try {
     scfg.shards = shards;
     scfg.net = net_config(cli);
     scfg.stop = &g_stop;
-    if (choice(cli, "partitioner", "contiguous", {"contiguous", "greedy"}) ==
-        "greedy") {
-      scfg.partitioner =
-          std::make_shared<congest::shard::GreedyGrowPartitioner>();
-    }
     congest::shard::ShardedNetwork net(g, scfg);
     const int rc = run_distributed(net, g, algo, root, spin, quiet);
     // Worker pids go to stderr so stdout stays byte-identical across
