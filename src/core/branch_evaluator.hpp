@@ -1,36 +1,41 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <unordered_set>
+#include <thread>
 #include <vector>
 
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qc::core {
 
-/// Parallel fan-out of independent oracle branches with a shared memo
-/// cache.
+/// Parallel fan-out of independent oracle branches with a flat memo.
 ///
 /// Every Grover iterate of the Section 2.4 framework applies the
 /// Evaluation unitary to all populated basis branches at once, and each
 /// branch is an independent deterministic CONGEST simulation — so the
 /// branch set can be evaluated in any order, on any number of workers,
 /// with bit-identical results. prefetch() evaluates a branch set exactly
-/// once each across the pool (replacing the old per-call lazy memos);
-/// operator() then serves from the cache, falling back to an inline
-/// evaluation on a miss. Results, and everything derived from them
-/// (values, round counts, RunStats aggregation), are independent of the
-/// thread count.
+/// once each across the pool; operator() then serves from the memo,
+/// falling back to an inline evaluation on a miss. Results, and everything
+/// derived from them (values, round counts, RunStats aggregation), are
+/// independent of the thread count.
+///
+/// The memo is one slot per branch index, grown to the largest index
+/// asked for, so a lookup is an index. Workers write disjoint slots of a
+/// memo sized before the fan-out, so it needs no lock. Spans a worker
+/// opens nest under the span that called prefetch().
 ///
 /// The evaluation function must be safe to call from several threads at
 /// once when num_threads > 1 (the WindowOracle is; a capture that mutates
 /// unsynchronized state is not — run such oracles with num_threads = 1).
+/// The evaluator itself is for one thread at a time.
 template <typename Value>
 class BranchEvaluator {
  public:
@@ -49,52 +54,25 @@ class BranchEvaluator {
   /// branch evaluation is rethrown here (on the calling thread) and
   /// remaining work is abandoned.
   void prefetch(const std::vector<std::size_t>& branches) {
+    if (branches.empty()) return;
+    const std::size_t top =
+        *std::max_element(branches.begin(), branches.end());
+    if (top >= slots_.size()) slots_.resize(top + 1);
     std::vector<std::size_t> missing;
-    {
-      std::unordered_set<std::size_t> seen;
-      std::lock_guard<std::mutex> lock(mu_);
-      for (std::size_t b : branches) {
-        if (memo_.find(b) == memo_.end() && seen.insert(b).second) {
-          missing.push_back(b);
-        }
+    for (std::size_t b : branches) {
+      if (slots_[b].state == kEmpty) {
+        slots_[b].state = kPending;
+        missing.push_back(b);
       }
     }
-    if (missing.empty()) return;
-
-    const std::uint32_t workers = static_cast<std::uint32_t>(
-        std::min<std::size_t>(num_threads_, missing.size()));
-    if (workers <= 1) {
-      for (std::size_t b : missing) {
-        const Value v = eval_(b);
-        std::lock_guard<std::mutex> lock(mu_);
-        memo_.emplace(b, v);
+    const std::exception_ptr error = evaluate(missing);
+    for (std::size_t b : missing) {
+      if (slots_[b].state == kReady) {
+        ++distinct_;
+      } else {
+        slots_[b].state = kEmpty;  // abandoned after an error
       }
-      return;
     }
-
-    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr error;
-    std::mutex error_mu;
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      pool_->submit([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= missing.size()) return;
-          try {
-            const Value v = eval_(missing[i]);
-            std::lock_guard<std::mutex> lock(mu_);
-            memo_.emplace(missing[i], v);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!error) error = std::current_exception();
-            next.store(missing.size());  // abandon remaining branches
-            return;
-          }
-        }
-      });
-    }
-    pool_->wait_idle();
     if (error) std::rethrow_exception(error);
   }
 
@@ -105,33 +83,74 @@ class BranchEvaluator {
     prefetch(all);
   }
 
-  /// f(x), from the cache when present. A miss evaluates inline and
-  /// caches (single-threaded callers only, e.g. the quantum sampling
-  /// loop after a full prefetch).
+  /// f(x), from the memo when present. A miss evaluates inline and
+  /// caches (e.g. the quantum sampling loop after a partial prefetch).
   Value operator()(std::size_t x) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = memo_.find(x);
-      if (it != memo_.end()) return it->second;
+    if (x < slots_.size() && slots_[x].state == kReady) {
+      return slots_[x].value;
     }
     const Value v = eval_(x);
-    std::lock_guard<std::mutex> lock(mu_);
-    memo_.emplace(x, v);
+    if (x >= slots_.size()) slots_.resize(x + 1);
+    slots_[x] = {v, kReady};
+    ++distinct_;
     return v;
   }
 
   /// Number of distinct branches evaluated so far.
-  std::uint64_t distinct_evaluations() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return memo_.size();
-  }
+  std::uint64_t distinct_evaluations() const { return distinct_; }
 
  private:
+  enum State : std::uint8_t { kEmpty, kPending, kReady };
+  struct Slot {
+    Value value{};
+    State state = kEmpty;
+  };
+
+  /// Fills the slots of `missing`, inline or across the pool; returns the
+  /// first exception a branch threw, after which the rest are abandoned.
+  std::exception_ptr evaluate(const std::vector<std::size_t>& missing) {
+    const std::uint32_t workers = static_cast<std::uint32_t>(
+        std::min<std::size_t>(num_threads_, missing.size()));
+    if (workers <= 1) {
+      try {
+        for (std::size_t b : missing) slots_[b] = {eval_(b), kReady};
+      } catch (...) {
+        return std::current_exception();
+      }
+      return nullptr;
+    }
+
+    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(num_threads_);
+    const metrics::SpanParent parent = metrics::current_span();
+    std::atomic<std::size_t> next{0};
+    std::exception_ptr error;
+    std::mutex error_mu;
+    for (std::uint32_t w = 0; w < workers; ++w) {
+      pool_->submit([&] {
+        const metrics::AdoptSpanParent adopt(parent);
+        for (;;) {
+          const std::size_t i = next.fetch_add(1);
+          if (i >= missing.size()) return;
+          try {
+            slots_[missing[i]] = {eval_(missing[i]), kReady};
+          } catch (...) {
+            std::lock_guard<std::mutex> lock(error_mu);
+            if (!error) error = std::current_exception();
+            next.store(missing.size());  // abandon remaining branches
+            return;
+          }
+        }
+      });
+    }
+    pool_->wait_idle();
+    return error;
+  }
+
   Eval eval_;
   std::uint32_t num_threads_;
   std::unique_ptr<ThreadPool> pool_;
-  mutable std::mutex mu_;
-  std::unordered_map<std::size_t, Value> memo_;
+  std::vector<Slot> slots_;
+  std::uint64_t distinct_ = 0;
 };
 
 }  // namespace qc::core

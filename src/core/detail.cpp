@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <future>
 #include <thread>
+#include <utility>
 
 #include "algos/bfs_tree.hpp"
 #include "algos/leader_election.hpp"
@@ -13,6 +14,14 @@
 namespace qc::core::detail {
 
 using graph::NodeId;
+
+namespace {
+
+constexpr const char* kDisagrees =
+    "WindowOracle: distributed Evaluation disagrees with centralized "
+    "reference";
+
+}  // namespace
 
 std::uint32_t effective_branch_threads(const QuantumConfig& cfg) {
   if (cfg.net.observer != nullptr) return 1;
@@ -67,52 +76,55 @@ InitPhase run_initialization(const graph::Graph& g,
   }
 
   const std::uint32_t id_bits = qc::bit_width_for(g.n()) + 1;
-  acc += algos::broadcast_from_root(g, init.tree, init.d, id_bits, net).stats;
+  const auto announce =
+      algos::broadcast_from_root(g, init.tree, init.d, id_bits, net).stats;
+  acc += announce;
   init.rounds = acc.rounds;
-
   // Proposition 2: Setup broadcasts the internal register down BFS(leader)
-  // with CNOT copies — per branch this is exactly a value broadcast, so
-  // measure its round cost with one instrumentation run (not charged).
-  init.t_setup =
-      algos::broadcast_from_root(g, init.tree, 0, id_bits, net).stats.rounds;
+  // with CNOT copies — per branch exactly a broadcast of this width over
+  // this tree, whose rounds do not depend on the value carried.
+  init.t_setup = announce.rounds;
   span.add(acc.rounds, acc.messages, acc.bits);
   return init;
+}
+
+EngineSweep::EngineSweep(const graph::Graph& g, std::uint32_t threads)
+    : engine_(std::make_shared<const graph::EccEngine>(g, threads)) {
+  if (threads > 1) {
+    task_ = std::async(std::launch::async,
+                       [engine = engine_, parent = metrics::current_span()] {
+                         const metrics::AdoptSpanParent adopt(parent);
+                         engine->all();
+                       });
+  }
+}
+
+std::shared_ptr<const graph::EccEngine> EngineSweep::join() {
+  if (task_.valid()) task_.get();
+  return std::move(engine_);
 }
 
 PreparedInit prepare_init_and_engine(const graph::Graph& g,
                                      const congest::NetworkConfig& net,
                                      std::uint32_t threads) {
-  PreparedInit prep{{}, std::make_shared<const graph::EccEngine>(g, threads)};
-  std::future<void> sweep;
-  if (threads > 1) {
-    sweep = std::async(std::launch::async,
-                       [engine = prep.engine] { engine->all(); });
-  }
+  PreparedInit prep{{}, EngineSweep(g, threads)};
   prep.init = run_initialization(g, net);
-  if (sweep.valid()) sweep.get();
   return prep;
 }
 
 WindowOracle::WindowOracle(const graph::Graph& g,
                            const algos::TreeState& tree, std::uint32_t steps,
                            OracleMode mode, congest::NetworkConfig net,
-                           std::shared_ptr<const graph::EccEngine> engine,
                            std::vector<bool> mask)
     : g_(&g),
       tree_(&tree),
       steps_(steps),
       mode_(mode),
       net_(std::move(net)),
-      mask_(std::move(mask)),
-      engine_(std::move(engine)) {
-  metrics::ScopedTimer span("core.oracle_build");
-  graph::BfsTree walk_tree =
+      mask_(std::move(mask)) {
+  walk_ = graph::dfs_numbering(
       mask_.empty() ? tree.to_bfs_tree()
-                    : graph::induced_subtree(tree.to_bfs_tree(), mask_);
-  // An O(len log len) table build over the engine's eccentricity table
-  // (swept here unless the front-end already ran it); every branch's
-  // reference value is then an O(1) range-max query.
-  seg_max_ = engine_->segment_max(graph::dfs_numbering(walk_tree));
+                    : graph::induced_subtree(tree.to_bfs_tree(), mask_));
   // Figure 2's round budget is oblivious to u0: Step 1 runs 3*steps rounds
   // (token + probe/reply cycles), Step 2 its fixed pipeline window,
   // Steps 3-4 one convergecast. Every branch costs the same.
@@ -120,35 +132,60 @@ WindowOracle::WindowOracle(const graph::Graph& g,
                     (2 * steps_ + 2 * tree.height + 2) + tree.height + 1;
 }
 
+NodeId WindowOracle::first_branch() const {
+  if (mask_.empty()) return 0;
+  const auto u0 = static_cast<NodeId>(
+      std::find(mask_.begin(), mask_.end(), true) - mask_.begin());
+  check_internal(u0 < g_->n(), "WindowOracle: empty branch mask");
+  return u0;
+}
+
+void WindowOracle::read_reference(EngineSweep sweep) {
+  if (mode_ != OracleMode::kDirect) {
+    build_table(sweep);
+    return;
+  }
+  const NodeId u0 = first_branch();
+  std::uint32_t simulated = 0;
+  try {
+    simulated = simulate(u0);
+  } catch (const qc::Error&) {
+    build_table(sweep);
+    throw;
+  }
+  build_table(sweep);
+  check_internal(simulated == seg_max_.max_ecc_in_segment(u0, steps_),
+                 kDisagrees);
+}
+
+void WindowOracle::build_table(EngineSweep& sweep) {
+  metrics::ScopedTimer span("core.oracle_build");
+  engine_ = sweep.join();
+  // An O(len log len) table build over the engine's eccentricity table
+  // (swept here unless a background task already ran it); every branch's
+  // reference value is then an O(1) range-max query.
+  seg_max_ = engine_->segment_max(walk_);
+  walk_ = {};
+}
+
 std::int64_t WindowOracle::operator()(std::size_t u0) const {
   const auto node = static_cast<NodeId>(u0);
   metrics::count("core.branch_evaluations");
   const std::uint32_t reference = seg_max_.max_ecc_in_segment(node, steps_);
-  if (mode_ == OracleMode::kSimulate) simulate_and_check(node, reference);
+  if (mode_ == OracleMode::kSimulate) {
+    check_internal(simulate(node) == reference, kDisagrees);
+  }
   return static_cast<std::int64_t>(reference);
 }
 
-void WindowOracle::validate() const {
-  NodeId u0 = 0;
-  if (!mask_.empty()) {
-    u0 = static_cast<NodeId>(std::find(mask_.begin(), mask_.end(), true) -
-                             mask_.begin());
-    check_internal(u0 < g_->n(), "WindowOracle: empty branch mask");
-  }
-  simulate_and_check(u0, seg_max_.max_ecc_in_segment(u0, steps_));
-}
-
-void WindowOracle::simulate_and_check(NodeId u0,
-                                      std::uint32_t reference) const {
+std::uint32_t WindowOracle::simulate(NodeId u0) const {
   metrics::ScopedTimer span("core.branch_simulate");
   auto eval = algos::evaluate_window_ecc(*g_, *tree_, u0, steps_, net_,
                                          mask_.empty() ? nullptr : &mask_);
   span.add(eval.stats.rounds, eval.stats.messages, eval.stats.bits);
   check_internal(eval.stats.rounds == t_eval_forward_,
                  "WindowOracle: evaluation round budget mismatch");
-  check_internal(eval.max_ecc == reference,
-                 "WindowOracle: distributed Evaluation disagrees with "
-                 "centralized reference");
+  return eval.max_ecc;
 }
 
 }  // namespace qc::core::detail

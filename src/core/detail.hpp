@@ -2,8 +2,7 @@
 
 // Internal building blocks shared by the quantum diameter/radius/decision/
 // approx front-ends: the classical initialization phase of Section 3, the
-// Figure 2 branch oracle, the two helpers that run the oracle's side work
-// (eccentricity sweep, kDirect validation) beside the paper's phases, and
+// eccentricity sweep that runs beside it, the Figure 2 branch oracle, and
 // the Theorem 7 quantum phase every front-end ends with. Not part of the
 // public API surface.
 
@@ -28,9 +27,11 @@ namespace qc::core::detail {
 /// The classical preliminaries of Section 3: elect a leader, build
 /// BFS(leader) with distances (Proposition 1), learn d = ecc(leader), and
 /// broadcast d so every node can compute the Figure 2 schedule lengths.
-/// Also measures the Proposition 2 Setup cost with one instrumentation
-/// broadcast (not charged). Throws qc::Error when a fault plan breaks a
-/// step, including a BFS that measures d = 0 on n > 1 nodes.
+/// That broadcast also gives the Proposition 2 Setup cost t_setup: Setup
+/// broadcasts a register of the same width down the same tree, and a tree
+/// broadcast's rounds never depend on the value it carries. Throws
+/// qc::Error when a fault plan breaks a step, including a BFS that
+/// measures d = 0 on n > 1 nodes.
 struct InitPhase {
   graph::NodeId leader = graph::kInvalidNode;
   std::uint32_t d = 0;
@@ -42,19 +43,36 @@ struct InitPhase {
 InitPhase run_initialization(const graph::Graph& g,
                              const congest::NetworkConfig& net);
 
-/// The initialization together with the EccEngine the front-end's oracle
-/// reads its reference values from. A first step toward one prepared
-/// graph per op.
-struct PreparedInit {
-  InitPhase init;
-  std::shared_ptr<const graph::EccEngine> engine;
+/// The EccEngine a front-end's oracle reads its reference values from,
+/// with its eccentricity sweep possibly still running. With `threads` > 1
+/// construction starts the sweep (fanned across `threads` workers) on a
+/// background task, so whatever the caller runs next overlaps it, and the
+/// sweep's span nests under the caller's innermost span. With 1 the sweep
+/// is left to the first reader of the table, on the calling thread.
+class EngineSweep {
+ public:
+  EngineSweep() = default;
+  EngineSweep(const graph::Graph& g, std::uint32_t threads);
+
+  /// Waits for the background sweep, if any, and hands over the engine.
+  std::shared_ptr<const graph::EccEngine> join();
+
+ private:
+  std::shared_ptr<const graph::EccEngine> engine_;
+  std::future<void> task_;
 };
 
-/// Runs run_initialization and, when `threads` > 1, the engine's
-/// eccentricity sweep (fanned across `threads` workers) beside it on a
-/// background task; the two share nothing but the read-only graph, and
-/// this joins both before returning. With `threads` = 1 the sweep is left
-/// to the oracle build, after init, as in a fully sequential run.
+/// The initialization together with the sweep of the engine the
+/// front-end's oracle reads. A first step toward one prepared graph per op.
+struct PreparedInit {
+  InitPhase init;
+  EngineSweep sweep;
+};
+
+/// Starts the engine's sweep (see EngineSweep) and runs run_initialization
+/// on the calling thread beside it. Returns with the sweep still running,
+/// so the kDirect validation overlaps it too; the two share nothing but
+/// the read-only graph.
 PreparedInit prepare_init_and_engine(const graph::Graph& g,
                                      const congest::NetworkConfig& net,
                                      std::uint32_t threads);
@@ -73,8 +91,8 @@ std::uint32_t effective_branch_threads(const QuantumConfig& cfg);
 /// The branch oracle for f(u) = max_{v in segment window of u} ecc(v),
 /// with the two evaluation modes of OracleMode. Cross-checks the
 /// distributed Figure 2 execution against the centralized reference: on
-/// every branch in kSimulate mode, in validate() in kDirect mode (where
-/// operator() is a plain table lookup).
+/// every branch in kSimulate mode, once in read_reference() in kDirect
+/// mode (where operator() is a plain table lookup).
 ///
 /// The centralized reference is served by a shared graph::EccEngine — one
 /// BFS per vertex for the whole engine lifetime plus an O(1) sparse-table
@@ -82,36 +100,42 @@ std::uint32_t effective_branch_threads(const QuantumConfig& cfg);
 /// branch. The oracle shares the engine rather than owning it, so the
 /// front-end may run the sweep before (or beside) the initialization.
 ///
-/// operator() and validate() are safe to call from several threads at
-/// once (each branch simulation builds its own Network over the shared
-/// read-only graph and tree), so a core::BranchEvaluator can fan branches
-/// across workers while validate() runs on another thread.
+/// Construction only numbers the walk; read_reference() builds the table,
+/// and must run before operator(). operator() is then safe to call from
+/// several threads at once (each branch simulation builds its own Network
+/// over the shared read-only graph and tree), so a core::BranchEvaluator
+/// can fan kSimulate branches across workers.
 class WindowOracle {
  public:
   WindowOracle(const graph::Graph& g, const algos::TreeState& tree,
                std::uint32_t steps, OracleMode mode,
-               congest::NetworkConfig net,
-               std::shared_ptr<const graph::EccEngine> engine,
-               std::vector<bool> mask = {});
+               congest::NetworkConfig net, std::vector<bool> mask = {});
 
-  OracleMode mode() const { return mode_; }
   std::uint32_t t_eval_forward() const { return t_eval_forward_; }
 
   /// BFS runs of the centralized reference path (<= n by construction).
   std::uint64_t reference_bfs_runs() const { return engine_->bfs_runs(); }
 
+  /// The first populated branch: 0, or the smallest member of the mask.
+  graph::NodeId first_branch() const;
+
+  /// Joins `sweep` and builds the segment-max table over its eccentricity
+  /// table. In kDirect mode it first runs Figure 2 for first_branch() on
+  /// the calling thread — beside the sweep when that runs on a task — and
+  /// after the build checks the run against the table; this is the one
+  /// CONGEST execution a kDirect run makes. Throws qc::Error when they
+  /// disagree or the simulation fails; the table is built either way.
+  void read_reference(EngineSweep sweep);
+
   /// f(u0), per the configured mode.
   std::int64_t operator()(std::size_t u0) const;
 
-  /// Runs Figure 2 for the first populated branch (0, or the smallest
-  /// member of the mask) and checks it against the reference; throws
-  /// qc::Error when they disagree or the simulation fails. This is the
-  /// one CONGEST execution a kDirect run makes.
-  void validate() const;
-
  private:
-  /// Runs Figure 2 for branch u0 and checks it against `reference`.
-  void simulate_and_check(graph::NodeId u0, std::uint32_t reference) const;
+  /// Runs Figure 2 for branch u0, checks its round budget and returns its
+  /// max_ecc.
+  std::uint32_t simulate(graph::NodeId u0) const;
+  /// Joins `sweep` and builds seg_max_ from walk_.
+  void build_table(EngineSweep& sweep);
 
   const graph::Graph* g_;
   const algos::TreeState* tree_;
@@ -119,40 +143,11 @@ class WindowOracle {
   OracleMode mode_;
   congest::NetworkConfig net_;
   std::vector<bool> mask_;
+  graph::DfsNumbering walk_;  ///< released once the table is built
   std::shared_ptr<const graph::EccEngine> engine_;
   graph::EccEngine::SegmentMax seg_max_;
   std::uint32_t t_eval_forward_ = 0;
 };
-
-/// Runs a front-end's quantum phase — `phase()` is its
-/// distributed_quantum_optimize/_search call — together with the oracle's
-/// kDirect validation, and returns the phase's report. The validation
-/// reads nothing the phase writes, so with `threads` > 1 the phase runs
-/// on a task while the validation runs on the calling thread (which keeps
-/// the validation's Network in the caller's allocator arena); otherwise
-/// the validation runs first, inline, so an observed event stream keeps
-/// its order. A validation that throws qc::Error yields the same report
-/// a failing branch simulation inside the phase does: a default report
-/// with `subroutine_failed` and `failure_reason` set. kSimulate runs the
-/// phase alone, since it checks every branch it simulates.
-template <typename Phase>
-auto run_validated_phase(const WindowOracle& oracle, std::uint32_t threads,
-                         Phase phase) -> decltype(phase()) {
-  using Report = decltype(phase());
-  if (oracle.mode() != OracleMode::kDirect) return phase();
-  std::future<Report> quantum;
-  if (threads > 1) quantum = std::async(std::launch::async, phase);
-  try {
-    oracle.validate();
-  } catch (const qc::Error& e) {
-    if (quantum.valid()) quantum.wait();
-    Report failed;
-    failed.subroutine_failed = true;
-    failed.failure_reason = e.what();
-    return failed;
-  }
-  return quantum.valid() ? quantum.get() : phase();
-}
 
 /// What a front-end's quantum phase has of its own; run_quantum_phase
 /// does the rest.
@@ -161,7 +156,7 @@ struct PhaseSpec {
   /// The tree whose DFS numbering the branch windows walk.
   const algos::TreeState* tree = nullptr;
   std::uint32_t steps = 0;     ///< window width; 0 makes f(u) = ecc(u)
-  std::shared_ptr<const graph::EccEngine> engine;  ///< reference values
+  EngineSweep sweep;           ///< reference values
   /// Restricts the branches, and the Setup support, to these nodes
   /// (Figure 3's R); empty = every node.
   std::vector<bool> mask = {};
@@ -184,26 +179,29 @@ struct PhaseResult {
 void record_phase(const char* algo, const PhaseReport& phase,
                   std::uint64_t reference_bfs_runs, QuantumReport& out);
 
-/// The Theorem 7 quantum phase: builds the Figure 2 WindowOracle, poses
-/// the problem over it — a search (Theorem 6) when `objective` maps f(u)
-/// to bool, a maximization when it maps f(u) to an integer — runs it
-/// beside the oracle's validation (run_validated_phase) inside the
-/// `core.quantum_phase` span, and records its costs in `out`. The
-/// front-end maps the returned report to its own answer.
+/// The Theorem 7 quantum phase: builds the Figure 2 WindowOracle, reads
+/// its reference table (in kDirect mode with the one validation run beside
+/// the sweep), poses the problem over it — a search (Theorem 6) when
+/// `objective` maps f(u) to bool, a maximization when it maps f(u) to an
+/// integer — runs it inside the `core.quantum_phase` span, and records its
+/// costs in `out`. A validation that throws qc::Error yields the report a
+/// failing branch simulation inside the phase does — a default report
+/// with `subroutine_failed` and `failure_reason` set — and runs no Grover
+/// iterate. The front-end maps the returned report to its own answer.
 template <typename Objective>
 auto run_quantum_phase(const graph::Graph& g, const QuantumConfig& cfg,
                        std::uint32_t threads, PhaseSpec spec,
                        Objective objective, QuantumReport& out) {
   constexpr bool kSearch =
       std::is_same_v<std::invoke_result_t<Objective, std::int64_t>, bool>;
+  using Report = std::conditional_t<kSearch, SearchReport, OptimizationReport>;
   std::conditional_t<kSearch, SearchProblem, OptimizationProblem> prob;
   prob.domain_size = g.n();
   for (std::size_t v = 0; v < spec.mask.size(); ++v) {
     if (spec.mask[v]) prob.support.push_back(v);
   }
-  // The oracle outlives every call: the phase is joined before returning.
-  const WindowOracle oracle(g, *spec.tree, spec.steps, cfg.oracle, cfg.net,
-                            std::move(spec.engine), std::move(spec.mask));
+  WindowOracle oracle(g, *spec.tree, spec.steps, cfg.oracle, cfg.net,
+                      std::move(spec.mask));
   auto f = [&oracle, objective](std::size_t x) {
     return objective(oracle(x));
   };
@@ -217,25 +215,33 @@ auto run_quantum_phase(const graph::Graph& g, const QuantumConfig& cfg,
   prob.t_eval_forward = oracle.t_eval_forward();
   prob.epsilon = spec.epsilon;
   prob.delta = cfg.delta;
-  prob.num_threads = threads;
+  // A kDirect branch is an O(1) table read: a worker pool costs more than
+  // it saves.
+  prob.num_threads = cfg.oracle == OracleMode::kDirect ? 1 : threads;
 
-  Rng rng(cfg.seed ^ spec.seed_mix);
+  Report report;
+  try {
+    oracle.read_reference(std::move(spec.sweep));
+  } catch (const qc::Error& e) {
+    report.subroutine_failed = true;
+    report.failure_reason = e.what();
+  }
   metrics::PhaseTimer quantum_span(metrics::global(), "core.quantum_phase");
-  auto report = run_validated_phase(oracle, threads, [&] {
+  if (!report.subroutine_failed) {
+    Rng rng(cfg.seed ^ spec.seed_mix);
     if constexpr (kSearch) {
-      return distributed_quantum_search(prob, rng);
+      report = distributed_quantum_search(prob, rng);
     } else {
-      return distributed_quantum_optimize(prob, rng);
+      report = distributed_quantum_optimize(prob, rng);
     }
-  });
+  }
   // A failed phase reports no rounds, so it charges none.
   if (!report.subroutine_failed) {
     quantum_span.add(report.total_rounds - spec.t_init, 0, 0);
   }
   quantum_span.finish();
   record_phase(spec.algo, report, oracle.reference_bfs_runs(), out);
-  return PhaseResult<decltype(report)>{std::move(report),
-                                       oracle.t_eval_forward()};
+  return PhaseResult<Report>{std::move(report), oracle.t_eval_forward()};
 }
 
 }  // namespace qc::core::detail

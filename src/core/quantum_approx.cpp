@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "algos/bfs_tree.hpp"
 #include "algos/hprw.hpp"
@@ -81,30 +80,30 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
     // R = {w}: its eccentricity is already known from BFS(w).
     quantum_value = prep.ecc_w;
   } else {
-    const std::uint32_t id_bits = qc::bit_width_for(g.n()) + 1;
-    // Setup distributes u0 over BFS(w); measure its cost (Prop. 2).
-    const std::uint32_t t_setup =
-        algos::broadcast_from_root(g, prep.tree_w, 0, id_bits, cfg.net)
-            .stats.rounds;
+    const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
+    detail::EngineSweep sweep(g, branch_threads);
     // Announce the window parameter (2d_sub) so nodes know the schedule.
-    prep_acc += algos::broadcast_from_root(g, prep.tree_w, d_sub, id_bits,
-                                           cfg.net)
-                    .stats;
+    // Setup distributes u0 over BFS(w) with a broadcast of the same width
+    // over the same tree, so this also measures its cost (Prop. 2).
+    const std::uint32_t id_bits = qc::bit_width_for(g.n()) + 1;
+    const auto announce =
+        algos::broadcast_from_root(g, prep.tree_w, d_sub, id_bits, cfg.net)
+            .stats;
+    prep_acc += announce;
     rep.prep_rounds = prep_acc.rounds;
 
     // The same Figure 2 oracle as the exact algorithm, restricted to R via
     // the mask (windows walk the DFS numbering of BFS(w) induced on R). The
     // preparation is charged in prep_rounds, so the phase charges no
     // Initialization.
-    const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
     const auto phase = detail::run_quantum_phase(
         g, cfg, branch_threads,
         {.algo = "quantum_diameter_approx",
          .tree = &prep.tree_w,
          .steps = 2 * std::max(1u, d_sub),
-         .engine = std::make_shared<const graph::EccEngine>(g, branch_threads),
+         .sweep = std::move(sweep),
          .mask = std::move(prep.r_mask),
-         .t_setup = t_setup,
+         .t_setup = announce.rounds,
          .epsilon = std::min(1.0, static_cast<double>(std::max(1u, d_sub)) /
                                       (2.0 * static_cast<double>(prep.r_size))),
          .seed_mix = 0xa99ae5u},

@@ -1,7 +1,6 @@
 #include "core/quantum_decision.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/detail.hpp"
 #include "util/metrics.hpp"
@@ -43,14 +42,15 @@ DecisionReport quantum_diameter_decide(const graph::Graph& g,
   }
 
   const std::uint32_t branch_threads = detail::effective_branch_threads(cfg);
-  // If D > threshold, Lemma 1 marks at least the windows covering a
-  // peripheral vertex: P_M >= d/2n.
+  // The engine's sweep starts only past the cheap exits, beside the
+  // validation. If D > threshold, Lemma 1 marks at least the windows
+  // covering a peripheral vertex: P_M >= d/2n.
   const auto phase = detail::run_quantum_phase(
       g, cfg, branch_threads,
       {.algo = "quantum_diameter_decide",
        .tree = &init.tree,
        .steps = 2 * init.d,
-       .engine = std::make_shared<const graph::EccEngine>(g, branch_threads),
+       .sweep = detail::EngineSweep(g, branch_threads),
        .t_init = init.rounds,
        .t_setup = init.t_setup,
        .epsilon = std::min(1.0, static_cast<double>(init.d) /

@@ -31,7 +31,7 @@ QuantumDiameterReport run_diameter_optimization(const graph::Graph& g,
     detail::mark_failed(e, rep);
     return rep;
   }
-  auto& [init, engine] = prep;
+  auto& [init, sweep] = prep;
   rep.leader = init.leader;
   rep.ecc_leader = init.d;
   rep.init_rounds = init.rounds;
@@ -51,7 +51,7 @@ QuantumDiameterReport run_diameter_optimization(const graph::Graph& g,
       {.algo = algo,
        .tree = &init.tree,
        .steps = steps,
-       .engine = std::move(engine),
+       .sweep = std::move(sweep),
        .t_init = init.rounds,
        .t_setup = init.t_setup,
        .epsilon = epsilon},

@@ -22,7 +22,7 @@ RadiusReport quantum_radius(const graph::Graph& g, const QuantumConfig& cfg) {
     detail::mark_failed(e, rep);
     return rep;
   }
-  auto& [init, engine] = prep;
+  auto& [init, sweep] = prep;
   rep.leader = init.leader;
   rep.init_rounds = init.rounds;
   rep.t_setup = init.t_setup;
@@ -34,7 +34,7 @@ RadiusReport quantum_radius(const graph::Graph& g, const QuantumConfig& cfg) {
       {.algo = "quantum_radius",
        .tree = &init.tree,
        .steps = 0,
-       .engine = std::move(engine),
+       .sweep = std::move(sweep),
        .t_init = init.rounds,
        .t_setup = init.t_setup,
        .epsilon = 1.0 / static_cast<double>(g.n()),

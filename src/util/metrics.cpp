@@ -276,6 +276,30 @@ void MetricsRegistry::write_jsonl_file(const std::string& path) const {
   require(ofs.good(), "MetricsRegistry: failed writing " + path);
 }
 
+SpanParent current_span() {
+  MetricsRegistry* reg = global();
+  if (reg == nullptr) return {};
+  for (auto it = tls_span_stack.rbegin(); it != tls_span_stack.rend(); ++it) {
+    if (it->first == reg) return {reg, it->second};
+  }
+  return {};
+}
+
+AdoptSpanParent::AdoptSpanParent(SpanParent parent) : parent_(parent) {
+  if (parent_.reg != nullptr) {
+    tls_span_stack.emplace_back(parent_.reg, parent_.id);
+  }
+}
+
+AdoptSpanParent::~AdoptSpanParent() {
+  if (parent_.reg == nullptr) return;
+  const std::pair<const MetricsRegistry*, std::uint64_t> entry(parent_.reg,
+                                                               parent_.id);
+  const auto it = std::find(tls_span_stack.rbegin(), tls_span_stack.rend(),
+                            entry);
+  if (it != tls_span_stack.rend()) tls_span_stack.erase(std::next(it).base());
+}
+
 PhaseTimer::PhaseTimer(MetricsRegistry* reg, std::string_view name)
     : reg_(reg) {
   if (reg_ != nullptr) id_ = reg_->begin_span(name);

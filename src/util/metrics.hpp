@@ -96,7 +96,8 @@ class MetricsRegistry {
 
   // -- spans (use PhaseTimer / ScopedTimer rather than calling directly) --
   /// Opens a span; its parent is the innermost span this thread currently
-  /// has open in this registry. Returns the span id.
+  /// has open (or has adopted, see AdoptSpanParent) in this registry.
+  /// Returns the span id.
   std::uint64_t begin_span(std::string_view name);
   /// Closes a span and attributes model-level costs to it.
   void end_span(std::uint64_t id, std::uint64_t rounds, std::uint64_t messages,
@@ -160,6 +161,29 @@ void count(std::string_view name, std::uint64_t delta = 1,
            std::string_view label = {});
 void gauge(std::string_view name, double value, std::string_view label = {});
 void observe(std::string_view name, double value);
+
+/// The innermost span the calling thread has open in the global registry;
+/// empty (reg == nullptr) when none is open or metrics are disabled.
+struct SpanParent {
+  MetricsRegistry* reg = nullptr;
+  std::uint64_t id = 0;
+};
+SpanParent current_span();
+
+/// Makes `parent` the innermost open span of the calling thread for this
+/// object's lifetime, so the spans a task opens nest under the span that
+/// launched it (capture current_span() before handing the task off).
+/// Inert for an empty SpanParent.
+class AdoptSpanParent {
+ public:
+  explicit AdoptSpanParent(SpanParent parent);
+  ~AdoptSpanParent();
+  AdoptSpanParent(const AdoptSpanParent&) = delete;
+  AdoptSpanParent& operator=(const AdoptSpanParent&) = delete;
+
+ private:
+  SpanParent parent_;
+};
 
 /// A hierarchical timed phase against an explicit registry. Opens the span
 /// on construction (inert when `reg` is null); closes it on finish() or

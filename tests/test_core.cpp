@@ -204,67 +204,87 @@ std::size_t count_spans(const metrics::MetricsRegistry& reg,
 }
 
 TEST(QuantumExact, DirectOracleValidatesExactlyOnceUnderFanOut) {
-  // kDirect runs one Figure 2 simulation per oracle. The prefetch fans the
-  // first branches across 4 workers at once; every worker that arrives
-  // while the validation runs must wait for it, not start its own.
+  // Every kDirect front-end runs one Figure 2 simulation per op, on the
+  // calling thread beside the sweep, whatever the branch worker count.
   auto g = random_graph(300, 12, 17);
+  const std::uint32_t d = detail::run_initialization(g, {}).d;
+  ASSERT_LT(d + 1, 2 * d);
   QuantumConfig cfg;
   cfg.oracle = OracleMode::kDirect;
-  cfg.branch_threads = 4;
-  constexpr int kRuns = 20;
-  metrics::MetricsRegistry reg;
-  {
-    ArmedMetrics armed(reg);
-    for (int run = 0; run < kRuns; ++run) {
-      cfg.seed = static_cast<std::uint64_t>(run + 1);
-      EXPECT_EQ(quantum_diameter_exact(g, cfg).diameter, 12u);
+  constexpr int kRuns = 4;
+  for (std::uint32_t threads : {1u, 4u}) {
+    cfg.branch_threads = threads;
+    metrics::MetricsRegistry reg;
+    {
+      ArmedMetrics armed(reg);
+      for (int run = 0; run < kRuns; ++run) {
+        cfg.seed = static_cast<std::uint64_t>(run + 1);
+        EXPECT_EQ(quantum_diameter_exact(g, cfg).diameter, 12u);
+        EXPECT_EQ(quantum_diameter_simple(g, cfg).diameter, 12u);
+        EXPECT_FALSE(quantum_radius(g, cfg).subroutine_failed);
+        EXPECT_TRUE(quantum_diameter_decide(g, d + 1, cfg).diameter_exceeds);
+        EXPECT_FALSE(quantum_diameter_approx(g, cfg).subroutine_failed);
+      }
     }
+    EXPECT_EQ(count_spans(reg, "core.branch_simulate"),
+              static_cast<std::size_t>(5 * kRuns))
+        << threads << " threads";
   }
-  EXPECT_EQ(count_spans(reg, "core.branch_simulate"),
-            static_cast<std::size_t>(kRuns));
 }
 
 TEST(QuantumExact, FailedDirectValidationIsNeverWavedThrough) {
   // Dropping every message makes the Figure 2 run disagree with the
-  // reference, so every validate() throws and records its simulation,
-  // while the kDirect lookups simulate nothing. The phase helper turns the
-  // failure into a default failed report, inline or beside the phase.
+  // reference, so every validation throws and records its simulation. The
+  // table is built all the same, and the phase turns the failure into the
+  // default failed report without running a Grover iterate.
   auto g = random_graph(40, 6, 3);
   const auto init = detail::run_initialization(g, {});
-  congest::NetworkConfig lossy;
-  lossy.fault.drop_probability = 1.0;
-  const detail::WindowOracle oracle(
-      g, init.tree, 2 * init.d, OracleMode::kDirect, lossy,
-      std::make_shared<const graph::EccEngine>(g, 1));
+  QuantumConfig cfg;
+  cfg.oracle = OracleMode::kDirect;
+  cfg.net.fault.drop_probability = 1.0;
+  const graph::EccEngine reference(g, 1);
   metrics::MetricsRegistry reg;
   {
     ArmedMetrics armed(reg);
-    EXPECT_THROW(oracle.validate(), qc::Error);
-    EXPECT_THROW(oracle.validate(), qc::Error);
-    for (NodeId u = 0; u < g.n(); ++u) (void)oracle(u);
-    EXPECT_EQ(count_spans(reg, "core.branch_simulate"), 2u);
-
-    OptimizationProblem prob;
-    prob.domain_size = g.n();
-    prob.evaluate = [&oracle](std::size_t x) { return oracle(x); };
-    prob.t_init = init.rounds;
-    prob.t_eval_forward = oracle.t_eval_forward();
-    prob.epsilon = 1.0 / g.n();
     for (std::uint32_t threads : {1u, 4u}) {
-      prob.num_threads = threads;
-      Rng rng(5);
-      const auto rep = detail::run_validated_phase(oracle, threads, [&] {
-        return distributed_quantum_optimize(prob, rng);
-      });
+      detail::WindowOracle oracle(g, init.tree, 2 * init.d,
+                                  OracleMode::kDirect, cfg.net);
+      EXPECT_THROW(oracle.read_reference(detail::EngineSweep(g, threads)),
+                   qc::Error);
+      EXPECT_EQ(oracle.reference_bfs_runs(), g.n());
+      for (NodeId u = 0; u < g.n(); ++u) {
+        EXPECT_LE(oracle(u), static_cast<std::int64_t>(reference.diameter()));
+      }
+
+      QuantumReport out;
+      const auto phase = detail::run_quantum_phase(
+          g, cfg, threads,
+          {.algo = "test",
+           .tree = &init.tree,
+           .steps = 2 * init.d,
+           .sweep = detail::EngineSweep(g, threads),
+           .t_init = init.rounds,
+           .t_setup = init.t_setup,
+           .epsilon = 1.0 / g.n()},
+          [](std::int64_t f) { return f; }, out);
+      const auto& rep = phase.report;
       EXPECT_TRUE(rep.subroutine_failed) << threads << " threads";
       EXPECT_FALSE(rep.failure_reason.empty());
       EXPECT_EQ(rep.value, 0);
       EXPECT_EQ(rep.total_rounds, 0u);
+      EXPECT_EQ(rep.costs.setup_invocations, 0u);
       EXPECT_EQ(rep.costs.grover_iterations, 0u);
+      EXPECT_EQ(rep.costs.candidate_evaluations, 0u);
       EXPECT_EQ(rep.distinct_evaluations, 0u);
+      EXPECT_TRUE(out.subroutine_failed);
+      EXPECT_EQ(out.total_rounds, 0u);
+      EXPECT_EQ(out.reference_bfs_runs, g.n());
+      EXPECT_EQ(phase.t_eval_forward, oracle.t_eval_forward());
     }
   }
   EXPECT_EQ(count_spans(reg, "core.branch_simulate"), 4u);
+  EXPECT_EQ(reg.counter_value("qsim.grover_iterations", "maximize"), 0u);
+  EXPECT_EQ(reg.counter_value("qsim.setup_invocations", "maximize"), 0u);
 }
 
 /// Message counts of every `core.branch_simulate` span in `reg`.
@@ -299,6 +319,32 @@ TEST(QuantumExact, DirectOracleValidatesTheFirstBranch) {
   }
   EXPECT_EQ(simulate_messages(reg),
             std::vector<std::uint64_t>(kRuns, expected));
+
+  // With a mask (here the ball of BFS(leader) that stops short of node
+  // 0), the smallest member is validated.
+  std::vector<bool> mask(g.n(), false);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    mask[v] = init.tree.depth[v] < init.tree.depth[0];
+  }
+  const auto first = static_cast<NodeId>(
+      std::find(mask.begin(), mask.end(), true) - mask.begin());
+  ASSERT_GT(std::count(mask.begin(), mask.end(), true), 1);
+  ASSERT_NE(first, 0u);
+  const std::uint32_t d_sub =
+      graph::induced_subtree(init.tree.to_bfs_tree(), mask).height;
+  detail::WindowOracle masked(g, init.tree, 2 * d_sub, OracleMode::kDirect,
+                              {}, mask);
+  EXPECT_EQ(masked.first_branch(), first);
+  metrics::MetricsRegistry masked_reg;
+  {
+    ArmedMetrics armed(masked_reg);
+    masked.read_reference(detail::EngineSweep(g, 4));
+  }
+  EXPECT_EQ(simulate_messages(masked_reg),
+            std::vector<std::uint64_t>{
+                algos::evaluate_window_ecc(g, init.tree, first, 2 * d_sub, {},
+                                           &mask)
+                    .stats.messages});
 }
 
 TEST(QuantumApprox, DirectOracleValidatesTheSmallestMemberOfR) {

@@ -7,15 +7,20 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "algos/bfs_tree.hpp"
+#include "algos/evaluation.hpp"
 #include "algos/girth.hpp"
+#include "algos/hprw.hpp"
+#include "algos/leader_election.hpp"
 #include "congest/fault.hpp"
 #include "congest/network.hpp"
 #include "congest/shard/sharded_network.hpp"
 #include "congest/trace.hpp"
+#include "core/detail.hpp"
 #include "core/optimizer.hpp"
 #include "core/quantum_approx.hpp"
 #include "core/quantum_decision.hpp"
@@ -24,6 +29,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "util/bits.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -785,6 +791,107 @@ TEST(GracefulDegradation, BrokenPreliminariesReportSubroutineFailure) {
   EXPECT_NO_THROW(approx = core::quantum_diameter_approx(g, drop_plan(1)));
   EXPECT_TRUE(approx.subroutine_failed);
   EXPECT_FALSE(approx.failure_reason.empty());
+}
+
+TEST(GracefulDegradation, SetupCostIsTheValueFreeBroadcast) {
+  // t_setup is the rounds of the charged broadcast of d (of d_sub in
+  // approx). The reference is the uncharged measurement it replaced: a
+  // broadcast of the value 0 with the same width down the same tree,
+  // under the same fault plan.
+  const std::vector<Graph> corpus = {
+      graph::make_from_spec("diam:128:8"), graph::make_from_spec("er:200:0.03"),
+      graph::make_from_spec("torus:8:8"), graph::make_from_spec("diam:60:6:3"),
+      graph::make_path(16), graph::make_grid(4, 5), random_graph(40, 6, 3)};
+  std::vector<std::pair<std::string, NetworkConfig>> plans(4);
+  plans[0].first = "fault-free";
+  plans[1].first = "drop";
+  plans[1].second.fault.drop_probability = 0.005;
+  plans[2].first = "corrupt";
+  plans[2].second.fault.corrupt_probability = 0.01;
+  plans[3].first = "crash";
+  plans[3].second.fault.crashes = {CrashWindow{1, 3, 7}};
+  std::map<std::string, int> checked;
+  for (const Graph& g : corpus) {
+    const std::uint32_t id_bits = qc::bit_width_for(g.n()) + 1;
+    // The tree and window approx announces over, from a fault-free run: a
+    // crash breaks every preparation, so only this pins approx under one.
+    const auto leader = algos::elect_leader(g).leader;
+    const auto prep = algos::hprw_preparation(
+        g, core::quantum_diameter_approx(g).s_used, leader,
+        algos::compute_eccentricity(g, leader).tree);
+    ASSERT_FALSE(prep.aborted);
+    const std::uint32_t d_sub =
+        graph::induced_subtree(prep.tree_w.to_bfs_tree(), prep.r_mask).height;
+    const std::uint32_t steps = 2 * std::max(1u, d_sub);
+    const std::uint32_t h = prep.tree_w.height;
+    const std::uint64_t t_eval =
+        algos::EvaluationProgram::token_phase_rounds(steps) +
+        (2 * steps + 2 * h + 2) + h + 1;
+    for (auto& [plan, net] : plans) {
+      for (std::uint64_t seed : {1u, 2u, 3u}) {
+        net.fault.seed = seed;
+        const std::string at = plan + " seed " + std::to_string(seed) +
+                               " n " + std::to_string(g.n());
+        const std::uint32_t approx_setup =
+            algos::broadcast_from_root(g, prep.tree_w, 0, id_bits, net)
+                .stats.rounds;
+        EXPECT_EQ(algos::broadcast_from_root(g, prep.tree_w, d_sub, id_bits,
+                                             net)
+                      .stats.rounds,
+                  approx_setup)
+            << at;
+        core::QuantumConfig cfg;
+        cfg.net = net;
+        cfg.seed = seed;
+        cfg.oracle = core::OracleMode::kDirect;
+        // approx reports no t_setup; when it ran its phase over the same
+        // R, quantum_rounds pin t_setup through the Theorem 7 identity
+        // (the phase charges no Initialization).
+        core::QuantumApproxReport rep;
+        try {
+          rep = core::quantum_diameter_approx(g, cfg);
+        } catch (const qc::Error&) {
+          // A fault plan can also break approx's own R bookkeeping
+          // ("R size mismatch"), which it throws instead of reporting.
+          rep.subroutine_failed = true;
+        }
+        if (!rep.subroutine_failed && !rep.aborted && rep.w == prep.w &&
+            rep.quantum_rounds > 0) {
+          const auto& c = rep.costs;
+          EXPECT_EQ(rep.quantum_rounds,
+                    c.setup_invocations * approx_setup +
+                        c.grover_iterations * (4 * t_eval + 2 * approx_setup) +
+                        c.candidate_evaluations * t_eval)
+              << at;
+          ++checked[plan + " approx"];
+        }
+
+        core::detail::InitPhase init;
+        try {
+          init = core::detail::run_initialization(g, net);
+        } catch (const qc::Error&) {
+          continue;
+        }
+        const std::uint32_t reference =
+            algos::broadcast_from_root(g, init.tree, 0, id_bits, net)
+                .stats.rounds;
+        EXPECT_EQ(init.t_setup, reference) << at;
+        EXPECT_EQ(core::quantum_diameter_exact(g, cfg).t_setup, reference)
+            << at;
+        EXPECT_EQ(core::quantum_radius(g, cfg).t_setup, reference) << at;
+        EXPECT_EQ(core::quantum_diameter_decide(g, init.d + 1, cfg).t_setup,
+                  reference)
+            << at;
+        ++checked[plan];
+      }
+    }
+  }
+  for (const auto& [plan, net] : plans) {
+    EXPECT_GT(checked[plan], 0) << plan;
+    if (plan != "crash") {
+      EXPECT_GT(checked[plan + " approx"], 0) << plan;
+    }
+  }
 }
 
 }  // namespace

@@ -101,6 +101,9 @@ TEST(ReversePorts, CorruptedAdjacencyFailsConstruction) {
   // Asymmetric: 0 lists 1 but 1 does not list 0.
   std::vector<std::vector<NodeId>> asym = {{1}, {}};
   EXPECT_THROW(build_reverse_ports(asym), InvalidArgumentError);
+  // The omission sits in a later, otherwise valid list: 2 omits 0.
+  std::vector<std::vector<NodeId>> asym_late = {{1, 2}, {0, 2}, {1}};
+  EXPECT_THROW(build_reverse_ports(asym_late), InvalidArgumentError);
   // Out-of-range neighbor id.
   std::vector<std::vector<NodeId>> oob = {{5}, {0}};
   EXPECT_THROW(build_reverse_ports(oob), InvalidArgumentError);

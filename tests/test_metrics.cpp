@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/quantum_diameter.hpp"
@@ -367,6 +368,72 @@ TEST(Metrics, SpanStackIsPerRegistry) {
   EXPECT_EQ(spans_a[0].parent, 0u);
   EXPECT_EQ(spans_b[0].parent, 0u);
   EXPECT_EQ(spans_b[1].parent, spans_b[0].id);
+}
+
+TEST(Metrics, AdoptedParentNestsTaskSpans) {
+  // A task that adopts the launching thread's innermost span opens its
+  // spans under it; without adopting, they are roots.
+  metrics::MetricsRegistry reg;
+  metrics::set_global(&reg);
+  std::uint64_t outer_id = 0;
+  {
+    metrics::ScopedTimer outer("outer");
+    const metrics::SpanParent parent = metrics::current_span();
+    EXPECT_EQ(parent.reg, &reg);
+    std::thread([parent] {
+      const metrics::AdoptSpanParent adopt(parent);
+      metrics::ScopedTimer task("task");
+    }).join();
+    std::thread([] { metrics::ScopedTimer orphan("orphan"); }).join();
+    outer_id = reg.spans().front().id;
+  }
+  metrics::set_global(nullptr);
+  EXPECT_EQ(metrics::current_span().reg, nullptr);
+  std::map<std::string, metrics::SpanSample> by_name;
+  for (const auto& s : reg.spans()) by_name[s.name] = s;
+  EXPECT_EQ(by_name.at("task").parent, outer_id);
+  EXPECT_EQ(by_name.at("orphan").parent, 0u);
+}
+
+/// The parent span's name of every span called `name` in `reg`.
+std::vector<std::string> parents_of(const metrics::MetricsRegistry& reg,
+                                    const std::string& name) {
+  const auto spans = reg.spans();
+  std::vector<std::string> out;
+  for (const auto& s : spans) {
+    if (s.name != name) continue;
+    out.push_back(s.parent == 0 ? "" : spans[s.parent - 1].name);
+  }
+  return out;
+}
+
+TEST(Metrics, FrontEndTaskSpansKeepTheirLogicalParent) {
+  // With four branch workers the sweep runs on a task beside init and the
+  // kDirect validation; it nests under the front-end span, beside the
+  // validation. kSimulate branches on pool workers nest under the phase.
+  const auto g = test_graph(300, 12, 17);
+  core::QuantumConfig cfg;
+  cfg.branch_threads = 4;
+  cfg.oracle = core::OracleMode::kDirect;
+  metrics::MetricsRegistry direct;
+  metrics::set_global(&direct);
+  EXPECT_FALSE(core::quantum_diameter_exact(g, cfg).subroutine_failed);
+  metrics::set_global(nullptr);
+  const std::vector<std::string> front_end = {"core.quantum_diameter_exact"};
+  EXPECT_EQ(parents_of(direct, "graph.ecc_sweep"), front_end);
+  EXPECT_EQ(parents_of(direct, "core.branch_simulate"), front_end);
+  EXPECT_EQ(parents_of(direct, "core.oracle_build"), front_end);
+
+  cfg.oracle = core::OracleMode::kSimulate;
+  metrics::MetricsRegistry simulate;
+  metrics::set_global(&simulate);
+  EXPECT_FALSE(core::quantum_radius(test_graph(40, 5, 17), cfg)
+                   .subroutine_failed);
+  metrics::set_global(nullptr);
+  const auto branches = parents_of(simulate, "core.branch_simulate");
+  EXPECT_EQ(branches.size(), 40u);
+  EXPECT_EQ(branches, std::vector<std::string>(branches.size(),
+                                               "core.quantum_phase"));
 }
 
 // The tentpole's enablement contract: installing a registry must not change
