@@ -13,8 +13,8 @@
 // Rows: the in-process sequential engine, then ShardedNetwork at
 // W ∈ {1, 2, 4, 8} workers, each owning one contiguous id range. Per row
 // the table reports the static boundary fraction, the coordinator's
-// barrier wait per round and the boundary bytes moved per round through
-// the shm mesh.
+// barrier wait per round and the boundary bytes the coordinator relays
+// per round.
 //
 // Every sharded row is gated on bit-identical parity with the sequential
 // run — message count, bit count, round count, quiescence flag, and an

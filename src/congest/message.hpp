@@ -24,7 +24,7 @@ namespace qc::congest {
 /// a model bound, not a tuning knob — a push past it throws. Constructing,
 /// copying and delivering a message never touches the heap, which the
 /// network's zero-allocation delivery path relies on, and the shard
-/// transport's per-arc byte budget (shard/shm_ring.hpp) is exact. The type
+/// backend's per-arc frame bound (shard/codec.hpp) is exact. The type
 /// is trivially copyable: moving is copying, so a moved-from message keeps
 /// its fields — clear() it before reusing it. Equality is field-wise.
 /// size_bits() is a cached running total, not a scan.

@@ -413,11 +413,12 @@ class Network {
   // compute_range / send-arena code paths of the in-process engine —
   // which is what makes sharded executions bit-identical by construction.
   // Boundary traffic moves by slot, the flat arc index (node u's port q is
-  // slot offsets[u] + q): the sending worker serializes a queued slot's
-  // payload into the mesh ring of the receiver's shard and clears the slot
+  // slot offsets[u] + q): the sending worker copies a queued slot's
+  // payload into its reply to the coordinator and clears the slot
   // (without touching the quiescence counter — the send was already
-  // counted), and the owning worker injects it into the same slot of its
-  // replica, where the normal delivery pass consumes it.
+  // counted), the coordinator relays it to the receiver's shard, and the
+  // owning worker injects it into the same slot of its replica, where the
+  // normal delivery pass consumes it.
 
   /// Drops the user observer and the construction-time MetricsObserver:
   /// the real observer lives coordinator-side (a worker records events only
@@ -465,7 +466,7 @@ class Network {
   }
   /// Reads a queued slot's payload in place, in the current round's send
   /// arena (the payload may be a broadcast's, shared with other ports) —
-  /// the shm mesh transport serializes it straight into shared memory.
+  /// the shard worker copies it into its outbound boundary batch.
   const Message& shard_slot_message(std::uint32_t slot) const {
     return (*arenas_)[round_ & 1][sent_[slot]];
   }

@@ -18,23 +18,38 @@ void proto_require(bool cond, const char* msg) {
   if (!cond) throw ProtocolError(msg);
 }
 
-/// Unbounded writer over a growing vector — the socket-frame encode path.
-/// Mirrors FrameWriter's interface so the header and message encoders
-/// below are written once for both destinations.
-class VecWriter {
+/// Stores the low `k` bytes of `x` at `p`, little-endian.
+void store_le(std::uint8_t* p, std::uint64_t x, std::size_t k) {
+  for (std::size_t i = 0; i < k; ++i) {
+    p[i] = static_cast<std::uint8_t>(x >> (8 * i));
+  }
+}
+
+std::uint64_t load_le(const std::uint8_t* p, std::size_t k) {
+  std::uint64_t x = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    x |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
+  return x;
+}
+
+/// Little-endian writer appending to a vector. Round frames reuse one
+/// vector whose capacity was reserved to the frame bound, so appending
+/// never reallocates in steady state.
+class Writer {
  public:
-  explicit VecWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
 
   void u8(std::uint8_t x) { out_.push_back(x); }
-  void u32(std::uint32_t x) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-    }
-  }
-  void u64(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-    }
+  void u32(std::uint32_t x) { store_le(grow(4), x, 4); }
+  void u64(std::uint64_t x) { store_le(grow(8), x, 8); }
+
+  /// Appends `k` bytes and returns where they start, so a whole record
+  /// can be stored with one size update.
+  std::uint8_t* grow(std::size_t k) {
+    const std::size_t at = out_.size();
+    out_.resize(at + k);
+    return out_.data() + at;
   }
 
  private:
@@ -49,42 +64,22 @@ class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> buf) : buf_(buf) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return buf_[pos_++];
-  }
-
+  std::uint8_t u8() { return *take(1); }
   std::uint32_t u32() {
-    need(4);
-    std::uint32_t x = 0;
-    for (int i = 0; i < 4; ++i) {
-      x |= static_cast<std::uint32_t>(buf_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return x;
+    return static_cast<std::uint32_t>(load_le(take(4), 4));
   }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) {
-      x |= static_cast<std::uint64_t>(buf_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return x;
-  }
-
+  std::uint64_t u64() { return load_le(take(8), 8); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
   std::size_t remaining() const { return buf_.size() - pos_; }
 
   std::size_t pos() const { return pos_; }
 
-  const std::uint8_t* cursor() const { return buf_.data() + pos_; }
-
-  void skip(std::size_t k) {
+  /// Consumes `k` bytes and returns where they start.
+  const std::uint8_t* take(std::size_t k) {
     need(k);
     pos_ += k;
+    return buf_.data() + pos_ - k;
   }
 
   void done() const {
@@ -102,8 +97,7 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-template <class W>
-void put_header(W& w, ShardOp op) {
+void put_header(Writer& w, ShardOp op) {
   w.u8(kShardProtocolVersion);
   w.u8(static_cast<std::uint8_t>(op));
   w.u8(0);
@@ -115,17 +109,25 @@ Reader open_body(std::span<const std::uint8_t> payload, ShardOp expect) {
   proto_require(decode_op(payload) == expect,
                 "shard: payload op does not match the expected frame type");
   Reader r(payload);
-  r.skip(kHeaderBytes);
+  r.take(kHeaderBytes);
   return r;
 }
 
-template <class W>
-void put_message(W& w, const Message& m) {
-  w.u32(static_cast<std::uint32_t>(m.num_fields()));
-  for (std::size_t i = 0; i < m.num_fields(); ++i) {
-    w.u8(static_cast<std::uint8_t>(m.field_bits(i)));
-    w.u64(m.field(i));
+/// Stores `m` at `p` (4 + 9 * num_fields bytes) and returns the byte
+/// after it.
+std::uint8_t* store_message(std::uint8_t* p, const Message& m) {
+  const std::size_t count = m.num_fields();
+  store_le(p, count, 4);
+  p += 4;
+  for (std::size_t i = 0; i < count; ++i, p += 9) {
+    p[0] = static_cast<std::uint8_t>(m.field_bits(i));
+    store_le(p + 1, m.field(i), 8);
   }
+  return p;
+}
+
+void put_message(Writer& w, const Message& m) {
+  store_message(w.grow(4 + 9 * m.num_fields()), m);
 }
 
 void read_message_into(Reader& r, Message& m) {
@@ -134,10 +136,11 @@ void read_message_into(Reader& r, Message& m) {
                 "shard: message field count exceeds Message::kMaxFields");
   proto_require(r.remaining() >= static_cast<std::size_t>(count) * 9,
                 "shard: message field count disagrees with the payload size");
+  const std::uint8_t* p = r.take(static_cast<std::size_t>(count) * 9);
   m.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t width = r.u8();
-    const std::uint64_t value = r.u64();
+  for (std::uint32_t i = 0; i < count; ++i, p += 9) {
+    const std::uint32_t width = p[0];
+    const std::uint64_t value = load_le(p + 1, 8);
     proto_require(width >= 1 && width <= 64,
                   "shard: message field width outside [1,64]");
     proto_require(width == 64 || value < (1ULL << width),
@@ -146,12 +149,16 @@ void read_message_into(Reader& r, Message& m) {
   }
 }
 
-void put_events(FrameWriter& w, const std::vector<DeliveryEvent>& events) {
-  w.u32(static_cast<std::uint32_t>(events.size()));
+void put_events(Writer& w, const std::vector<DeliveryEvent>& events) {
+  std::size_t bytes = 4;
+  for (const auto& e : events) bytes += 8 + 4 + 9 * e.msg.num_fields();
+  std::uint8_t* p = w.grow(bytes);
+  store_le(p, events.size(), 4);
+  p += 4;
   for (const auto& e : events) {
-    w.u32(e.from);
-    w.u32(e.to);
-    put_message(w, e.msg);
+    store_le(p, e.from, 4);
+    store_le(p + 4, e.to, 4);
+    p = store_message(p + 8, e.msg);
   }
 }
 
@@ -167,7 +174,58 @@ void read_events_into(Reader& r, std::vector<DeliveryEvent>& out) {
   }
 }
 
-void put_stats(FrameWriter& w, const RunStats& s) {
+void put_batch(Writer& w, std::span<const BoundaryEntry> batch) {
+  std::size_t bytes = 4;
+  for (const auto& e : batch) bytes += entry_wire_bytes(e);
+  std::uint8_t* p = w.grow(bytes);
+  store_le(p, batch.size(), 4);
+  p += 4;
+  for (const auto& e : batch) {
+    store_le(p, e.slot, 4);
+    p = store_message(p + 4, e.msg);
+  }
+}
+
+/// Appends the batch's entries to `into`.
+void read_batch_into(Reader& r, std::vector<BoundaryEntry>& into) {
+  const std::uint32_t count = r.u32();
+  // Cheapest entry is 8 bytes (slot + empty message).
+  proto_require(r.remaining() >= static_cast<std::size_t>(count) * 8,
+                "shard: boundary entry count disagrees with the payload size");
+  const std::size_t at = into.size();
+  into.resize(at + count);
+  for (std::size_t i = at; i < into.size(); ++i) {
+    into[i].slot = r.u32();
+    read_message_into(r, into[i].msg);
+  }
+}
+
+void put_outbound(Writer& w, const Outbound& out) {
+  std::uint32_t groups = 0;
+  for (const auto& batch : out) groups += batch.empty() ? 0 : 1;
+  w.u32(groups);
+  for (std::uint32_t t = 0; t < out.size(); ++t) {
+    if (out[t].empty()) continue;
+    w.u32(t);
+    put_batch(w, out[t]);
+  }
+}
+
+void read_outbound_into(Reader& r, Outbound& out) {
+  const std::uint32_t groups = r.u32();
+  proto_require(groups <= out.size(),
+                "shard: more boundary groups than shards");
+  std::uint32_t next = 0;  // lowest shard the next group may name
+  for (std::uint32_t i = 0; i < groups; ++i) {
+    const std::uint32_t t = r.u32();
+    proto_require(t >= next && t < out.size(),
+                  "shard: boundary group names a bad or repeated shard");
+    read_batch_into(r, out[t]);
+    next = t + 1;
+  }
+}
+
+void put_stats(Writer& w, const RunStats& s) {
   w.u32(s.rounds);
   w.u64(s.messages);
   w.u64(s.bits);
@@ -211,9 +269,20 @@ const char* shard_op_name(ShardOp op) {
     case ShardOp::kHarvestDone: return "harvest-done";
     case ShardOp::kShutdown: return "shutdown";
     case ShardOp::kError: return "error";
-    case ShardOp::kMesh: return "mesh";
   }
   return "unknown";
+}
+
+std::size_t round_begin_bound(std::size_t in_arcs) {
+  return kHeaderBytes + 4 + 1 + 4 + in_arcs * kMaxEntryWireBytes;
+}
+
+std::size_t round_end_bound(std::size_t out_arcs, std::uint32_t shards,
+                            std::size_t event_arcs) {
+  return kHeaderBytes + 4 + 3 * 8 + kStatsBytes +
+         4 + event_arcs * kMaxEventWireBytes +
+         4 + static_cast<std::size_t>(shards) * 8 +
+         out_arcs * kMaxEntryWireBytes;
 }
 
 ShardOp decode_op(std::span<const std::uint8_t> payload) {
@@ -229,7 +298,7 @@ ShardOp decode_op(std::span<const std::uint8_t> payload) {
 
 std::vector<std::uint8_t> encode_empty(ShardOp op) {
   std::vector<std::uint8_t> out;
-  VecWriter w(out);
+  Writer w(out);
   put_header(w, op);
   return out;
 }
@@ -239,79 +308,83 @@ void decode_empty(std::span<const std::uint8_t> payload, ShardOp op) {
   r.done();
 }
 
-std::vector<std::uint8_t> encode_start_done(const StartDoneFrame& f) {
-  std::vector<std::uint8_t> out;
-  VecWriter w(out);
+void encode_start_done(const StartDoneFrame& f, const Outbound& out,
+                       std::vector<std::uint8_t>& buf) {
+  buf.clear();
+  Writer w(buf);
   put_header(w, ShardOp::kStartDone);
   w.u64(static_cast<std::uint64_t>(f.inflight));
   w.u64(static_cast<std::uint64_t>(f.halted));
   w.u64(static_cast<std::uint64_t>(f.wakes));
-  return out;
+  put_outbound(w, out);
 }
 
-StartDoneFrame decode_start_done(std::span<const std::uint8_t> payload) {
+void decode_start_done_into(std::span<const std::uint8_t> payload,
+                            StartDoneFrame& f, Outbound& out) {
   Reader r = open_body(payload, ShardOp::kStartDone);
-  StartDoneFrame f;
   f.inflight = r.i64();
   f.halted = r.i64();
   f.wakes = r.i64();
+  read_outbound_into(r, out);
   r.done();
-  return f;
 }
 
-std::size_t encode_round_begin_to(std::span<std::uint8_t> buf,
-                                  const RoundBeginFrame& f) {
-  FrameWriter w(buf);
+void encode_round_begin(const RoundBeginFrame& f,
+                        std::span<const BoundaryEntry> in,
+                        std::vector<std::uint8_t>& buf) {
+  buf.clear();
+  Writer w(buf);
   put_header(w, ShardOp::kRoundBegin);
   w.u32(f.round);
   w.u8(static_cast<std::uint8_t>((f.memory_audit ? 1 : 0) |
                                   (f.memory_sweep_all ? 2 : 0)));
-  return w.size();
+  put_batch(w, in);
 }
 
 void decode_round_begin_into(std::span<const std::uint8_t> payload,
-                             RoundBeginFrame& f) {
+                             RoundBeginFrame& f,
+                             std::vector<BoundaryEntry>& in) {
   Reader r = open_body(payload, ShardOp::kRoundBegin);
   f.round = r.u32();
   const std::uint8_t flags = r.u8();
   proto_require(flags <= 3, "shard: unknown round-begin flag bits");
   f.memory_audit = (flags & 1) != 0;
   f.memory_sweep_all = (flags & 2) != 0;
+  in.clear();
+  read_batch_into(r, in);
   r.done();
 }
 
-std::size_t encode_round_end_to(std::span<std::uint8_t> buf,
-                                const RoundEndFrame& f) {
-  FrameWriter w(buf);
+void encode_round_end(const RoundEndFrame& f, const Outbound& out,
+                      std::vector<std::uint8_t>& buf) {
+  buf.clear();
+  Writer w(buf);
   put_header(w, ShardOp::kRoundEnd);
   w.u32(f.round);
   w.u64(static_cast<std::uint64_t>(f.inflight));
   w.u64(static_cast<std::uint64_t>(f.halted));
   w.u64(static_cast<std::uint64_t>(f.wakes));
-  w.u64(f.boundary_bytes);
-  w.u64(f.boundary_msgs);
   put_stats(w, f.stats);
   put_events(w, f.events);
-  return w.size();
+  put_outbound(w, out);
 }
 
 void decode_round_end_into(std::span<const std::uint8_t> payload,
-                           RoundEndFrame& f) {
+                           RoundEndFrame& f, Outbound& out) {
   Reader r = open_body(payload, ShardOp::kRoundEnd);
   f.round = r.u32();
   f.inflight = r.i64();
   f.halted = r.i64();
   f.wakes = r.i64();
-  f.boundary_bytes = r.u64();
-  f.boundary_msgs = r.u64();
   f.stats = read_stats(r);
   read_events_into(r, f.events);
+  read_outbound_into(r, out);
   r.done();
 }
 
 std::vector<std::uint8_t> encode_harvest_done(const HarvestDoneFrame& f) {
   std::vector<std::uint8_t> out;
-  VecWriter w(out);
+  Writer w(out);
   put_header(w, ShardOp::kHarvestDone);
   w.u32(static_cast<std::uint32_t>(f.states.size()));
   for (const auto& m : f.states) put_message(w, m);
@@ -338,7 +411,7 @@ std::vector<std::uint8_t> encode_error(const std::string& text) {
     msg = msg.substr(0, serve::kMaxMessageBytes);
   }
   std::vector<std::uint8_t> out;
-  VecWriter w(out);
+  Writer w(out);
   put_header(w, ShardOp::kError);
   w.u32(static_cast<std::uint32_t>(msg.size()));
   for (const char c : msg) w.u8(static_cast<std::uint8_t>(c));
@@ -352,60 +425,9 @@ std::string decode_error(std::span<const std::uint8_t> payload) {
                 "shard: error text length exceeds the cap");
   proto_require(r.remaining() == len,
                 "shard: error length disagrees with the payload size");
-  std::string text(reinterpret_cast<const char*>(r.cursor()), len);
-  r.skip(len);
+  std::string text(reinterpret_cast<const char*>(r.take(len)), len);
   r.done();
   return text;
-}
-
-// ---- Mesh batches ---------------------------------------------------------
-
-MeshWriter::MeshWriter(std::span<std::uint8_t> buf, std::uint32_t round)
-    : w_(buf) {
-  put_header(w_, ShardOp::kMesh);
-  w_.u32(round);
-  count_at_ = w_.mark();
-  w_.u32(0);  // entry count, patched by finish()
-}
-
-void MeshWriter::add(std::uint32_t slot, const Message& m) {
-  w_.u32(slot);
-  put_message(w_, m);
-  ++count_;
-}
-
-std::size_t MeshWriter::finish() {
-  w_.patch_u32(count_at_, count_);
-  return w_.size();
-}
-
-MeshReader::MeshReader(std::span<const std::uint8_t> payload,
-                       std::uint32_t round)
-    : buf_(payload) {
-  Reader r = open_body(payload, ShardOp::kMesh);
-  const std::uint32_t stamp = r.u32();
-  proto_require(stamp == round,
-                "shard: mesh batch carries the wrong round number");
-  count_ = r.u32();
-  // Cheapest entry is 8 bytes (slot + empty message).
-  proto_require(r.remaining() >= static_cast<std::size_t>(count_) * 8,
-                "shard: mesh entry count disagrees with the payload size");
-  if (count_ == 0) r.done();
-  pos_ = r.pos();
-}
-
-bool MeshReader::next(std::uint32_t& slot, Message& m) {
-  if (read_ == count_) return false;
-  Reader r(buf_.subspan(pos_));
-  slot = r.u32();
-  read_message_into(r, m);
-  pos_ += r.pos();
-  ++read_;
-  if (read_ == count_) {
-    proto_require(pos_ == buf_.size(),
-                  "shard: payload has trailing bytes after its last field");
-  }
-  return true;
 }
 
 }  // namespace qc::congest::shard

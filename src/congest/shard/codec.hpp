@@ -24,41 +24,41 @@
 //                 | u64 messages_dropped | u64 messages_corrupted
 //                 | u64 crashed_node_rounds
 //
+//   entry        := u32 slot | message
+//   batch        := u32 count | count x entry
+//   outbound     := u32 groups | groups x (u32 shard | batch)
+//                   shard strictly ascending and < the shard count
+//
 //   body by op (direction):
 //     start        (c->w) := (empty)                 run on_start, report
 //     start_done   (w->c) := i64 inflight | i64 halted | i64 wakes
-//     round_begin  (c->w) := u32 round | u8 flags
+//                          | outbound
+//     round_begin  (c->w) := u32 round | u8 flags | batch
 //                            flags bit 0: memory audit armed
 //                            flags bit 1: audit every owned node (the
 //                            first round of a phase), not only those
 //                            that ran
 //     round_end    (w->c) := u32 round | i64 inflight | i64 halted | i64 wakes
-//                          | u64 boundary_bytes | u64 boundary_msgs
-//                          | stats | events
+//                          | stats | events | outbound
 //     harvest      (c->w) := (empty)                 serialize owned programs
 //     harvest_done (w->c) := u32 count | count x message
 //     shutdown     (c->w) := (empty)                 worker exits 0
 //     error        (w->c) := u32 len | len bytes     worker failed; text
-//     mesh         (w->w) := u32 round | u32 count | count x
-//                            (u32 slot | message)
 //
-// `mesh` payloads never cross a socket: they are the contents of the
-// worker-to-worker shared-memory segments (shm_ring.hpp), carrying one
-// round's boundary batch for one directed shard pair. They keep the full
-// version/op/reserved header and the same adversarial validation as every
-// socket frame — shared memory is still untrusted input. Boundary
-// messages travel only there: the CONGEST model puts at most one message
-// of at most Message::kMaxFields fields on an arc per round, so a batch
-// never outgrows a segment sized by plan_layout, and round_begin /
-// round_end never outgrow their channel slots. boundary_bytes /
-// boundary_msgs report what the worker moved through its mesh segments.
+// Boundary messages travel in a star through the coordinator. A worker's
+// start_done / round_end carries the messages its owned nodes queued for
+// foreign receivers, grouped by the receiving shard; the coordinator
+// relays each shard's share, source shards ascending, in that shard's
+// next round_begin, and the receiving worker checks every slot against
+// its inbound boundary slots before injecting it.
 //
 // `slot` is a flat arc index of the (identical) Network replica
-// every process holds — see Network::shard_out_base. Mesh batches are in
+// every process holds — see Network::shard_out_base. Each group is in
 // extraction order (sender ascending, port ascending); `events` are in
 // delivery order (receiver ascending, port ascending). Full protocol and
 // determinism contract: docs/distributed.md.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -67,19 +67,18 @@
 #include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "serve/protocol.hpp"
-#include "util/error.hpp"
 
 namespace qc::congest::shard {
 
 using graph::NodeId;
 
-inline constexpr std::uint8_t kShardProtocolVersion = 2;
+inline constexpr std::uint8_t kShardProtocolVersion = 3;
 
-/// Hard cap on one shard frame's payload. Only lifecycle frames cross the
-/// socket (start, harvest, error, shutdown); the largest is harvest_done,
-/// one serialized program state per owned node, so 64 MiB covers every
-/// workload in this repo with two orders of margin. A frame above the cap
-/// is a protocol error — producers must respect it.
+/// Hard cap on one shard frame's payload. The largest frames are a
+/// harvest_done (one serialized program state per owned node) and a
+/// round frame carrying one message per boundary arc, so 64 MiB covers
+/// every workload in this repo with an order of magnitude of margin. A
+/// frame above the cap is a protocol error — producers must respect it.
 inline constexpr std::uint32_t kMaxShardFrameBytes = 1u << 26;
 
 enum class ShardOp : std::uint8_t {
@@ -91,10 +90,9 @@ enum class ShardOp : std::uint8_t {
   kHarvestDone = 5,
   kShutdown = 6,
   kError = 7,
-  kMesh = 8,
 };
 inline constexpr std::uint8_t kMaxShardOp =
-    static_cast<std::uint8_t>(ShardOp::kMesh);
+    static_cast<std::uint8_t>(ShardOp::kError);
 
 const char* shard_op_name(ShardOp op);
 
@@ -105,6 +103,39 @@ struct DeliveryEvent {
   NodeId to = 0;
   Message msg;
 };
+
+/// One boundary message: the arc slot it was queued in and its payload.
+struct BoundaryEntry {
+  std::uint32_t slot = 0;
+  Message msg;
+};
+
+/// A worker's outbound boundary messages indexed by receiving shard, so
+/// size() is the shard count. Decoding appends, which lets the
+/// coordinator gather every source's share for one destination in place.
+using Outbound = std::vector<std::vector<BoundaryEntry>>;
+
+/// Most bytes one encoded message takes: its field count plus
+/// Message::kMaxFields (width, value) pairs. The model puts at most one
+/// message on an arc per round, so buffers reserved with these per-arc
+/// sizes hold any round's frames.
+inline constexpr std::size_t kMaxMessageWireBytes =
+    4 + 9 * Message::kMaxFields;
+inline constexpr std::size_t kMaxEntryWireBytes = 4 + kMaxMessageWireBytes;
+inline constexpr std::size_t kMaxEventWireBytes = 8 + kMaxMessageWireBytes;
+
+/// Encoded size of one boundary entry (the shard.boundary_bytes unit).
+inline std::size_t entry_wire_bytes(const BoundaryEntry& e) {
+  return 4 + 4 + 9 * e.msg.num_fields();
+}
+
+/// Most bytes a round_begin relaying `in_arcs` boundary arcs takes, and a
+/// start_done / round_end from a worker with `out_arcs` outbound boundary
+/// arcs over `shards` shards and `event_arcs` owned in-arcs whose
+/// deliveries it ships as events (0 without an observer).
+std::size_t round_begin_bound(std::size_t in_arcs);
+std::size_t round_end_bound(std::size_t out_arcs, std::uint32_t shards,
+                            std::size_t event_arcs);
 
 struct StartDoneFrame {
   std::int64_t inflight = 0;
@@ -123,10 +154,6 @@ struct RoundEndFrame {
   std::int64_t inflight = 0;
   std::int64_t halted = 0;
   std::int64_t wakes = 0;
-  /// Boundary payload the worker published to its mesh segments this
-  /// round, for the coordinator's shard.boundary_bytes accounting.
-  std::uint64_t boundary_bytes = 0;
-  std::uint64_t boundary_msgs = 0;
   RunStats stats;  ///< this worker's slice of the round (quiesced unused)
   std::vector<DeliveryEvent> events;
 };
@@ -147,119 +174,38 @@ ShardOp decode_op(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encode_empty(ShardOp op);
 void decode_empty(std::span<const std::uint8_t> payload, ShardOp op);
 
-std::vector<std::uint8_t> encode_start_done(const StartDoneFrame& f);
-StartDoneFrame decode_start_done(std::span<const std::uint8_t> payload);
-
 std::vector<std::uint8_t> encode_harvest_done(const HarvestDoneFrame& f);
 HarvestDoneFrame decode_harvest_done(std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encode_error(const std::string& text);
 std::string decode_error(std::span<const std::uint8_t> payload);
 
-// ---- Round frames ---------------------------------------------------------
-// The round loop runs every round of every phase, so its frames encode into
-// a caller-owned shm slot and decode into caller-owned reusable frame
-// structs: a warmed steady-state round performs zero heap allocations end
-// to end (bench_shard --check pins that with the alloc probe).
+// ---- Boundary-carrying frames ----------------------------------------------
+// These run every round of every phase, so they encode into a caller-owned
+// vector (cleared first) and decode into caller-owned structs: once the
+// buffers are reserved to the bounds above, a steady-state round performs
+// zero heap allocations end to end (bench_shard --check pins that with
+// the alloc probe). The decoders append each outbound group to
+// `out[shard]` and reject a group whose shard is not below out.size().
 
-/// Bounded little-endian writer over a fixed buffer (a shm slot). Round
-/// frames and mesh batches are sized by the CONGEST bound, so a write past
-/// the end is a bug in that sizing and throws qc::InternalError.
-class FrameWriter {
- public:
-  explicit FrameWriter(std::span<std::uint8_t> buf) : buf_(buf) {}
+void encode_start_done(const StartDoneFrame& f, const Outbound& out,
+                       std::vector<std::uint8_t>& buf);
+void decode_start_done_into(std::span<const std::uint8_t> payload,
+                            StartDoneFrame& f, Outbound& out);
 
-  void u8(std::uint8_t x) {
-    need(1);
-    buf_[pos_++] = x;
-  }
-  void u32(std::uint32_t x) {
-    need(4);
-    for (int i = 0; i < 4; ++i) {
-      buf_[pos_++] = static_cast<std::uint8_t>(x >> (8 * i));
-    }
-  }
-  void u64(std::uint64_t x) {
-    need(8);
-    for (int i = 0; i < 8; ++i) {
-      buf_[pos_++] = static_cast<std::uint8_t>(x >> (8 * i));
-    }
-  }
-
-  /// Offset of the next byte — remember it to patch_u32 a count later.
-  std::size_t mark() const { return pos_; }
-  /// Overwrites 4 bytes at `off` (must already be written).
-  void patch_u32(std::size_t off, std::uint32_t x) {
-    for (int i = 0; i < 4; ++i) {
-      buf_[off + i] = static_cast<std::uint8_t>(x >> (8 * i));
-    }
-  }
-
-  std::size_t size() const { return pos_; }
-
- private:
-  void need(std::size_t k) const {
-    check_internal(buf_.size() - pos_ >= k,
-                   "shard: frame outgrew its shared-memory slot, which is "
-                   "sized by the CONGEST per-arc bound");
-  }
-
-  std::span<std::uint8_t> buf_;
-  std::size_t pos_ = 0;
-};
-
-/// Encode into `buf` and return the payload length; throws
-/// qc::InternalError if the frame does not fit.
-std::size_t encode_round_begin_to(std::span<std::uint8_t> buf,
-                                  const RoundBeginFrame& f);
-std::size_t encode_round_end_to(std::span<std::uint8_t> buf,
-                                const RoundEndFrame& f);
-
-/// Decode into a reused frame struct: vectors are resized in place and
-/// Messages rebuilt with Message::clear() + push, so a warmed frame
-/// decodes without touching the heap.
+/// `in` is the batch of boundary messages for the worker's owned
+/// receivers, sent in the previous round (or by on_start); decoding
+/// replaces the contents of `in`.
+void encode_round_begin(const RoundBeginFrame& f,
+                        std::span<const BoundaryEntry> in,
+                        std::vector<std::uint8_t>& buf);
 void decode_round_begin_into(std::span<const std::uint8_t> payload,
-                             RoundBeginFrame& f);
+                             RoundBeginFrame& f,
+                             std::vector<BoundaryEntry>& in);
+
+void encode_round_end(const RoundEndFrame& f, const Outbound& out,
+                      std::vector<std::uint8_t>& buf);
 void decode_round_end_into(std::span<const std::uint8_t> payload,
-                           RoundEndFrame& f);
-
-/// Streams one mesh batch (op kMesh) into a ring slot.
-class MeshWriter {
- public:
-  MeshWriter(std::span<std::uint8_t> buf, std::uint32_t round);
-
-  /// Appends one (slot, message) entry; throws qc::InternalError past the
-  /// end of the slot, like FrameWriter.
-  void add(std::uint32_t slot, const Message& m);
-  std::uint32_t count() const { return count_; }
-  /// Patches the entry count and returns the final byte size.
-  std::size_t finish();
-
- private:
-  FrameWriter w_;
-  std::size_t count_at_;
-  std::uint32_t count_ = 0;
-};
-
-/// Validating cursor over one mesh batch. The constructor checks the
-/// header and the round stamp; next() validates each entry as it is read
-/// and the exact end-of-buffer after the last one — a truncated, overlong
-/// or stale-round segment throws serve::ProtocolError exactly like a
-/// malformed socket frame.
-class MeshReader {
- public:
-  MeshReader(std::span<const std::uint8_t> payload, std::uint32_t round);
-
-  std::uint32_t count() const { return count_; }
-  /// Reads the next entry into (slot, m); false when the batch is
-  /// exhausted (at which point trailing bytes have been rejected).
-  bool next(std::uint32_t& slot, Message& m);
-
- private:
-  std::span<const std::uint8_t> buf_;
-  std::size_t pos_ = 0;
-  std::uint32_t count_ = 0;
-  std::uint32_t read_ = 0;
-};
+                           RoundEndFrame& f, Outbound& out);
 
 }  // namespace qc::congest::shard

@@ -25,17 +25,11 @@ namespace qc::congest::shard {
 
 namespace {
 
-/// How long one futex sleep at the barrier may last before the coordinator
-/// re-checks worker liveness over the sockets. Bounds the time a silently
-/// killed worker can stall a phase.
-constexpr int kBarrierWaitSliceMs = 100;
-
 /// Closes every fd of the freshly forked child except stdio and `keep`:
 /// the child inherits the parent's whole fd table (other workers'
 /// coordinator-side sockets, listening sockets, open logs...), and a held
 /// duplicate of another worker's socket would defeat EOF-based teardown.
-/// mmap'ed graph payloads and the shm arena stay valid — a mapping
-/// outlives its fd (and the arena is anonymous, it never had one).
+/// Memory-mapped graph payloads stay valid — a mapping outlives its fd.
 void close_other_fds(int keep) {
   std::vector<int> to_close;
   if (DIR* d = ::opendir("/proc/self/fd")) {
@@ -114,20 +108,7 @@ void ShardedNetwork::init_programs(const ProgramFactory& make) {
 void ShardedNetwork::spawn_workers() {
   const bool collect_events = cfg_.net.observer != nullptr;
   workers_.assign(asn_.shards, Worker{});
-  // A fresh arena per spawn: the zero-initialized pages ARE the valid idle
-  // state of every channel and ring, so a respawn can never inherit a
-  // stale doorbell from a previous (possibly crashed) worker set. The
-  // views below and the forked children all alias the same mapping.
-  layout_ = plan_layout(*graph_, asn_, collect_events);
-  c2w_.clear();
-  w2c_.clear();
-  arena_ = ShmArena(layout_.total_bytes);
-  for (std::uint32_t s = 0; s < asn_.shards; ++s) {
-    c2w_.emplace_back(arena_.base() + layout_.c2w[s].off, layout_.c2w[s].cap);
-    w2c_.emplace_back(arena_.base() + layout_.w2c[s].off, layout_.w2c[s].cap);
-  }
-  re_.assign(asn_.shards, RoundEndFrame{});
-  done_.assign(asn_.shards, 0);
+  reserve_buffers(collect_events);
   // Any buffered stdio the child inherits would be flushed twice (once per
   // process); drain it while there is still only one process.
   std::fflush(nullptr);
@@ -156,8 +137,6 @@ void ShardedNetwork::spawn_workers() {
       metrics::set_global(nullptr);
       WorkerLink link;
       link.fd = sv[1];
-      link.shm = arena_.base();
-      link.layout = &layout_;
       link.shard = s;
       link.collect_events = collect_events;
       link.verify_zero_alloc_from_round = cfg_.verify_zero_alloc_from_round;
@@ -176,26 +155,49 @@ void ShardedNetwork::spawn_workers() {
   metrics::gauge("shard.workers", static_cast<double>(asn_.shards));
 }
 
+void ShardedNetwork::reserve_buffers(bool collect_events) {
+  const std::uint32_t W = asn_.shards;
+  // Boundary arcs out of and into each shard, and each shard's owned
+  // in-degree (one observer event per arc at most).
+  std::vector<std::size_t> out_arcs(W, 0);
+  std::vector<std::size_t> in_arcs(W, 0);
+  std::vector<std::size_t> owned_in_arcs(W, 0);
+  for (std::uint32_t s = 0; s < W; ++s) {
+    for (NodeId u = asn_.begin(s); u < asn_.end(s); ++u) {
+      const auto nb = graph_->neighbors(u);
+      owned_in_arcs[s] += nb.size();
+      for (const NodeId v : nb) {
+        if (asn_.owns(s, v)) continue;
+        ++out_arcs[s];
+        ++in_arcs[asn_.owner(v)];
+      }
+    }
+  }
+  inbound_.assign(W, {});
+  rx_.assign(W, {});
+  std::size_t tx_bytes = 0;
+  std::size_t max_events = 0;
+  for (std::uint32_t s = 0; s < W; ++s) {
+    const std::size_t events = collect_events ? owned_in_arcs[s] : 0;
+    inbound_[s].reserve(in_arcs[s]);
+    rx_[s].reserve(round_end_bound(out_arcs[s], W, events));
+    tx_bytes = std::max(tx_bytes, round_begin_bound(in_arcs[s]));
+    max_events = std::max(max_events, events);
+  }
+  tx_.reserve(tx_bytes);
+  re_.events.reserve(max_events);
+  polls_.resize(W);
+}
+
 std::string ShardedNetwork::teardown(bool graceful) {
   std::string problems;
   if (graceful) {
     const auto bye = encode_empty(ShardOp::kShutdown);
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (workers_[w].fd < 0) continue;
-      // Prefer the channel (the worker is parked on its futex); fall back
-      // to a hinted socket frame, and if even that fails the fd close
-      // below surfaces as EOF within one worker wait slice.
-      if (w < c2w_.size() && c2w_[w].valid() && c2w_[w].idle() &&
-          bye.size() <= c2w_[w].capacity()) {
-        std::memcpy(c2w_[w].buffer().data(), bye.data(), bye.size());
-        c2w_[w].publish_frame(bye.size());
-        continue;
-      }
-      if (w < c2w_.size() && c2w_[w].valid()) {
-        c2w_[w].try_publish_signal(ShmSignal::kSocket);
-      }
+    for (const auto& w : workers_) {
+      if (w.fd < 0) continue;
+      // If the write fails, the fd close below still surfaces as EOF.
       try {
-        serve::write_frame(workers_[w].fd, bye, kMaxShardFrameBytes);
+        serve::write_frame(w.fd, bye, kMaxShardFrameBytes);
       } catch (...) {  // a dead worker is reported via its exit status
       }
     }
@@ -249,52 +251,46 @@ void ShardedNetwork::shutdown() {
   }
 }
 
-void ShardedNetwork::mark_broken() {
+void ShardedNetwork::fail(std::size_t w, const std::string& what) {
   broken_ = true;
   teardown(/*graceful=*/false);
+  throw Error("shard: worker " + std::to_string(w) + " " + what);
 }
 
 void ShardedNetwork::send_frame(std::size_t w,
                                 std::span<const std::uint8_t> payload) {
-  auto& ch = c2w_[w];
-  if (ch.valid() && ch.idle() && payload.size() <= ch.capacity()) {
-    std::memcpy(ch.buffer().data(), payload.data(), payload.size());
-    ch.publish_frame(payload.size());
-    return;
-  }
-  // Hint first, then write: the worker blocks on the channel futex alone
-  // and only reads the socket after seeing the hint (or on its timeout
-  // poll, if the channel was too busy even for the hint).
-  if (ch.valid()) ch.try_publish_signal(ShmSignal::kSocket);
   try {
     serve::write_frame(workers_[w].fd, payload, kMaxShardFrameBytes);
   } catch (const std::exception& e) {
-    const std::string what = e.what();
-    mark_broken();
-    throw Error("shard: worker " + std::to_string(w) +
-                " is unreachable (crashed?): " + what);
+    fail(w, std::string("is unreachable (crashed?): ") + e.what());
   }
 }
 
-void ShardedNetwork::dispatch(std::size_t w,
-                              std::span<const std::uint8_t> payload,
-                              Collect what, bool via_socket) {
-  if (decode_op(payload) == ShardOp::kError) {
-    const std::string text = decode_error(payload);
-    mark_broken();
-    throw Error("shard: worker " + std::to_string(w) + " failed: " + text);
-  }
-  // Round frames always fit their slot: only lifecycle and error frames
-  // may take the socket.
-  if (via_socket && what == Collect::kRoundEnd) {
-    throw serve::ProtocolError("shard: round_end arrived over the socket");
-  }
+void ShardedNetwork::dispatch(std::size_t w, Collect what) {
+  const std::vector<std::uint8_t>& payload = rx_[w];
   switch (what) {
-    case Collect::kRoundEnd:
-      decode_round_end_into(payload, re_[w]);
+    case Collect::kRoundEnd: {
+      decode_round_end_into(payload, re_, inbound_);
+      if (re_.round != round_) fail(w, "answered for the wrong round");
+      merge_worker_stats(round_stats_, re_.stats);
+      workers_[w].inflight = re_.inflight;
+      workers_[w].halted = re_.halted;
+      workers_[w].wakes = re_.wakes;
+      events_merged_ += re_.events.size();
+      // Each worker's batch is ascending in (receiver, port) — a worker
+      // delivers its range in id order — and worker s's range lies wholly
+      // below worker s+1's, so replaying the batches in shard order gives
+      // the sequential engine's (round, receiver, port) order exactly.
+      if (DeliveryObserver* const obs = cfg_.net.observer.get()) {
+        for (const DeliveryEvent& e : re_.events) {
+          obs->on_deliver(e.from, e.to, e.msg, round_);
+        }
+      }
       break;
+    }
     case Collect::kStartDone: {
-      StartDoneFrame f = decode_start_done(payload);
+      StartDoneFrame f;
+      decode_start_done_into(payload, f, inbound_);
       workers_[w].inflight = f.inflight;
       workers_[w].halted = f.halted;
       workers_[w].wakes = f.wakes;
@@ -304,9 +300,7 @@ void ShardedNetwork::dispatch(std::size_t w,
       HarvestDoneFrame f = decode_harvest_done(payload);
       if (f.states.size() !=
           asn_.owned_count(static_cast<std::uint32_t>(w))) {
-        mark_broken();
-        throw Error("shard: worker " + std::to_string(w) +
-                    " harvested the wrong number of programs");
+        fail(w, "harvested the wrong number of programs");
       }
       const NodeId begin = asn_.begin(static_cast<std::uint32_t>(w));
       for (std::size_t i = 0; i < f.states.size(); ++i) {
@@ -317,102 +311,45 @@ void ShardedNetwork::dispatch(std::size_t w,
   }
 }
 
-void ShardedNetwork::check_liveness(Collect what) {
+void ShardedNetwork::collect_all(Collect what) {
+  // Every worker read its whole request before replying and the
+  // coordinator wrote every request before reading, so blocking reads of
+  // whichever sockets poll() reports ready cannot deadlock.
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    if (done_[w]) continue;
-    pollfd p{};
-    p.fd = workers_[w].fd;
-    p.events = POLLIN;
-    const int r = ::poll(&p, 1, 0);
-    if (r <= 0) continue;  // EINTR or nothing pending: just slow, re-wait
-    if ((p.revents & POLLIN) != 0) {
-      // Socket bytes without a visible channel signal. Normally the hint
-      // lands first (it is published before the socket write), so re-check
-      // the channel and let the main scan service a hinted frame; a truly
-      // unhinted frame is a worker whose error fallback found its channel
-      // busy — read and dispatch it here (no channel release to pair).
-      if (w2c_[w].poll() != ShmSignal::kNone) continue;
+    polls_[w] = pollfd{workers_[w].fd, POLLIN, 0};
+  }
+  std::size_t pending = workers_.size();
+  while (pending > 0) {
+    if (::poll(polls_.data(), polls_.size(), -1) < 0) {
+      if (errno == EINTR) continue;
+      const std::string err = std::strerror(errno);
+      broken_ = true;
+      teardown(/*graceful=*/false);
+      throw Error("shard: poll failed at the round barrier: " + err);
+    }
+    for (std::size_t w = 0; w < polls_.size(); ++w) {
+      if (polls_[w].fd < 0 || polls_[w].revents == 0) continue;
+      // POLLIN means a frame; EOF or POLLHUP without one means the worker
+      // is gone.
       bool ok = false;
       try {
-        ok = serve::read_frame(workers_[w].fd, rx_, kMaxShardFrameBytes);
-      } catch (const std::exception& e) {
-        const std::string text = e.what();
-        mark_broken();
-        throw Error("shard: worker " + std::to_string(w) +
-                    " sent a malformed frame: " + text);
-      }
-      if (!ok) {
-        mark_broken();
-        throw Error("shard: worker " + std::to_string(w) +
-                    " exited mid-run (crashed?)");
-      }
-      try {
-        dispatch(w, rx_, what, /*via_socket=*/true);
-      } catch (const serve::ProtocolError& e) {
-        const std::string text = e.what();
-        mark_broken();
-        throw Error("shard: worker " + std::to_string(w) +
-                    " sent a malformed frame: " + text);
-      }
-      done_[w] = 1;
-    } else if ((p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
-      mark_broken();
-      throw Error("shard: worker " + std::to_string(w) +
-                  " exited mid-run (crashed?)");
-    }
-  }
-}
-
-void ShardedNetwork::collect_all(Collect what) {
-  std::fill(done_.begin(), done_.end(), 0);
-  std::size_t remaining = workers_.size();
-  while (remaining > 0) {
-    bool progressed = false;
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (done_[w] != 0) continue;
-      const ShmSignal sig = w2c_[w].poll();
-      if (sig == ShmSignal::kNone) continue;
-      try {
-        if (sig == ShmSignal::kFrame) {
-          // dispatch() copies everything out of the slot before release()
-          // returns the channel to the worker.
-          dispatch(w, w2c_[w].frame(), what, /*via_socket=*/false);
-          w2c_[w].release();
-        } else {  // kSocket hint: a lifecycle frame too big for the slot
-          bool ok = false;
-          ok = serve::read_frame(workers_[w].fd, rx_, kMaxShardFrameBytes);
-          if (!ok) {
-            mark_broken();
-            throw Error("shard: worker " + std::to_string(w) +
-                        " exited mid-run (crashed?)");
-          }
-          w2c_[w].release();
-          dispatch(w, rx_, what, /*via_socket=*/true);
+        ok = serve::read_frame(workers_[w].fd, rx_[w], kMaxShardFrameBytes);
+        if (ok && decode_op(rx_[w]) == ShardOp::kError) {
+          fail(w, "failed: " + decode_error(rx_[w]));
         }
       } catch (const serve::ProtocolError& e) {
-        const std::string text = e.what();
-        mark_broken();
-        throw Error("shard: worker " + std::to_string(w) +
-                    " sent a malformed frame: " + text);
+        fail(w, std::string("sent a malformed frame: ") + e.what());
       }
-      done_[w] = 1;
-      progressed = true;
+      if (!ok) fail(w, "exited mid-run (crashed?)");
+      polls_[w].fd = -1;  // poll() skips negative fds
+      --pending;
     }
-    remaining = 0;
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (done_[w] == 0) ++remaining;
-    }
-    if (remaining == 0) break;
-    if (!progressed) {
-      // Sleep on the first pending worker's doorbell, then scan everyone
-      // again: the barrier ends only when all have published, so which
-      // one wakes the coordinator does not matter. A full slice with no
-      // publication means someone may be dead — ask the sockets.
-      const auto first = static_cast<std::size_t>(
-          std::find(done_.begin(), done_.end(), 0) - done_.begin());
-      if (w2c_[first].wait(kBarrierWaitSliceMs) == ShmSignal::kNone) {
-        check_liveness(what);
-      }
+  }
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
+    try {
+      dispatch(w, what);
+    } catch (const serve::ProtocolError& e) {
+      fail(w, std::string("sent a malformed frame: ") + e.what());
     }
   }
 }
@@ -440,19 +377,6 @@ void ShardedNetwork::start_if_needed() {
   for (std::size_t w = 0; w < workers_.size(); ++w) send_frame(w, go);
   collect_all(Collect::kStartDone);
   started_ = true;
-}
-
-void ShardedNetwork::flush_events(std::uint32_t round) {
-  DeliveryObserver* const obs = cfg_.net.observer.get();
-  // Each worker's batch is ascending in (receiver, port) — a worker
-  // delivers its range in id order — and worker s's range lies wholly
-  // below worker s+1's, so the batches concatenated in shard order are
-  // the sequential engine's (round, receiver, port) order exactly.
-  for (const RoundEndFrame& re : re_) {
-    for (const DeliveryEvent& e : re.events) {
-      obs->on_deliver(e.from, e.to, e.msg, round);
-    }
-  }
 }
 
 RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
@@ -484,53 +408,42 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
     // The in-process engine polls every node in a phase's first round and
     // afterwards only the nodes that ran; workers do the same on request.
     rb_.memory_sweep_all = executed == 0;
-    // Publish round_begin to EVERY worker before blocking on ANY
-    // round_end: blocking on worker 0's reply before worker 1 has its
-    // round_begin serializes the cluster behind whichever worker happens
-    // to be slow (regression-tested with a deliberately delayed worker).
-    // The ping-pong protocol leaves every c2w channel idle here, and a
-    // round_begin always fits its slot (publish_frame checks both).
-    for (auto& ch : c2w_) {
-      ch.publish_frame(encode_round_begin_to(ch.buffer(), rb_));
+    // Write round_begin to EVERY worker before reading ANY round_end:
+    // waiting for worker 0's reply before worker 1 has its round_begin
+    // serializes the cluster behind whichever worker happens to be slow
+    // (regression-tested with a deliberately delayed worker). Each frame
+    // relays the boundary messages sent to that worker's range last round.
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      auto& in = inbound_[w];
+      boundary_messages += in.size();
+      for (const BoundaryEntry& e : in) boundary_bytes += entry_wire_bytes(e);
+      encode_round_begin(rb_, in, tx_);
+      in.clear();
+      send_frame(w, tx_);
     }
     const auto barrier_t0 = std::chrono::steady_clock::now();
+    round_stats_ = RunStats{};
+    events_merged_ = 0;
     collect_all(Collect::kRoundEnd);
     const std::uint64_t wait_us = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - barrier_t0)
             .count());
     barrier_us += wait_us;
-    RunStats round_merged;
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      RoundEndFrame& re = re_[w];
-      if (re.round != round_) {
-        mark_broken();
-        throw Error("shard: worker " + std::to_string(w) +
-                    " answered for the wrong round");
-      }
-      merge_worker_stats(round_merged, re.stats);
-      workers_[w].inflight = re.inflight;
-      workers_[w].halted = re.halted;
-      workers_[w].wakes = re.wakes;
-      boundary_messages += re.boundary_msgs;
-      boundary_bytes += re.boundary_bytes;
-      events_merged += re.events.size();
-    }
-    if (have_observer) {
-      flush_events(round_);
-    } else {
+    events_merged += events_merged_;
+    if (!have_observer) {
       // Workers never built or shipped these events; every delivered
       // message this round is one elided observer event.
-      events_elided += round_merged.messages;
+      events_elided += round_stats_.messages;
     }
     // The disarm-after-round-1 rule of the in-process engine, decided
     // globally: workers sweep only their owned programs, so only the
     // merged round-1 maximum can tell whether anyone audits memory.
     if (memory_audit_ && round_ == 1 &&
-        round_merged.max_node_memory_bits == 0) {
+        round_stats_.max_node_memory_bits == 0) {
       memory_audit_ = false;
     }
-    merge_worker_stats(phase, round_merged);
+    merge_worker_stats(phase, round_stats_);
     ++executed;
     if (metrics::enabled()) {
       metrics::observe("shard.barrier_wait_us",

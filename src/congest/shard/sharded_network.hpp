@@ -5,25 +5,23 @@
 // ShardedNetwork mirrors congest::Network's driver-facing API
 // (init_programs / run_rounds / run_until_quiescent / stats / program_as)
 // but executes rounds across W worker processes. At init_programs the
-// coordinator maps one shared-memory arena (shm_ring.hpp), then forks W
-// workers connected by socketpairs; fork inherits the graph, the program
-// factory and the arena, so every worker builds a bit-identical Network
-// replica and owns one contiguous id range of its nodes (partition.hpp).
-// Each round the coordinator publishes every worker a round-begin frame on
-// its shm channel, workers exchange boundary messages directly through the
-// worker-to-worker mesh rings and run the unchanged zero-allocation
-// deliver/compute hot path over their owned range, then publish a
-// round-end frame with their stats delta, quiescence counters and (when an
-// observer is installed) their delivery events. Round frames and boundary
-// batches always fit their shm segments (they are sized from the CONGEST
-// per-arc bound); the sockets carry only lifecycle frames that can outgrow
-// a slot (a large harvest) and error reports. The round barrier is the
-// only synchronization point in the whole design: within a round workers
-// share nothing and proceed independently, and the coordinator sleeps on
-// one pending worker's doorbell at a time until every round-end frame is
-// in. A warmed steady-state round allocates nothing on the coordinator —
-// frames encode into ring slots and decode into reused frame structs
-// (bench_shard --check pins this with the alloc probe).
+// coordinator forks W workers, each connected by one socketpair that
+// carries every frame; fork inherits the graph and the program factory, so
+// every worker builds a bit-identical Network replica and owns one
+// contiguous id range of its nodes (partition.hpp). Each round the
+// coordinator writes every worker a round-begin frame carrying the
+// boundary messages addressed to its range, workers run the unchanged
+// zero-allocation deliver/compute hot path over their owned range, then
+// reply with a round-end frame holding their stats delta, quiescence
+// counters, (when an observer is installed) their delivery events, and
+// their outbound boundary messages grouped by receiving shard, which the
+// coordinator relays in the next round's round-begin frames. The round
+// barrier is the only synchronization point in the whole design: within a
+// round workers share nothing and proceed independently, and the
+// coordinator poll()s the sockets until every round-end frame is in. A
+// warmed steady-state round allocates nothing on either side — every
+// frame buffer is reserved at spawn to the CONGEST bound of one message
+// per arc per round (bench_shard --check pins this with the alloc probe).
 //
 // Determinism contract (enforced by tests/test_differential.cpp and
 // tests/test_shard.cpp): RunStats, fault-injection outcomes, report fields
@@ -47,6 +45,7 @@
 // local replicas built by the same factory, so existing driver code reads
 // outcomes exactly as it does from an in-process Network.
 
+#include <poll.h>
 #include <sys/types.h>
 
 #include <atomic>
@@ -59,7 +58,6 @@
 #include "congest/network.hpp"
 #include "congest/shard/codec.hpp"
 #include "congest/shard/partition.hpp"
-#include "congest/shard/shm_ring.hpp"
 
 namespace qc::congest::shard {
 
@@ -89,7 +87,8 @@ struct ShardPerfCounters {
   /// Wall time the coordinator spent inside the round barrier waiting for
   /// round-end publications.
   std::uint64_t barrier_wait_us = 0;
-  /// Encoded boundary payload the workers moved through the mesh rings.
+  /// Encoded boundary entries the coordinator relayed to their receiving
+  /// workers (slot + message, codec.hpp grammar).
   std::uint64_t boundary_bytes = 0;
   std::uint64_t boundary_messages = 0;
   /// Delivery events that were never built or shipped because no observer
@@ -175,33 +174,27 @@ class ShardedNetwork {
   enum class Collect { kStartDone, kRoundEnd, kHarvestDone };
 
   void spawn_workers();
+  /// Reserves every reused frame buffer to the CONGEST bound for this
+  /// assignment, so the round loop never grows one.
+  void reserve_buffers(bool collect_events);
   /// Closes sockets and reaps every worker. `graceful` sends shutdown
   /// frames first and expects exit 0; non-graceful SIGKILLs. Returns a
   /// description of anything abnormal ("" when clean). Never throws.
   std::string teardown(bool graceful);
-  void mark_broken();
+  /// Force-tears down the session and throws qc::Error naming worker w.
+  [[noreturn]] void fail(std::size_t w, const std::string& what);
   RunStats run_phase(std::uint32_t max_rounds, bool until_quiet);
   void start_if_needed();
   bool all_quiet() const;
-  /// Ships a lifecycle frame to worker w: shm channel when it fits and is
-  /// idle, else a kSocket hint plus a socket frame. Throws (after
-  /// force-teardown) when the worker is unreachable.
+  /// Writes one frame to worker w; an unreachable worker fails the run.
   void send_frame(std::size_t w, std::span<const std::uint8_t> payload);
-  /// Waits for one frame from every worker and dispatch()es each. A dead
-  /// worker, a malformed frame or an error frame becomes a thrown
-  /// qc::Error after force-tearing down the remaining workers — a crashed
-  /// worker is a clean failure, not a hang.
+  /// The barrier: poll()s every worker's socket until each has sent one
+  /// frame, then dispatch()es the frames in shard order. A dead worker, a
+  /// malformed frame or an error frame becomes a thrown qc::Error after
+  /// force-tearing down the remaining workers — a crashed worker is a
+  /// clean failure, not a hang.
   void collect_all(Collect what);
-  /// A round_end read from the socket (`via_socket`) is a protocol error:
-  /// round frames always fit their slot.
-  void dispatch(std::size_t w, std::span<const std::uint8_t> payload,
-                Collect what, bool via_socket);
-  /// Timeout path of collect_all: peeks every pending worker's socket to
-  /// tell "slow" from "dead" and to pick up unhinted error frames.
-  void check_liveness(Collect what);
-  /// Replays the per-worker event batches in re_, in shard order, to the
-  /// user observer.
-  void flush_events(std::uint32_t round);
+  void dispatch(std::size_t w, Collect what);
   void sync_programs();
 
   const graph::Graph* graph_;
@@ -221,16 +214,17 @@ class ShardedNetwork {
   bool memory_audit_ = true;
   bool interrupted_ = false;
 
-  // -- shared-memory transport (rebuilt by every spawn_workers) -------------
-  ShmArena arena_;
-  ShmLayout layout_;
-  std::vector<ShmChannel> c2w_;
-  std::vector<ShmChannel> w2c_;
   // -- reused per-round state (the allocation-free barrier) -----------------
-  RoundBeginFrame rb_;               ///< encode source, reused every round
-  std::vector<RoundEndFrame> re_;    ///< per-worker decode targets
-  std::vector<std::uint8_t> done_;   ///< collect_all scoreboard
-  std::vector<std::uint8_t> rx_;     ///< socket-frame receive scratch
+  RoundBeginFrame rb_;                        ///< encode source
+  RoundEndFrame re_;                          ///< decode target
+  RunStats round_stats_;                      ///< this round's merged deltas
+  std::uint64_t events_merged_ = 0;
+  /// Boundary messages awaiting relay, by receiving shard, in source shard
+  /// order; the next round_begin of each shard carries its share.
+  Outbound inbound_;
+  std::vector<std::vector<std::uint8_t>> rx_;  ///< one reply per worker
+  std::vector<std::uint8_t> tx_;              ///< round_begin encode
+  std::vector<pollfd> polls_;                 ///< barrier poll set
 };
 
 }  // namespace qc::congest::shard

@@ -6,17 +6,13 @@
 
 #include "congest/network.hpp"
 #include "congest/shard/partition.hpp"
-#include "congest/shard/shm_ring.hpp"
 
 namespace qc::congest::shard {
 
-/// Everything a forked worker needs to reach its coordinator: the control
-/// socket, the shared transport arena (inherited through fork at the same
-/// address) and the layout describing its channels and mesh segments.
+/// Everything a forked worker needs to reach its coordinator: the socket
+/// every frame travels on and which shard it serves.
 struct WorkerLink {
   int fd = -1;
-  std::uint8_t* shm = nullptr;
-  const ShmLayout* layout = nullptr;
   std::uint32_t shard = 0;
   bool collect_events = false;
   /// When nonzero, the worker snapshots the alloc probe after this round
@@ -29,13 +25,12 @@ struct WorkerLink {
 /// for tests). Builds a full Network replica of `g` with `net_cfg` —
 /// inherited by value through fork, so every process constructs bit-
 /// identical state — instantiates `make(v)` programs for the nodes shard
-/// `link.shard` owns (inert placeholders elsewhere), and services
-/// coordinator publications on its shm channel (with the socket as the
-/// hinted path for lifecycle frames too big for it) until a shutdown frame or EOF (coordinator
-/// gone), both of which return 0. Any failure is reported back as an error
-/// frame and returns 1; the function never throws — the caller _exit()s
-/// with the returned code, skipping atexit machinery the forked child must
-/// not run.
+/// `link.shard` owns (inert placeholders elsewhere), and serves the
+/// coordinator's frames on its socket until a shutdown frame or EOF
+/// (coordinator gone), both of which return 0. Any failure is reported
+/// back as an error frame and returns 1; the function never throws — the
+/// caller _exit()s with the returned code, skipping atexit machinery the
+/// forked child must not run.
 int run_worker(
     const WorkerLink& link, const graph::Graph& g,
     const NetworkConfig& net_cfg, const ShardAssignment& asn,

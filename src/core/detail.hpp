@@ -113,8 +113,11 @@ class WindowOracle {
 
   std::uint32_t t_eval_forward() const { return t_eval_forward_; }
 
-  /// BFS runs of the centralized reference path (<= n by construction).
-  std::uint64_t reference_bfs_runs() const { return engine_->bfs_runs(); }
+  /// BFS runs of the centralized reference path (<= n by construction);
+  /// 0 when no table was built.
+  std::uint64_t reference_bfs_runs() const {
+    return engine_ ? engine_->bfs_runs() : 0;
+  }
 
   /// The first populated branch: 0, or the smallest member of the mask.
   graph::NodeId first_branch() const;
@@ -124,7 +127,8 @@ class WindowOracle {
   /// the calling thread — beside the sweep when that runs on a task — and
   /// after the build checks the run against the table; this is the one
   /// CONGEST execution a kDirect run makes. Throws qc::Error when they
-  /// disagree or the simulation fails; the table is built either way.
+  /// disagree or the simulation fails; a failed simulation throws before
+  /// the table is built, so operator() must not be called after it.
   void read_reference(EngineSweep sweep);
 
   /// f(u0), per the configured mode.

@@ -52,6 +52,14 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
     // leader and BFS tree above, so their rounds are charged once.
     prep = algos::hprw_preparation(g, s, election.leader, lead_ecc.tree,
                                    cfg.net);
+    // A fault plan can make the distributed count of R disagree with the
+    // mask the preparation built.
+    if (!prep.aborted &&
+        static_cast<std::uint32_t>(std::count(prep.r_mask.begin(),
+                                              prep.r_mask.end(), true)) !=
+            prep.r_size) {
+      throw Error("quantum_diameter_approx: R size mismatch");
+    }
   } catch (const qc::Error& e) {
     detail::mark_failed(e, rep);
     return rep;
@@ -70,10 +78,6 @@ QuantumApproxReport quantum_diameter_approx(const graph::Graph& g,
   const std::uint32_t d_sub =
       graph::induced_subtree(prep.tree_w.to_bfs_tree(), prep.r_mask)
           .height;  // depth of the R-ball
-  check_internal(static_cast<std::uint32_t>(std::count(
-                     prep.r_mask.begin(), prep.r_mask.end(), true)) ==
-                     prep.r_size,
-                 "quantum_diameter_approx: R size mismatch");
 
   std::uint32_t quantum_value = 0;
   if (prep.r_size == 1) {

@@ -7,6 +7,7 @@
 #if defined(__unix__) || defined(__APPLE__)
 #define QC_HAVE_SOCKETS 1
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 // Platforms without MSG_NOSIGNAL (macOS) rely on Server::start()
 // ignoring SIGPIPE instead; either way a dead peer surfaces as EPIPE.
@@ -208,26 +209,41 @@ void write_frame(int fd, std::span<const std::uint8_t> payload,
                  std::uint32_t max_frame_bytes) {
   require(!payload.empty() && payload.size() <= max_frame_bytes,
           "serve: write_frame payload outside [1, max_frame_bytes]");
-  std::vector<std::uint8_t> buf;
-  buf.reserve(4 + payload.size());
-  append_le32(buf, static_cast<std::uint32_t>(payload.size()));
-  buf.insert(buf.end(), payload.begin(), payload.end());
-  std::size_t sent = 0;
-  while (sent < buf.size()) {
+  // Prefix and payload go out as two iovecs of one call, so framing never
+  // copies the payload or touches the heap.
+  std::uint8_t prefix[4];
+  for (int i = 0; i < 4; ++i) {
+    prefix[i] = static_cast<std::uint8_t>(payload.size() >> (8 * i));
+  }
+  iovec iov[2] = {{prefix, sizeof(prefix)},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  iovec* next = iov;
+  int left = 2;
+  while (left > 0) {
     // MSG_NOSIGNAL: a peer that closed before the reply must yield EPIPE,
-    // not a process-killing SIGPIPE. send() only accepts sockets, so
-    // plain stream fds (pipes in the unit tests) fall back to write().
-    ssize_t w = ::send(fd, buf.data() + sent, buf.size() - sent,
-                       MSG_NOSIGNAL);
-    if (w < 0 && errno == ENOTSOCK) {
-      w = ::write(fd, buf.data() + sent, buf.size() - sent);
-    }
+    // not a process-killing SIGPIPE. sendmsg() only accepts sockets, so
+    // plain stream fds (pipes in the unit tests) fall back to writev().
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(left);
+    ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (w < 0 && errno == ENOTSOCK) w = ::writev(fd, next, left);
     if (w < 0) {
       if (errno == EINTR) continue;
       throw ProtocolError("serve: write failed: " +
                           std::string(std::strerror(errno)));
     }
-    sent += static_cast<std::size_t>(w);
+    // Skip what a partial write consumed.
+    auto done = static_cast<std::size_t>(w);
+    while (left > 0 && done >= next->iov_len) {
+      done -= next->iov_len;
+      ++next;
+      --left;
+    }
+    if (left > 0) {
+      next->iov_base = static_cast<std::uint8_t*>(next->iov_base) + done;
+      next->iov_len -= done;
+    }
   }
 }
 

@@ -233,56 +233,63 @@ TEST(QuantumExact, DirectOracleValidatesExactlyOnceUnderFanOut) {
 }
 
 TEST(QuantumExact, FailedDirectValidationIsNeverWavedThrough) {
-  // Dropping every message makes the Figure 2 run disagree with the
-  // reference, so every validation throws and records its simulation. The
-  // table is built all the same, and the phase turns the failure into the
-  // default failed report without running a Grover iterate.
+  // Two ways the validation fails. Dropping every message makes the
+  // Figure 2 run disagree with the reference, which needs the table to
+  // tell, so the table is built. Corrupting every message makes the run
+  // itself throw, so no table is built and no reference BFS runs are
+  // reported, at any thread count. Either way the phase turns the failure
+  // into the default failed report without running a Grover iterate.
   auto g = random_graph(40, 6, 3);
   const auto init = detail::run_initialization(g, {});
-  QuantumConfig cfg;
-  cfg.oracle = OracleMode::kDirect;
-  cfg.net.fault.drop_probability = 1.0;
-  const graph::EccEngine reference(g, 1);
+  struct Plan {
+    bool drop;
+    std::uint64_t bfs_runs;
+  };
   metrics::MetricsRegistry reg;
   {
     ArmedMetrics armed(reg);
-    for (std::uint32_t threads : {1u, 4u}) {
-      detail::WindowOracle oracle(g, init.tree, 2 * init.d,
-                                  OracleMode::kDirect, cfg.net);
-      EXPECT_THROW(oracle.read_reference(detail::EngineSweep(g, threads)),
-                   qc::Error);
-      EXPECT_EQ(oracle.reference_bfs_runs(), g.n());
-      for (NodeId u = 0; u < g.n(); ++u) {
-        EXPECT_LE(oracle(u), static_cast<std::int64_t>(reference.diameter()));
-      }
+    for (const Plan plan : {Plan{true, g.n()}, Plan{false, 0}}) {
+      QuantumConfig cfg;
+      cfg.oracle = OracleMode::kDirect;
+      (plan.drop ? cfg.net.fault.drop_probability
+                 : cfg.net.fault.corrupt_probability) = 1.0;
+      for (std::uint32_t threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string(plan.drop ? "drop, " : "corrupt, ") +
+                     std::to_string(threads) + " threads");
+        detail::WindowOracle oracle(g, init.tree, 2 * init.d,
+                                    OracleMode::kDirect, cfg.net);
+        EXPECT_THROW(oracle.read_reference(detail::EngineSweep(g, threads)),
+                     qc::Error);
+        EXPECT_EQ(oracle.reference_bfs_runs(), plan.bfs_runs);
 
-      QuantumReport out;
-      const auto phase = detail::run_quantum_phase(
-          g, cfg, threads,
-          {.algo = "test",
-           .tree = &init.tree,
-           .steps = 2 * init.d,
-           .sweep = detail::EngineSweep(g, threads),
-           .t_init = init.rounds,
-           .t_setup = init.t_setup,
-           .epsilon = 1.0 / g.n()},
-          [](std::int64_t f) { return f; }, out);
-      const auto& rep = phase.report;
-      EXPECT_TRUE(rep.subroutine_failed) << threads << " threads";
-      EXPECT_FALSE(rep.failure_reason.empty());
-      EXPECT_EQ(rep.value, 0);
-      EXPECT_EQ(rep.total_rounds, 0u);
-      EXPECT_EQ(rep.costs.setup_invocations, 0u);
-      EXPECT_EQ(rep.costs.grover_iterations, 0u);
-      EXPECT_EQ(rep.costs.candidate_evaluations, 0u);
-      EXPECT_EQ(rep.distinct_evaluations, 0u);
-      EXPECT_TRUE(out.subroutine_failed);
-      EXPECT_EQ(out.total_rounds, 0u);
-      EXPECT_EQ(out.reference_bfs_runs, g.n());
-      EXPECT_EQ(phase.t_eval_forward, oracle.t_eval_forward());
+        QuantumReport out;
+        const auto phase = detail::run_quantum_phase(
+            g, cfg, threads,
+            {.algo = "test",
+             .tree = &init.tree,
+             .steps = 2 * init.d,
+             .sweep = detail::EngineSweep(g, threads),
+             .t_init = init.rounds,
+             .t_setup = init.t_setup,
+             .epsilon = 1.0 / g.n()},
+            [](std::int64_t f) { return f; }, out);
+        const auto& rep = phase.report;
+        EXPECT_TRUE(rep.subroutine_failed);
+        EXPECT_FALSE(rep.failure_reason.empty());
+        EXPECT_EQ(rep.value, 0);
+        EXPECT_EQ(rep.total_rounds, 0u);
+        EXPECT_EQ(rep.costs.setup_invocations, 0u);
+        EXPECT_EQ(rep.costs.grover_iterations, 0u);
+        EXPECT_EQ(rep.costs.candidate_evaluations, 0u);
+        EXPECT_EQ(rep.distinct_evaluations, 0u);
+        EXPECT_TRUE(out.subroutine_failed);
+        EXPECT_EQ(out.total_rounds, 0u);
+        EXPECT_EQ(out.reference_bfs_runs, plan.bfs_runs);
+        EXPECT_EQ(phase.t_eval_forward, oracle.t_eval_forward());
+      }
     }
   }
-  EXPECT_EQ(count_spans(reg, "core.branch_simulate"), 4u);
+  EXPECT_EQ(count_spans(reg, "core.branch_simulate"), 8u);
   EXPECT_EQ(reg.counter_value("qsim.grover_iterations", "maximize"), 0u);
   EXPECT_EQ(reg.counter_value("qsim.setup_invocations", "maximize"), 0u);
 }

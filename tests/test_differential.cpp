@@ -393,7 +393,8 @@ TEST(Differential, ShardedEngineBitIdenticalForEveryWorkerCount) {
     ASSERT_TRUE(g.is_connected()) << c.describe();
     std::vector<std::uint32_t> worker_counts = {1, 2, 3, 8};
     // One node per worker on the path: every arc crosses shards, so every
-    // delivery rides a mesh ring and every event batch holds one receiver.
+    // delivery is relayed by the coordinator and every event batch holds
+    // one receiver.
     if (c.family == "path") worker_counts.push_back(g.n());
     for (const std::uint32_t w : worker_counts) {
       const std::string err = check_shard_case(g, w, checks);

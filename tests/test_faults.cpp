@@ -793,6 +793,29 @@ TEST(GracefulDegradation, BrokenPreliminariesReportSubroutineFailure) {
   EXPECT_FALSE(approx.failure_reason.empty());
 }
 
+TEST(GracefulDegradation, ApproxRSizeMismatchUnderDropsIsASubroutineFailure) {
+  // Under this plan Theorem 4's preparation counts |R| differently from the
+  // mask it builds. A fault plan causes that, so it is a failed report,
+  // not a thrown internal error.
+  const Graph er = graph::make_from_spec("er:200:0.03");
+  core::QuantumConfig cfg = drop_plan(3);
+  cfg.oracle = core::OracleMode::kDirect;
+  core::QuantumApproxReport rep;
+  ASSERT_NO_THROW(rep = core::quantum_diameter_approx(er, cfg));
+  EXPECT_TRUE(rep.subroutine_failed);
+  EXPECT_NE(rep.failure_reason.find("R size mismatch"), std::string::npos)
+      << rep.failure_reason;
+  // No seed of the parity harness's drop plans throws on either graph.
+  for (const Graph& g : {er, graph::make_from_spec("torus:8:8")}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      cfg = drop_plan(seed);
+      cfg.oracle = core::OracleMode::kDirect;
+      EXPECT_NO_THROW(core::quantum_diameter_approx(g, cfg))
+          << "n=" << g.n() << " seed=" << seed;
+    }
+  }
+}
+
 TEST(GracefulDegradation, SetupCostIsTheValueFreeBroadcast) {
   // t_setup is the rounds of the charged broadcast of d (of d_sub in
   // approx). The reference is the uncharged measurement it replaced: a

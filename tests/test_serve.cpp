@@ -215,6 +215,28 @@ TEST(FrameIo, RoundTripOverPipe) {
   EXPECT_EQ(req.arg, 17u);
 }
 
+TEST(FrameIo, PayloadLargerThanThePipeBufferRoundTrips) {
+  // A pipe holds 64 KiB by default, so a 600 KiB frame forces write_frame
+  // through many partial writes while a reader thread drains the pipe.
+  Pipe p;
+  std::vector<std::uint8_t> out(600 * 1024);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+  }
+  std::vector<std::uint8_t> in;
+  bool got = false;
+  std::thread reader([&] {
+    try {
+      got = read_frame(p.rd, in);
+    } catch (const std::exception&) {  // got stays false
+    }
+  });
+  write_frame(p.wr, out);
+  reader.join();
+  ASSERT_TRUE(got);
+  EXPECT_EQ(in, out);
+}
+
 TEST(FrameIo, CleanEofReturnsFalse) {
   Pipe p;
   p.close_wr();

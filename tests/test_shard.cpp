@@ -6,7 +6,8 @@
 // coordinator end to end: bit-identical parity against the in-process
 // engine up to one node per worker, observer-stream order, cooperative
 // stop, worker-crash containment, process/fd hygiene across lifecycles,
-// and worst-case boundary traffic that fills every mesh ring exactly.
+// and worst-case boundary traffic that meets the per-arc frame bound
+// exactly without allocating.
 
 #include <gtest/gtest.h>
 
@@ -37,7 +38,6 @@
 #include "congest/shard/codec.hpp"
 #include "congest/shard/partition.hpp"
 #include "congest/shard/sharded_network.hpp"
-#include "congest/shard/shm_ring.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "serve/protocol.hpp"
@@ -155,29 +155,81 @@ void expect_eq(const Message& a, const Message& b) {
   }
 }
 
-// Round frames encode into a shm slot; the tests use a slot-sized buffer.
-std::vector<std::uint8_t> round_begin_bytes(const RoundBeginFrame& f) {
-  std::vector<std::uint8_t> buf(kControlChannelBytes);
-  buf.resize(encode_round_begin_to(buf, f));
+void expect_eq(const std::vector<BoundaryEntry>& a,
+               const std::vector<BoundaryEntry>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].slot, b[i].slot);
+    expect_eq(a[i].msg, b[i].msg);
+  }
+}
+
+// Codec tests run against a three-shard session.
+constexpr std::uint32_t kShards = 3;
+
+/// One round's boundary batch for one receiver: every message shape, and
+/// a slot far from zero. Its last entry is a full-capacity message.
+std::vector<BoundaryEntry> sample_batch() {
+  return {{3, inline_msg()}, {123456, extreme_msg()}, {0, full_msg()}};
+}
+
+/// A worker's outbound traffic: groups for shards 0 and 2, none for 1.
+/// The last entry of the last group is a full-capacity message.
+Outbound sample_outbound() {
+  Outbound out(kShards);
+  out[0] = {{7, extreme_msg()}, {8, inline_msg()}};
+  out[2] = {{40, full_msg()}};
+  return out;
+}
+
+std::vector<std::uint8_t> round_begin_bytes(
+    const RoundBeginFrame& f, std::span<const BoundaryEntry> in = {}) {
+  std::vector<std::uint8_t> buf;
+  encode_round_begin(f, in, buf);
   return buf;
 }
 
-std::vector<std::uint8_t> round_end_bytes(const RoundEndFrame& f) {
-  std::vector<std::uint8_t> buf(kControlChannelBytes);
-  buf.resize(encode_round_end_to(buf, f));
+std::vector<std::uint8_t> round_end_bytes(const RoundEndFrame& f,
+                                          const Outbound& out = {}) {
+  std::vector<std::uint8_t> buf;
+  encode_round_end(f, out, buf);
   return buf;
 }
 
-RoundBeginFrame decode_round_begin(std::span<const std::uint8_t> p) {
+std::vector<std::uint8_t> start_done_bytes(const StartDoneFrame& f,
+                                           const Outbound& out = {}) {
+  std::vector<std::uint8_t> buf;
+  encode_start_done(f, out, buf);
+  return buf;
+}
+
+struct DecodedBegin {
   RoundBeginFrame f;
-  decode_round_begin_into(p, f);
-  return f;
+  std::vector<BoundaryEntry> in;
+};
+
+DecodedBegin decode_round_begin(std::span<const std::uint8_t> p) {
+  DecodedBegin d;
+  decode_round_begin_into(p, d.f, d.in);
+  return d;
 }
 
-RoundEndFrame decode_round_end(std::span<const std::uint8_t> p) {
-  RoundEndFrame f;
-  decode_round_end_into(p, f);
-  return f;
+template <class Frame>
+struct Decoded {
+  Frame f;
+  Outbound out = Outbound(kShards);
+};
+
+Decoded<RoundEndFrame> decode_round_end(std::span<const std::uint8_t> p) {
+  Decoded<RoundEndFrame> d;
+  decode_round_end_into(p, d.f, d.out);
+  return d;
+}
+
+Decoded<StartDoneFrame> decode_start_done(std::span<const std::uint8_t> p) {
+  Decoded<StartDoneFrame> d;
+  decode_start_done_into(p, d.f, d.out);
+  return d;
 }
 
 RunStats sample_stats() {
@@ -208,8 +260,6 @@ RoundEndFrame sample_round_end() {
   f.round = 42;
   f.inflight = -3;
   f.halted = 10;
-  f.boundary_bytes = 0x1234567890ULL;
-  f.boundary_msgs = 777;
   f.stats = sample_stats();
   f.events.push_back(DeliveryEvent{3, 9, inline_msg()});
   f.events.push_back(DeliveryEvent{9, 3, full_msg()});
@@ -230,10 +280,12 @@ TEST(ShardCodec, EmptyFramesRoundTrip) {
 
 TEST(ShardCodec, StartDoneRoundTrips) {
   const StartDoneFrame f = sample_start_done();
-  const StartDoneFrame d = decode_start_done(encode_start_done(f));
-  EXPECT_EQ(d.inflight, f.inflight);
-  EXPECT_EQ(d.halted, f.halted);
-  EXPECT_EQ(d.wakes, f.wakes);
+  const auto d = decode_start_done(start_done_bytes(f, sample_outbound()));
+  EXPECT_EQ(d.f.inflight, f.inflight);
+  EXPECT_EQ(d.f.halted, f.halted);
+  EXPECT_EQ(d.f.wakes, f.wakes);
+  const Outbound want = sample_outbound();
+  for (std::uint32_t t = 0; t < kShards; ++t) expect_eq(d.out[t], want[t]);
 }
 
 TEST(ShardCodec, RoundBeginRoundTrips) {
@@ -241,28 +293,44 @@ TEST(ShardCodec, RoundBeginRoundTrips) {
     RoundBeginFrame f;
     f.round = 7;
     f.memory_audit = audit;
-    const RoundBeginFrame d = decode_round_begin(round_begin_bytes(f));
-    EXPECT_EQ(d.round, f.round);
-    EXPECT_EQ(d.memory_audit, audit);
+    const auto batch = sample_batch();
+    const DecodedBegin d = decode_round_begin(round_begin_bytes(f, batch));
+    EXPECT_EQ(d.f.round, f.round);
+    EXPECT_EQ(d.f.memory_audit, audit);
+    expect_eq(d.in, batch);
   }
+  // A round with no boundary traffic carries an empty batch, and decoding
+  // replaces, not appends to, the previous round's batch.
+  std::vector<BoundaryEntry> in = sample_batch();
+  RoundBeginFrame f;
+  decode_round_begin_into(round_begin_bytes(f), f, in);
+  EXPECT_TRUE(in.empty());
+
+  // A widest message costs exactly kMaxEntryWireBytes, so a frame whose
+  // every arc carries one meets round_begin_bound exactly.
+  Message widest;
+  for (std::size_t i = 0; i < Message::kMaxFields; ++i) widest.push(~0ULL, 64);
+  const std::vector<BoundaryEntry> full(3, BoundaryEntry{1, widest});
+  EXPECT_EQ(entry_wire_bytes(full[0]), kMaxEntryWireBytes);
+  EXPECT_EQ(round_begin_bytes(f, full).size(), round_begin_bound(3));
 }
 
 TEST(ShardCodec, WakeCountsAndSweepFlagRoundTrip) {
   StartDoneFrame s = sample_start_done();
   s.wakes = -4;  // like inflight, a per-worker count may go negative
-  EXPECT_EQ(decode_start_done(encode_start_done(s)).wakes, -4);
+  EXPECT_EQ(decode_start_done(start_done_bytes(s)).f.wakes, -4);
   RoundEndFrame e = sample_round_end();
   e.wakes = 37;
-  EXPECT_EQ(decode_round_end(round_end_bytes(e)).wakes, 37);
+  EXPECT_EQ(decode_round_end(round_end_bytes(e)).f.wakes, 37);
   for (const bool audit : {false, true}) {
     for (const bool sweep : {false, true}) {
       RoundBeginFrame f;
       f.round = 9;
       f.memory_audit = audit;
       f.memory_sweep_all = sweep;
-      const RoundBeginFrame d = decode_round_begin(round_begin_bytes(f));
-      EXPECT_EQ(d.memory_audit, audit);
-      EXPECT_EQ(d.memory_sweep_all, sweep);
+      const DecodedBegin d = decode_round_begin(round_begin_bytes(f));
+      EXPECT_EQ(d.f.memory_audit, audit);
+      EXPECT_EQ(d.f.memory_sweep_all, sweep);
     }
   }
   // Flag bits beyond the two defined ones are rejected.
@@ -275,13 +343,11 @@ TEST(ShardCodec, WakeCountsAndSweepFlagRoundTrip) {
 
 TEST(ShardCodec, RoundEndRoundTripsIncludingStats) {
   const RoundEndFrame f = sample_round_end();
-  const RoundEndFrame d = decode_round_end(round_end_bytes(f));
-  EXPECT_EQ(d.round, f.round);
-  EXPECT_EQ(d.inflight, f.inflight);
-  EXPECT_EQ(d.halted, f.halted);
-  EXPECT_EQ(d.boundary_bytes, f.boundary_bytes);
-  EXPECT_EQ(d.boundary_msgs, f.boundary_msgs);
-  const RunStats &a = d.stats, &b = f.stats;
+  const auto d = decode_round_end(round_end_bytes(f, sample_outbound()));
+  EXPECT_EQ(d.f.round, f.round);
+  EXPECT_EQ(d.f.inflight, f.inflight);
+  EXPECT_EQ(d.f.halted, f.halted);
+  const RunStats &a = d.f.stats, &b = f.stats;
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.bits, b.bits);
@@ -292,10 +358,43 @@ TEST(ShardCodec, RoundEndRoundTripsIncludingStats) {
   EXPECT_EQ(a.messages_dropped, b.messages_dropped);
   EXPECT_EQ(a.messages_corrupted, b.messages_corrupted);
   EXPECT_EQ(a.crashed_node_rounds, b.crashed_node_rounds);
-  ASSERT_EQ(d.events.size(), 2u);
-  EXPECT_EQ(d.events[0].from, 3u);
-  EXPECT_EQ(d.events[0].to, 9u);
-  expect_eq(d.events[1].msg, f.events[1].msg);
+  ASSERT_EQ(d.f.events.size(), 2u);
+  EXPECT_EQ(d.f.events[0].from, 3u);
+  EXPECT_EQ(d.f.events[0].to, 9u);
+  expect_eq(d.f.events[1].msg, f.events[1].msg);
+  const Outbound want = sample_outbound();
+  for (std::uint32_t t = 0; t < kShards; ++t) expect_eq(d.out[t], want[t]);
+
+  // Decoding appends each group to its shard's vector, so the coordinator
+  // gathers every source's share for one receiver in source order.
+  Outbound gathered(kShards);
+  RoundEndFrame scratch;
+  decode_round_end_into(round_end_bytes(f, want), scratch, gathered);
+  decode_round_end_into(round_end_bytes(f, want), scratch, gathered);
+  ASSERT_EQ(gathered[0].size(), 2 * want[0].size());
+  EXPECT_TRUE(gathered[1].empty());
+  EXPECT_EQ(gathered[2].back().slot, want[2].back().slot);
+}
+
+TEST(ShardCodec, RejectsBadDestinationShards) {
+  const RoundEndFrame f = sample_round_end();
+  // A group for a shard the session does not have.
+  Outbound wide(kShards + 1);
+  wide[kShards] = sample_batch();
+  EXPECT_THROW(decode_round_end(round_end_bytes(f, wide)),
+               serve::ProtocolError);
+  EXPECT_THROW(decode_start_done(start_done_bytes(sample_start_done(), wide)),
+               serve::ProtocolError);
+  // The same shard named twice (groups must ascend strictly): encode
+  // groups for shards 1 and 2, then rename the second one to 1.
+  Outbound out(kShards);
+  out[1] = {{5, inline_msg()}};
+  out[2] = {{6, inline_msg()}};
+  auto p = round_end_bytes(f, out);
+  ASSERT_NO_THROW(decode_round_end(p));
+  const std::size_t second_group = p.size() - (4 + 4 + 4 + 4 + 2 * 9);
+  p[second_group] = 1;
+  EXPECT_THROW(decode_round_end(p), serve::ProtocolError);
 }
 
 TEST(ShardCodec, HarvestDoneRoundTrips) {
@@ -325,16 +424,16 @@ TEST(ShardCodec, EveryStrictPrefixAndOverlongBufferIsRejected) {
   const std::vector<Shape> shapes = {
       {encode_empty(ShardOp::kStart),
        [](auto p) { decode_empty(p, ShardOp::kStart); }},
-      {encode_start_done(sample_start_done()),
+      {start_done_bytes(sample_start_done(), sample_outbound()),
        [](auto p) { decode_start_done(p); }},
       {[] {
          RoundBeginFrame f;
          f.round = 3;
          f.memory_audit = true;
-         return round_begin_bytes(f);
+         return round_begin_bytes(f, sample_batch());
        }(),
        [](auto p) { decode_round_begin(p); }},
-      {round_end_bytes(sample_round_end()),
+      {round_end_bytes(sample_round_end(), sample_outbound()),
        [](auto p) { decode_round_end(p); }},
       {[] {
          HarvestDoneFrame f;
@@ -360,7 +459,7 @@ TEST(ShardCodec, EveryStrictPrefixAndOverlongBufferIsRejected) {
 }
 
 TEST(ShardCodec, RejectsBadVersionReservedAndOp) {
-  auto p = encode_start_done(sample_start_done());
+  auto p = start_done_bytes(sample_start_done());
   auto bad = p;
   bad[0] = kShardProtocolVersion + 1;
   EXPECT_THROW(decode_op(bad), serve::ProtocolError);
@@ -384,6 +483,10 @@ TEST(ShardCodec, RejectsLengthBombsAndBadFieldWidths) {
                                         ShardOp::kHarvestDone),
                                     0, 0, 0xFF, 0xFF, 0xFF, 0xFF};
   EXPECT_THROW(decode_harvest_done(bomb), serve::ProtocolError);
+  // round_begin claiming 2^32-1 boundary entries.
+  bomb = round_begin_bytes(RoundBeginFrame{});
+  std::fill(bomb.end() - 4, bomb.end(), 0xFF);
+  EXPECT_THROW(decode_round_begin(bomb), serve::ProtocolError);
 
   // A message field with width 0, width 65, and a value exceeding its
   // declared width — all three must be rejected, not silently masked.
@@ -423,7 +526,8 @@ std::vector<std::uint8_t> overfill_last_message(std::vector<std::uint8_t> p) {
 }
 
 TEST(ShardCodec, MessagesOverTheFieldCapAreRejectedInEveryShape) {
-  // harvest_done and round_end (its event list), as socket/slot frames.
+  // A harvested state, an observer event, and a boundary entry in each
+  // frame that carries boundary traffic.
   HarvestDoneFrame h;
   h.states.push_back(full_msg());
   const auto harvest = encode_harvest_done(h);
@@ -431,43 +535,25 @@ TEST(ShardCodec, MessagesOverTheFieldCapAreRejectedInEveryShape) {
   EXPECT_THROW(decode_harvest_done(overfill_last_message(harvest)),
                serve::ProtocolError);
 
-  RoundEndFrame e = sample_round_end();  // its last event is full_msg()
-  const auto end = round_end_bytes(e);
+  const auto end = round_end_bytes(sample_round_end());  // last: an event
   EXPECT_NO_THROW(decode_round_end(end));
-  const auto bad_end = overfill_last_message(end);
-  EXPECT_THROW(decode_round_end(bad_end), serve::ProtocolError);
+  EXPECT_THROW(decode_round_end(overfill_last_message(end)),
+               serve::ProtocolError);
 
-  // A mesh batch whose last entry carries a full-capacity message.
-  std::vector<std::uint8_t> buf(256);
-  MeshWriter w(buf, 4);
-  w.add(1, inline_msg());
-  w.add(2, full_msg());
-  buf.resize(w.finish());
-  const auto drain = [](std::span<const std::uint8_t> p) {
-    MeshReader r(p, 4);
-    std::uint32_t slot = 0;
-    Message m;
-    while (r.next(slot, m)) {
-    }
-  };
-  EXPECT_NO_THROW(drain(buf));
-  const auto bad_mesh = overfill_last_message(buf);
-  EXPECT_THROW(drain(bad_mesh), serve::ProtocolError);
+  const auto end_out = round_end_bytes(sample_round_end(), sample_outbound());
+  EXPECT_NO_THROW(decode_round_end(end_out));
+  EXPECT_THROW(decode_round_end(overfill_last_message(end_out)),
+               serve::ProtocolError);
 
-  // The same bytes read out of shared memory: a round_end published on a
-  // channel and a mesh batch published on a ring.
-  alignas(64) std::uint8_t chan_mem[1024] = {};
-  ShmChannel ch(chan_mem, sizeof(chan_mem) - ShmChannel::kHeaderBytes);
-  std::copy(bad_end.begin(), bad_end.end(), ch.buffer().begin());
-  ch.publish_frame(bad_end.size());
-  ASSERT_EQ(ch.poll(), ShmSignal::kFrame);
-  EXPECT_THROW(decode_round_end(ch.frame()), serve::ProtocolError);
+  const auto start = start_done_bytes(sample_start_done(), sample_outbound());
+  EXPECT_NO_THROW(decode_start_done(start));
+  EXPECT_THROW(decode_start_done(overfill_last_message(start)),
+               serve::ProtocolError);
 
-  std::vector<std::uint8_t> ring_mem(MeshRing::bytes_needed(bad_mesh.size()));
-  MeshRing ring(ring_mem.data(), bad_mesh.size());
-  std::copy(bad_mesh.begin(), bad_mesh.end(), ring.produce_buffer(4).begin());
-  ring.publish(4, bad_mesh.size());
-  EXPECT_THROW(drain(ring.consume(4)), serve::ProtocolError);
+  const auto begin = round_begin_bytes(RoundBeginFrame{}, sample_batch());
+  EXPECT_NO_THROW(decode_round_begin(begin));
+  EXPECT_THROW(decode_round_begin(overfill_last_message(begin)),
+               serve::ProtocolError);
 }
 
 // ---------------------------------------------------------------------------
@@ -785,242 +871,6 @@ TEST(ShardedNetwork, ShutdownIsIdempotentAndRefusesLateReads) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared-memory transport
-// ---------------------------------------------------------------------------
-
-TEST(ShmTransport, ChannelPingPongCarriesFramesAndSignals) {
-  constexpr std::size_t kCap = 64;
-  std::vector<std::uint8_t> mem(ShmChannel::bytes_needed(kCap), 0);
-  // Producer and consumer construct independent views over the same bytes,
-  // exactly as coordinator and worker do over the inherited arena.
-  ShmChannel prod(mem.data(), kCap);
-  ShmChannel cons(mem.data(), kCap);
-  ASSERT_TRUE(prod.idle());
-  EXPECT_EQ(cons.poll(), ShmSignal::kNone);
-  EXPECT_EQ(cons.wait(1), ShmSignal::kNone);  // bounded timeout, no hang
-
-  const std::vector<std::uint8_t> payload = encode_empty(ShardOp::kStart);
-  const auto slot = prod.buffer();
-  ASSERT_GE(slot.size(), payload.size());
-  std::copy(payload.begin(), payload.end(), slot.begin());
-  prod.publish_frame(payload.size());
-  EXPECT_FALSE(prod.idle());
-  ASSERT_EQ(cons.poll(), ShmSignal::kFrame);
-  const auto frame = cons.frame();
-  ASSERT_EQ(frame.size(), payload.size());
-  EXPECT_TRUE(std::equal(frame.begin(), frame.end(), payload.begin()));
-  EXPECT_NO_THROW(decode_empty(frame, ShardOp::kStart));
-  cons.release();
-  ASSERT_TRUE(prod.idle());
-
-  // Socket hints ride the same doorbell; a busy channel refuses the
-  // best-effort publish instead of clobbering the pending publication.
-  prod.publish_signal(ShmSignal::kSocket);
-  EXPECT_FALSE(prod.try_publish_signal(ShmSignal::kSocket));
-  EXPECT_EQ(cons.wait(10000), ShmSignal::kSocket);
-  cons.release();
-  EXPECT_TRUE(prod.try_publish_signal(ShmSignal::kSocket));
-  cons.release();
-
-  // Oversized publications are a caller bug, refused up front.
-  EXPECT_THROW(prod.publish_frame(kCap + 1), Error);
-}
-
-TEST(ShmTransport, ChannelRejectsTornLengthAndUnknownKind) {
-  // Shared memory is untrusted input: a torn or hostile peer can scribble
-  // the header fields between publish and consume. These pokes write the
-  // raw header words (doorbell, consumed, len, kind — four u32 in order).
-  constexpr std::size_t kCap = 32;
-  std::vector<std::uint8_t> mem(ShmChannel::bytes_needed(kCap), 0);
-  ShmChannel prod(mem.data(), kCap);
-  ShmChannel cons(mem.data(), kCap);
-
-  prod.publish_frame(4);
-  const std::uint32_t bad_len = kCap + 1;
-  std::memcpy(mem.data() + 8, &bad_len, sizeof(bad_len));
-  ASSERT_EQ(cons.poll(), ShmSignal::kFrame);
-  EXPECT_THROW(cons.frame(), serve::ProtocolError);
-  cons.release();
-
-  prod.publish_signal(ShmSignal::kSocket);
-  const std::uint32_t bad_kind = 77;
-  std::memcpy(mem.data() + 12, &bad_kind, sizeof(bad_kind));
-  EXPECT_THROW(cons.poll(), serve::ProtocolError);
-}
-
-TEST(ShmTransport, MeshRingRoundTripsAndRejectsStaleOrTornSlots) {
-  constexpr std::size_t kCap = 48;
-  std::vector<std::uint8_t> mem(MeshRing::bytes_needed(kCap), 0);
-  MeshRing prod(mem.data(), kCap);
-  MeshRing cons(mem.data(), kCap);
-
-  auto buf = prod.produce_buffer(3);
-  ASSERT_EQ(buf.size(), kCap);
-  buf[0] = 0xAB;
-  prod.publish(3, 1);
-  const auto got = cons.consume(3);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], 0xAB);
-
-  // Round 5 maps to the same slot (5 & 1 == 3 & 1) but finds round 3's
-  // stamp: stale contents are a protocol error, never silently replayed.
-  EXPECT_THROW(cons.consume(5), serve::ProtocolError);
-  // The other slot was never published: its zero stamp fails round 2.
-  EXPECT_THROW(cons.consume(2), serve::ProtocolError);
-
-  // A torn writer's oversized length is rejected even with a valid stamp.
-  // Slot 3 & 1 == 1 starts at kSlotHeaderBytes + kCap; its header is
-  // (round u32 | len u32).
-  const std::size_t slot1 = MeshRing::kSlotHeaderBytes + kCap;
-  const std::uint32_t bad_len = kCap + 1;
-  std::memcpy(mem.data() + slot1 + 4, &bad_len, sizeof(bad_len));
-  EXPECT_THROW(cons.consume(3), serve::ProtocolError);
-
-  // Oversized publications are refused producer-side as a caller bug.
-  EXPECT_THROW(prod.publish(4, kCap + 1), Error);
-}
-
-TEST(ShmTransport, MeshRingWithOddCapacityKeepsBothSlotHeadersAligned) {
-  // Slot 1 follows slot 0's payload; an odd capacity must not leave its
-  // header (an atomic stamp and a length) at a misaligned address.
-  constexpr std::size_t kCap = 13;
-  std::vector<std::uint8_t> mem(MeshRing::bytes_needed(kCap), 0);
-  MeshRing prod(mem.data(), kCap);
-  MeshRing cons(mem.data(), kCap);
-  for (std::uint32_t round = 0; round < 4; ++round) {
-    auto buf = prod.produce_buffer(round);
-    ASSERT_EQ(buf.size(), kCap);
-    // The slot header sits right before the payload.
-    const auto hdr = reinterpret_cast<std::uintptr_t>(buf.data()) -
-                     MeshRing::kSlotHeaderBytes;
-    EXPECT_EQ(hdr % alignof(std::atomic<std::uint32_t>), 0u)
-        << "round " << round;
-    ASSERT_LE(hdr + MeshRing::kSlotHeaderBytes + kCap,
-              reinterpret_cast<std::uintptr_t>(mem.data() + mem.size()));
-    std::fill(buf.begin(), buf.end(), static_cast<std::uint8_t>(0xC0 + round));
-    prod.publish(round, kCap);
-    const auto got = cons.consume(round);
-    ASSERT_EQ(got.size(), kCap);
-    EXPECT_EQ(got.front(), 0xC0 + round);
-    EXPECT_EQ(got.back(), 0xC0 + round);
-  }
-  // Both slots are live: round 3 sits in slot 1, round 2 in slot 0.
-  EXPECT_EQ(cons.consume(2).front(), 0xC2);
-  EXPECT_EQ(cons.consume(3).front(), 0xC3);
-}
-
-TEST(ShmTransport, PlanLayoutPlacesEverySegmentAlignedAndDisjoint) {
-  Rng rng(5);
-  const Graph g = graph::make_random_with_diameter(97, 7, rng);
-  const ShardAssignment asn = make_assignment(g.n(), 3);
-  for (const bool events : {false, true}) {
-    const ShmLayout l = plan_layout(g, asn, events);
-    std::vector<std::pair<std::size_t, std::size_t>> spans;  // [off, end)
-    for (std::uint32_t s = 0; s < l.shards; ++s) {
-      spans.emplace_back(l.c2w[s].off,
-                         l.c2w[s].off + ShmChannel::bytes_needed(l.c2w[s].cap));
-      spans.emplace_back(l.w2c[s].off,
-                         l.w2c[s].off + ShmChannel::bytes_needed(l.w2c[s].cap));
-      for (std::uint32_t t = 0; t < l.shards; ++t) {
-        const auto& seg = l.mesh_seg(s, t);
-        if (seg.cap == 0) continue;
-        spans.emplace_back(seg.off, seg.off + MeshRing::bytes_needed(seg.cap));
-      }
-    }
-    std::sort(spans.begin(), spans.end());
-    for (std::size_t i = 0; i < spans.size(); ++i) {
-      EXPECT_EQ(spans[i].first % 64, 0u) << "segment " << i;
-      EXPECT_LE(spans[i].second, l.total_bytes);
-      if (i + 1 < spans.size()) {
-        EXPECT_LE(spans[i].second, spans[i + 1].first);
-      }
-    }
-  }
-}
-
-TEST(ShardCodec, MeshBatchRoundTripsThroughWriterAndReader) {
-  std::vector<std::uint8_t> buf(512);
-  MeshWriter w(buf, 7);
-  w.add(3, inline_msg());
-  w.add(0, full_msg());
-  w.add(123456, extreme_msg());
-  std::size_t len = w.finish();
-  EXPECT_EQ(w.count(), 3u);
-
-  MeshReader r(std::span<const std::uint8_t>(buf.data(), len), 7);
-  EXPECT_EQ(r.count(), 3u);
-  std::uint32_t slot = 0;
-  Message m;
-  ASSERT_TRUE(r.next(slot, m));
-  EXPECT_EQ(slot, 3u);
-  expect_eq(m, inline_msg());
-  ASSERT_TRUE(r.next(slot, m));
-  EXPECT_EQ(slot, 0u);
-  expect_eq(m, full_msg());
-  ASSERT_TRUE(r.next(slot, m));
-  EXPECT_EQ(slot, 123456u);
-  expect_eq(m, extreme_msg());
-  EXPECT_FALSE(r.next(slot, m));
-
-  // An empty batch (mandatory publication for a round with no traffic on
-  // the pair) round-trips too.
-  MeshWriter we(buf, 8);
-  len = we.finish();
-  EXPECT_EQ(len, kMeshFrameOverhead);
-  MeshReader re(std::span<const std::uint8_t>(buf.data(), len), 8);
-  EXPECT_EQ(re.count(), 0u);
-  EXPECT_FALSE(re.next(slot, m));
-}
-
-TEST(ShardCodec, MeshBatchRejectsWrongRoundTruncationAndTrailingBytes) {
-  std::vector<std::uint8_t> buf(512);
-  MeshWriter w(buf, 9);
-  w.add(1, inline_msg());
-  w.add(2, full_msg());
-  const std::size_t len = w.finish();
-  const std::span<const std::uint8_t> batch(buf.data(), len);
-
-  const auto drain = [](std::span<const std::uint8_t> p,
-                        std::uint32_t round) {
-    MeshReader r(p, round);
-    std::uint32_t slot = 0;
-    Message m;
-    while (r.next(slot, m)) {
-    }
-  };
-  EXPECT_NO_THROW(drain(batch, 9));
-  // A stale or skewed producer stamp is rejected before any entry parses.
-  EXPECT_THROW(drain(batch, 8), serve::ProtocolError);
-  // The same adversarial discipline as socket frames: every strict prefix
-  // and every overlong buffer fails somewhere in the drain.
-  for (std::size_t cut = 0; cut < len; ++cut) {
-    EXPECT_THROW(drain(batch.first(cut), 9), serve::ProtocolError)
-        << "prefix " << cut;
-  }
-  std::vector<std::uint8_t> longer(buf.begin(),
-                                   buf.begin() + static_cast<long>(len));
-  longer.push_back(0);
-  EXPECT_THROW(drain(longer, 9), serve::ProtocolError);
-}
-
-TEST(ShardCodec, MeshBatchBudgetIsExactAndOverflowIsAnInternalError) {
-  // A full-capacity 64-bit-wide message takes exactly kMeshBytesPerArc,
-  // so a slot sized by plan_layout for a arcs holds the worst round.
-  Message widest;
-  for (std::size_t i = 0; i < Message::kMaxFields; ++i) widest.push(~0ULL, 64);
-  constexpr std::size_t arcs = 3;
-  std::vector<std::uint8_t> buf(kMeshFrameOverhead + arcs * kMeshBytesPerArc);
-  MeshWriter w(buf, 2);
-  for (std::uint32_t a = 0; a < arcs; ++a) w.add(a, widest);
-  EXPECT_EQ(w.finish(), buf.size());
-  // One entry past the budget is a sizing bug, not a fallback path.
-  EXPECT_THROW(w.add(arcs, inline_msg()), InternalError);
-  RoundEndFrame f = sample_round_end();
-  std::vector<std::uint8_t> tiny(16);
-  EXPECT_THROW(encode_round_end_to(tiny, f), InternalError);
-}
-
-// ---------------------------------------------------------------------------
 // Round barrier and perf counters
 // ---------------------------------------------------------------------------
 
@@ -1085,8 +935,8 @@ TEST(ShardedNetwork, PerfCountersTrackBoundaryTrafficAndElision) {
 }
 
 TEST(ShardedNetwork, SingleWorkerStillRunsBoundaryFreeAndBitIdentical) {
-  // W=1 has no mesh rings and no boundary traffic at all — the degenerate
-  // layout must still produce the exact sequential stats.
+  // W=1 has no boundary traffic at all — the degenerate split must still
+  // produce the exact sequential stats.
   Rng rng(23);
   const Graph g = graph::make_connected_er(20, 0.2, rng);
   const auto expect = algos::elect_leader(g);
@@ -1101,7 +951,7 @@ TEST(ShardedNetwork, SingleWorkerStillRunsBoundaryFreeAndBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Worst-case transport: the ring budget is a bound
+// Worst-case transport: the per-arc frame bound holds
 // ---------------------------------------------------------------------------
 
 /// Broadcasts a full-capacity message of 64-bit fields every round — the
@@ -1133,7 +983,7 @@ class WidestFlood final : public NodeProgram {
   }
 };
 
-TEST(ShardedNetwork, WorstCaseBoundaryTrafficFitsTheRingsWithoutAllocating) {
+TEST(ShardedNetwork, WorstCaseBoundaryTrafficIsBitIdenticalAndAllocationFree) {
   Rng rng(29);
   const Graph g = graph::make_connected_er(40, 0.2, rng);
   NetworkConfig net_cfg;
@@ -1169,22 +1019,18 @@ TEST(ShardedNetwork, WorstCaseBoundaryTrafficFitsTheRingsWithoutAllocating) {
         << "node " << v;
   }
 
-  // Every boundary arc carried a widest message in every batch (on_start's
-  // and each round's), and every batch filled its mesh segment to the
-  // byte: the per-arc budget is met exactly, never exceeded. Boundary
-  // messages have no other route, and a round frame on a socket is a
-  // protocol error, so this completed run moved nothing over the sockets.
-  const ShmLayout layout = plan_layout(g, net.assignment(), false);
-  std::uint64_t ring_bytes = 0;
-  for (const auto& seg : layout.mesh) ring_bytes += seg.cap;
+  // Every boundary arc carried a widest message in every relayed batch:
+  // on_start's in round 1's round_begin, and round r's in round r+1's, so
+  // the last round's batch is still waiting at the coordinator. Each
+  // entry costs exactly the per-arc bound the buffers were reserved with.
   std::uint64_t cut = 0;
   for (std::uint32_t s = 0; s < cfg.shards; ++s) {
     cut += boundary_arcs(g, net.assignment(), s).size();
   }
   ASSERT_GT(cut, 0u);
-  const std::uint64_t batches = kWarm + kRounds + 1;
-  EXPECT_EQ(net.perf().boundary_messages, batches * cut);
-  EXPECT_EQ(net.perf().boundary_bytes, batches * ring_bytes);
+  const std::uint64_t relayed = (kWarm + kRounds) * cut;
+  EXPECT_EQ(net.perf().boundary_messages, relayed);
+  EXPECT_EQ(net.perf().boundary_bytes, relayed * kMaxEntryWireBytes);
   net.shutdown();
 }
 
