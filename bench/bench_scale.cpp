@@ -1,5 +1,5 @@
-// Million-node substrate harness: exercises the whole storage stack —
-// text parsing, .qcg varint decode, raw mmap zero-copy views — and the
+// Million-node substrate harness: exercises both load paths — text
+// parsing and .qcg varint decode — and the
 // algorithm layers on top of it (flat BFS kernel, double-sweep bound, the
 // O(D)-round distributed eccentricity, and the full EccEngine on the
 // bit-parallel multi-source kernel) at 10^4..10^6 nodes, using the
@@ -59,8 +59,6 @@ struct ScaleRow {
   std::uint64_t m = 0;
   std::optional<double> text_load_ms;
   std::optional<double> varint_load_ms;
-  std::optional<double> raw_load_ms;
-  bool mapped = false;
   double bfs_avg_ms = 0;
   std::uint32_t dsweep_lb = 0;
   std::optional<CongestRow> congest;
@@ -139,99 +137,84 @@ int main(int argc, char** argv) {
   fs::create_directories(cache_dir);
 
   banner("Million-node substrate: load paths + baselines at 10^4..10^6",
-         "text parse vs varint decode vs raw mmap view; flat BFS, double "
+         "text parse vs varint decode; flat BFS, double "
          "sweep,\nO(D)-round distributed eccentricity, full EccEngine on "
          "the bit-parallel kernel");
 
   std::vector<ScaleRow> rows;
 
-  // --- 10k: the p2p-Gnutella04-sized graph, all three load paths. ---
+  // --- 10k: the p2p-Gnutella04-sized graph, both load paths. ---
   {
     ScaleRow r;
     r.dataset = "synth-p2p-10k";
-    const auto txt = data_dir + "/synth-p2p-10k.txt";
-    const auto qcg = data_dir + "/synth-p2p-10k.qcg";
-    const auto raw = (cache_dir / "synth-p2p-10k.raw.qcg").string();
-    auto text_load = time_load(txt);
-    r.text_load_ms = text_load.ms;
-    r.varint_load_ms = time_load(qcg).ms;
-    graph::write_qcg_file(raw, text_load.g, graph::QcgEncoding::kRawCsr);
-    auto [mapped, raw_ms] = time_load(raw);
-    r.raw_load_ms = raw_ms;
-    r.mapped = mapped.is_view();
-    r.n = mapped.n();
-    r.m = mapped.m();
-    measure_bfs(mapped, opt.quick ? 4 : 8, r);
-    r.congest = congest_ecc(mapped);
-    if (full) r.engine = engine_sweep(mapped);
+    r.text_load_ms = time_load(data_dir + "/synth-p2p-10k.txt").ms;
+    auto [g, varint_ms] = time_load(data_dir + "/synth-p2p-10k.qcg");
+    r.varint_load_ms = varint_ms;
+    r.n = g.n();
+    r.m = g.m();
+    measure_bfs(g, opt.quick ? 4 : 8, r);
+    r.congest = congest_ecc(g);
+    if (full) r.engine = engine_sweep(g);
     rows.push_back(std::move(r));
   }
 
-  // --- 100k: the acceptance-scale dataset, varint + raw mmap. ---
+  // --- 100k: the acceptance-scale dataset. ---
   {
     ScaleRow r;
     r.dataset = "synth-p2p-100k";
-    const auto qcg = data_dir + "/synth-p2p-100k.qcg";
-    const auto raw = (cache_dir / "synth-p2p-100k.raw.qcg").string();
-    auto varint_load = time_load(qcg);
-    r.varint_load_ms = varint_load.ms;
-    graph::write_qcg_file(raw, varint_load.g, graph::QcgEncoding::kRawCsr);
-    auto [mapped, raw_ms] = time_load(raw);
-    r.raw_load_ms = raw_ms;
-    r.mapped = mapped.is_view();
-    r.n = mapped.n();
-    r.m = mapped.m();
-    measure_bfs(mapped, opt.quick ? 4 : 8, r);
-    if (!opt.quick) r.congest = congest_ecc(mapped);
-    if (full) r.engine = engine_sweep(mapped);
+    auto [g, varint_ms] = time_load(data_dir + "/synth-p2p-100k.qcg");
+    r.varint_load_ms = varint_ms;
+    r.n = g.n();
+    r.m = g.m();
+    measure_bfs(g, opt.quick ? 4 : 8, r);
+    if (!opt.quick) r.congest = congest_ecc(g);
+    if (full) r.engine = engine_sweep(g);
     rows.push_back(std::move(r));
   }
 
-  // --- 1M: generated once, cached as raw .qcg under the temp dir. ---
+  // --- 1M: generated once, cached as .qcg under the temp dir. ---
   if (full) {
     ScaleRow r;
     r.dataset = "pa-1m";
-    const auto raw = (cache_dir / "pa-1m.raw.qcg").string();
-    if (!graph::is_qcg_file(raw)) {
+    const auto cached = (cache_dir / "pa-1m.qcg").string();
+    if (!graph::is_qcg_file(cached)) {
       const auto t0 = std::chrono::steady_clock::now();
       const auto g = graph::make_from_spec("pa:1000000:3:42");
       std::cout << "generated pa:1000000:3:42 in " << fmt(ms_since(t0), 0)
-                << " ms, caching " << raw << "\n";
-      graph::write_qcg_file(raw, g, graph::QcgEncoding::kRawCsr);
+                << " ms, caching " << cached << "\n";
+      graph::write_qcg_file(cached, g);
     }
-    auto [mapped, raw_ms] = time_load(raw);
-    r.raw_load_ms = raw_ms;
-    r.mapped = mapped.is_view();
-    r.n = mapped.n();
-    r.m = mapped.m();
-    measure_bfs(mapped, 8, r);
-    r.congest = congest_ecc(mapped);
+    auto [g, varint_ms] = time_load(cached);
+    r.varint_load_ms = varint_ms;
+    r.n = g.n();
+    r.m = g.m();
+    measure_bfs(g, 8, r);
+    r.congest = congest_ecc(g);
     // Sampled 32-source eccentricity lower bound: kept as a cheap
     // cross-check of the exhaustive sweep below.
     graph::BfsScratch scratch;
     std::uint32_t best = r.dsweep_lb;
     for (std::uint32_t i = 0; i < 32; ++i) {
       const auto root = static_cast<graph::NodeId>(
-          (static_cast<std::uint64_t>(i) * mapped.n()) / 32);
-      graph::flat_bfs_distances(mapped, root, scratch);
+          (static_cast<std::uint64_t>(i) * g.n()) / 32);
+      graph::flat_bfs_distances(g, root, scratch);
       best = std::max(best, scratch.finite_ecc);
     }
     // The exhaustive n-BFS sweep — infeasible on the flat kernel (hours),
     // feasible on the bit-parallel one. This is the row PR 7 exists for.
-    r.engine = engine_sweep(mapped);
+    r.engine = engine_sweep(g);
     check_internal(r.engine->diameter >= best,
                    "bench_scale: exhaustive diameter below sampled bound");
     rows.push_back(std::move(r));
   }
 
   std::cout << "\n";
-  Table t({"dataset", "n", "m", "text ms", "varint ms", "raw ms", "mapped",
-           "bfs ms", "dsweep lb", "congest rounds", "congest msgs",
+  Table t({"dataset", "n", "m", "text ms", "varint ms", "bfs ms",
+           "dsweep lb", "congest rounds", "congest msgs",
            "engine D", "engine R", "engine ms"});
   for (const auto& r : rows) {
     t.add_row({r.dataset, fmt(r.n), fmt(r.m), opt_num(r.text_load_ms),
-               opt_num(r.varint_load_ms), opt_num(r.raw_load_ms),
-               r.mapped ? "yes" : "no", fmt(r.bfs_avg_ms, 3),
+               opt_num(r.varint_load_ms), fmt(r.bfs_avg_ms, 3),
                fmt(r.dsweep_lb),
                r.congest ? fmt(r.congest->rounds) : std::string("-"),
                r.congest ? fmt(r.congest->messages) : std::string("-"),

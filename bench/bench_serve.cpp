@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
   t.add_row({"per-invocation", fmt(cold_median_ms, 1) + " ms", "-", "-",
              "load + engine + n-BFS sweep, every time"});
   t.add_row({"resident load", fmt(load_ms, 1) + " ms", "-", "-",
-             "once per graph (mmap/varint decode)"});
+             "once per graph (read + varint decode)"});
   t.add_row({"first query", fmt(first_query_ms, 1) + " ms", "-", "-",
              "pays the compute-once sweep"});
   t.add_row({"resident query", fmt(phase.p50_us, 1) + " us",

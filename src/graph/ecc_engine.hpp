@@ -64,9 +64,8 @@ struct EccOptions {
 /// independent of thread count and kernel choice.
 ///
 /// Lifetime: the engine holds the Graph *by value*. Graph copies are O(1)
-/// and share the underlying CSR storage keep-alive, so the engine stays
-/// valid after the caller's Graph object — including a view-backed
-/// from_csr_view graph over a mapped `.qcg` file — goes out of scope.
+/// and share the underlying CSR storage, so the engine stays valid after
+/// the caller's Graph object goes out of scope.
 class EccEngine {
  public:
   /// `num_threads` = 0 means hardware_concurrency (see EccOptions).
@@ -139,7 +138,7 @@ class EccEngine {
   void sweep_flat(std::vector<std::uint32_t>& table) const;
   void sweep_bit_parallel(std::vector<std::uint32_t>& table) const;
 
-  Graph g_;  ///< by value: shares the CSR storage keep-alive
+  Graph g_;  ///< by value: shares the CSR storage
   EccOptions opts_;
   mutable std::once_flag computed_;
   /// The table lives behind a shared_ptr so SegmentMax instances can

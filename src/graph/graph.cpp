@@ -10,48 +10,12 @@ namespace qc::graph {
 
 namespace {
 
-/// Heap backing for the owning flavor of Graph; Graph itself only holds a
-/// type-erased shared_ptr to it plus raw pointers into the vectors.
+/// Heap backing of a Graph; Graph itself only holds a type-erased
+/// shared_ptr to it plus raw pointers into the vectors.
 struct OwnedCsr {
   std::vector<std::uint32_t> offsets;
   std::vector<NodeId> neighbors;
 };
-
-/// Full CSR contract check, shared by every adoption path (owned vectors
-/// and zero-copy views over untrusted file payloads alike). O(n + m log Δ)
-/// with no allocation — error messages are literals so the hot loop never
-/// builds a string on success.
-void validate_csr(std::uint32_t n, const std::uint32_t* off,
-                  const NodeId* nbr, std::uint64_t arcs) {
-  require(off != nullptr, "Graph CSR: offsets array is null");
-  require(arcs == 0 || nbr != nullptr, "Graph CSR: neighbors array is null");
-  require(off[0] == 0, "Graph CSR: offsets must start at 0");
-  for (std::uint32_t v = 0; v < n; ++v) {
-    require(off[v + 1] >= off[v], "Graph CSR: offsets must be nondecreasing");
-  }
-  require(off[n] == arcs, "Graph CSR: offsets[n] != neighbor count");
-  for (std::uint32_t v = 0; v < n; ++v) {
-    for (std::uint32_t i = off[v]; i < off[v + 1]; ++i) {
-      const NodeId w = nbr[i];
-      require(w < n, "Graph CSR: neighbor id out of range");
-      require(w != v, "Graph CSR: self-loops are not allowed");
-      require(i == off[v] || nbr[i - 1] < w,
-              "Graph CSR: adjacency must be sorted and duplicate-free");
-    }
-  }
-  // Symmetry: every arc (v,w) needs its reverse (w,v). Binary search keeps
-  // this O(m log Δ); checking only v<w halves the searches (the reverse
-  // direction is implied by the arc-count equality checked above).
-  for (std::uint32_t v = 0; v < n; ++v) {
-    for (std::uint32_t i = off[v]; i < off[v + 1]; ++i) {
-      const NodeId w = nbr[i];
-      if (v < w) {
-        require(std::binary_search(nbr + off[w], nbr + off[w + 1], v),
-                "Graph CSR: adjacency is not symmetric");
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -104,9 +68,39 @@ Graph Graph::from_edges(std::uint32_t n, std::vector<Edge>&& edges) {
 
 Graph Graph::from_csr(std::vector<std::uint32_t> offsets,
                       std::vector<NodeId> neighbors) {
+  // Full CSR contract check, O(n + m log Δ) with no allocation: error
+  // messages are literals so the loop never builds a string on success.
   require(!offsets.empty(), "Graph::from_csr: offsets must have n+1 entries");
   const auto n = static_cast<std::uint32_t>(offsets.size() - 1);
-  validate_csr(n, offsets.data(), neighbors.data(), neighbors.size());
+  const std::uint32_t* off = offsets.data();
+  const NodeId* nbr = neighbors.data();
+  require(off[0] == 0, "Graph CSR: offsets must start at 0");
+  for (std::uint32_t v = 0; v < n; ++v) {
+    require(off[v + 1] >= off[v], "Graph CSR: offsets must be nondecreasing");
+  }
+  require(off[n] == neighbors.size(),
+          "Graph CSR: offsets[n] != neighbor count");
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (std::uint32_t i = off[v]; i < off[v + 1]; ++i) {
+      const NodeId w = nbr[i];
+      require(w < n, "Graph CSR: neighbor id out of range");
+      require(w != v, "Graph CSR: self-loops are not allowed");
+      require(i == off[v] || nbr[i - 1] < w,
+              "Graph CSR: adjacency must be sorted and duplicate-free");
+    }
+  }
+  // Symmetry: every arc (v,w) needs its reverse (w,v). Binary search keeps
+  // this O(m log Δ); checking only v<w halves the searches (the reverse
+  // direction is implied by the arc-count equality checked above).
+  for (std::uint32_t v = 0; v < n; ++v) {
+    for (std::uint32_t i = off[v]; i < off[v + 1]; ++i) {
+      const NodeId w = nbr[i];
+      if (v < w) {
+        require(std::binary_search(nbr + off[w], nbr + off[w + 1], v),
+                "Graph CSR: adjacency is not symmetric");
+      }
+    }
+  }
 
   Graph g;
   auto holder = std::make_shared<OwnedCsr>(
@@ -115,23 +109,6 @@ Graph Graph::from_csr(std::vector<std::uint32_t> offsets,
   g.neighbors_ = holder->neighbors.data();
   g.n_ = n;
   g.storage_ = std::move(holder);
-  return g;
-}
-
-Graph Graph::from_csr_view(std::uint32_t n, const std::uint32_t* offsets,
-                           const NodeId* neighbors, std::uint64_t arcs,
-                           std::shared_ptr<const void> keep_alive) {
-  // `arcs` must come from the caller, never from offsets[n]: for a view
-  // over an untrusted file payload, deriving it from the offsets array
-  // would turn validate_csr's bounds check into a tautology and let a
-  // crafted offsets[n] walk neighbors past the mapped region.
-  validate_csr(n, offsets, neighbors, arcs);
-  Graph g;
-  g.offsets_ = offsets;
-  g.neighbors_ = neighbors;
-  g.n_ = n;
-  g.view_ = true;
-  g.storage_ = std::move(keep_alive);
   return g;
 }
 

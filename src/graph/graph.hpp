@@ -29,13 +29,9 @@ using Edge = std::pair<NodeId, NodeId>;
 /// ordering for the simulator and a deterministic child ordering for DFS
 /// traversals.
 ///
-/// The CSR arrays are accessed through a *view*: two raw pointers plus a
-/// shared keep-alive handle. The handle either owns heap vectors (the
-/// from_edges / generator path) or pins external memory such as an mmap'ed
-/// `.qcg` payload (from_csr_view), so a mapped million-node file, a
-/// generator, and from_edges all produce the same immutable interface
-/// without copying the adjacency. Copying a Graph is O(1): copies share
-/// the underlying storage.
+/// The CSR arrays live in one shared heap block; the graph reads them
+/// through two raw pointers. Copying a Graph is O(1): copies share the
+/// block.
 class Graph {
  public:
   /// Builds a graph with `n` vertices from an edge list. Self-loops are
@@ -43,7 +39,7 @@ class Graph {
   static Graph from_edges(std::uint32_t n, std::span<const Edge> edges);
 
   /// Move overload: canonicalizes, sorts and dedups the moved buffer in
-  /// place, so builder-heavy generators and the file importers pay no
+  /// place, so builder-heavy generators and the edge-list parser pay no
   /// extra copy of the edge list at build time.
   static Graph from_edges(std::uint32_t n, std::vector<Edge>&& edges);
 
@@ -53,17 +49,6 @@ class Graph {
   /// InvalidArgumentError on any violation.
   static Graph from_csr(std::vector<std::uint32_t> offsets,
                         std::vector<NodeId> neighbors);
-
-  /// Zero-copy view over externally owned CSR arrays (e.g. the payload of
-  /// a mapped `.qcg` file). `arcs` is the caller-trusted length of the
-  /// `neighbors` array; offsets[n] is validated *against* it rather than
-  /// trusted, so an untrusted offsets array can never extend the neighbor
-  /// walk past the caller's buffer. `keep_alive` is retained by the graph
-  /// and every copy of it, pinning the backing memory. Runs the same
-  /// validation as from_csr without copying or allocating per edge.
-  static Graph from_csr_view(std::uint32_t n, const std::uint32_t* offsets,
-                             const NodeId* neighbors, std::uint64_t arcs,
-                             std::shared_ptr<const void> keep_alive);
 
   /// Number of vertices.
   std::uint32_t n() const { return n_; }
@@ -90,10 +75,6 @@ class Graph {
     return {neighbors_, offsets_ == nullptr ? 0 : offsets_[n_]};
   }
 
-  /// True when the CSR arrays are a borrowed view of external memory (a
-  /// mapped file) rather than heap vectors owned by this graph.
-  bool is_view() const { return view_; }
-
   /// O(log deg) membership test.
   bool has_edge(NodeId u, NodeId v) const;
 
@@ -108,13 +89,12 @@ class Graph {
  private:
   Graph() = default;
 
-  /// Keeps the CSR arrays alive: an owned vector pair or a caller-supplied
-  /// handle (mmap). Never inspected, only retained.
+  /// Owns the CSR vectors; shared by every copy. Never inspected, only
+  /// retained.
   std::shared_ptr<const void> storage_;
   const std::uint32_t* offsets_ = nullptr;
   const NodeId* neighbors_ = nullptr;
   std::uint32_t n_ = 0;
-  bool view_ = false;
 };
 
 /// Incremental edge-list builder; the common way generators and gadget
@@ -127,7 +107,7 @@ class GraphBuilder {
   void reserve_nodes(std::uint32_t n);
 
   /// Reserves capacity for `m` add_edge calls, so bulk producers (the
-  /// generators, the importer) append without reallocation.
+  /// generators) append without reallocation.
   void reserve_edges(std::uint64_t m);
 
   /// Adds a fresh vertex and returns its id.

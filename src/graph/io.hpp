@@ -8,28 +8,29 @@
 
 namespace qc::graph {
 
-/// Plain-text edge-list format:
-///   # comment lines start with '#'
-///   <n>              — first non-comment line: number of vertices
-///   <u> <v>          — one undirected edge per line, 0-based ids
-///
-/// Deliberately minimal and diff-friendly; round-trips through
-/// write_edge_list / read_edge_list.
+/// Plain-text edge lists come in two flavours, told apart by the first
+/// data line:
+///   native  a lone vertex count <n>, then one "u v" line per edge with
+///           0-based ids < n; a self-loop is an error. write_edge_list
+///           writes this flavour, and read_edge_list reads it back.
+///   SNAP    "u v" from the first data line on, as raw datasets ship; ids
+///           are arbitrary 64-bit values, compacted to 0..n-1 in sorted
+///           order (so the result does not depend on edge order), and
+///           self-loops are dropped.
+/// Both skip blank lines and lines that start with '#' or '%', take space-
+/// or tab-separated ids, ignore columns after the second id (weights,
+/// timestamps) and coalesce duplicate edges.
 Graph read_edge_list(std::istream& in);
-Graph read_edge_list_file(const std::string& path);
 void write_edge_list(std::ostream& out, const Graph& g,
                      const std::string& comment = "");
 void write_edge_list_file(const std::string& path, const Graph& g,
                           const std::string& comment = "");
 
-/// Loads a graph file of any supported flavor, auto-detected by content
-/// (never by extension):
-///   - `.qcg` binary container, recognized by its magic bytes,
-///   - native edge list (leading vertex-count line, as written by
-///     write_edge_list),
-///   - SNAP-style raw edge list (two ids on the first data line; imported
-///     with id compaction — see graph/import.hpp).
-/// `format_out`, when non-null, receives "qcg", "edge-list", or "snap".
+/// Loads a graph file of any supported kind, detected by content (never
+/// by extension): the file is read once, and the `.qcg` magic selects the
+/// binary decoder; anything else goes to the edge-list parser.
+/// `format_out`, when non-null, receives "qcg", "edge-list" (native), or
+/// "snap".
 Graph load_graph_file(const std::string& path,
                       std::string* format_out = nullptr);
 

@@ -1,12 +1,11 @@
 #include "graph/qcg.hpp"
 
-#include <bit>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
-#include <memory>
+#include <limits>
 
 #include "util/error.hpp"
-#include "util/mmap_file.hpp"
 
 namespace qc::graph {
 
@@ -59,10 +58,6 @@ using qcgdetail::fnv1a;
 using qcgdetail::varint_append;
 using qcgdetail::varint_read;
 
-constexpr bool kHostLittle = std::endian::native == std::endian::little;
-
-constexpr std::uint64_t pad8(std::uint64_t x) { return (x + 7) & ~7ull; }
-
 void store_le16(std::uint8_t* p, std::uint16_t x) {
   p[0] = static_cast<std::uint8_t>(x);
   p[1] = static_cast<std::uint8_t>(x >> 8);
@@ -91,265 +86,156 @@ std::uint64_t load_le64(const std::uint8_t* p) {
   return x;
 }
 
-struct Header {
-  QcgInfo info;
-  std::uint64_t offsets_bytes = 0;
-  std::uint64_t neighbors_bytes = 0;
-};
-
 /// Parses and fully validates the fixed header against the file size, so
 /// truncation and header/payload length disagreement fail here with a
 /// specific message rather than as a wild read later.
-Header parse_header(const std::uint8_t* base, std::uint64_t file_bytes,
-                    const std::string& path) {
-  require(file_bytes >= kQcgHeaderBytes,
+QcgInfo parse_header(std::string_view file, const std::string& path) {
+  require(file.size() >= kQcgHeaderBytes,
           ".qcg: file shorter than the 64-byte header: " + path);
-  require(std::memcmp(base, kQcgMagic, sizeof(kQcgMagic)) == 0,
-          ".qcg: bad magic (not a .qcg file): " + path);
-  Header h;
-  h.info.version = load_le16(base + 8);
-  require(h.info.version == kQcgVersion,
-          ".qcg: unsupported version in " + path);
-  const std::uint8_t enc = base[10];
-  require(enc <= static_cast<std::uint8_t>(QcgEncoding::kDeltaVarint),
+  require(has_qcg_magic(file), ".qcg: bad magic (not a .qcg file): " + path);
+  const auto* base = reinterpret_cast<const std::uint8_t*>(file.data());
+  QcgInfo info;
+  info.version = load_le16(base + 8);
+  require(info.version == kQcgVersion, ".qcg: unsupported version in " + path);
+  require(base[10] != 0,
+          ".qcg: encoding 0 (raw CSR) is retired; only delta-varint (1) "
+          "loads, in " + path);
+  require(base[10] == static_cast<std::uint8_t>(QcgEncoding::kDeltaVarint),
           ".qcg: unknown encoding in " + path);
-  h.info.encoding = static_cast<QcgEncoding>(enc);
   require(base[11] == 0 && load_le32(base + 12) == 0 &&
               load_le64(base + 56) == 0,
           ".qcg: reserved header bytes must be zero in " + path);
-  h.info.n = load_le64(base + 16);
-  h.info.arcs = load_le64(base + 24);
-  h.offsets_bytes = load_le64(base + 32);
-  h.neighbors_bytes = load_le64(base + 40);
-  h.info.checksum = load_le64(base + 48);
-  h.info.file_bytes = file_bytes;
-  h.info.payload_bytes = file_bytes - kQcgHeaderBytes;
+  info.n = load_le64(base + 16);
+  info.arcs = load_le64(base + 24);
+  const std::uint64_t offsets_bytes = load_le64(base + 32);
+  const std::uint64_t neighbors_bytes = load_le64(base + 40);
+  info.checksum = load_le64(base + 48);
+  info.file_bytes = file.size();
+  info.payload_bytes = file.size() - kQcgHeaderBytes;
 
-  require(h.info.n < 0x100000000ull,
+  require(info.n < 0x100000000ull,
           ".qcg: vertex count exceeds 32-bit node ids in " + path);
-  require(h.info.arcs <= 0xFFFFFFFFull,
+  require(info.arcs <= 0xFFFFFFFFull,
           ".qcg: arc count exceeds 32-bit offsets in " + path);
-  require(h.info.arcs % 2 == 0,
+  require(info.arcs % 2 == 0,
           ".qcg: odd arc count (undirected graphs store 2m arcs) in " + path);
-
-  if (h.info.encoding == QcgEncoding::kRawCsr) {
-    const std::uint64_t want_offsets = (h.info.n + 1) * 4;
-    require(h.offsets_bytes == want_offsets,
-            ".qcg: offsets section length disagrees with n in " + path);
-    require(h.neighbors_bytes == h.info.arcs * 4,
-            ".qcg: neighbors section length disagrees with arc count in " +
-                path);
-    require(h.info.payload_bytes ==
-                pad8(h.offsets_bytes) + h.neighbors_bytes,
-            ".qcg: header/payload length mismatch in " + path);
-  } else {
-    require(h.offsets_bytes == 0,
-            ".qcg: varint encoding must have no offsets section in " + path);
-    require(h.info.payload_bytes == h.neighbors_bytes,
-            ".qcg: header/payload length mismatch in " + path);
-  }
-  return h;
+  require(offsets_bytes == 0,
+          ".qcg: varint encoding must have no offsets section in " + path);
+  require(info.payload_bytes == neighbors_bytes,
+          ".qcg: header/payload length mismatch in " + path);
+  // Each vertex spends at least one payload byte on its degree and each
+  // arc at least one on its gap, so a crafted header cannot make the
+  // decoder allocate more than the file's own size justifies.
+  require(info.n + info.arcs <= info.payload_bytes,
+          ".qcg: n and arcs exceed what the payload can encode in " + path);
+  return info;
 }
 
-void write_header(std::ofstream& out, const Graph& g, QcgEncoding encoding,
-                  std::uint64_t offsets_bytes, std::uint64_t neighbors_bytes,
-                  std::uint64_t checksum) {
-  std::uint8_t h[kQcgHeaderBytes] = {};
-  std::memcpy(h, kQcgMagic, sizeof(kQcgMagic));
-  store_le16(h + 8, kQcgVersion);
-  h[10] = static_cast<std::uint8_t>(encoding);
-  store_le64(h + 16, g.n());
-  store_le64(h + 24, 2 * g.m());
-  store_le64(h + 32, offsets_bytes);
-  store_le64(h + 40, neighbors_bytes);
-  store_le64(h + 48, checksum);
-  out.write(reinterpret_cast<const char*>(h), sizeof(h));
+}  // namespace
+
+bool has_qcg_magic(std::string_view bytes) {
+  return bytes.size() >= sizeof(kQcgMagic) &&
+         std::memcmp(bytes.data(), kQcgMagic, sizeof(kQcgMagic)) == 0;
 }
 
-/// Serializes a u32 array as little-endian bytes. On little-endian hosts
-/// the in-memory representation is already the wire format, so the caller
-/// streams the array directly and this is only the big-endian slow path.
-std::vector<std::uint8_t> to_le_bytes(std::span<const std::uint32_t> xs) {
-  std::vector<std::uint8_t> out(xs.size() * 4);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(xs[i]);
-    out[4 * i + 1] = static_cast<std::uint8_t>(xs[i] >> 8);
-    out[4 * i + 2] = static_cast<std::uint8_t>(xs[i] >> 16);
-    out[4 * i + 3] = static_cast<std::uint8_t>(xs[i] >> 24);
-  }
-  return out;
+std::string read_file_bytes(const std::string& path) {
+  // Size through a 64-bit filesystem query, never an fseek/ftell `long`
+  // that mis-sizes >2 GiB files on LP32 hosts; directories and other
+  // non-regular files fail here instead of as an odd read later.
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  require(fs::is_regular_file(path, ec),
+          "cannot open " + path + " (missing or not a regular file)");
+  const std::uintmax_t size = fs::file_size(path, ec);
+  require(!ec && size <= std::numeric_limits<std::size_t>::max(),
+          "cannot size " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  std::ifstream in(path, std::ios::binary);
+  require(in.good(), "cannot open " + path);
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  require(static_cast<std::uint64_t>(in.gcount()) == size,
+          "short read on " + path);
+  return bytes;
 }
 
-void write_raw(std::ofstream& out, const Graph& g) {
-  const auto offsets = g.csr_offsets();
-  const auto neighbors = g.csr_neighbors();
-  const std::uint64_t offsets_bytes = offsets.size_bytes();
-  const std::uint64_t neighbors_bytes = neighbors.size_bytes();
-  const std::uint64_t padding = pad8(offsets_bytes) - offsets_bytes;
-  const std::uint8_t zeros[8] = {};
-
-  const std::uint8_t* off_bytes;
-  const std::uint8_t* nbr_bytes;
-  std::vector<std::uint8_t> off_swapped, nbr_swapped;
-  if constexpr (kHostLittle) {
-    off_bytes = reinterpret_cast<const std::uint8_t*>(offsets.data());
-    nbr_bytes = reinterpret_cast<const std::uint8_t*>(neighbors.data());
-  } else {
-    off_swapped = to_le_bytes(offsets);
-    nbr_swapped = to_le_bytes(neighbors);
-    off_bytes = off_swapped.data();
-    nbr_bytes = nbr_swapped.data();
-  }
-
-  std::uint64_t checksum = fnv1a(off_bytes, offsets_bytes);
-  checksum = fnv1a(zeros, padding, checksum);
-  checksum = fnv1a(nbr_bytes, neighbors_bytes, checksum);
-
-  write_header(out, g, QcgEncoding::kRawCsr, offsets_bytes, neighbors_bytes,
-               checksum);
-  out.write(reinterpret_cast<const char*>(off_bytes),
-            static_cast<std::streamsize>(offsets_bytes));
-  out.write(reinterpret_cast<const char*>(zeros),
-            static_cast<std::streamsize>(padding));
-  out.write(reinterpret_cast<const char*>(nbr_bytes),
-            static_cast<std::streamsize>(neighbors_bytes));
-}
-
-void write_varint(std::ofstream& out, const Graph& g) {
-  std::vector<std::uint8_t> buf;
-  buf.reserve(static_cast<std::size_t>(2 * g.m()) + g.n() + 16);
+void write_qcg_file(const std::string& path, const Graph& g) {
+  std::vector<std::uint8_t> payload;
+  payload.reserve(static_cast<std::size_t>(2 * g.m()) + g.n() + 16);
   for (NodeId v = 0; v < g.n(); ++v) {
     const auto nb = g.neighbors(v);
-    varint_append(buf, nb.size());
+    varint_append(payload, nb.size());
     for (std::size_t i = 0; i < nb.size(); ++i) {
       // First neighbor absolute, then strictly positive gaps: sorted
       // adjacency makes every delta small, which is where the compression
       // comes from.
-      varint_append(buf, i == 0 ? nb[i] : nb[i] - nb[i - 1]);
+      varint_append(payload, i == 0 ? nb[i] : nb[i] - nb[i - 1]);
     }
   }
-  write_header(out, g, QcgEncoding::kDeltaVarint, 0, buf.size(),
-               fnv1a(buf.data(), buf.size()));
-  out.write(reinterpret_cast<const char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
+  std::uint8_t h[kQcgHeaderBytes] = {};
+  std::memcpy(h, kQcgMagic, sizeof(kQcgMagic));
+  store_le16(h + 8, kQcgVersion);
+  h[10] = static_cast<std::uint8_t>(QcgEncoding::kDeltaVarint);
+  store_le64(h + 16, g.n());
+  store_le64(h + 24, 2 * g.m());
+  store_le64(h + 40, payload.size());  // offsets section (+32) stays 0
+  store_le64(h + 48, fnv1a(payload.data(), payload.size()));
+
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  require(out.good(), "write_qcg_file: cannot open " + path);
+  out.write(reinterpret_cast<const char*>(h), sizeof(h));
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size()));
+  out.flush();
+  require(out.good(), "write_qcg_file: write failed for " + path);
 }
 
-Graph decode_raw_owned(const Header& h, const std::uint8_t* payload) {
-  // Big-endian host (or any future non-mappable source): decode the LE
-  // arrays into owned vectors.
-  const auto n = static_cast<std::uint32_t>(h.info.n);
-  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(n) + 1);
-  for (std::size_t i = 0; i <= n; ++i) {
-    offsets[i] = load_le32(payload + 4 * i);
-  }
-  const std::uint8_t* nbr = payload + pad8(h.offsets_bytes);
-  std::vector<NodeId> neighbors(static_cast<std::size_t>(h.info.arcs));
-  for (std::size_t i = 0; i < neighbors.size(); ++i) {
-    neighbors[i] = load_le32(nbr + 4 * i);
-  }
-  return Graph::from_csr(std::move(offsets), std::move(neighbors));
-}
+Graph decode_qcg(std::string_view file, const std::string& path) {
+  const QcgInfo h = parse_header(file, path);
+  const auto* payload =
+      reinterpret_cast<const std::uint8_t*>(file.data()) + kQcgHeaderBytes;
+  const auto size = static_cast<std::size_t>(h.payload_bytes);
+  require(fnv1a(payload, size) == h.checksum,
+          ".qcg: payload checksum mismatch (corrupted file?) in " + path);
 
-Graph decode_varint(const Header& h, const std::uint8_t* payload) {
-  const auto n = static_cast<std::uint32_t>(h.info.n);
-  const auto arcs = static_cast<std::size_t>(h.info.arcs);
+  const auto n = static_cast<std::uint32_t>(h.n);
+  const auto arcs = static_cast<std::size_t>(h.arcs);
   std::vector<std::uint32_t> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<NodeId> neighbors(arcs);
   std::size_t pos = 0;
   std::size_t k = 0;
   for (std::uint32_t v = 0; v < n; ++v) {
-    const std::uint64_t deg = varint_read(payload, h.neighbors_bytes, pos);
+    const std::uint64_t deg = varint_read(payload, size, pos);
     require(deg <= arcs - k, ".qcg: degree sum exceeds the arc count");
     std::uint64_t prev = 0;
     for (std::uint64_t i = 0; i < deg; ++i) {
-      const std::uint64_t delta = varint_read(payload, h.neighbors_bytes, pos);
+      const std::uint64_t delta = varint_read(payload, size, pos);
       require(i == 0 || delta >= 1,
               ".qcg: adjacency deltas must be strictly positive");
       prev = i == 0 ? delta : prev + delta;
-      require(prev < h.info.n, ".qcg: neighbor id out of range");
+      require(prev < h.n, ".qcg: neighbor id out of range");
       neighbors[k++] = static_cast<NodeId>(prev);
     }
     offsets[v + 1] = static_cast<std::uint32_t>(k);
   }
   require(k == arcs, ".qcg: degree sum disagrees with the arc count");
-  require(pos == h.neighbors_bytes,
-          ".qcg: trailing bytes after the adjacency stream");
+  require(pos == size, ".qcg: trailing bytes after the adjacency stream");
   return Graph::from_csr(std::move(offsets), std::move(neighbors));
 }
 
-}  // namespace
-
-void write_qcg_file(const std::string& path, const Graph& g,
-                    QcgEncoding encoding) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  require(out.good(), "write_qcg_file: cannot open " + path);
-  if (encoding == QcgEncoding::kRawCsr) {
-    write_raw(out, g);
-  } else {
-    write_varint(out, g);
-  }
-  out.flush();
-  require(out.good(), "write_qcg_file: write failed for " + path);
-}
-
-Graph read_qcg_file(const std::string& path, QcgReadOptions opt) {
-  auto mf = std::make_shared<MappedFile>(MappedFile::open(path));
-  const auto* base = reinterpret_cast<const std::uint8_t*>(mf->data());
-  const Header h = parse_header(base, mf->size(), path);
-  const std::uint8_t* payload = base + kQcgHeaderBytes;
-
-  if (opt.verify_checksum) {
-    require(fnv1a(payload, h.info.payload_bytes) == h.info.checksum,
-            ".qcg: payload checksum mismatch (corrupted file?) in " + path);
-  }
-
-  if (h.info.encoding == QcgEncoding::kDeltaVarint) {
-    return decode_varint(h, payload);
-  }
-  if constexpr (kHostLittle) {
-    // Zero-copy: the CSR arrays are the mapped bytes themselves; the
-    // shared MappedFile handle pins the mapping for the graph's lifetime.
-    // mmap returns page-aligned memory and both sections sit at 8-byte
-    // offsets, so the u32 reinterpretation is aligned.
-    const auto* offsets = reinterpret_cast<const std::uint32_t*>(payload);
-    // Cross-check the mapped final offset against the header arc count
-    // before any neighbor access: the neighbors section is sized from the
-    // header, so an inflated offsets[n] would otherwise send the CSR
-    // validation walking past the end of the mapping (the checksum is no
-    // defense — whoever crafts the file also controls the checksum).
-    require(offsets[h.info.n] == h.info.arcs,
-            ".qcg: offsets[n] disagrees with the header arc count in " +
-                path);
-    const auto* neighbors = reinterpret_cast<const std::uint32_t*>(
-        payload + pad8(h.offsets_bytes));
-    return Graph::from_csr_view(static_cast<std::uint32_t>(h.info.n),
-                                offsets, neighbors, h.info.arcs,
-                                std::move(mf));
-  } else {
-    return decode_raw_owned(h, payload);
-  }
+Graph read_qcg_file(const std::string& path) {
+  return decode_qcg(read_file_bytes(path), path);
 }
 
 QcgInfo qcg_info_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  require(in.good(), "qcg_info_file: cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_bytes = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0);
-  std::uint8_t header[kQcgHeaderBytes] = {};
-  in.read(reinterpret_cast<char*>(header),
-          static_cast<std::streamsize>(
-              std::min<std::uint64_t>(file_bytes, kQcgHeaderBytes)));
-  return parse_header(header, file_bytes, path).info;
+  return parse_header(read_file_bytes(path), path);
 }
 
 bool is_qcg_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return false;
   char magic[sizeof(kQcgMagic)] = {};
   in.read(magic, sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::memcmp(magic, kQcgMagic, sizeof(magic)) == 0;
+  return has_qcg_magic(
+      std::string_view(magic, static_cast<std::size_t>(in.gcount())));
 }
 
 }  // namespace qc::graph

@@ -3,24 +3,20 @@
 // .qcg — the compact on-disk binary graph container.
 //
 // Layout (full byte-level spec in docs/formats.md): an 8-byte magic, a
-// fixed 64-byte little-endian header, then one of two payload encodings of
-// the same sorted CSR the in-memory Graph uses:
+// fixed 64-byte little-endian header, then the sorted CSR the in-memory
+// Graph uses, stored as per-vertex degree + delta-varint adjacency. A load
+// reads the file once and decodes it into owned CSR vectors (two
+// allocations, no per-edge allocation).
 //
-//   kRawCsr       raw little-endian offset + adjacency arrays, 8-byte
-//                 aligned — read_qcg_file maps the file and hands Graph a
-//                 zero-copy view (no per-edge work, no per-edge memory),
-//   kDeltaVarint  per-vertex degree + delta-varint adjacency — ~3-5x
-//                 smaller, decoded into owned CSR vectors on load (two
-//                 allocations total, still no per-edge allocation).
-//
-// Every reader validates magic, version, header/payload length agreement,
-// an FNV-1a payload checksum (optional to skip for mapped benches), and
-// the full CSR contract (sorted, in-range, loop-free, symmetric) before
-// returning a Graph, so a truncated or corrupted file fails loudly instead
-// of producing a plausible wrong topology.
+// Every reader validates magic, version, encoding, header/payload length
+// agreement, an FNV-1a payload checksum, and the full CSR contract
+// (sorted, in-range, loop-free, symmetric) before returning a Graph, so a
+// truncated or corrupted file fails loudly instead of producing a
+// plausible wrong topology.
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -31,16 +27,17 @@ inline constexpr char kQcgMagic[8] = {'Q', 'C', 'G', 'R', 'A', 'P', 'H', '1'};
 inline constexpr std::uint16_t kQcgVersion = 1;
 inline constexpr std::size_t kQcgHeaderBytes = 64;
 
+/// The header's encoding byte. Byte 0 was a raw-CSR encoding, now retired:
+/// readers reject it with a message that says so.
 enum class QcgEncoding : std::uint8_t {
-  kRawCsr = 0,       ///< raw LE CSR arrays; mmap zero-copy on load
-  kDeltaVarint = 1,  ///< degree + delta-varint adjacency; compact
+  kDeltaVarint = 1,  ///< degree + delta-varint adjacency
 };
 
 /// Header-level metadata of a .qcg file (what `qcongest graph-info`
-/// prints without loading the payload).
+/// prints).
 struct QcgInfo {
   std::uint16_t version = 0;
-  QcgEncoding encoding = QcgEncoding::kRawCsr;
+  QcgEncoding encoding = QcgEncoding::kDeltaVarint;
   std::uint64_t n = 0;
   std::uint64_t arcs = 0;  ///< directed arc count = 2m
   std::uint64_t payload_bytes = 0;
@@ -56,28 +53,29 @@ struct QcgInfo {
 };
 
 /// Writes `g` to `path`. Deterministic: the same graph always produces the
-/// same bytes for a given encoding.
-void write_qcg_file(const std::string& path, const Graph& g,
-                    QcgEncoding encoding = QcgEncoding::kDeltaVarint);
+/// same bytes.
+void write_qcg_file(const std::string& path, const Graph& g);
 
-struct QcgReadOptions {
-  /// Verify the FNV-1a payload checksum. Costs one sequential pass over
-  /// the payload; skipping it keeps a mapped kRawCsr load O(n) (the CSR
-  /// structural validation still runs — it is not optional).
-  bool verify_checksum = true;
-};
+/// Loads a .qcg file into owned CSR vectors.
+Graph read_qcg_file(const std::string& path);
 
-/// Loads a .qcg file. kRawCsr payloads on little-endian hosts come back as
-/// a zero-copy mapped view (Graph::is_view() == true) pinned by the
-/// mapping; kDeltaVarint payloads decode into owned CSR vectors.
-Graph read_qcg_file(const std::string& path, QcgReadOptions opt = {});
+/// Decodes a whole .qcg file already in memory; `path` only labels errors.
+/// read_qcg_file and load_graph_file both end here.
+Graph decode_qcg(std::string_view file, const std::string& path);
 
-/// Reads header metadata only (no payload access beyond the file size).
+/// Reads and validates the header of a .qcg file.
 QcgInfo qcg_info_file(const std::string& path);
 
-/// True when `path` exists and starts with the .qcg magic. Never throws —
-/// this is the auto-detection probe the CLI loader uses on "@file" args.
+/// True when `path` exists and starts with the .qcg magic. Never throws.
 bool is_qcg_file(const std::string& path);
+
+/// True when `bytes` start with the .qcg magic.
+bool has_qcg_magic(std::string_view bytes);
+
+/// Reads a whole regular file. Sizing goes through a 64-bit filesystem
+/// query; a missing path, a directory or a short read throws
+/// InvalidArgumentError.
+std::string read_file_bytes(const std::string& path);
 
 namespace qcgdetail {
 

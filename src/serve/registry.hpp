@@ -3,9 +3,9 @@
 // GraphRegistry — the daemon's resident-graph store.
 //
 // One entry per graph key (the path given to `load`): the Graph itself
-// (mmap view for raw `.qcg` files — loading copies zero payload bytes) plus
-// one shared EccEngine, so the compute-once eccentricity table is built by
-// the first query that needs it and served forever after. Load-once
+// (owned CSR, read once from the file) plus one shared EccEngine, so the
+// compute-once eccentricity table is built by the first query that needs
+// it and served forever after. Load-once
 // semantics generalize the engine's std::call_once cache to the registry
 // level: concurrent `load`s of the same key perform exactly one file load
 // between them, and every caller gets the same ResidentGraph instance.

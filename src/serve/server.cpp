@@ -419,8 +419,7 @@ Response Server::execute(const Request& req) {
     switch (req.op) {
       case Op::kGraphInfo:
         return {Status::kOk, g.n(), g.m(),
-                "{\"format\":\"" + resident->format() + "\",\"storage\":\"" +
-                    (g.is_view() ? "mapped" : "owned") +
+                "{\"format\":\"" + resident->format() +
                     "\",\"load_ms\":" + std::to_string(resident->load_ms()) +
                     ",\"bfs_runs\":" + std::to_string(engine.bfs_runs()) +
                     "}"};

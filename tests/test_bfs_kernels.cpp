@@ -9,9 +9,8 @@
 //  - EccEngine bit-identity across kernel choices and thread counts,
 //    bfs_runs() accounting, and SegmentMax bit-identity on the
 //    bit-parallel table;
-//  - the lifetime fixes: an engine outliving its source Graph object
-//    (view-backed storage included) and a SegmentMax outliving its
-//    engine.
+//  - the lifetime fixes: an engine outliving its source Graph object and
+//    a SegmentMax outliving its engine.
 
 #include <gtest/gtest.h>
 
@@ -291,27 +290,15 @@ TEST(EccEngineKernels, SegmentMaxBitIdenticalOnKernelTables) {
 
 TEST(EccEngineLifetime, EngineOutlivesSourceGraph) {
   // The engine copies the Graph (O(1), shared storage), so the caller's
-  // object — including a view over external CSR arrays — can die first.
+  // object can die first.
   std::unique_ptr<EccEngine> engine;
   std::uint32_t expected = 0;
   {
-    const Graph g = make_grid(6, 7);
+    const Graph grid = make_grid(6, 7);
+    const Graph g = Graph::from_edges(grid.n(), grid.edges());
     expected = diameter(g);
-    auto offsets = std::make_shared<std::vector<std::uint32_t>>(
-        g.csr_offsets().begin(), g.csr_offsets().end());
-    auto neighbors = std::make_shared<std::vector<NodeId>>(
-        g.csr_neighbors().begin(), g.csr_neighbors().end());
-    struct Keep {
-      std::shared_ptr<std::vector<std::uint32_t>> o;
-      std::shared_ptr<std::vector<NodeId>> n;
-    };
-    auto keep = std::make_shared<Keep>(Keep{offsets, neighbors});
-    const Graph view = Graph::from_csr_view(
-        g.n(), keep->o->data(), keep->n->data(), keep->n->size(),
-        std::shared_ptr<const void>(keep, keep.get()));
-    ASSERT_TRUE(view.is_view());
-    engine = std::make_unique<EccEngine>(view, 1);
-    // `view`, `keep` and `g` all go out of scope before the first query.
+    engine = std::make_unique<EccEngine>(g, 1);
+    // `grid` and `g` both go out of scope before the first query.
   }
   EXPECT_EQ(engine->diameter(), expected);
   EXPECT_EQ(engine->graph().n(), 42u);

@@ -1,8 +1,8 @@
 // Reference-output tests over the checked-in datasets under data/: every
 // value below was computed once from the committed files and is pinned, so
-// any regression in the importer, the .qcg codec, the CSR refactor, or the
-// BFS kernels — or any silent modification of the data files themselves —
-// shows up as an exact-value mismatch. QC_DATA_DIR is injected by CMake and
+// any regression in the edge-list parser, the .qcg codec, the CSR refactor,
+// or the BFS kernels — or any silent modification of the data files
+// themselves — shows up as an exact-value mismatch. QC_DATA_DIR is injected by CMake and
 // points at the source-tree data/ directory.
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/bfs_kernels.hpp"
-#include "graph/import.hpp"
 #include "graph/io.hpp"
 #include "graph/qcg.hpp"
 #include "util/error.hpp"
@@ -78,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(
                     7}));
 
 TEST(Dataset, TextAndQcgCopiesAreIdentical) {
-  const auto txt = read_edge_list_file(data_path("synth-p2p-10k.txt"));
+  const auto txt = load_graph_file(data_path("synth-p2p-10k.txt"));
   const auto qcg = read_qcg_file(data_path("synth-p2p-10k.qcg"));
   ASSERT_EQ(txt.n(), qcg.n());
   ASSERT_EQ(txt.m(), qcg.m());
@@ -88,25 +87,16 @@ TEST(Dataset, TextAndQcgCopiesAreIdentical) {
   EXPECT_TRUE(std::equal(tn.begin(), tn.end(), qn.begin()));
 }
 
-TEST(Dataset, SmallSnapImportsWithExactStats) {
-  const auto imp = import_edge_list_file(data_path("small-snap.txt"));
-  const auto& g = imp.graph;
+TEST(Dataset, SmallSnapLoadsWithExactTopology) {
+  const auto g = load_graph_file(data_path("small-snap.txt"));
   EXPECT_EQ(g.n(), 6u);
   EXPECT_EQ(g.m(), 7u);
   EXPECT_TRUE(g.is_connected());
   EXPECT_EQ(diameter(g), 3u);
 
-  EXPECT_EQ(imp.stats.self_loops_dropped, 1u);
-  EXPECT_EQ(imp.stats.duplicates_coalesced, 1u);
-  EXPECT_TRUE(imp.stats.ids_compacted);
-  EXPECT_EQ(imp.stats.min_raw_id, 10u);
-  EXPECT_EQ(imp.stats.max_raw_id, 100u);
-  EXPECT_EQ(imp.stats.comment_lines, 7u);
-
-  const std::vector<std::uint64_t> want_ids{10, 20, 30, 40, 55, 100};
-  EXPECT_EQ(imp.raw_ids, want_ids);
-  // Compaction is by sorted raw id, so raw 10 -> 0, raw 100 -> 5, and the
-  // raw edge "100 10" must appear as compacted {0, 5}.
+  // Compaction is by sorted raw id (10 20 30 40 55 100), so raw 10 -> 0,
+  // raw 100 -> 5, and the raw edge "100 10" must appear as compacted
+  // {0, 5}.
   EXPECT_TRUE(g.has_edge(0, 5));
   // The raw self-loop "20 20" must NOT survive as any edge at node 1.
   EXPECT_FALSE(g.has_edge(1, 1));

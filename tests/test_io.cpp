@@ -23,11 +23,28 @@ TEST(EdgeListIo, RoundTrip) {
 }
 
 TEST(EdgeListIo, CommentsAndBlankLines) {
-  std::stringstream ss("# header\n\n4\n# edge block\n0 1\n1 2\n\n2 3\n");
-  auto g = read_edge_list(ss);
-  EXPECT_EQ(g.n(), 4u);
-  EXPECT_EQ(g.m(), 3u);
-  EXPECT_TRUE(g.has_edge(2, 3));
+  // '#', '%' and blank lines are comments in both flavours, including
+  // before a native file's vertex-count line.
+  for (const char* text :
+       {"# header\n\n4\n# edge block\n0 1\n1 2\n\n2 3\n",
+        "% made by hand\n4\n0 1\n1 2\n2 3\n"}) {
+    std::stringstream ss(text);
+    auto g = read_edge_list(ss);
+    EXPECT_EQ(g.n(), 4u) << text;
+    EXPECT_EQ(g.m(), 3u) << text;
+    EXPECT_TRUE(g.has_edge(2, 3)) << text;
+  }
+}
+
+TEST(EdgeListIo, SnapFlavourCompactsIdsAndDropsSelfLoops) {
+  // Two ids on the first data line select the SNAP flavour: sparse ids
+  // compact in sorted order, self-loops vanish, duplicates coalesce.
+  std::stringstream ss("% raw\n100 7\t3.5\n7 7\n7 100\n100 42\n");
+  const auto g = read_edge_list(ss);
+  EXPECT_EQ(g.n(), 3u);
+  EXPECT_EQ(g.m(), 2u);
+  EXPECT_TRUE(g.has_edge(0, 2));  // 7 - 100
+  EXPECT_TRUE(g.has_edge(1, 2));  // 42 - 100
 }
 
 TEST(EdgeListIo, Errors) {
@@ -37,7 +54,11 @@ TEST(EdgeListIo, Errors) {
   EXPECT_THROW(read_edge_list(oor), InvalidArgumentError);
   std::stringstream short_line("3\n0\n");
   EXPECT_THROW(read_edge_list(short_line), InvalidArgumentError);
-  EXPECT_THROW(read_edge_list_file("/nonexistent/file.txt"),
+  std::stringstream loop("3\n1 1\n");  // native self-loops are errors
+  EXPECT_THROW(read_edge_list(loop), InvalidArgumentError);
+  std::stringstream garbage("hello\n");
+  EXPECT_THROW(read_edge_list(garbage), InvalidArgumentError);
+  EXPECT_THROW(load_graph_file("/nonexistent/file.txt"),
                InvalidArgumentError);
 }
 
@@ -94,6 +115,20 @@ TEST(SpecParser, BadSpecsThrowWithHelp) {
               std::string::npos);
   }
   EXPECT_THROW(make_from_spec("grid:3"), InvalidArgumentError);
+  // Every field is one whole in-range token: no wrap-around, no silent
+  // prefix, no ignored extra fields.
+  for (const char* bad :
+       {"path:-3", "path:4294967301", "path:5x", "er:50:zzz", "er:50:1.5",
+        "er:50:nan", "diam:60:6:x1", "path:5:7:9", "path:", "er:50:0.1:1:2"}) {
+    try {
+      make_from_spec(bad);
+      FAIL() << "accepted " << bad;
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("generator specs"),
+                std::string::npos)
+          << bad;
+    }
+  }
 }
 
 TEST(SpecHelp, MentionsEveryFamily) {

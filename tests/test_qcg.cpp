@@ -1,12 +1,10 @@
 // The .qcg binary container, end to end: round-trip fidelity across
-// generator families and both encodings, writer determinism, zero-copy
-// mapped views vs owned decodes, header/payload rejection paths on
-// crafted and corrupted files, the varint codec, and the O(1)-allocation
-// guarantee of the load path.
+// generator families, writer determinism, header/payload rejection paths
+// on crafted and corrupted files (the retired raw-CSR encoding included),
+// the varint codec, and the O(1)-allocation guarantee of the load path.
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -90,27 +88,21 @@ void expect_same_graph(const Graph& a, const Graph& b) {
   EXPECT_TRUE(std::equal(an.begin(), an.end(), bn.begin()));
 }
 
-struct QcgCase {
-  const char* spec;
-  QcgEncoding encoding;
-};
-
-class QcgRoundTrip : public ::testing::TestWithParam<QcgCase> {};
+class QcgRoundTrip : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(QcgRoundTrip, PreservesCsrExactly) {
-  const auto& c = GetParam();
-  const auto g = make_from_spec(c.spec);
-  TempFile f(std::string("rt_") + c.spec + "_" +
-             (c.encoding == QcgEncoding::kRawCsr ? "raw" : "varint"));
+  const std::string spec = GetParam();
+  const auto g = make_from_spec(spec);
+  TempFile f("rt_" + spec);
   for (auto& ch : f.path)
     if (ch == ':') ch = '_';
-  write_qcg_file(f.path, g, c.encoding);
+  write_qcg_file(f.path, g);
   const auto back = read_qcg_file(f.path);
   expect_same_graph(g, back);
 
   const auto info = qcg_info_file(f.path);
   EXPECT_EQ(info.version, kQcgVersion);
-  EXPECT_EQ(info.encoding, c.encoding);
+  EXPECT_EQ(info.encoding, QcgEncoding::kDeltaVarint);
   EXPECT_EQ(info.n, g.n());
   EXPECT_EQ(info.m(), g.m());
   EXPECT_EQ(info.file_bytes, fs::file_size(f.path));
@@ -118,85 +110,35 @@ TEST_P(QcgRoundTrip, PreservesCsrExactly) {
 
 INSTANTIATE_TEST_SUITE_P(
     Families, QcgRoundTrip,
-    ::testing::Values(QcgCase{"path:50", QcgEncoding::kRawCsr},
-                      QcgCase{"path:50", QcgEncoding::kDeltaVarint},
-                      QcgCase{"cycle:33", QcgEncoding::kDeltaVarint},
-                      QcgCase{"star:17", QcgEncoding::kRawCsr},
-                      QcgCase{"complete:12", QcgEncoding::kDeltaVarint},
-                      QcgCase{"torus:6:7", QcgEncoding::kRawCsr},
-                      QcgCase{"hypercube:5", QcgEncoding::kDeltaVarint},
-                      QcgCase{"tree:40:3", QcgEncoding::kRawCsr},
-                      QcgCase{"er:60:0.12:3", QcgEncoding::kDeltaVarint},
-                      QcgCase{"er:60:0.12:3", QcgEncoding::kRawCsr},
-                      QcgCase{"pa:64:3:9", QcgEncoding::kDeltaVarint},
-                      QcgCase{"pa:64:3:9", QcgEncoding::kRawCsr},
-                      QcgCase{"diam:50:9:5", QcgEncoding::kDeltaVarint}));
+    ::testing::Values("path:50", "cycle:33", "star:17", "complete:12",
+                      "torus:6:7", "hypercube:5", "tree:40:3",
+                      "er:60:0.12:3", "pa:64:3:9", "diam:50:9:5"));
 
 TEST(Qcg, TinyGraphsRoundTrip) {
-  for (const auto enc : {QcgEncoding::kRawCsr, QcgEncoding::kDeltaVarint}) {
-    const auto tag = enc == QcgEncoding::kRawCsr ? "raw" : "varint";
-    {
-      const auto g = Graph::from_edges(1, std::vector<Edge>{});
-      TempFile f(std::string("tiny1_") + tag);
-      write_qcg_file(f.path, g, enc);
-      const auto back = read_qcg_file(f.path);
-      EXPECT_EQ(back.n(), 1u);
-      EXPECT_EQ(back.m(), 0u);
-    }
-    {
-      const auto g = Graph::from_edges(2, std::vector<Edge>{{0, 1}});
-      TempFile f(std::string("tiny2_") + tag);
-      write_qcg_file(f.path, g, enc);
-      const auto back = read_qcg_file(f.path);
-      expect_same_graph(g, back);
-      EXPECT_TRUE(back.has_edge(0, 1));
-    }
+  {
+    const auto g = Graph::from_edges(1, std::vector<Edge>{});
+    TempFile f("tiny1");
+    write_qcg_file(f.path, g);
+    const auto back = read_qcg_file(f.path);
+    EXPECT_EQ(back.n(), 1u);
+    EXPECT_EQ(back.m(), 0u);
+  }
+  {
+    const auto g = Graph::from_edges(2, std::vector<Edge>{{0, 1}});
+    TempFile f("tiny2");
+    write_qcg_file(f.path, g);
+    const auto back = read_qcg_file(f.path);
+    expect_same_graph(g, back);
+    EXPECT_TRUE(back.has_edge(0, 1));
   }
 }
 
 TEST(Qcg, WriterIsDeterministic) {
   const auto g = make_from_spec("pa:300:3:11");
-  for (const auto enc : {QcgEncoding::kRawCsr, QcgEncoding::kDeltaVarint}) {
-    TempFile a("det_a"), b("det_b");
-    write_qcg_file(a.path, g, enc);
-    write_qcg_file(b.path, g, enc);
-    EXPECT_EQ(read_bytes(a.path), read_bytes(b.path));
-  }
-}
-
-TEST(Qcg, VarintIsSmallerThanRaw) {
-  const auto g = make_from_spec("pa:500:3:4");
-  TempFile raw("size_raw"), var("size_var");
-  write_qcg_file(raw.path, g, QcgEncoding::kRawCsr);
-  write_qcg_file(var.path, g, QcgEncoding::kDeltaVarint);
-  EXPECT_LT(fs::file_size(var.path), fs::file_size(raw.path));
-}
-
-TEST(Qcg, MappedViewMatchesOwnedDecode) {
-  const auto g = make_from_spec("pa:200:3:7");
-  TempFile raw("view_raw"), var("view_var");
-  write_qcg_file(raw.path, g, QcgEncoding::kRawCsr);
-  write_qcg_file(var.path, g, QcgEncoding::kDeltaVarint);
-  const auto mapped = read_qcg_file(raw.path);
-  const auto owned = read_qcg_file(var.path);
-  if constexpr (std::endian::native == std::endian::little) {
-    EXPECT_TRUE(mapped.is_view());
-  }
-  EXPECT_FALSE(owned.is_view());
-  expect_same_graph(mapped, owned);
-  // Same traversal results through both storage paths.
-  for (const NodeId root : {NodeId{0}, NodeId{17}, NodeId{199}}) {
-    EXPECT_EQ(bfs(mapped, root).dist, bfs(owned, root).dist);
-  }
-  EXPECT_EQ(diameter(mapped), diameter(owned));
-}
-
-TEST(Qcg, MappedViewOutlivesReaderScope) {
-  TempFile f("view_lifetime");
-  write_qcg_file(f.path, make_from_spec("cycle:64"), QcgEncoding::kRawCsr);
-  Graph g = [&] { return read_qcg_file(f.path); }();  // mapping moved out
-  EXPECT_EQ(g.n(), 64u);
-  EXPECT_EQ(eccentricity(g, 0), 32u);
+  TempFile a("det_a"), b("det_b");
+  write_qcg_file(a.path, g);
+  write_qcg_file(b.path, g);
+  EXPECT_EQ(read_bytes(a.path), read_bytes(b.path));
 }
 
 TEST(Qcg, IsQcgFileProbe) {
@@ -263,6 +205,18 @@ TEST_F(QcgReject, UnknownVersionOrEncoding) {
   auto c = good_file();
   c[10] = 7;  // encoding 7
   expect_rejected(c, "unknown encoding");
+  // Encoding 0, the retired raw-CSR payload, gets a message naming it.
+  auto d = good_file();
+  d[10] = 0;
+  TempFile f("reject_raw");
+  write_bytes(f.path, d);
+  try {
+    read_qcg_file(f.path);
+    FAIL() << "read_qcg_file accepted encoding 0";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("raw CSR"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(QcgReject, OddArcCount) {
@@ -274,51 +228,16 @@ TEST_F(QcgReject, OddArcCount) {
   expect_rejected(b, "odd arcs");
 }
 
-TEST_F(QcgReject, RawFinalOffsetDisagreesWithArcCount) {
-  // Crafted raw-CSR files whose offsets[n] disagrees with the header arc
-  // count, with the checksum recomputed the way an attacker would. The
-  // neighbors section is sized from the header, so an unchecked inflated
-  // offsets[n] would send the CSR validation reading far past the end of
-  // the mapping; the cross-check must fire before any neighbor access.
-  const auto g = make_from_spec("path:8");  // n=8, arcs=14
-  TempFile f("raw_bad_final_off");
-  write_qcg_file(f.path, g, QcgEncoding::kRawCsr);
-  const std::size_t final_off = kQcgHeaderBytes + 4 * 8;  // offsets[8]
-
-  auto inflated = read_bytes(f.path);
-  inflated[final_off] = 0xF0;
-  inflated[final_off + 1] = 0xFF;
-  inflated[final_off + 2] = 0xFF;
-  inflated[final_off + 3] = 0xFF;  // offsets[8] = 0xFFFFFFF0 arcs
-  store_le64_at(inflated, 48,
-                qcgdetail::fnv1a(inflated.data() + kQcgHeaderBytes,
-                                 inflated.size() - kQcgHeaderBytes));
-  expect_rejected(inflated, "inflated offsets[n] with matching checksum");
-
-  auto deflated = read_bytes(f.path);
-  deflated[final_off] = 13;  // one short of the 14 header arcs
-  store_le64_at(deflated, 48,
-                qcgdetail::fnv1a(deflated.data() + kQcgHeaderBytes,
-                                 deflated.size() - kQcgHeaderBytes));
-  expect_rejected(deflated, "deflated offsets[n] with matching checksum");
-}
-
 TEST_F(QcgReject, ChecksumCatchesPayloadFlip) {
   auto b = good_file();
   b[kQcgHeaderBytes + 3] ^= 0x40;
   expect_rejected(b, "payload bit flip");
 }
 
-TEST_F(QcgReject, ChecksumVerificationIsSkippable) {
+TEST_F(QcgReject, ChecksumFieldFlipIsRejected) {
   auto b = good_file();
   store_le64_at(b, 48, 0xDEADBEEFull);  // corrupt the stored checksum only
-  TempFile f("reject_cksum");
-  write_bytes(f.path, b);
-  EXPECT_THROW(read_qcg_file(f.path), InvalidArgumentError);
-  // The payload itself is intact, so the opt-out load must succeed and
-  // decode the original graph.
-  const auto g = read_qcg_file(f.path, {.verify_checksum = false});
-  EXPECT_EQ(g.n(), 40u);
+  expect_rejected(b, "stored checksum flip over an intact payload");
 }
 
 TEST_F(QcgReject, NonZeroReservedFields) {
@@ -357,7 +276,7 @@ TEST_F(QcgReject, SubHeaderFilesFailCleanly) {
 TEST(QcgLoadFile, TinyAndEmptyFilesFailCleanlyViaAutoDetect) {
   // load_graph_file auto-detects by magic: a magic-prefixed stub follows
   // the .qcg path (header-size error), a zero-byte file follows the
-  // edge-list path (empty-input error). Both are clean
+  // edge-list path (empty-input error). All of these are clean
   // InvalidArgumentErrors a server can return to a client.
   TempFile empty("load_empty");
   write_bytes(empty.path, {});
@@ -383,7 +302,12 @@ TEST(QcgLoadFile, TinyAndEmptyFilesFailCleanlyViaAutoDetect) {
         << e.what();
   }
 
-  EXPECT_THROW(load_graph_file("no/such/graph.qcg"), InvalidArgumentError);
+  // A missing path and a directory fail cleanly through both readers.
+  for (const std::string& bad :
+       {std::string("no/such/graph.qcg"), fs::temp_directory_path().string()}) {
+    EXPECT_THROW(load_graph_file(bad), InvalidArgumentError) << bad;
+    EXPECT_THROW(read_qcg_file(bad), InvalidArgumentError) << bad;
+  }
 }
 
 // Structural CSR contracts on hand-crafted streams the writer cannot emit.
@@ -417,9 +341,36 @@ TEST_F(QcgReject, CraftedNeighborOutOfRange) {
 
 TEST_F(QcgReject, CraftedDegreeSumMismatch) {
   TempFile f("craft_sum");
-  // Stream encodes 2 arcs; header claims 4.
-  write_crafted_varint(f.path, 2, 4, {1, 1, 1, 0});
-  EXPECT_THROW(read_qcg_file(f.path), InvalidArgumentError);
+  // Stream encodes 2 arcs; header claims 4. Two padding bytes keep the
+  // payload as long as n + arcs, so the header passes and the decoder's
+  // degree-sum check is the one that fires.
+  write_crafted_varint(f.path, 2, 4, {1, 1, 1, 0, 0, 0});
+  try {
+    read_qcg_file(f.path);
+    FAIL() << "accepted a degree-sum mismatch";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("degree sum"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(QcgReject, CraftedCountsBeyondPayload) {
+  // A 1-byte payload claiming 2^31 vertices (or 2^32-2 arcs) is rejected
+  // from the header, before the decoder sizes its CSR vectors from it.
+  for (const auto& [n, arcs] :
+       {std::pair<std::uint64_t, std::uint64_t>{1ull << 31, 0},
+        std::pair<std::uint64_t, std::uint64_t>{1, 0xFFFFFFFEull}}) {
+    TempFile f("craft_counts");
+    write_crafted_varint(f.path, n, arcs, {0});
+    try {
+      read_qcg_file(f.path);
+      FAIL() << "accepted n=" << n << " arcs=" << arcs;
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find("payload can encode"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(QcgReject, CraftedTrailingBytes) {
@@ -485,9 +436,8 @@ TEST(QcgVarint, ChecksumIsOrderSensitive) {
 }
 
 // The load path allocates O(1) times regardless of graph size: the number
-// of operator-new calls for a 50x larger graph must equal the small one's.
-// (Raw mapped loads touch the heap only for the mapping object and control
-// blocks; varint decodes add the two CSR vectors.)
+// of operator-new calls for a 50x larger graph must equal the small one's
+// (the file buffer, the two CSR vectors, stream and control blocks).
 std::uint64_t count_load_allocs(const std::string& path) {
   const auto before = alloc_probe_count().load();
   const auto g = read_qcg_file(path);
@@ -497,19 +447,14 @@ std::uint64_t count_load_allocs(const std::string& path) {
 }
 
 TEST(QcgAllocs, LoadIsConstantAllocation) {
-  const auto small = make_from_spec("pa:200:3:5");
-  const auto big = make_from_spec("pa:10000:3:5");
-  for (const auto enc : {QcgEncoding::kRawCsr, QcgEncoding::kDeltaVarint}) {
-    TempFile fs_("alloc_s"), fb("alloc_b");
-    ASSERT_EQ(fs_.path.size(), fb.path.size());  // identical string costs
-    write_qcg_file(fs_.path, small, enc);
-    write_qcg_file(fb.path, big, enc);
-    const auto a_small = count_load_allocs(fs_.path);
-    const auto a_big = count_load_allocs(fb.path);
-    EXPECT_EQ(a_small, a_big)
-        << (enc == QcgEncoding::kRawCsr ? "raw" : "varint");
-    EXPECT_LE(a_big, 32u);
-  }
+  TempFile fs_("alloc_s"), fb("alloc_b");
+  ASSERT_EQ(fs_.path.size(), fb.path.size());  // identical string costs
+  write_qcg_file(fs_.path, make_from_spec("pa:200:3:5"));
+  write_qcg_file(fb.path, make_from_spec("pa:10000:3:5"));
+  const auto a_small = count_load_allocs(fs_.path);
+  const auto a_big = count_load_allocs(fb.path);
+  EXPECT_EQ(a_small, a_big);
+  EXPECT_LE(a_big, 32u);
 }
 
 }  // namespace

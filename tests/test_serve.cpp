@@ -369,8 +369,8 @@ TEST(Registry, UnloadKeepsInFlightReferencesAlive) {
   GraphRegistry reg;
   const auto resident = reg.load(f.path);
   EXPECT_TRUE(reg.unload(f.path));
-  // The handed-out shared_ptr must keep the graph (and its mapped
-  // storage) usable after the registry dropped its reference.
+  // The handed-out shared_ptr must keep the graph (and its CSR storage)
+  // usable after the registry dropped its reference.
   EXPECT_EQ(resident->graph().n(), 5u);
   EXPECT_EQ(resident->engine().diameter(), 1u);
 }

@@ -2,9 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -12,7 +9,6 @@
 #include "util/bits.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
-#include "util/mmap_file.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -373,56 +369,6 @@ TEST(Cli, GetIntInEnforcesBounds) {
   EXPECT_THROW(cli.get_int_in("huge", 0, 0, 65535), InvalidArgumentError);
   // Inclusive endpoints are in range.
   EXPECT_EQ(cli.get_int_in("ok", 0, 8080, 8080), 8080);
-}
-
-namespace fsys = std::filesystem;
-
-// Scratch file under the system temp dir, removed on scope exit.
-struct UtilTempFile {
-  explicit UtilTempFile(const std::string& tag)
-      : path((fsys::temp_directory_path() / ("qc_test_util_" + tag))
-                 .string()) {}
-  ~UtilTempFile() {
-    std::error_code ec;
-    fsys::remove(path, ec);
-  }
-  std::string path;
-};
-
-TEST(MappedFile, PortableFallbackMatchesMmapPath) {
-  UtilTempFile f("mmap_parity");
-  std::string content;
-  for (int i = 0; i < 1000; ++i) content += "payload line " + std::to_string(i) + "\n";
-  {
-    std::ofstream out(f.path, std::ios::binary);
-    out << content;
-  }
-  const auto mapped = MappedFile::open(f.path);
-  const auto portable = MappedFile::open_portable(f.path);
-  ASSERT_EQ(mapped.size(), content.size());
-  ASSERT_EQ(portable.size(), content.size());
-  EXPECT_EQ(std::memcmp(mapped.data(), portable.data(), content.size()), 0);
-}
-
-TEST(MappedFile, PortableFallbackEmptyFile) {
-  UtilTempFile f("mmap_empty");
-  { std::ofstream out(f.path, std::ios::binary); }
-  const auto portable = MappedFile::open_portable(f.path);
-  EXPECT_EQ(portable.size(), 0u);
-  const auto mapped = MappedFile::open(f.path);
-  EXPECT_EQ(mapped.size(), 0u);
-}
-
-TEST(MappedFile, PortableFallbackErrorPaths) {
-  // Regression: the fallback used to size files with fseek/ftell into a
-  // long (truncating >2 GiB on LP32) and ignored IO failures. Sizing now
-  // goes through std::filesystem and every failure is a clean throw.
-  EXPECT_THROW(MappedFile::open_portable("no/such/file.bin"),
-               InvalidArgumentError);
-  EXPECT_THROW(MappedFile::open_portable(
-                   fsys::temp_directory_path().string()),  // a directory
-               InvalidArgumentError);
-  EXPECT_THROW(MappedFile::open("no/such/file.bin"), InvalidArgumentError);
 }
 
 TEST(Bits, Widths) {

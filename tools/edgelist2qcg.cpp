@@ -1,17 +1,14 @@
 // edgelist2qcg — converts a text graph (native edge list or SNAP-style raw
 // dataset, auto-detected) into the .qcg binary container.
 //
-//   edgelist2qcg IN OUT [--encoding=varint|raw] [--verify] [--quiet]
+//   edgelist2qcg IN OUT [--verify] [--quiet]
 //
-// --encoding=varint (default) writes the compact delta-varint payload;
-// --encoding=raw writes raw little-endian CSR arrays that load as a
-// zero-copy mmap view. --verify reads the written file back and checks the
-// CSR is bit-identical to the source graph.
+// --verify reads the written file back and checks the CSR is bit-identical
+// to the source graph.
 
 #include <filesystem>
 #include <iostream>
 
-#include "graph/import.hpp"
 #include "graph/io.hpp"
 #include "graph/qcg.hpp"
 #include "util/cli.hpp"
@@ -21,24 +18,18 @@
 int main(int argc, char** argv) try {
   using namespace qc;
   Cli cli(argc, argv);
-  cli.expect_flags({"encoding", "verify", "quiet"});
+  cli.expect_flags({"verify", "quiet"});
   const auto& pos = cli.positional();
   if (pos.size() != 2) {
-    std::cerr << "usage: edgelist2qcg IN OUT [--encoding=varint|raw] "
-                 "[--verify] [--quiet]\n";
+    std::cerr << "usage: edgelist2qcg IN OUT [--verify] [--quiet]\n";
     return 2;
   }
   const std::string& in = pos[0];
   const std::string& out = pos[1];
-  const std::string enc_name = cli.get_string("encoding", "varint");
-  require(enc_name == "varint" || enc_name == "raw",
-          "edgelist2qcg: --encoding must be 'varint' or 'raw'");
-  const auto enc = enc_name == "raw" ? graph::QcgEncoding::kRawCsr
-                                     : graph::QcgEncoding::kDeltaVarint;
 
   std::string format;
   const auto g = graph::load_graph_file(in, &format);
-  graph::write_qcg_file(out, g, enc);
+  graph::write_qcg_file(out, g);
 
   if (cli.get_bool("verify", false)) {
     const auto back = graph::read_qcg_file(out);
@@ -59,7 +50,7 @@ int main(int argc, char** argv) try {
     Table t({"property", "value"});
     t.add_row({"input", in + " (" + format + ")"});
     t.add_row({"graph", g.describe()});
-    t.add_row({"output", out + " (" + enc_name + ")"});
+    t.add_row({"output", out});
     t.add_row({"input bytes", fmt(static_cast<std::uint64_t>(in_bytes))});
     t.add_row({"output bytes", fmt(static_cast<std::uint64_t>(out_bytes))});
     t.add_row({"bytes/edge",

@@ -7,13 +7,13 @@
 //   qcongest radius torus:12:12 --algo=census
 //   qcongest decide diam:200:10 --threshold=9
 //   qcongest gen hypercube:8 --out=cube.txt
-//   qcongest gen pa:100000:3:7 --out=big.qcg --encoding=raw
+//   qcongest gen pa:100000:3:7 --out=big.qcg
 //   qcongest graph-info @big.qcg
 //
 // Graphs are given as a generator spec (see `qcongest help`) or as
 // "@path" to load a graph file — the format is auto-detected by content:
 // .qcg binary container (by magic), native edge list, or SNAP-style raw
-// dataset (imported with id compaction).
+// dataset (ids compacted).
 
 #include <algorithm>
 #include <chrono>
@@ -66,7 +66,7 @@ commands:
   decide      diameter > K ?   --threshold=K
   census      all eccentricities (classical O(n)-round APSP census)
   gen         generate a graph --out=FILE (.qcg extension writes the
-              binary container; --encoding=varint|raw picks the payload)
+              binary container)
   run         drive one distributed algorithm on the CONGEST simulator,
               optionally sharded across worker processes:
               --algo=bfs|ecc|sweep (default ecc), --root=N (default 0),
@@ -363,7 +363,7 @@ int main(int argc, char** argv) try {
   // (--seed=abc) aborts with a message instead of being silently ignored.
   cli.expect_flags({"seed", "oracle", "fault-drop", "fault-corrupt",
                     "fault-seed", "quiet", "algo", "s", "threshold", "out",
-                    "metrics-out", "encoding", "server", "v", "root",
+                    "metrics-out", "server", "v", "root",
                     "shards", "rounds"});
   const auto& pos = cli.positional();
   if (pos.empty()) return usage();
@@ -402,16 +402,10 @@ int main(int argc, char** argv) try {
   if (cmd == "gen") {
     const std::string out = cli.get_string("out", "");
     require(!out.empty(), "gen: --out=FILE is required");
-    const std::string enc_name = cli.get_string("encoding", "varint");
-    require(enc_name == "varint" || enc_name == "raw",
-            "gen: --encoding must be 'varint' or 'raw'");
     // A .qcg extension selects the binary container; anything else keeps
     // the diff-friendly text edge list.
     if (out.size() >= 4 && out.compare(out.size() - 4, 4, ".qcg") == 0) {
-      graph::write_qcg_file(out, g,
-                            enc_name == "raw"
-                                ? graph::QcgEncoding::kRawCsr
-                                : graph::QcgEncoding::kDeltaVarint);
+      graph::write_qcg_file(out, g);
     } else {
       graph::write_edge_list_file(out, g,
                                   "generated by qcongest gen " + pos[1]);
@@ -429,9 +423,7 @@ int main(int argc, char** argv) try {
     if (format == "qcg") {
       const auto info = graph::qcg_info_file(pos[1].substr(1));
       t.add_row({"qcg version", fmt(static_cast<std::uint64_t>(info.version))});
-      t.add_row({"qcg encoding",
-                 info.encoding == graph::QcgEncoding::kRawCsr ? "raw"
-                                                              : "varint"});
+      t.add_row({"qcg encoding", "varint"});
       t.add_row({"file bytes", fmt(info.file_bytes)});
       t.add_row({"bytes/edge", fmt(info.bytes_per_edge(), 2)});
     }
@@ -450,7 +442,6 @@ int main(int argc, char** argv) try {
                               : 2.0 * static_cast<double>(g.m()) /
                                     static_cast<double>(g.n()),
                    2)});
-    t.add_row({"storage", g.is_view() ? "mapped view (zero-copy)" : "owned"});
     t.add_row({"load ms", fmt(load_ms, 2)});
     t.print(std::cout);
     return 0;
