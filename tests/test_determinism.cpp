@@ -22,6 +22,7 @@
 #include "core/quantum_radius.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -468,6 +469,97 @@ TEST(Figure2Pin, OutcomesMatchGoldenHashes) {
     }
   }
   std::string listing;
+  for (const std::uint64_t x : got) listing += std::to_string(x) + "ULL,\n";
+  ASSERT_EQ(got.size(), golden.size()) << listing;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], golden[i]) << "case " << i << "\n" << listing;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// BfsBroadcastPin: golden hashes of Figure 1's BFS (Proposition 1) followed
+// by Setup's broadcast of a value down the resulting tree (Proposition 2),
+// on the 10k dataset and a random graph, fault-free and under a drop and a
+// corrupt plan. Each hash folds every delivered event (round, endpoints,
+// fields and widths), both phases' RunStats, the tree and both statuses, so
+// a change to how the programs queue their sends — not to what they send —
+// must leave every value equal. The values were captured with the per-port
+// send loops that stored one payload per arc.
+// ---------------------------------------------------------------------------
+
+enum class BfsPinPlan { kNone, kDrops, kCorrupt };
+
+std::uint64_t bfs_broadcast_hash(const Graph& g, BfsPinPlan plan,
+                                 std::uint64_t* events) {
+  Fnv64 h;
+  congest::NetworkConfig cfg;
+  cfg.observer = std::make_shared<congest::CallbackObserver>(
+      [&h, events](NodeId from, NodeId to, const congest::Message& msg,
+                   std::uint32_t round) {
+        ++*events;
+        h.add(round);
+        h.add(from);
+        h.add(to);
+        h.add(msg.num_fields());
+        for (std::size_t i = 0; i < msg.num_fields(); ++i) {
+          h.add(msg.field(i));
+          h.add(msg.field_bits(i));
+        }
+      });
+  switch (plan) {
+    case BfsPinPlan::kNone:
+      break;
+    case BfsPinPlan::kDrops:
+      cfg.fault.drop_probability = 0.01;
+      cfg.fault.seed = 9;
+      break;
+    case BfsPinPlan::kCorrupt:
+      cfg.fault.corrupt_probability = 0.01;
+      cfg.fault.seed = 9;
+      break;
+  }
+  const auto add_stats = [&h](const congest::RunStats& s) {
+    for (const std::uint64_t x :
+         {std::uint64_t{s.rounds}, s.messages, s.bits,
+          std::uint64_t{s.max_edge_bits}, s.violations,
+          std::uint64_t{s.quiesced}, s.max_node_memory_bits,
+          s.messages_dropped, s.messages_corrupted, s.crashed_node_rounds}) {
+      h.add(x);
+    }
+  };
+  const auto bfs = algos::build_bfs_tree(g, 0, cfg);
+  add_stats(bfs.stats);
+  h.add(static_cast<std::uint64_t>(bfs.status));
+  h.add(bfs.tree.height);
+  for (NodeId v = 0; v < g.n(); ++v) {
+    h.add(bfs.tree.parent[v]);
+    h.add(bfs.tree.depth[v]);
+  }
+  const auto bc = algos::broadcast_from_root(g, bfs.tree, 0x2a5, 12, cfg);
+  add_stats(bc.stats);
+  h.add(static_cast<std::uint64_t>(bc.status));
+  return h.value();
+}
+
+TEST(BfsBroadcastPin, OutcomesMatchGoldenHashes) {
+  const std::vector<Graph> graphs = {
+      graph::load_graph_file(std::string(QC_DATA_DIR) + "/synth-p2p-10k.qcg"),
+      random_graph(300, 9, 42)};
+  const std::vector<std::uint64_t> golden = {
+      // synth-p2p-10k: plans {none, drops, corrupt}
+      0x48a38b1b5d958ce6ULL, 0x20c6b7b50a5f5abbULL, 0xf4eb9f0a37c75cdbULL,
+      // n=300
+      0x5a74420eb787db55ULL, 0x2494c94f6cf0dd5fULL, 0x94474cb6c9644eb2ULL,
+  };
+  std::vector<std::uint64_t> got;
+  std::uint64_t events = 0;
+  for (const Graph& g : graphs) {
+    for (const BfsPinPlan plan :
+         {BfsPinPlan::kNone, BfsPinPlan::kDrops, BfsPinPlan::kCorrupt}) {
+      got.push_back(bfs_broadcast_hash(g, plan, &events));
+    }
+  }
+  std::string listing = "events " + std::to_string(events) + "\n";
   for (const std::uint64_t x : got) listing += std::to_string(x) + "ULL,\n";
   ASSERT_EQ(got.size(), golden.size()) << listing;
   for (std::size_t i = 0; i < got.size(); ++i) {
