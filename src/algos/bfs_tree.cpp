@@ -39,19 +39,20 @@ void BfsTreeProgram::on_round(NodeContext& ctx) {
     // First activation this round; the inbox is in port order, hence the
     // first activating message comes from the smallest-id neighbor —
     // the same parent the centralized BFS picks.
-    for (const auto& in : ctx.inbox()) {
+    const auto inbox = ctx.inbox();
+    if (!inbox.empty()) {
+      const std::uint32_t parent_port = inbox.front().port;
       active_ = true;
-      dist_ = static_cast<std::uint32_t>(in.msg.field(kDistField)) + 1;
-      parent_ = ctx.neighbor(in.port);
-      break;
-    }
-    if (active_) {
-      const std::uint32_t parent_port = ctx.port_to(parent_);
-      for (std::uint32_t p = 0; p < ctx.degree(); ++p) {
-        Message m;
-        m.push(dist_, ctx.id_bits() + 1).push(p == parent_port ? 1 : 0, 1);
-        ctx.send(p, m);
-      }
+      dist_ = static_cast<std::uint32_t>(inbox.front().msg.field(kDistField)) +
+              1;
+      parent_ = ctx.neighbor(parent_port);
+      // (dist, claim 0) to every port but the parent's shares one stored
+      // payload; the parent alone gets the child claim (dist, claim 1).
+      Message m;
+      m.push(dist_, ctx.id_bits() + 1).push(0, 1);
+      ctx.broadcast(m, parent_port);
+      m.set_field(kClaimField, 1);
+      ctx.send(parent_port, m);
     }
   }
   ctx.vote_halt();
@@ -198,12 +199,18 @@ void TreeBroadcastProgram::forward(NodeContext& ctx) {
   // The node does not know which neighbors are its children; sending to
   // every non-parent neighbor costs one message per edge and the claim
   // "accept only from the parent" keeps the semantics of a tree broadcast.
-  for (std::uint32_t p = 0; p < ctx.degree(); ++p) {
-    if (parent_ != graph::kInvalidNode && ctx.neighbor(p) == parent_) {
-      continue;
+  // One payload serves every port; a root, or a parent that is not a
+  // neighbor, leaves no port out.
+  std::uint32_t parent_port = congest::kNoPort;
+  if (parent_ != graph::kInvalidNode) {
+    for (std::uint32_t p = 0; p < ctx.degree(); ++p) {
+      if (ctx.neighbor(p) == parent_) {
+        parent_port = p;
+        break;
+      }
     }
-    ctx.send(p, Message().push(value_, value_bits_));
   }
+  ctx.broadcast(Message().push(value_, value_bits_), parent_port);
 }
 
 void TreeBroadcastProgram::on_start(NodeContext& ctx) {

@@ -94,23 +94,32 @@ void NodeContext::send(std::uint32_t port, Message msg) {
   ++pending_sends_;  // drained into the quiescence counter per slice
 }
 
-void NodeContext::broadcast(const Message& msg) {
-  // One payload for every port. Every port is checked before anything is
-  // queued (kNoSend is all ones, so the AND of free references is
-  // kNoSend), which keeps a throwing broadcast free of side effects.
+void NodeContext::broadcast(const Message& msg, std::uint32_t except_port) {
+  // One payload for every port but except_port. The ports are the two runs
+  // [0, cut) and (cut, deg); with kNoPort the second run is empty. Every
+  // port is checked before anything is queued (kNoSend is all ones, so the
+  // AND of free references is kNoSend), which keeps a throwing broadcast
+  // free of side effects.
   const std::uint32_t deg = degree();
+  require(except_port < deg || except_port == kNoPort,
+          "NodeContext::broadcast: excepted port out of range");
+  const std::uint32_t cut = std::min(except_port, deg);
   std::uint32_t all_refs = kNoSend;
-  for (std::uint32_t p = 0; p < deg; ++p) all_refs &= sent_[p];
+  for (std::uint32_t p = 0; p < cut; ++p) all_refs &= sent_[p];
+  for (std::uint32_t p = cut + 1; p < deg; ++p) all_refs &= sent_[p];
   require(all_refs == kNoSend,
           "NodeContext::send: at most one message per port per round");
-  if (deg == 0) return;
+  const std::uint32_t count = deg - (cut < deg ? 1 : 0);
+  if (count == 0) return;
   const std::uint32_t ref = arenas_[round_ & 1].store(msg);
-  for (std::uint32_t p = 0; p < deg; ++p) {
+  const auto queue = [&](std::uint32_t p) {
     sent_[p] = ref;
     const NodeId to = neighbors_[p];
     mail_[to >> 6] |= std::uint64_t{1} << (to & 63);
-  }
-  pending_sends_ += deg;
+  };
+  for (std::uint32_t p = 0; p < cut; ++p) queue(p);
+  for (std::uint32_t p = cut + 1; p < deg; ++p) queue(p);
+  pending_sends_ += count;
 }
 
 void NodeProgram::serialize_state(Message&) const {

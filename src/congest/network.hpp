@@ -41,10 +41,15 @@ struct Incoming {
 /// Sentinel arc reference: nothing is queued on the arc.
 inline constexpr std::uint32_t kNoSend = ~std::uint32_t{0};
 
-/// One round's send storage. A send stores its payload once and the arcs
-/// it goes out on hold the returned index; elements are reused by
-/// assignment after recycle(), so a warmed arena keeps its capacity and
-/// storing stays allocation-free.
+/// Sentinel port for NodeContext::broadcast: no port is left out.
+inline constexpr std::uint32_t kNoPort = ~std::uint32_t{0};
+
+/// One round's send storage, holding one stored payload per distinct
+/// message: a send stores its payload once and the arcs it goes out on
+/// hold the returned index, so a broadcast's ports all refer to one slot
+/// and only a message that differs per port (a `send`) takes a slot of its
+/// own. Elements are reused by assignment after recycle(), so a warmed
+/// arena keeps its capacity and storing stays allocation-free.
 class SendArena {
  public:
   template <typename M>
@@ -125,10 +130,14 @@ class NodeContext {
   /// Queues a message to the neighbor with id `v`.
   void send_to(NodeId v, Message msg) { send(port_to(v), std::move(msg)); }
 
-  /// Sends `msg` on every port. The payload is stored once and every port
-  /// refers to it. Throws, without queueing anything, if a port already
-  /// has a message this round.
-  void broadcast(const Message& msg);
+  /// Sends `msg` on every port except `except_port` (kNoPort: on every
+  /// port). The payload is stored once and every port it goes out on
+  /// refers to it — one stored payload per distinct message, so a program
+  /// that sends the same message on all ports but one broadcasts it and
+  /// `send`s the odd one out. Throws, without queueing anything, if a port
+  /// it would send on already has a message this round; the excepted port
+  /// is not checked and may be busy or be used by a later `send`.
+  void broadcast(const Message& msg, std::uint32_t except_port = kNoPort);
 
   /// Signals that this node has no further work; the quiescence run mode
   /// stops when every node has halted, no message is in flight and no

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -213,21 +214,21 @@ TEST(Api, FactoryReturningNullThrows) {
 }
 
 TEST(Api, RejectedBroadcastQueuesNothing) {
-  // Node 1 (the middle of a path 0-1-2) sends on port 1, then broadcasts:
-  // port 1 is taken, so the broadcast throws — and must not have queued
-  // port 0 first. Otherwise node 0 would get mail nobody counted as in
+  // A node takes a port with send, then broadcasts. When the broadcast
+  // meets the taken port it throws — and must not have queued any other
+  // port first. Otherwise a neighbor would get mail nobody counted as in
   // flight, and the quiescence counter would never settle.
-  auto g = graph::make_path(3);
   class Contested : public NodeProgram {
    public:
+    Contested(NodeId actor, std::function<void(NodeContext&)> act)
+        : actor_(actor), act_(std::move(act)) {}
     void on_round(NodeContext& ctx) override {
       for (const auto& in : ctx.inbox()) {
         heard.push_back({ctx.round(), in.msg.field(0)});
       }
-      if (ctx.id() == 1 && ctx.round() == 1) {
-        ctx.send(1, Message().push(5, 4));
+      if (ctx.id() == actor_ && ctx.round() == 1) {
         try {
-          ctx.broadcast(Message().push(9, 4));
+          act_(ctx);
         } catch (const InvalidArgumentError&) {
           threw = true;
         }
@@ -236,17 +237,74 @@ TEST(Api, RejectedBroadcastQueuesNothing) {
     }
     std::vector<std::pair<std::uint32_t, std::uint64_t>> heard;
     bool threw = false;
+
+   private:
+    NodeId actor_;
+    std::function<void(NodeContext&)> act_;
   };
-  Network net(g);
-  net.init_programs([](NodeId) { return std::make_unique<Contested>(); });
-  const auto stats = net.run_until_quiescent(10);
-  EXPECT_TRUE(net.program_as<Contested>(1).threw);
-  EXPECT_TRUE(stats.quiesced);
-  EXPECT_EQ(stats.rounds, 2u);
-  EXPECT_EQ(stats.messages, 1u);
-  EXPECT_TRUE(net.program_as<Contested>(0).heard.empty());
-  const std::vector<std::pair<std::uint32_t, std::uint64_t>> sent = {{2, 5}};
-  EXPECT_EQ(net.program_as<Contested>(2).heard, sent);
+  using Heard = std::vector<std::pair<std::uint32_t, std::uint64_t>>;
+  struct Case {
+    const char* name;
+    graph::Graph g;
+    NodeId actor;
+    std::function<void(NodeContext&)> act;
+    bool throws;
+    std::vector<Heard> heard;  // per node
+  };
+  std::vector<Case> cases;
+  // The middle of a path 0-1-2 takes port 1, then broadcasts on all ports.
+  cases.push_back({"broadcast", graph::make_path(3), 1,
+                   [](NodeContext& ctx) {
+                     ctx.send(1, Message().push(5, 4));
+                     ctx.broadcast(Message().push(9, 4));
+                   },
+                   true,
+                   {{}, {}, {{2, 5}}}});
+  // The hub of a star with leaves 1, 2, 3 takes port 2 (leaf 3), then
+  // broadcasts leaving out port 0: port 2 is still contested, and port 1
+  // (leaf 2) must stay unqueued.
+  cases.push_back({"except, busy port", graph::make_star(4), 0,
+                   [](NodeContext& ctx) {
+                     ctx.send(2, Message().push(5, 4));
+                     ctx.broadcast(Message().push(9, 4), 0);
+                   },
+                   true,
+                   {{}, {}, {}, {{2, 5}}}});
+  // Leaving out the taken port is legal: the broadcast goes out on the
+  // other two ports next to the send.
+  cases.push_back({"except the busy port", graph::make_star(4), 0,
+                   [](NodeContext& ctx) {
+                     ctx.send(0, Message().push(5, 4));
+                     ctx.broadcast(Message().push(9, 4), 0);
+                   },
+                   false,
+                   {{}, {{2, 5}}, {{2, 9}}, {{2, 9}}}});
+  // An excepted port past the last one is a caller bug, not "no port".
+  cases.push_back({"except out of range", graph::make_star(4), 0,
+                   [](NodeContext& ctx) {
+                     ctx.broadcast(Message().push(9, 4), 3);
+                   },
+                   true,
+                   {{}, {}, {}, {}}});
+  for (const Case& c : cases) {
+    Network net(c.g);
+    net.init_programs([&c](NodeId) {
+      return std::make_unique<Contested>(c.actor, c.act);
+    });
+    const auto stats = net.run_until_quiescent(10);
+    EXPECT_EQ(net.program_as<Contested>(c.actor).threw, c.throws) << c.name;
+    EXPECT_TRUE(stats.quiesced) << c.name;
+    std::uint64_t delivered = 0;
+    for (NodeId v = 0; v < c.g.n(); ++v) {
+      EXPECT_EQ(net.program_as<Contested>(v).heard, c.heard[v])
+          << c.name << " node " << v;
+      delivered += c.heard[v].size();
+    }
+    EXPECT_EQ(stats.messages, delivered) << c.name;
+    // Round 2 delivers what round 1 queued; with nothing queued the
+    // network is quiet after round 1.
+    EXPECT_EQ(stats.rounds, delivered > 0 ? 2u : 1u) << c.name;
+  }
 }
 
 TEST(Api, ReinitStartsWithEmptyInboxes) {

@@ -406,13 +406,20 @@ TEST(FaultPlan, ShardedEngineAgreesUnderActiveFaultPlan) {
   }
 }
 
+/// How EchoFold puts its message on every port.
+enum class EmitMode {
+  kPerPort,          ///< one send per port
+  kBroadcast,        ///< one broadcast
+  kBroadcastExcept,  ///< a broadcast leaving out one port, then a send on it
+};
+
 /// Each round, sends (id, fold of everything heard, round) on every port —
-/// by one broadcast or by one send per port — and records its inbox. What
-/// it hears feeds what it sends, so a delivery that differs between the
-/// two modes changes the rest of the execution.
+/// in one of the EmitModes — and records its inbox. What it hears feeds
+/// what it sends, so a delivery that differs between the modes changes the
+/// rest of the execution.
 class EchoFold : public congest::NodeProgram {
  public:
-  explicit EchoFold(bool use_broadcast) : use_broadcast_(use_broadcast) {}
+  explicit EchoFold(EmitMode mode) : mode_(mode) {}
 
   void on_start(NodeContext& ctx) override { emit(ctx); }
 
@@ -440,14 +447,26 @@ class EchoFold : public congest::NodeProgram {
                           .push(ctx.id(), ctx.id_bits())
                           .push(fold_, 12)
                           .push(ctx.round(), 8);
-    if (use_broadcast_) {
-      ctx.broadcast(m);
-    } else {
-      for (std::uint32_t p = 0; p < ctx.degree(); ++p) ctx.send(p, m);
+    switch (mode_) {
+      case EmitMode::kPerPort:
+        for (std::uint32_t p = 0; p < ctx.degree(); ++p) ctx.send(p, m);
+        break;
+      case EmitMode::kBroadcast:
+        ctx.broadcast(m);
+        break;
+      case EmitMode::kBroadcastExcept:
+        // The left-out port moves with id and round, so it is sometimes
+        // the first, the last and a middle port.
+        if (ctx.degree() > 0) {
+          const std::uint32_t odd = (ctx.id() + ctx.round()) % ctx.degree();
+          ctx.broadcast(m, odd);
+          ctx.send(odd, m);
+        }
+        break;
     }
   }
 
-  bool use_broadcast_;
+  EmitMode mode_;
   std::uint64_t fold_ = 0;
 };
 
@@ -465,16 +484,15 @@ struct EchoRun {
   congest::RunStats stats;
 };
 
-EchoRun run_echo(const Graph& g, NetworkConfig cfg, bool use_broadcast) {
+EchoRun run_echo(const Graph& g, NetworkConfig cfg, EmitMode mode) {
   EchoRun run;
   cfg.observer = std::make_shared<congest::CallbackObserver>(
       [&run](NodeId from, NodeId to, const Message& msg, std::uint32_t r) {
         run.events.push_back({r, from, to, msg});
       });
   Network net(g, cfg);
-  net.init_programs([use_broadcast](NodeId) {
-    return std::make_unique<EchoFold>(use_broadcast);
-  });
+  net.init_programs(
+      [mode](NodeId) { return std::make_unique<EchoFold>(mode); });
   run.stats = net.run_rounds(9);
   for (NodeId v = 0; v < g.n(); ++v) {
     run.inboxes.push_back(net.program_as<EchoFold>(v).heard);
@@ -484,9 +502,10 @@ EchoRun run_echo(const Graph& g, NetworkConfig cfg, bool use_broadcast) {
 
 TEST(FaultPlan, SharedBroadcastPayloadNeverLeaksAPrivateChange) {
   // A broadcast stores one payload that every port refers to; corruption
-  // and truncation must act on a private copy per delivery. So a broadcast
-  // and a send on every port must give the same execution under every
-  // plan and policy: same observed events, same inboxes, same stats.
+  // and truncation must act on a private copy per delivery. So a broadcast,
+  // a broadcast leaving out one port plus a send on that port, and a send
+  // on every port must give the same execution under every plan and
+  // policy: same observed events, same inboxes, same stats.
   auto g = random_graph(24, 4, 17);
   NetworkConfig clean;
   clean.bandwidth_bits = 32;  // the 3-field message is 25 bits at n = 24
@@ -512,27 +531,34 @@ TEST(FaultPlan, SharedBroadcastPayloadNeverLeaksAPrivateChange) {
   cases.back().cfg.policy = congest::BandwidthPolicy::kRecord;
 
   for (const auto& c : cases) {
-    const EchoRun bcast = run_echo(g, c.cfg, /*use_broadcast=*/true);
-    const EchoRun ports = run_echo(g, c.cfg, /*use_broadcast=*/false);
-    ASSERT_FALSE(bcast.events.empty()) << c.name;
-    EXPECT_TRUE(bcast.events == ports.events) << c.name;
-    EXPECT_TRUE(bcast.inboxes == ports.inboxes) << c.name;
-    EXPECT_EQ(bcast.stats.messages, ports.stats.messages) << c.name;
-    EXPECT_EQ(bcast.stats.bits, ports.stats.bits) << c.name;
-    EXPECT_EQ(bcast.stats.max_edge_bits, ports.stats.max_edge_bits) << c.name;
-    EXPECT_EQ(bcast.stats.violations, ports.stats.violations) << c.name;
-    EXPECT_EQ(bcast.stats.messages_dropped, ports.stats.messages_dropped)
-        << c.name;
-    EXPECT_EQ(bcast.stats.messages_corrupted, ports.stats.messages_corrupted)
-        << c.name;
-    EXPECT_EQ(bcast.stats.rounds, ports.stats.rounds) << c.name;
+    const EchoRun ports = run_echo(g, c.cfg, EmitMode::kPerPort);
+    for (const EmitMode mode :
+         {EmitMode::kBroadcast, EmitMode::kBroadcastExcept}) {
+      const EchoRun bcast = run_echo(g, c.cfg, mode);
+      const std::string name =
+          std::string(c.name) +
+          (mode == EmitMode::kBroadcast ? " broadcast" : " except+send");
+      ASSERT_FALSE(bcast.events.empty()) << name;
+      EXPECT_TRUE(bcast.events == ports.events) << name;
+      EXPECT_TRUE(bcast.inboxes == ports.inboxes) << name;
+      EXPECT_EQ(bcast.stats.messages, ports.stats.messages) << name;
+      EXPECT_EQ(bcast.stats.bits, ports.stats.bits) << name;
+      EXPECT_EQ(bcast.stats.max_edge_bits, ports.stats.max_edge_bits) << name;
+      EXPECT_EQ(bcast.stats.violations, ports.stats.violations) << name;
+      EXPECT_EQ(bcast.stats.messages_dropped, ports.stats.messages_dropped)
+          << name;
+      EXPECT_EQ(bcast.stats.messages_corrupted,
+                ports.stats.messages_corrupted)
+          << name;
+      EXPECT_EQ(bcast.stats.rounds, ports.stats.rounds) << name;
+    }
   }
 
   // The corrupt case really splits broadcasts: some (round, sender) group
   // has both a corrupted and a clean receiver, and exactly the deliveries
   // the plan corrupts differ from what the sender sent.
   const NetworkConfig& corrupt = cases[1].cfg;
-  const EchoRun run = run_echo(g, corrupt, /*use_broadcast=*/true);
+  const EchoRun run = run_echo(g, corrupt, EmitMode::kBroadcast);
   EXPECT_GT(run.stats.messages_corrupted, 0u);
   EXPECT_LT(run.stats.messages_corrupted, run.stats.messages);
   // One clean payload per (round, sender): every receiver the plan leaves
