@@ -108,6 +108,7 @@ void EccEngine::ensure_all() const {
       sweep_flat(*table);
     }
     ecc_ = std::move(table);
+    ready_.store(true, std::memory_order_release);
     metrics::count("graph.reference_bfs_runs",
                    bfs_runs_.load(std::memory_order_relaxed));
   });

@@ -92,6 +92,11 @@ class EccEngine {
   /// on a disconnected graph, where every eccentricity is kUnreachable).
   NodeId center() const;
 
+  /// True once the eccentricity table is computed. Never forces the
+  /// sweep, so a caller with a cheaper way to its answer can take it while
+  /// the table is absent, and read the table once it is there.
+  bool ready() const { return ready_.load(std::memory_order_acquire); }
+
   /// Number of BFS runs the engine has executed (each source of a
   /// bit-parallel batch counts as one). At most n for the life of the
   /// engine — the counter the reference-path cost assertions check.
@@ -145,6 +150,8 @@ class EccEngine {
   /// outlive the engine; written exactly once inside ensure_all.
   mutable std::shared_ptr<std::vector<std::uint32_t>> ecc_;
   mutable std::atomic<std::uint64_t> bfs_runs_{0};
+  /// Set (release) once ecc_ is written; read by ready().
+  mutable std::atomic<bool> ready_{false};
 };
 
 }  // namespace qc::graph

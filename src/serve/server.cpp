@@ -430,7 +430,11 @@ Response Server::execute(const Request& req) {
       case Op::kApprox: {
         // Double-sweep bounds without forcing the full eccentricity
         // table: BFS from `arg` (default 0), then from the farthest
-        // vertex found. lb <= D <= 2*lb on connected graphs.
+        // vertex found. lb <= D <= 2*lb on connected graphs. When the
+        // table is already there, ecc(far) is read from it instead of the
+        // second BFS; on a disconnected graph the table holds only
+        // kUnreachable while the sweep is component-local, so the BFS
+        // still answers there.
         const graph::NodeId root =
             req.arg < g.n() ? static_cast<graph::NodeId>(req.arg) : 0;
         const auto first = graph::bfs(g, root);
@@ -443,8 +447,10 @@ Response Server::execute(const Request& req) {
             far = v;
           }
         }
-        const auto second = graph::bfs(g, far);
-        const std::uint32_t lb = std::max(first.ecc, second.ecc);
+        std::uint32_t far_ecc =
+            engine.ready() ? engine.eccentricity(far) : graph::kUnreachable;
+        if (far_ecc == graph::kUnreachable) far_ecc = graph::bfs(g, far).ecc;
+        const std::uint32_t lb = std::max(first.ecc, far_ecc);
         return {Status::kOk, lb, 2ull * lb, ""};
       }
 

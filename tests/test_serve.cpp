@@ -488,6 +488,43 @@ TEST(ServerExecute, ApproxBoundsBracketTheDiameter) {
   EXPECT_EQ(approx.aux, 2 * approx.value);
 }
 
+TEST(ServerExecute, ApproxAnswersDoNotDependOnTheTable) {
+  // approx reads ecc(far) from the resident table once a diameter query
+  // has computed it, and runs the second BFS before. Both ways must give
+  // the same answers: on a connected graph, and on a disconnected one,
+  // whose table holds only kUnreachable while the sweep stays inside the
+  // root's component.
+  std::vector<graph::Edge> edges = {{0, 1}, {1, 2}, {2, 3}, {3, 4},
+                                    {5, 6}, {6, 7}};
+  const std::vector<std::pair<const char*, graph::Graph>> graphs = {
+      {"connected", graph::make_from_spec("diam:200:11")},
+      {"disconnected", graph::Graph::from_edges(8, edges)}};
+  for (const auto& [name, graph_in] : graphs) {
+    TempFile f(std::string("exec_approx_table_") + name + ".qcg");
+    const auto g = write_graph(f.path, graph_in);
+    Server server({});
+    ASSERT_EQ(server.execute({Op::kLoad, f.path, 0}).status, Status::kOk);
+    const std::vector<std::uint64_t> roots = {0, 3, 5, g.n() - 1, g.n()};
+    std::vector<Response> before;
+    for (const std::uint64_t r : roots) {
+      before.push_back(server.execute({Op::kApprox, f.path, r}));
+    }
+    const auto resident = server.registry().get(f.path);
+    ASSERT_NE(resident, nullptr);
+    EXPECT_FALSE(resident->engine().ready()) << name;
+    ASSERT_EQ(server.execute({Op::kDiameter, f.path, 0}).status,
+              Status::kOk);
+    EXPECT_TRUE(resident->engine().ready()) << name;
+    for (std::size_t i = 0; i < roots.size(); ++i) {
+      const auto after = server.execute({Op::kApprox, f.path, roots[i]});
+      ASSERT_EQ(before[i].status, Status::kOk) << name;
+      EXPECT_EQ(after.status, before[i].status) << name << " root " << i;
+      EXPECT_EQ(after.value, before[i].value) << name << " root " << i;
+      EXPECT_EQ(after.aux, before[i].aux) << name << " root " << i;
+    }
+  }
+}
+
 TEST(ServerExecute, ErrorsAreAnswersNotCrashes) {
   TempFile f("exec_errors.qcg");
   write_graph(f.path, graph::make_path(4));
