@@ -1,11 +1,13 @@
 #include "serve/protocol.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define QC_HAVE_SOCKETS 1
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -168,20 +170,58 @@ Response decode_response(std::span<const std::uint8_t> payload) {
 
 namespace {
 
+/// The deadline of one frame: unset until its first byte arrives.
+struct FrameDeadline {
+  std::uint32_t limit_ms = 0;  ///< 0: no deadline
+  bool started = false;
+  std::chrono::steady_clock::time_point at{};
+};
+
+/// Waits until `fd` is readable or the frame's deadline passes (throws).
+void wait_readable(int fd, const FrameDeadline& deadline) {
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline.at - std::chrono::steady_clock::now());
+    proto_require(left.count() > 0,
+                  "serve: frame deadline exceeded (the rest of the frame "
+                  "did not arrive in time)");
+    pollfd p{fd, POLLIN, 0};
+    const int ready = ::poll(&p, 1, static_cast<int>(left.count()));
+    if (ready > 0) return;
+    if (ready < 0 && errno != EINTR) {
+      throw ProtocolError("serve: poll failed: " +
+                          std::string(std::strerror(errno)));
+    }
+  }
+}
+
 /// Reads exactly `len` bytes. Returns the byte count read before EOF, so
 /// the caller can tell a clean close (0) from a truncated frame (0 < got <
-/// len). Throws on IO errors.
-std::size_t read_exact(int fd, std::uint8_t* buf, std::size_t len) {
+/// len). Throws on IO errors. Under a deadline, the first byte of the
+/// frame starts it and every later read is non-blocking.
+std::size_t read_exact(int fd, std::uint8_t* buf, std::size_t len,
+                       FrameDeadline& deadline) {
   std::size_t got = 0;
   while (got < len) {
-    const ssize_t r = ::read(fd, buf + got, len - got);
+    const ssize_t r = deadline.started
+                          ? ::recv(fd, buf + got, len - got, MSG_DONTWAIT)
+                          : ::read(fd, buf + got, len - got);
     if (r < 0) {
       if (errno == EINTR) continue;
+      if (deadline.started && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        wait_readable(fd, deadline);
+        continue;
+      }
       throw ProtocolError("serve: read failed: " +
                           std::string(std::strerror(errno)));
     }
     if (r == 0) break;  // EOF
     got += static_cast<std::size_t>(r);
+    if (deadline.limit_ms != 0 && !deadline.started) {
+      deadline.started = true;
+      deadline.at = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(deadline.limit_ms);
+    }
   }
   return got;
 }
@@ -189,9 +229,12 @@ std::size_t read_exact(int fd, std::uint8_t* buf, std::size_t len) {
 }  // namespace
 
 bool read_frame(int fd, std::vector<std::uint8_t>& payload,
-                std::uint32_t max_frame_bytes) {
+                std::uint32_t max_frame_bytes,
+                std::uint32_t frame_deadline_ms) {
+  FrameDeadline deadline{frame_deadline_ms};
   std::uint8_t len_bytes[4];
-  const std::size_t got = read_exact(fd, len_bytes, sizeof(len_bytes));
+  const std::size_t got =
+      read_exact(fd, len_bytes, sizeof(len_bytes), deadline);
   if (got == 0) return false;  // clean EOF at a frame boundary
   proto_require(got == sizeof(len_bytes),
                 "serve: truncated frame (EOF inside the length prefix)");
@@ -200,7 +243,7 @@ bool read_frame(int fd, std::vector<std::uint8_t>& payload,
   proto_require(len <= max_frame_bytes,
                 "serve: frame length exceeds the cap");
   payload.resize(len);
-  proto_require(read_exact(fd, payload.data(), len) == len,
+  proto_require(read_exact(fd, payload.data(), len, deadline) == len,
                 "serve: truncated frame (EOF inside the payload)");
   return true;
 }
@@ -249,7 +292,8 @@ void write_frame(int fd, std::span<const std::uint8_t> payload,
 
 #else  // !QC_HAVE_SOCKETS: encoding still works; fd framing is unavailable.
 
-bool read_frame(int, std::vector<std::uint8_t>&, std::uint32_t) {
+bool read_frame(int, std::vector<std::uint8_t>&, std::uint32_t,
+                std::uint32_t) {
   throw Error("serve: socket IO is not available on this platform");
 }
 

@@ -111,8 +111,16 @@ Response decode_response(std::span<const std::uint8_t> payload);
 /// shared: qcongestd frames stay under kMaxFrameBytes, while the shard
 /// backend (src/congest/shard) moves its lifecycle frames (a harvest of
 /// every owned program's state) under its own, larger cap.
+///
+/// `frame_deadline_ms` (0: none; `fd` must then be a socket) bounds a
+/// frame once it has begun: the wait for its first byte is unbounded, so
+/// a peer may idle between frames, but the rest must arrive within the
+/// deadline or read_frame throws ProtocolError. The reads after the first
+/// do not block, and only one that finds no data polls for the time left,
+/// so a frame that arrives whole costs the same reads as without one.
 bool read_frame(int fd, std::vector<std::uint8_t>& payload,
-                std::uint32_t max_frame_bytes = kMaxFrameBytes);
+                std::uint32_t max_frame_bytes = kMaxFrameBytes,
+                std::uint32_t frame_deadline_ms = 0);
 void write_frame(int fd, std::span<const std::uint8_t> payload,
                  std::uint32_t max_frame_bytes = kMaxFrameBytes);
 

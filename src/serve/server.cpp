@@ -190,17 +190,24 @@ void Server::accept_loop() {
 
 void Server::handle_connection(int fd) {
   std::vector<std::uint8_t> payload;
+  const std::uint32_t frame_deadline_ms =
+      opts_.timeout_ms != 0 ? std::min(opts_.timeout_ms, kMaxFrameDeadlineMs)
+                            : kMaxFrameDeadlineMs;
   for (;;) {
     Request req;
     bool decoded = false;
     try {
-      if (!read_frame(fd, payload, opts_.max_frame_bytes)) break;  // EOF
+      if (!read_frame(fd, payload, opts_.max_frame_bytes,
+                      frame_deadline_ms)) {
+        break;  // EOF
+      }
       req = decode_request(payload);
       decoded = true;
     } catch (const ProtocolError& e) {
-      // Malformed frame or payload: answer kBadRequest (best effort) and
-      // drop the connection — after a framing error the stream position
-      // is unreliable, so resynchronization is not possible.
+      // Malformed, or stalled past its deadline, frame or payload: answer
+      // kBadRequest (best effort) and drop the connection — after a
+      // framing error the stream position is unreliable, so
+      // resynchronization is not possible.
       stats_.bad_requests.fetch_add(1, std::memory_order_relaxed);
       metrics::count("serve.bad_requests");
       try {

@@ -5,7 +5,8 @@
 // Architecture (one box per layer the request crosses):
 //
 //   accept thread ── one blocking reader thread per connection
-//        │                 │  read_frame / decode_request (validated)
+//        │                 │  read_frame / decode_request (validated;
+//        │                 │  a begun frame must finish within its deadline)
 //        │                 ▼
 //        │          bounded admission: pending >= max_pending → kRejected
 //        │                 │
@@ -41,6 +42,12 @@
 
 namespace qc::serve {
 
+/// Longest a connection may take to finish a frame it has begun; a
+/// per-request deadline (ServerOptions::timeout_ms) below it takes its
+/// place. A peer that stalls mid-frame is closed and counted in
+/// serve.bad_requests; one that idles between frames is not.
+inline constexpr std::uint32_t kMaxFrameDeadlineMs = 10000;
+
 struct ServerOptions {
   /// Unix-domain socket path; when empty the server listens on loopback
   /// TCP instead.
@@ -55,7 +62,8 @@ struct ServerOptions {
   std::uint32_t max_pending = 64;
   /// Per-request deadline in ms measured from admission; 0 disables.
   /// A request that misses it answers kTimeout (the computation itself
-  /// cannot be cancelled; its result is discarded).
+  /// cannot be cancelled; its result is discarded). It also bounds the
+  /// arrival of a begun frame when below kMaxFrameDeadlineMs.
   std::uint32_t timeout_ms = 0;
   /// JSONL request log path ("" disables): one line per request with
   /// request id, op, graph key, status, latency and engine work.

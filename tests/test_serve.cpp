@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -30,6 +31,8 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define QC_TEST_HAVE_SOCKETS 1
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 #else
 #define QC_TEST_HAVE_SOCKETS 0
@@ -739,6 +742,70 @@ TEST(ServerSocket, MalformedFrameGetsBadRequestAndCloses) {
   EXPECT_EQ(client2.call_ok({Op::kPing, "", 5}).value, 5u);
   EXPECT_EQ(server.stats().bad_requests.load(), 1u);
   server.stop();
+}
+
+TEST(ServerSocket, HalfFrameClientIsClosedWithinTheFrameDeadline) {
+  TempFile sock("halfframe.sock");
+  ServerOptions opts;
+  opts.unix_path = sock.path;
+  opts.timeout_ms = 200;  // below kMaxFrameDeadlineMs: the frame deadline
+  Server server(opts);
+  server.start();
+  using Clock = std::chrono::steady_clock;
+  const auto deadline = std::chrono::milliseconds(opts.timeout_ms);
+  const auto slack = std::chrono::seconds(3);  // sanitizer builds
+
+  // Idling between frames for longer than the deadline is legal.
+  auto idle = Client::connect("unix:" + sock.path);
+  std::this_thread::sleep_for(2 * deadline);
+  EXPECT_EQ(idle.call_ok({Op::kPing, "", 7}).value, 7u);
+
+  // Stalling inside the length prefix, then inside the payload: each
+  // connection gets kBadRequest and is closed once the deadline passes.
+  const auto frame = encode_request({Op::kPing, "", 9});
+  std::vector<std::uint8_t> whole(4 + frame.size());
+  store_le32(whole.data(), static_cast<std::uint32_t>(frame.size()));
+  std::copy(frame.begin(), frame.end(), whole.begin() + 4);
+  std::uint64_t stalled = 0;
+  for (const std::size_t sent : {std::size_t{2}, std::size_t{4 + 3}}) {
+    auto client = Client::connect("unix:" + sock.path);
+    // A server that never closes the stalled frame fails the read below
+    // instead of hanging the test.
+    const timeval bound{5, 0};
+    ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &bound,
+                           sizeof(bound)),
+              0);
+    const auto start = Clock::now();
+    ASSERT_EQ(::write(client.fd(), whole.data(), sent),
+              static_cast<ssize_t>(sent));
+    std::vector<std::uint8_t> raw;
+    ASSERT_TRUE(read_frame(client.fd(), raw)) << "sent " << sent;
+    const auto waited = Clock::now() - start;
+    EXPECT_EQ(decode_response(raw).status, Status::kBadRequest);
+    EXPECT_FALSE(read_frame(client.fd(), raw)) << "sent " << sent;
+    EXPECT_GE(waited, deadline) << "sent " << sent;
+    EXPECT_LE(waited, deadline + slack) << "sent " << sent;
+    EXPECT_EQ(server.stats().bad_requests.load(), ++stalled);
+  }
+  // The idle connection outlived both and still answers.
+  EXPECT_EQ(idle.call_ok({Op::kPing, "", 8}).value, 8u);
+  server.stop();
+}
+
+TEST(ServerSocket, StopReturnsPromptlyWithAStalledClientConnected) {
+  TempFile sock("stalled.sock");
+  ServerOptions opts;
+  opts.unix_path = sock.path;  // no request deadline: kMaxFrameDeadlineMs
+  Server server(opts);
+  server.start();
+  auto client = Client::connect("unix:" + sock.path);
+  const std::uint8_t prefix[2] = {16, 0};
+  ASSERT_EQ(::write(client.fd(), prefix, sizeof(prefix)), 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(kMaxFrameDeadlineMs / 4));
 }
 
 TEST(ServerSocket, FrameAboveServerCapIsRejected) {
