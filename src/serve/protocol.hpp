@@ -112,8 +112,8 @@ Response decode_response(std::span<const std::uint8_t> payload);
 /// backend (src/congest/shard) moves its lifecycle frames (a harvest of
 /// every owned program's state) under its own, larger cap.
 ///
-/// `frame_deadline_ms` (0: none; `fd` must then be a socket) bounds a
-/// frame once it has begun: the wait for its first byte is unbounded, so
+/// `frame_deadline_ms` (0: none; any other value needs a socket `fd`)
+/// bounds a frame once it has begun: the wait for its first byte is unbounded, so
 /// a peer may idle between frames, but the rest must arrive within the
 /// deadline or read_frame throws ProtocolError. The reads after the first
 /// do not block, and only one that finds no data polls for the time left,
