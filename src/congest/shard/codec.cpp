@@ -1,5 +1,6 @@
 #include "congest/shard/codec.hpp"
 
+#include <algorithm>
 #include <string_view>
 
 #include "util/error.hpp"
@@ -73,8 +74,6 @@ class Reader {
 
   std::size_t remaining() const { return buf_.size() - pos_; }
 
-  std::size_t pos() const { return pos_; }
-
   /// Consumes `k` bytes and returns where they start.
   const std::uint8_t* take(std::size_t k) {
     need(k);
@@ -126,10 +125,6 @@ std::uint8_t* store_message(std::uint8_t* p, const Message& m) {
   return p;
 }
 
-void put_message(Writer& w, const Message& m) {
-  store_message(w.grow(4 + 9 * m.num_fields()), m);
-}
-
 void read_message_into(Reader& r, Message& m) {
   const std::uint32_t count = r.u32();
   proto_require(count <= Message::kMaxFields,
@@ -174,29 +169,16 @@ void read_events_into(Reader& r, std::vector<DeliveryEvent>& out) {
   }
 }
 
-void put_batch(Writer& w, std::span<const BoundaryEntry> batch) {
-  std::size_t bytes = 4;
-  for (const auto& e : batch) bytes += entry_wire_bytes(e);
-  std::uint8_t* p = w.grow(bytes);
-  store_le(p, batch.size(), 4);
-  p += 4;
-  for (const auto& e : batch) {
-    store_le(p, e.slot, 4);
-    p = store_message(p + 4, e.msg);
-  }
-}
-
-/// Appends the batch's entries to `into`.
+/// Replaces `into` with the batch's entries.
 void read_batch_into(Reader& r, std::vector<BoundaryEntry>& into) {
   const std::uint32_t count = r.u32();
   // Cheapest entry is 8 bytes (slot + empty message).
   proto_require(r.remaining() >= static_cast<std::size_t>(count) * 8,
                 "shard: boundary entry count disagrees with the payload size");
-  const std::size_t at = into.size();
-  into.resize(at + count);
-  for (std::size_t i = at; i < into.size(); ++i) {
-    into[i].slot = r.u32();
-    read_message_into(r, into[i].msg);
+  into.resize(count);
+  for (BoundaryEntry& e : into) {
+    e.slot = r.u32();
+    read_message_into(r, e.msg);
   }
 }
 
@@ -206,21 +188,37 @@ void put_outbound(Writer& w, const Outbound& out) {
   w.u32(groups);
   for (std::uint32_t t = 0; t < out.size(); ++t) {
     if (out[t].empty()) continue;
-    w.u32(t);
-    put_batch(w, out[t]);
+    std::size_t bytes = 0;
+    for (const auto& e : out[t]) bytes += 8 + 9 * e.msg.num_fields();
+    std::uint8_t* p = w.grow(12 + bytes);
+    store_le(p, t, 4);
+    store_le(p + 4, out[t].size(), 4);
+    store_le(p + 8, bytes, 4);
+    p += 12;
+    for (const auto& e : out[t]) {
+      store_le(p, e.slot, 4);
+      p = store_message(p + 4, e.msg);
+    }
   }
 }
 
-void read_outbound_into(Reader& r, Outbound& out) {
-  const std::uint32_t groups = r.u32();
-  proto_require(groups <= out.size(),
+/// Checks every group header and points groups[shard] at its entries;
+/// the entries themselves are left to the receiving worker.
+void read_groups(Reader& r, std::span<BoundaryGroup> groups) {
+  std::fill(groups.begin(), groups.end(), BoundaryGroup{});
+  const std::uint32_t count = r.u32();
+  proto_require(count <= groups.size(),
                 "shard: more boundary groups than shards");
   std::uint32_t next = 0;  // lowest shard the next group may name
-  for (std::uint32_t i = 0; i < groups; ++i) {
+  for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t t = r.u32();
-    proto_require(t >= next && t < out.size(),
+    proto_require(t >= next && t < groups.size(),
                   "shard: boundary group names a bad or repeated shard");
-    read_batch_into(r, out[t]);
+    const std::uint64_t entries = r.u32();
+    const std::uint32_t len = r.u32();
+    proto_require(len >= entries * 8 && len <= entries * kMaxEntryWireBytes,
+                  "shard: boundary group length disagrees with its count");
+    groups[t] = {static_cast<std::uint32_t>(entries), {r.take(len), len}};
     next = t + 1;
   }
 }
@@ -274,14 +272,14 @@ const char* shard_op_name(ShardOp op) {
 }
 
 std::size_t round_begin_bound(std::size_t in_arcs) {
-  return kHeaderBytes + 4 + 1 + 4 + in_arcs * kMaxEntryWireBytes;
+  return kRoundBeginHeaderBytes + in_arcs * kMaxEntryWireBytes;
 }
 
 std::size_t round_end_bound(std::size_t out_arcs, std::uint32_t shards,
                             std::size_t event_arcs) {
   return kHeaderBytes + 4 + 3 * 8 + kStatsBytes +
          4 + event_arcs * kMaxEventWireBytes +
-         4 + static_cast<std::size_t>(shards) * 8 +
+         4 + static_cast<std::size_t>(shards) * 12 +
          out_arcs * kMaxEntryWireBytes;
 }
 
@@ -320,25 +318,25 @@ void encode_start_done(const StartDoneFrame& f, const Outbound& out,
 }
 
 void decode_start_done_into(std::span<const std::uint8_t> payload,
-                            StartDoneFrame& f, Outbound& out) {
+                            StartDoneFrame& f,
+                            std::span<BoundaryGroup> groups) {
   Reader r = open_body(payload, ShardOp::kStartDone);
   f.inflight = r.i64();
   f.halted = r.i64();
   f.wakes = r.i64();
-  read_outbound_into(r, out);
+  read_groups(r, groups);
   r.done();
 }
 
-void encode_round_begin(const RoundBeginFrame& f,
-                        std::span<const BoundaryEntry> in,
-                        std::vector<std::uint8_t>& buf) {
-  buf.clear();
-  Writer w(buf);
-  put_header(w, ShardOp::kRoundBegin);
-  w.u32(f.round);
-  w.u8(static_cast<std::uint8_t>((f.memory_audit ? 1 : 0) |
-                                  (f.memory_sweep_all ? 2 : 0)));
-  put_batch(w, in);
+RoundBeginHeader encode_round_begin(const RoundBeginFrame& f,
+                                    std::uint32_t count) {
+  RoundBeginHeader h{kShardProtocolVersion,
+                     static_cast<std::uint8_t>(ShardOp::kRoundBegin)};
+  store_le(&h[4], f.round, 4);
+  h[8] = static_cast<std::uint8_t>((f.memory_audit ? 1 : 0) |
+                                   (f.memory_sweep_all ? 2 : 0));
+  store_le(&h[9], count, 4);
+  return h;
 }
 
 void decode_round_begin_into(std::span<const std::uint8_t> payload,
@@ -350,7 +348,6 @@ void decode_round_begin_into(std::span<const std::uint8_t> payload,
   proto_require(flags <= 3, "shard: unknown round-begin flag bits");
   f.memory_audit = (flags & 1) != 0;
   f.memory_sweep_all = (flags & 2) != 0;
-  in.clear();
   read_batch_into(r, in);
   r.done();
 }
@@ -370,7 +367,8 @@ void encode_round_end(const RoundEndFrame& f, const Outbound& out,
 }
 
 void decode_round_end_into(std::span<const std::uint8_t> payload,
-                           RoundEndFrame& f, Outbound& out) {
+                           RoundEndFrame& f,
+                           std::span<BoundaryGroup> groups) {
   Reader r = open_body(payload, ShardOp::kRoundEnd);
   f.round = r.u32();
   f.inflight = r.i64();
@@ -378,29 +376,32 @@ void decode_round_end_into(std::span<const std::uint8_t> payload,
   f.wakes = r.i64();
   f.stats = read_stats(r);
   read_events_into(r, f.events);
-  read_outbound_into(r, out);
+  read_groups(r, groups);
   r.done();
 }
 
-std::vector<std::uint8_t> encode_harvest_done(const HarvestDoneFrame& f) {
+std::vector<std::uint8_t> encode_harvest_done(
+    std::span<const Message> states) {
   std::vector<std::uint8_t> out;
   Writer w(out);
   put_header(w, ShardOp::kHarvestDone);
-  w.u32(static_cast<std::uint32_t>(f.states.size()));
-  for (const auto& m : f.states) put_message(w, m);
+  w.u32(static_cast<std::uint32_t>(states.size()));
+  for (const auto& m : states) {
+    store_message(w.grow(4 + 9 * m.num_fields()), m);
+  }
   return out;
 }
 
-HarvestDoneFrame decode_harvest_done(std::span<const std::uint8_t> payload) {
+std::vector<Message> decode_harvest_done(
+    std::span<const std::uint8_t> payload) {
   Reader r = open_body(payload, ShardOp::kHarvestDone);
   const std::uint32_t count = r.u32();
   proto_require(r.remaining() >= static_cast<std::size_t>(count) * 4,
                 "shard: harvest count disagrees with the payload size");
-  HarvestDoneFrame f;
-  f.states.resize(count);
-  for (auto& m : f.states) read_message_into(r, m);
+  std::vector<Message> states(count);
+  for (auto& m : states) read_message_into(r, m);
   r.done();
-  return f;
+  return states;
 }
 
 std::vector<std::uint8_t> encode_error(const std::string& text) {

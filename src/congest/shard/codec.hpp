@@ -26,7 +26,10 @@
 //
 //   entry        := u32 slot | message
 //   batch        := u32 count | count x entry
-//   outbound     := u32 groups | groups x (u32 shard | batch)
+//   group        := u32 shard | u32 count | u32 len | len bytes
+//                   the len bytes are count entries;
+//                   count x 8 <= len <= count x kMaxEntryWireBytes
+//   outbound     := u32 groups | groups x group
 //                   shard strictly ascending and < the shard count
 //
 //   body by op (direction):
@@ -47,10 +50,13 @@
 //
 // Boundary messages travel in a star through the coordinator. A worker's
 // start_done / round_end carries the messages its owned nodes queued for
-// foreign receivers, grouped by the receiving shard; the coordinator
-// relays each shard's share, source shards ascending, in that shard's
-// next round_begin, and the receiving worker checks every slot against
-// its inbound boundary slots before injecting it.
+// foreign receivers, grouped by the receiving shard. The coordinator
+// checks only the group headers and never decodes an entry: each shard's
+// next round_begin is a fresh header followed by the groups' entry bytes
+// addressed to it, source shards ascending, so the batch is the
+// concatenation of those groups. The receiving worker decodes every
+// entry and checks every slot against its inbound boundary slots before
+// injecting it, so a malformed entry is reported by its receiver.
 //
 // `slot` is a flat arc index of the (identical) Network replica
 // every process holds — see Network::shard_out_base. Each group is in
@@ -58,6 +64,7 @@
 // delivery order (receiver ascending, port ascending). Full protocol and
 // determinism contract: docs/distributed.md.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -72,7 +79,7 @@ namespace qc::congest::shard {
 
 using graph::NodeId;
 
-inline constexpr std::uint8_t kShardProtocolVersion = 3;
+inline constexpr std::uint8_t kShardProtocolVersion = 4;
 
 /// Hard cap on one shard frame's payload. The largest frames are a
 /// harvest_done (one serialized program state per owned node) and a
@@ -111,9 +118,16 @@ struct BoundaryEntry {
 };
 
 /// A worker's outbound boundary messages indexed by receiving shard, so
-/// size() is the shard count. Decoding appends, which lets the
-/// coordinator gather every source's share for one destination in place.
+/// size() is the shard count; the start_done / round_end encoders write
+/// one group per nonempty shard.
 using Outbound = std::vector<std::vector<BoundaryEntry>>;
+
+/// One decoded group header: the entry count and the encoded entries, a
+/// byte range of the frame that carried them (count 0: no group).
+struct BoundaryGroup {
+  std::uint32_t count = 0;
+  std::span<const std::uint8_t> entries;
+};
 
 /// Most bytes one encoded message takes: its field count plus
 /// Message::kMaxFields (width, value) pairs. The model puts at most one
@@ -124,10 +138,9 @@ inline constexpr std::size_t kMaxMessageWireBytes =
 inline constexpr std::size_t kMaxEntryWireBytes = 4 + kMaxMessageWireBytes;
 inline constexpr std::size_t kMaxEventWireBytes = 8 + kMaxMessageWireBytes;
 
-/// Encoded size of one boundary entry (the shard.boundary_bytes unit).
-inline std::size_t entry_wire_bytes(const BoundaryEntry& e) {
-  return 4 + 4 + 9 * e.msg.num_fields();
-}
+/// The bytes of a round_begin before its entries.
+inline constexpr std::size_t kRoundBeginHeaderBytes = 4 + 4 + 1 + 4;
+using RoundBeginHeader = std::array<std::uint8_t, kRoundBeginHeaderBytes>;
 
 /// Most bytes a round_begin relaying `in_arcs` boundary arcs takes, and a
 /// start_done / round_end from a worker with `out_arcs` outbound boundary
@@ -158,10 +171,6 @@ struct RoundEndFrame {
   std::vector<DeliveryEvent> events;
 };
 
-struct HarvestDoneFrame {
-  std::vector<Message> states;  ///< owned programs, canonical node order
-};
-
 /// Peeks the op byte of a framed payload after validating the fixed
 /// header (length, version, reserved bytes). Throws serve::ProtocolError —
 /// the shard codec reuses the serve error type so callers handle one
@@ -174,8 +183,9 @@ ShardOp decode_op(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encode_empty(ShardOp op);
 void decode_empty(std::span<const std::uint8_t> payload, ShardOp op);
 
-std::vector<std::uint8_t> encode_harvest_done(const HarvestDoneFrame& f);
-HarvestDoneFrame decode_harvest_done(std::span<const std::uint8_t> payload);
+/// harvest_done carries the owned programs' states in canonical node order.
+std::vector<std::uint8_t> encode_harvest_done(std::span<const Message> states);
+std::vector<Message> decode_harvest_done(std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encode_error(const std::string& text);
 std::string decode_error(std::span<const std::uint8_t> payload);
@@ -185,20 +195,21 @@ std::string decode_error(std::span<const std::uint8_t> payload);
 // vector (cleared first) and decode into caller-owned structs: once the
 // buffers are reserved to the bounds above, a steady-state round performs
 // zero heap allocations end to end (bench_shard --check pins that with
-// the alloc probe). The decoders append each outbound group to
-// `out[shard]` and reject a group whose shard is not below out.size().
+// the alloc probe). The start_done / round_end decoders store each group
+// at groups[shard] (the rest are reset), rejecting a shard not below
+// groups.size(); the entries stay undecoded inside `payload`.
 
 void encode_start_done(const StartDoneFrame& f, const Outbound& out,
                        std::vector<std::uint8_t>& buf);
 void decode_start_done_into(std::span<const std::uint8_t> payload,
-                            StartDoneFrame& f, Outbound& out);
+                            StartDoneFrame& f,
+                            std::span<BoundaryGroup> groups);
 
-/// `in` is the batch of boundary messages for the worker's owned
-/// receivers, sent in the previous round (or by on_start); decoding
-/// replaces the contents of `in`.
-void encode_round_begin(const RoundBeginFrame& f,
-                        std::span<const BoundaryEntry> in,
-                        std::vector<std::uint8_t>& buf);
+/// The header of a round_begin relaying `count` entries, which follow it.
+/// Decoding replaces `in` with the boundary messages for the worker's
+/// owned receivers, sent in the previous round (or by on_start).
+RoundBeginHeader encode_round_begin(const RoundBeginFrame& f,
+                                    std::uint32_t count);
 void decode_round_begin_into(std::span<const std::uint8_t> payload,
                              RoundBeginFrame& f,
                              std::vector<BoundaryEntry>& in);
@@ -206,6 +217,7 @@ void decode_round_begin_into(std::span<const std::uint8_t> payload,
 void encode_round_end(const RoundEndFrame& f, const Outbound& out,
                       std::vector<std::uint8_t>& buf);
 void decode_round_end_into(std::span<const std::uint8_t> payload,
-                           RoundEndFrame& f, Outbound& out);
+                           RoundEndFrame& f,
+                           std::span<BoundaryGroup> groups);
 
 }  // namespace qc::congest::shard

@@ -107,12 +107,30 @@ void ShardedNetwork::init_programs(const ProgramFactory& make) {
 
 void ShardedNetwork::spawn_workers() {
   const bool collect_events = cfg_.net.observer != nullptr;
-  workers_.assign(asn_.shards, Worker{});
-  reserve_buffers(collect_events);
+  const std::uint32_t W = asn_.shards;
+  workers_.assign(W, Worker{});
+  // Every reused frame buffer is reserved to the CONGEST bound for this
+  // assignment, so the round loop never grows one.
+  const auto offsets = graph_->csr_offsets();
+  rx_.assign(W, {});
+  harvest_rx_.assign(W, {});
+  groups_.assign(static_cast<std::size_t>(W) * W, {});
+  parts_.resize(W + 1);
+  polls_.resize(W);
+  std::size_t max_events = 0;
+  for (std::uint32_t s = 0; s < W; ++s) {
+    // At most one observer event per owned in-arc.
+    const std::size_t events =
+        collect_events ? offsets[asn_.end(s)] - offsets[asn_.begin(s)] : 0;
+    rx_[s].reserve(round_end_bound(boundary_arcs(*graph_, asn_, s).size(), W,
+                                   events));
+    max_events = std::max(max_events, events);
+  }
+  re_.events.reserve(max_events);
   // Any buffered stdio the child inherits would be flushed twice (once per
   // process); drain it while there is still only one process.
   std::fflush(nullptr);
-  for (std::uint32_t s = 0; s < asn_.shards; ++s) {
+  for (std::uint32_t s = 0; s < W; ++s) {
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
       const std::string err = std::strerror(errno);
@@ -151,42 +169,8 @@ void ShardedNetwork::spawn_workers() {
     workers_[s].fd = sv[0];
   }
   spawned_ = true;
-  metrics::count("shard.spawns", asn_.shards);
-  metrics::gauge("shard.workers", static_cast<double>(asn_.shards));
-}
-
-void ShardedNetwork::reserve_buffers(bool collect_events) {
-  const std::uint32_t W = asn_.shards;
-  // Boundary arcs out of and into each shard, and each shard's owned
-  // in-degree (one observer event per arc at most).
-  std::vector<std::size_t> out_arcs(W, 0);
-  std::vector<std::size_t> in_arcs(W, 0);
-  std::vector<std::size_t> owned_in_arcs(W, 0);
-  for (std::uint32_t s = 0; s < W; ++s) {
-    for (NodeId u = asn_.begin(s); u < asn_.end(s); ++u) {
-      const auto nb = graph_->neighbors(u);
-      owned_in_arcs[s] += nb.size();
-      for (const NodeId v : nb) {
-        if (asn_.owns(s, v)) continue;
-        ++out_arcs[s];
-        ++in_arcs[asn_.owner(v)];
-      }
-    }
-  }
-  inbound_.assign(W, {});
-  rx_.assign(W, {});
-  std::size_t tx_bytes = 0;
-  std::size_t max_events = 0;
-  for (std::uint32_t s = 0; s < W; ++s) {
-    const std::size_t events = collect_events ? owned_in_arcs[s] : 0;
-    inbound_[s].reserve(in_arcs[s]);
-    rx_[s].reserve(round_end_bound(out_arcs[s], W, events));
-    tx_bytes = std::max(tx_bytes, round_begin_bound(in_arcs[s]));
-    max_events = std::max(max_events, events);
-  }
-  tx_.reserve(tx_bytes);
-  re_.events.reserve(max_events);
-  polls_.resize(W);
+  metrics::count("shard.spawns", W);
+  metrics::gauge("shard.workers", static_cast<double>(W));
 }
 
 std::string ShardedNetwork::teardown(bool graceful) {
@@ -257,20 +241,27 @@ void ShardedNetwork::fail(std::size_t w, const std::string& what) {
   throw Error("shard: worker " + std::to_string(w) + " " + what);
 }
 
-void ShardedNetwork::send_frame(std::size_t w,
-                                std::span<const std::uint8_t> payload) {
+void ShardedNetwork::send_frame(
+    std::size_t w, std::span<const std::span<const std::uint8_t>> parts) {
   try {
-    serve::write_frame(workers_[w].fd, payload, kMaxShardFrameBytes);
+    serve::write_frame(workers_[w].fd, parts, kMaxShardFrameBytes);
   } catch (const std::exception& e) {
     fail(w, std::string("is unreachable (crashed?): ") + e.what());
   }
 }
 
+void ShardedNetwork::send_all(ShardOp op) {
+  const auto payload = encode_empty(op);
+  const std::span<const std::uint8_t> part(payload);
+  for (std::size_t w = 0; w < workers_.size(); ++w) send_frame(w, {&part, 1});
+}
+
 void ShardedNetwork::dispatch(std::size_t w, Collect what) {
-  const std::vector<std::uint8_t>& payload = rx_[w];
+  const std::span<BoundaryGroup> groups(&groups_[w * asn_.shards],
+                                        asn_.shards);
   switch (what) {
     case Collect::kRoundEnd: {
-      decode_round_end_into(payload, re_, inbound_);
+      decode_round_end_into(rx_[w], re_, groups);
       if (re_.round != round_) fail(w, "answered for the wrong round");
       merge_worker_stats(round_stats_, re_.stats);
       workers_[w].inflight = re_.inflight;
@@ -290,21 +281,20 @@ void ShardedNetwork::dispatch(std::size_t w, Collect what) {
     }
     case Collect::kStartDone: {
       StartDoneFrame f;
-      decode_start_done_into(payload, f, inbound_);
+      decode_start_done_into(rx_[w], f, groups);
       workers_[w].inflight = f.inflight;
       workers_[w].halted = f.halted;
       workers_[w].wakes = f.wakes;
       break;
     }
     case Collect::kHarvestDone: {
-      HarvestDoneFrame f = decode_harvest_done(payload);
-      if (f.states.size() !=
-          asn_.owned_count(static_cast<std::uint32_t>(w))) {
+      const auto states = decode_harvest_done(harvest_rx_[w]);
+      const auto s = static_cast<std::uint32_t>(w);
+      if (states.size() != asn_.owned_count(s)) {
         fail(w, "harvested the wrong number of programs");
       }
-      const NodeId begin = asn_.begin(static_cast<std::uint32_t>(w));
-      for (std::size_t i = 0; i < f.states.size(); ++i) {
-        replicas_[begin + i]->restore_state(f.states[i]);
+      for (std::size_t i = 0; i < states.size(); ++i) {
+        replicas_[asn_.begin(s) + i]->restore_state(states[i]);
       }
       break;
     }
@@ -331,11 +321,14 @@ void ShardedNetwork::collect_all(Collect what) {
       if (polls_[w].fd < 0 || polls_[w].revents == 0) continue;
       // POLLIN means a frame; EOF or POLLHUP without one means the worker
       // is gone.
+      // A harvest reads into its own buffers: the boundary groups awaiting
+      // relay still point into rx_.
+      auto& rx = what == Collect::kHarvestDone ? harvest_rx_[w] : rx_[w];
       bool ok = false;
       try {
-        ok = serve::read_frame(workers_[w].fd, rx_[w], kMaxShardFrameBytes);
-        if (ok && decode_op(rx_[w]) == ShardOp::kError) {
-          fail(w, "failed: " + decode_error(rx_[w]));
+        ok = serve::read_frame(workers_[w].fd, rx, kMaxShardFrameBytes);
+        if (ok && decode_op(rx) == ShardOp::kError) {
+          fail(w, "failed: " + decode_error(rx));
         }
       } catch (const serve::ProtocolError& e) {
         fail(w, std::string("sent a malformed frame: ") + e.what());
@@ -373,8 +366,7 @@ bool ShardedNetwork::all_quiet() const {
 
 void ShardedNetwork::start_if_needed() {
   if (started_) return;
-  const auto go = encode_empty(ShardOp::kStart);
-  for (std::size_t w = 0; w < workers_.size(); ++w) send_frame(w, go);
+  send_all(ShardOp::kStart);
   collect_all(Collect::kStartDone);
   started_ = true;
 }
@@ -389,11 +381,8 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
   metrics::ScopedTimer span("shard.phase");
   start_if_needed();
   RunStats phase;
-  std::uint64_t boundary_messages = 0;
-  std::uint64_t boundary_bytes = 0;
-  std::uint64_t events_merged = 0;
-  std::uint64_t events_elided = 0;
-  std::uint64_t barrier_us = 0;
+  const ShardPerfCounters before = perf_;
+  events_merged_ = 0;
   std::uint32_t executed = 0;
   const bool have_observer = cfg_.net.observer != nullptr;
   while (executed < max_rounds && !(until_quiet && all_quiet())) {
@@ -412,29 +401,36 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
     // waiting for worker 0's reply before worker 1 has its round_begin
     // serializes the cluster behind whichever worker happens to be slow
     // (regression-tested with a deliberately delayed worker). Each frame
-    // relays the boundary messages sent to that worker's range last round.
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      auto& in = inbound_[w];
-      boundary_messages += in.size();
-      for (const BoundaryEntry& e : in) boundary_bytes += entry_wire_bytes(e);
-      encode_round_begin(rb_, in, tx_);
-      in.clear();
-      send_frame(w, tx_);
+    // is one gather write of a header and the entry bytes of every group
+    // addressed to that worker last round, source shards ascending.
+    const std::uint32_t W = asn_.shards;
+    for (std::uint32_t t = 0; t < W; ++t) {
+      std::uint32_t count = 0;
+      std::size_t parts = 1;
+      for (std::uint32_t s = 0; s < W; ++s) {
+        const BoundaryGroup& g = groups_[std::size_t{s} * W + t];
+        if (g.count == 0) continue;
+        count += g.count;
+        perf_.boundary_bytes += g.entries.size();
+        parts_[parts++] = g.entries;
+      }
+      perf_.boundary_messages += count;
+      const RoundBeginHeader header = encode_round_begin(rb_, count);
+      parts_[0] = header;
+      send_frame(t, {parts_.data(), parts});
     }
     const auto barrier_t0 = std::chrono::steady_clock::now();
     round_stats_ = RunStats{};
-    events_merged_ = 0;
     collect_all(Collect::kRoundEnd);
     const std::uint64_t wait_us = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - barrier_t0)
             .count());
-    barrier_us += wait_us;
-    events_merged += events_merged_;
+    perf_.barrier_wait_us += wait_us;
     if (!have_observer) {
       // Workers never built or shipped these events; every delivered
       // message this round is one elided observer event.
-      events_elided += round_stats_.messages;
+      perf_.events_elided += round_stats_.messages;
     }
     // The disarm-after-round-1 rule of the in-process engine, decided
     // globally: workers sweep only their owned programs, so only the
@@ -454,19 +450,18 @@ RunStats ShardedNetwork::run_phase(std::uint32_t max_rounds, bool until_quiet) {
   phase.quiesced = all_quiet();
   stats_ += phase;
   perf_.rounds += executed;
-  perf_.barrier_wait_us += barrier_us;
-  perf_.boundary_bytes += boundary_bytes;
-  perf_.boundary_messages += boundary_messages;
-  perf_.events_elided += events_elided;
   needs_harvest_ = true;
   span.add(phase.rounds, phase.messages, phase.bits);
   if (metrics::enabled()) {
     metrics::count("shard.phases");
     metrics::count("shard.rounds", phase.rounds);
-    metrics::count("shard.boundary_messages", boundary_messages);
-    metrics::count("shard.boundary_bytes", boundary_bytes);
-    metrics::count("shard.observer_events_merged", events_merged);
-    metrics::count("shard.events_elided", events_elided);
+    metrics::count("shard.boundary_messages",
+                   perf_.boundary_messages - before.boundary_messages);
+    metrics::count("shard.boundary_bytes",
+                   perf_.boundary_bytes - before.boundary_bytes);
+    metrics::count("shard.observer_events_merged", events_merged_);
+    metrics::count("shard.events_elided",
+                   perf_.events_elided - before.events_elided);
   }
   return phase;
 }
@@ -484,8 +479,7 @@ void ShardedNetwork::sync_programs() {
   require(spawned_ && !broken_,
           "ShardedNetwork::program: workers are gone; results from the last "
           "run are unavailable (read them before shutdown)");
-  const auto req = encode_empty(ShardOp::kHarvest);
-  for (std::size_t w = 0; w < workers_.size(); ++w) send_frame(w, req);
+  send_all(ShardOp::kHarvest);
   collect_all(Collect::kHarvestDone);
   metrics::count("shard.harvests");
   needs_harvest_ = false;

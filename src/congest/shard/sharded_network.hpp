@@ -9,34 +9,26 @@
 // carries every frame; fork inherits the graph and the program factory, so
 // every worker builds a bit-identical Network replica and owns one
 // contiguous id range of its nodes (partition.hpp). Each round the
-// coordinator writes every worker a round-begin frame carrying the
-// boundary messages addressed to its range, workers run the unchanged
-// zero-allocation deliver/compute hot path over their owned range, then
-// reply with a round-end frame holding their stats delta, quiescence
-// counters, (when an observer is installed) their delivery events, and
-// their outbound boundary messages grouped by receiving shard, which the
-// coordinator relays in the next round's round-begin frames. The round
-// barrier is the only synchronization point in the whole design: within a
-// round workers share nothing and proceed independently, and the
-// coordinator poll()s the sockets until every round-end frame is in. A
-// warmed steady-state round allocates nothing on either side — every
-// frame buffer is reserved at spawn to the CONGEST bound of one message
-// per arc per round (bench_shard --check pins this with the alloc probe).
+// coordinator writes every worker a round-begin frame, workers run the
+// unchanged deliver/compute hot path over their owned range, then reply
+// with a round-end frame: stats delta, quiescence counters, delivery
+// events (only with an observer) and outbound boundary messages grouped
+// by receiving shard. The coordinator checks only the group headers and
+// relays the groups' bytes, unread, in the next round's round-begin
+// frames. The round barrier, a poll() over the sockets, is the only
+// synchronization point. A warmed round allocates nothing on either side:
+// every frame buffer is reserved at spawn to the CONGEST bound of one
+// message per arc per round (bench_shard --check pins this).
 //
-// Determinism contract (enforced by tests/test_differential.cpp and
-// tests/test_shard.cpp): RunStats, fault-injection outcomes, report fields
-// and the observer event stream of a sharded run are bit-identical to the
-// single-process engine for every worker count. Stats merge by sum/max
-// (order-independent), fault decisions are stateless hashes of
-// (seed, round, from, to) (process-invariant by construction), per-node
-// RNGs derive from (seed, node id) identically in every replica, and the
-// coordinator replays worker event batches in shard order, which is the
-// canonical (round, receiver ascending, port ascending) order because the
-// ranges ascend with the shard id. See docs/distributed.md for the full
-// argument.
-//
-// Sharding exists to show that those results do not depend on process
-// layout; it is slower than the in-process engine on this workload
+// Determinism contract (tests/test_differential.cpp, tests/test_shard.cpp):
+// RunStats, fault-injection outcomes, report fields and the observer event
+// stream are bit-identical to the single-process engine for every worker
+// count. Stats merge by sum/max, fault decisions and per-node RNGs are
+// stateless functions of the seed and ids, and the coordinator replays
+// worker event batches in shard order, which is the canonical (round,
+// receiver, port) order because the ranges ascend with the shard id; see
+// docs/distributed.md. Sharding exists to show that those results do not
+// depend on process layout; it is slower than the in-process engine
 // (docs/performance.md), so it carries no performance-only machinery.
 //
 // Program results flow back through NodeProgram::serialize_state /
@@ -161,9 +153,7 @@ class ShardedNetwork {
     pid_t pid = -1;
     int fd = -1;
     /// Latest reported quiescence counters; their sums over workers equal
-    /// the single-process counters at every round boundary (extraction
-    /// does not decrement, injection does not increment — see the
-    /// shard hooks in congest/network.hpp).
+    /// the single-process counters (see the shard hooks in network.hpp).
     std::int64_t inflight = 0;
     std::int64_t halted = 0;
     std::int64_t wakes = 0;
@@ -174,9 +164,6 @@ class ShardedNetwork {
   enum class Collect { kStartDone, kRoundEnd, kHarvestDone };
 
   void spawn_workers();
-  /// Reserves every reused frame buffer to the CONGEST bound for this
-  /// assignment, so the round loop never grows one.
-  void reserve_buffers(bool collect_events);
   /// Closes sockets and reaps every worker. `graceful` sends shutdown
   /// frames first and expects exit 0; non-graceful SIGKILLs. Returns a
   /// description of anything abnormal ("" when clean). Never throws.
@@ -186,8 +173,12 @@ class ShardedNetwork {
   RunStats run_phase(std::uint32_t max_rounds, bool until_quiet);
   void start_if_needed();
   bool all_quiet() const;
-  /// Writes one frame to worker w; an unreachable worker fails the run.
-  void send_frame(std::size_t w, std::span<const std::uint8_t> payload);
+  /// Writes one frame, the concatenation of `parts`, to worker w; an
+  /// unreachable worker fails the run.
+  void send_frame(std::size_t w,
+                  std::span<const std::span<const std::uint8_t>> parts);
+  /// Writes every worker the body-free frame `op`.
+  void send_all(ShardOp op);
   /// The barrier: poll()s every worker's socket until each has sent one
   /// frame, then dispatch()es the frames in shard order. A dead worker, a
   /// malformed frame or an error frame becomes a thrown qc::Error after
@@ -218,12 +209,13 @@ class ShardedNetwork {
   RoundBeginFrame rb_;                        ///< encode source
   RoundEndFrame re_;                          ///< decode target
   RunStats round_stats_;                      ///< this round's merged deltas
-  std::uint64_t events_merged_ = 0;
-  /// Boundary messages awaiting relay, by receiving shard, in source shard
-  /// order; the next round_begin of each shard carries its share.
-  Outbound inbound_;
+  std::uint64_t events_merged_ = 0;           ///< this phase's events
   std::vector<std::vector<std::uint8_t>> rx_;  ///< one reply per worker
-  std::vector<std::uint8_t> tx_;              ///< round_begin encode
+  /// W x W: groups_[s * W + t] is the group worker s last sent shard t,
+  /// entry bytes inside rx_[s]; shard t's next round_begin relays it.
+  std::vector<BoundaryGroup> groups_;
+  std::vector<std::span<const std::uint8_t>> parts_;  ///< round_begin gather
+  std::vector<std::vector<std::uint8_t>> harvest_rx_;  ///< harvest replies
   std::vector<pollfd> polls_;                 ///< barrier poll set
 };
 

@@ -137,11 +137,9 @@ class WorkerState {
   void handle_start() {
     net_.shard_start_range(begin_, end_);
     extract_boundary();
-    StartDoneFrame f;
-    f.inflight = net_.shard_inflight();
-    f.halted = net_.shard_halted();
-    f.wakes = net_.shard_wakes();
-    encode_start_done(f, out_, tx_);
+    encode_start_done({net_.shard_inflight(), net_.shard_halted(),
+                       net_.shard_wakes()},
+                      out_, tx_);
     reply();
   }
 
@@ -182,13 +180,12 @@ class WorkerState {
 
   void handle_harvest() {
     alloc_armed_ = false;  // building the reply allocates; re-arm next round
-    HarvestDoneFrame f;
+    std::vector<Message> states(end_ - begin_);
     for (NodeId v = begin_; v < end_; ++v) {
-      Message m;
-      net_.program(v).serialize_state(m);
-      f.states.push_back(std::move(m));
+      net_.program(v).serialize_state(states[v - begin_]);
     }
-    serve::write_frame(link_.fd, encode_harvest_done(f), kMaxShardFrameBytes);
+    serve::write_frame(link_.fd, encode_harvest_done(states),
+                       kMaxShardFrameBytes);
   }
 
   /// The alloc_probe discipline applied to the whole worker round: once

@@ -1,7 +1,9 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <string_view>
 
@@ -15,6 +17,9 @@
 // ignoring SIGPIPE instead; either way a dead peer surfaces as EPIPE.
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0
+#endif
+#ifndef IOV_MAX
+#define IOV_MAX 16  // the POSIX minimum
 #endif
 #else
 #define QC_HAVE_SOCKETS 0
@@ -170,6 +175,10 @@ Response decode_response(std::span<const std::uint8_t> payload) {
 
 namespace {
 
+/// Most iovecs one write_frame system call passes (the kernel rejects
+/// more than IOV_MAX); a frame of more parts goes out over several calls.
+constexpr int kIovBatch = IOV_MAX < 64 ? IOV_MAX : 64;
+
 /// The deadline of one frame: unset until its first byte arrives.
 struct FrameDeadline {
   std::uint32_t limit_ms = 0;  ///< 0: no deadline
@@ -248,44 +257,61 @@ bool read_frame(int fd, std::vector<std::uint8_t>& payload,
   return true;
 }
 
-void write_frame(int fd, std::span<const std::uint8_t> payload,
+void write_frame(int fd,
+                 std::span<const std::span<const std::uint8_t>> parts,
                  std::uint32_t max_frame_bytes) {
-  require(!payload.empty() && payload.size() <= max_frame_bytes,
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  require(total >= 1 && total <= max_frame_bytes,
           "serve: write_frame payload outside [1, max_frame_bytes]");
-  // Prefix and payload go out as two iovecs of one call, so framing never
-  // copies the payload or touches the heap.
+  // The prefix and the parts go out as the iovecs of sendmsg calls, so
+  // framing never copies a payload or touches the heap. Piece 0 is the
+  // prefix, piece i the part i - 1; (next, done) is the first unsent byte.
   std::uint8_t prefix[4];
   for (int i = 0; i < 4; ++i) {
-    prefix[i] = static_cast<std::uint8_t>(payload.size() >> (8 * i));
+    prefix[i] = static_cast<std::uint8_t>(total >> (8 * i));
   }
-  iovec iov[2] = {{prefix, sizeof(prefix)},
-                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
-  iovec* next = iov;
-  int left = 2;
-  while (left > 0) {
+  const auto piece = [&](std::size_t i) {
+    return i == 0 ? std::span<const std::uint8_t>(prefix) : parts[i - 1];
+  };
+  const std::size_t pieces = parts.size() + 1;
+  std::size_t next = 0;
+  std::size_t done = 0;
+  iovec iov[kIovBatch];
+  for (;;) {
+    while (next < pieces && done == piece(next).size()) {
+      ++next;
+      done = 0;
+    }
+    if (next == pieces) return;
+    int count = 0;
+    for (std::size_t i = next; i < pieces && count < kIovBatch; ++i) {
+      const auto p = piece(i).subspan(i == next ? done : 0);
+      if (p.empty()) continue;
+      iov[count++] = {const_cast<std::uint8_t*>(p.data()), p.size()};
+    }
     // MSG_NOSIGNAL: a peer that closed before the reply must yield EPIPE,
     // not a process-killing SIGPIPE. sendmsg() only accepts sockets, so
     // plain stream fds (pipes in the unit tests) fall back to writev().
     msghdr msg{};
-    msg.msg_iov = next;
-    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(left);
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(count);
     ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (w < 0 && errno == ENOTSOCK) w = ::writev(fd, next, left);
+    if (w < 0 && errno == ENOTSOCK) w = ::writev(fd, iov, count);
     if (w < 0) {
       if (errno == EINTR) continue;
       throw ProtocolError("serve: write failed: " +
                           std::string(std::strerror(errno)));
     }
-    // Skip what a partial write consumed.
-    auto done = static_cast<std::size_t>(w);
-    while (left > 0 && done >= next->iov_len) {
-      done -= next->iov_len;
-      ++next;
-      --left;
-    }
-    if (left > 0) {
-      next->iov_base = static_cast<std::uint8_t*>(next->iov_base) + done;
-      next->iov_len -= done;
+    // Skip what the write consumed; the loop head skips finished pieces.
+    for (auto left = static_cast<std::size_t>(w); left > 0;) {
+      const std::size_t take = std::min(left, piece(next).size() - done);
+      done += take;
+      left -= take;
+      if (done == piece(next).size()) {
+        ++next;
+        done = 0;
+      }
     }
   }
 }
@@ -297,7 +323,8 @@ bool read_frame(int, std::vector<std::uint8_t>&, std::uint32_t,
   throw Error("serve: socket IO is not available on this platform");
 }
 
-void write_frame(int, std::span<const std::uint8_t>, std::uint32_t) {
+void write_frame(int, std::span<const std::span<const std::uint8_t>>,
+                 std::uint32_t) {
   throw Error("serve: socket IO is not available on this platform");
 }
 

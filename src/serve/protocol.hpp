@@ -118,10 +118,19 @@ Response decode_response(std::span<const std::uint8_t> payload);
 /// deadline or read_frame throws ProtocolError. The reads after the first
 /// do not block, and only one that finds no data polls for the time left,
 /// so a frame that arrives whole costs the same reads as without one.
+///
+/// write_frame sends the concatenation of `parts` as one frame's payload,
+/// a gather write that copies nothing: the shard coordinator relays byte
+/// ranges of several workers' frames this way.
 bool read_frame(int fd, std::vector<std::uint8_t>& payload,
                 std::uint32_t max_frame_bytes = kMaxFrameBytes,
                 std::uint32_t frame_deadline_ms = 0);
-void write_frame(int fd, std::span<const std::uint8_t> payload,
+void write_frame(int fd,
+                 std::span<const std::span<const std::uint8_t>> parts,
                  std::uint32_t max_frame_bytes = kMaxFrameBytes);
+inline void write_frame(int fd, std::span<const std::uint8_t> payload,
+                        std::uint32_t max_frame_bytes = kMaxFrameBytes) {
+  write_frame(fd, {&payload, 1}, max_frame_bytes);
+}
 
 }  // namespace qc::serve

@@ -173,13 +173,33 @@ void Server::accept_loop() {
       ::close(fd);
       return;
     }
-    stats_.connections.fetch_add(1, std::memory_order_relaxed);
-    metrics::count("serve.connections");
+    // One thread per connection, so live connections are capped: the one
+    // over the cap gets a single kRejected frame and is closed.
+    const std::size_t cap =
+        std::size_t{kConnectionsPerPending} * opts_.max_pending;
+    bool admitted = false;
     {
       std::lock_guard<std::mutex> lock(conn_mu_);
-      conn_fds_.push_back(fd);
-      ++active_conns_;
+      if (active_conns_ < cap) {
+        conn_fds_.push_back(fd);
+        ++active_conns_;
+        admitted = true;
+      }
     }
+    if (!admitted) {
+      stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+      try {
+        write_frame(fd, encode_response(
+                            {Status::kRejected, 0, 0,
+                             "connection limit reached (" +
+                                 std::to_string(cap) + " open)"}));
+      } catch (const Error&) {
+      }
+      ::close(fd);
+      continue;
+    }
+    stats_.connections.fetch_add(1, std::memory_order_relaxed);
+    metrics::count("serve.connections");
     // Detached: the thread deregisters itself when the connection ends
     // (joining would accumulate one joinable thread per past connection).
     // stop() still waits for every connection via active_conns_, so no

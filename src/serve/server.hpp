@@ -4,7 +4,8 @@
 //
 // Architecture (one box per layer the request crosses):
 //
-//   accept thread ── one blocking reader thread per connection
+//   accept thread ── one blocking reader thread per connection, at most
+//        │           kConnectionsPerPending x max_pending of them
 //        │                 │  read_frame / decode_request (validated;
 //        │                 │  a begun frame must finish within its deadline)
 //        │                 ▼
@@ -48,6 +49,11 @@ namespace qc::serve {
 /// serve.bad_requests; one that idles between frames is not.
 inline constexpr std::uint32_t kMaxFrameDeadlineMs = 10000;
 
+/// Live connections are capped at this multiple of
+/// ServerOptions::max_pending; one more is answered with a single
+/// kRejected frame, closed and counted in ServerStats::rejected.
+inline constexpr std::uint32_t kConnectionsPerPending = 4;
+
 struct ServerOptions {
   /// Unix-domain socket path; when empty the server listens on loopback
   /// TCP instead.
@@ -58,7 +64,8 @@ struct ServerOptions {
   /// Compute workers; 0 means hardware_concurrency.
   std::uint32_t num_threads = 0;
   /// Admission bound: requests queued or executing; one more is rejected
-  /// with kRejected instead of growing an unbounded queue.
+  /// with kRejected instead of growing an unbounded queue. It also caps
+  /// live connections (kConnectionsPerPending x max_pending).
   std::uint32_t max_pending = 64;
   /// Per-request deadline in ms measured from admission; 0 disables.
   /// A request that misses it answers kTimeout (the computation itself

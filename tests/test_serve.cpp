@@ -240,6 +240,32 @@ TEST(FrameIo, PayloadLargerThanThePipeBufferRoundTrips) {
   EXPECT_EQ(in, out);
 }
 
+TEST(FrameIo, GatherWriteOfMoreThanOneCallOfPartsRoundTrips) {
+  // 3000 parts (some empty) exceed the iovecs one system call may take,
+  // so write_frame spreads them over several sendmsg/writev calls; the
+  // reader sees one frame, the parts concatenated.
+  Pipe p;
+  std::vector<std::uint8_t> bytes(3000 * 3);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  std::vector<std::span<const std::uint8_t>> parts;
+  std::vector<std::uint8_t> want;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const auto part = std::span<const std::uint8_t>(bytes).subspan(
+        3 * i, i % 5 == 0 ? 0 : 1 + i % 3);
+    parts.push_back(part);
+    want.insert(want.end(), part.begin(), part.end());
+  }
+  write_frame(p.wr, parts);
+  std::vector<std::uint8_t> in;
+  ASSERT_TRUE(read_frame(p.rd, in));
+  EXPECT_EQ(in, want);
+  // A frame of only empty parts is empty, which the framing rejects.
+  const std::vector<std::span<const std::uint8_t>> empty(3);
+  EXPECT_THROW(write_frame(p.wr, empty), InvalidArgumentError);
+}
+
 TEST(FrameIo, CleanEofReturnsFalse) {
   Pipe p;
   p.close_wr();
@@ -894,6 +920,54 @@ TEST(ServerSocket, PingAndShutdownBypassAdmissionAndDeadline) {
   EXPECT_EQ(client.call_ok({Op::kPing, "", 3}).value, 3u);
   EXPECT_EQ(client.call_ok({Op::kShutdown, "", 0}).status, Status::kOk);
   server.wait();
+  server.stop();
+}
+
+TEST(ServerSocket, ConnectionOverTheCapIsRejectedAndClosed) {
+  TempFile sock("conncap.sock");
+  ServerOptions opts;
+  opts.unix_path = sock.path;
+  opts.max_pending = 2;
+  Server server(opts);
+  server.start();
+  const std::size_t cap = kConnectionsPerPending * opts.max_pending;
+  ASSERT_EQ(cap, 8u);
+
+  // Fill the cap; a ping proves each connection was accepted.
+  std::vector<Client> open;
+  for (std::uint64_t i = 0; i < cap; ++i) {
+    open.push_back(Client::connect("unix:" + sock.path));
+    EXPECT_EQ(open.back().call_ok({Op::kPing, "", i}).value, i);
+  }
+  // The next one reads one kRejected frame, unasked, then EOF.
+  {
+    auto extra = Client::connect("unix:" + sock.path);
+    std::vector<std::uint8_t> raw;
+    ASSERT_TRUE(read_frame(extra.fd(), raw));
+    EXPECT_EQ(decode_response(raw).status, Status::kRejected);
+    EXPECT_FALSE(read_frame(extra.fd(), raw));
+  }
+  EXPECT_EQ(server.stats().rejected.load(), 1u);
+  EXPECT_EQ(server.stats().connections.load(), cap);
+
+  // Once one connection closes, a new one is accepted. The server notices
+  // the close asynchronously, so a new connection may still meet the cap
+  // for a moment; at most one extra socket is open at a time.
+  open.pop_back();
+  bool accepted = false;
+  for (int attempt = 0; attempt < 200 && !accepted; ++attempt) {
+    auto next = Client::connect("unix:" + sock.path);
+    try {
+      write_frame(next.fd(), encode_request({Op::kPing, "", 77}));
+      std::vector<std::uint8_t> raw;
+      accepted = read_frame(next.fd(), raw) &&
+                 decode_response(raw).status == Status::kOk;
+    } catch (const Error&) {  // closed under the cap before the reply
+    }
+    if (!accepted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(accepted);
+  for (auto& c : open) EXPECT_EQ(c.call_ok({Op::kPing, "", 5}).value, 5u);
   server.stop();
 }
 

@@ -6,8 +6,9 @@
 // coordinator end to end: bit-identical parity against the in-process
 // engine up to one node per worker, observer-stream order, cooperative
 // stop, worker-crash containment, process/fd hygiene across lifecycles,
-// and worst-case boundary traffic that meets the per-arc frame bound
-// exactly without allocating.
+// worst-case boundary traffic that meets the per-arc frame bound
+// exactly without allocating, and relayed boundary bytes that outlive a
+// harvest between two phases.
 
 #include <gtest/gtest.h>
 
@@ -182,13 +183,6 @@ Outbound sample_outbound() {
   return out;
 }
 
-std::vector<std::uint8_t> round_begin_bytes(
-    const RoundBeginFrame& f, std::span<const BoundaryEntry> in = {}) {
-  std::vector<std::uint8_t> buf;
-  encode_round_begin(f, in, buf);
-  return buf;
-}
-
 std::vector<std::uint8_t> round_end_bytes(const RoundEndFrame& f,
                                           const Outbound& out = {}) {
   std::vector<std::uint8_t> buf;
@@ -203,6 +197,49 @@ std::vector<std::uint8_t> start_done_bytes(const StartDoneFrame& f,
   return buf;
 }
 
+/// A decoded start_done / round_end. The groups point into the decoded
+/// bytes, which must outlive them.
+template <class Frame>
+struct Decoded {
+  Frame f;
+  std::vector<BoundaryGroup> groups = std::vector<BoundaryGroup>(kShards);
+};
+
+Decoded<RoundEndFrame> decode_round_end(std::span<const std::uint8_t> p) {
+  Decoded<RoundEndFrame> d;
+  decode_round_end_into(p, d.f, d.groups);
+  return d;
+}
+
+Decoded<StartDoneFrame> decode_start_done(std::span<const std::uint8_t> p) {
+  Decoded<StartDoneFrame> d;
+  decode_start_done_into(p, d.f, d.groups);
+  return d;
+}
+
+/// The round_begin the coordinator relays: the header, then the entry
+/// bytes of `groups` in order (one group per source shard).
+std::vector<std::uint8_t> relayed_round_begin(
+    const RoundBeginFrame& f, std::span<const BoundaryGroup> groups) {
+  std::uint32_t count = 0;
+  for (const BoundaryGroup& g : groups) count += g.count;
+  const RoundBeginHeader header = encode_round_begin(f, count);
+  std::vector<std::uint8_t> out(header.begin(), header.end());
+  for (const BoundaryGroup& g : groups) {
+    out.insert(out.end(), g.entries.begin(), g.entries.end());
+  }
+  return out;
+}
+
+/// A round_begin relaying `in`, sent as one worker's group.
+std::vector<std::uint8_t> round_begin_bytes(
+    const RoundBeginFrame& f, std::vector<BoundaryEntry> in = {}) {
+  Outbound out(kShards);
+  out[1] = std::move(in);
+  const auto sent = start_done_bytes(StartDoneFrame{}, out);
+  return relayed_round_begin(f, decode_start_done(sent).groups);
+}
+
 struct DecodedBegin {
   RoundBeginFrame f;
   std::vector<BoundaryEntry> in;
@@ -214,22 +251,10 @@ DecodedBegin decode_round_begin(std::span<const std::uint8_t> p) {
   return d;
 }
 
-template <class Frame>
-struct Decoded {
-  Frame f;
-  Outbound out = Outbound(kShards);
-};
-
-Decoded<RoundEndFrame> decode_round_end(std::span<const std::uint8_t> p) {
-  Decoded<RoundEndFrame> d;
-  decode_round_end_into(p, d.f, d.out);
-  return d;
-}
-
-Decoded<StartDoneFrame> decode_start_done(std::span<const std::uint8_t> p) {
-  Decoded<StartDoneFrame> d;
-  decode_start_done_into(p, d.f, d.out);
-  return d;
+/// The entries a receiving worker decodes from one relayed group.
+std::vector<BoundaryEntry> entries_of(const BoundaryGroup& g) {
+  return decode_round_begin(relayed_round_begin(RoundBeginFrame{}, {&g, 1}))
+      .in;
 }
 
 RunStats sample_stats() {
@@ -280,12 +305,16 @@ TEST(ShardCodec, EmptyFramesRoundTrip) {
 
 TEST(ShardCodec, StartDoneRoundTrips) {
   const StartDoneFrame f = sample_start_done();
-  const auto d = decode_start_done(start_done_bytes(f, sample_outbound()));
+  const auto bytes = start_done_bytes(f, sample_outbound());
+  const auto d = decode_start_done(bytes);
   EXPECT_EQ(d.f.inflight, f.inflight);
   EXPECT_EQ(d.f.halted, f.halted);
   EXPECT_EQ(d.f.wakes, f.wakes);
   const Outbound want = sample_outbound();
-  for (std::uint32_t t = 0; t < kShards; ++t) expect_eq(d.out[t], want[t]);
+  for (std::uint32_t t = 0; t < kShards; ++t) {
+    EXPECT_EQ(d.groups[t].count, want[t].size());
+    expect_eq(entries_of(d.groups[t]), want[t]);
+  }
 }
 
 TEST(ShardCodec, RoundBeginRoundTrips) {
@@ -310,9 +339,12 @@ TEST(ShardCodec, RoundBeginRoundTrips) {
   // every arc carries one meets round_begin_bound exactly.
   Message widest;
   for (std::size_t i = 0; i < Message::kMaxFields; ++i) widest.push(~0ULL, 64);
-  const std::vector<BoundaryEntry> full(3, BoundaryEntry{1, widest});
-  EXPECT_EQ(entry_wire_bytes(full[0]), kMaxEntryWireBytes);
-  EXPECT_EQ(round_begin_bytes(f, full).size(), round_begin_bound(3));
+  Outbound full(kShards);
+  full[2].assign(3, BoundaryEntry{1, widest});
+  const auto bytes = start_done_bytes(StartDoneFrame{}, full);
+  const auto d = decode_start_done(bytes);
+  EXPECT_EQ(d.groups[2].entries.size(), 3 * kMaxEntryWireBytes);
+  EXPECT_EQ(relayed_round_begin(f, d.groups).size(), round_begin_bound(3));
 }
 
 TEST(ShardCodec, WakeCountsAndSweepFlagRoundTrip) {
@@ -343,7 +375,8 @@ TEST(ShardCodec, WakeCountsAndSweepFlagRoundTrip) {
 
 TEST(ShardCodec, RoundEndRoundTripsIncludingStats) {
   const RoundEndFrame f = sample_round_end();
-  const auto d = decode_round_end(round_end_bytes(f, sample_outbound()));
+  const auto bytes = round_end_bytes(f, sample_outbound());
+  const auto d = decode_round_end(bytes);
   EXPECT_EQ(d.f.round, f.round);
   EXPECT_EQ(d.f.inflight, f.inflight);
   EXPECT_EQ(d.f.halted, f.halted);
@@ -363,48 +396,81 @@ TEST(ShardCodec, RoundEndRoundTripsIncludingStats) {
   EXPECT_EQ(d.f.events[0].to, 9u);
   expect_eq(d.f.events[1].msg, f.events[1].msg);
   const Outbound want = sample_outbound();
-  for (std::uint32_t t = 0; t < kShards; ++t) expect_eq(d.out[t], want[t]);
+  for (std::uint32_t t = 0; t < kShards; ++t) {
+    expect_eq(entries_of(d.groups[t]), want[t]);
+  }
 
-  // Decoding appends each group to its shard's vector, so the coordinator
-  // gathers every source's share for one receiver in source order.
-  Outbound gathered(kShards);
-  RoundEndFrame scratch;
-  decode_round_end_into(round_end_bytes(f, want), scratch, gathered);
-  decode_round_end_into(round_end_bytes(f, want), scratch, gathered);
-  ASSERT_EQ(gathered[0].size(), 2 * want[0].size());
-  EXPECT_TRUE(gathered[1].empty());
-  EXPECT_EQ(gathered[2].back().slot, want[2].back().slot);
+  // The coordinator relays every source's group for one receiver, source
+  // shards ascending, and the receiver decodes the concatenation.
+  Outbound other(kShards);
+  other[0] = {{99, full_msg()}};
+  const auto other_bytes = round_end_bytes(f, other);
+  const auto e = decode_round_end(other_bytes);
+  const std::vector<BoundaryGroup> to_shard0 = {d.groups[0], e.groups[0]};
+  const DecodedBegin relayed =
+      decode_round_begin(relayed_round_begin(RoundBeginFrame{}, to_shard0));
+  std::vector<BoundaryEntry> expect = want[0];
+  expect.push_back(other[0][0]);
+  expect_eq(relayed.in, expect);
 }
 
-TEST(ShardCodec, RejectsBadDestinationShards) {
-  const RoundEndFrame f = sample_round_end();
-  // A group for a shard the session does not have.
-  Outbound wide(kShards + 1);
-  wide[kShards] = sample_batch();
-  EXPECT_THROW(decode_round_end(round_end_bytes(f, wide)),
-               serve::ProtocolError);
-  EXPECT_THROW(decode_start_done(start_done_bytes(sample_start_done(), wide)),
-               serve::ProtocolError);
-  // The same shard named twice (groups must ascend strictly): encode
-  // groups for shards 1 and 2, then rename the second one to 1.
+/// Offsets into a round_end whose outbound holds groups for shards 1 and
+/// 2 of one entry each (a two-field message, 26 bytes): the payload ends
+/// with those two groups.
+struct TwoGroups {
+  std::vector<std::uint8_t> bytes;
+  std::size_t first = 0;   ///< the first group's u32 shard
+  std::size_t second = 0;  ///< the second group's u32 shard
+};
+
+TwoGroups two_group_round_end() {
   Outbound out(kShards);
   out[1] = {{5, inline_msg()}};
   out[2] = {{6, inline_msg()}};
-  auto p = round_end_bytes(f, out);
-  ASSERT_NO_THROW(decode_round_end(p));
-  const std::size_t second_group = p.size() - (4 + 4 + 4 + 4 + 2 * 9);
-  p[second_group] = 1;
-  EXPECT_THROW(decode_round_end(p), serve::ProtocolError);
+  TwoGroups g{round_end_bytes(sample_round_end(), out)};
+  g.second = g.bytes.size() - (12 + 26);
+  g.first = g.second - (12 + 26);
+  return g;
+}
+
+void put_u32(std::vector<std::uint8_t>& p, std::size_t at, std::uint32_t x) {
+  for (int i = 0; i < 4; ++i) {
+    p[at + i] = static_cast<std::uint8_t>(x >> (8 * i));
+  }
+}
+
+TEST(ShardCodec, RejectsBadDestinationShards) {
+  // A group for a shard the session does not have.
+  Outbound wide(kShards + 1);
+  wide[kShards] = sample_batch();
+  EXPECT_THROW(decode_round_end(round_end_bytes(sample_round_end(), wide)),
+               serve::ProtocolError);
+  EXPECT_THROW(decode_start_done(start_done_bytes(sample_start_done(), wide)),
+               serve::ProtocolError);
+  // Groups must name shards strictly ascending and below the shard
+  // count: rename one of two groups (shards 1 and 2).
+  struct Case {
+    const char* what;
+    bool second;
+    std::uint32_t shard;
+  };
+  const TwoGroups valid = two_group_round_end();
+  ASSERT_NO_THROW(decode_round_end(valid.bytes));
+  for (const Case& c : {Case{"repeated", true, 1}, Case{"descending", true, 0},
+                        Case{"first above second", false, 2},
+                        Case{"out of range", true, kShards}}) {
+    auto p = valid.bytes;
+    put_u32(p, c.second ? valid.second : valid.first, c.shard);
+    EXPECT_THROW(decode_round_end(p), serve::ProtocolError) << c.what;
+  }
 }
 
 TEST(ShardCodec, HarvestDoneRoundTrips) {
-  HarvestDoneFrame f;
-  f.states.push_back(inline_msg());
-  f.states.push_back(full_msg());
-  f.states.push_back(Message());  // a zero-field state is legal
-  const HarvestDoneFrame d = decode_harvest_done(encode_harvest_done(f));
-  ASSERT_EQ(d.states.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) expect_eq(d.states[i], f.states[i]);
+  const std::vector<Message> states = {inline_msg(), full_msg(),
+                                       Message()};  // zero fields is legal
+  const auto d = decode_harvest_done(encode_harvest_done(states));
+  ASSERT_EQ(d.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) expect_eq(d[i], states[i]);
 }
 
 TEST(ShardCodec, ErrorRoundTripsAndTruncates) {
@@ -414,8 +480,25 @@ TEST(ShardCodec, ErrorRoundTripsAndTruncates) {
   EXPECT_EQ(back.size(), serve::kMaxMessageBytes);
 }
 
+/// A round_begin relaying groups from two sources, the second of which
+/// ends in a full-capacity message.
+std::vector<std::uint8_t> two_source_round_begin() {
+  const auto a = round_end_bytes(sample_round_end(), sample_outbound());
+  Outbound out(kShards);
+  out[2] = sample_batch();
+  const auto b = start_done_bytes(sample_start_done(), out);
+  RoundBeginFrame f;
+  f.round = 3;
+  f.memory_audit = true;
+  const std::vector<BoundaryGroup> to_shard2 = {
+      decode_round_end(a).groups[2], decode_start_done(b).groups[2]};
+  return relayed_round_begin(f, to_shard2);
+}
+
 // The serve discipline, applied to every shard frame shape: every strict
 // prefix of a valid payload and every extension of one must fail loudly.
+// A strict prefix of a start_done / round_end cuts a group header or runs
+// a group's length past the end of the frame.
 TEST(ShardCodec, EveryStrictPrefixAndOverlongBufferIsRejected) {
   struct Shape {
     std::vector<std::uint8_t> payload;
@@ -426,24 +509,18 @@ TEST(ShardCodec, EveryStrictPrefixAndOverlongBufferIsRejected) {
        [](auto p) { decode_empty(p, ShardOp::kStart); }},
       {start_done_bytes(sample_start_done(), sample_outbound()),
        [](auto p) { decode_start_done(p); }},
-      {[] {
-         RoundBeginFrame f;
-         f.round = 3;
-         f.memory_audit = true;
-         return round_begin_bytes(f, sample_batch());
-       }(),
+      {round_begin_bytes(RoundBeginFrame{3, true, false}, sample_batch()),
        [](auto p) { decode_round_begin(p); }},
+      {two_source_round_begin(), [](auto p) { decode_round_begin(p); }},
       {round_end_bytes(sample_round_end(), sample_outbound()),
        [](auto p) { decode_round_end(p); }},
-      {[] {
-         HarvestDoneFrame f;
-         f.states.push_back(extreme_msg());
-         return encode_harvest_done(f);
-       }(),
+      {two_group_round_end().bytes, [](auto p) { decode_round_end(p); }},
+      {encode_harvest_done(std::vector<Message>{extreme_msg()}),
        [](auto p) { decode_harvest_done(p); }},
       {encode_error("why"), [](auto p) { decode_error(p); }},
   };
   for (const Shape& s : shapes) {
+    ASSERT_NO_THROW(s.decode(s.payload));
     for (std::size_t len = 0; len < s.payload.size(); ++len) {
       EXPECT_THROW(
           s.decode(std::span(s.payload.data(), len)),
@@ -455,6 +532,51 @@ TEST(ShardCodec, EveryStrictPrefixAndOverlongBufferIsRejected) {
     longer.push_back(0);
     EXPECT_THROW(s.decode(longer), serve::ProtocolError)
         << "trailing byte accepted";
+  }
+}
+
+// Every single-bit mutant of a valid start_done, round_end and relayed
+// round_begin either decodes or throws serve::ProtocolError; the groups
+// of a start_done / round_end mutant that decodes are relayed and must
+// meet the receiver's decoder on the same terms. Nothing else may escape
+// (the sanitizer builds run this sweep too).
+TEST(ShardCodec, EverySingleBitFlipDecodesOrIsAProtocolError) {
+  const auto relay_all = [](const std::vector<BoundaryGroup>& groups) {
+    for (const BoundaryGroup& g : groups) {
+      try {
+        decode_round_begin(relayed_round_begin(RoundBeginFrame{}, {&g, 1}));
+      } catch (const serve::ProtocolError&) {
+      }
+    }
+  };
+  struct Shape {
+    const char* name;
+    std::vector<std::uint8_t> payload;
+    std::function<void(std::span<const std::uint8_t>)> decode;
+  };
+  const std::vector<Shape> shapes = {
+      {"start_done", start_done_bytes(sample_start_done(), sample_outbound()),
+       [&](auto p) { relay_all(decode_start_done(p).groups); }},
+      {"round_end", round_end_bytes(sample_round_end(), sample_outbound()),
+       [&](auto p) { relay_all(decode_round_end(p).groups); }},
+      {"round_begin", two_source_round_begin(),
+       [](auto p) { decode_round_begin(p); }},
+  };
+  for (const Shape& s : shapes) {
+    std::size_t decoded = 0;
+    for (std::size_t bit = 0; bit < 8 * s.payload.size(); ++bit) {
+      auto p = s.payload;
+      p[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      try {
+        s.decode(p);
+        ++decoded;
+      } catch (const serve::ProtocolError&) {
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << s.name << " bit " << bit << " threw " << e.what();
+      }
+    }
+    // Flipped payload bits (slots, counters, field values) still decode.
+    EXPECT_GT(decoded, 0u) << s.name;
   }
 }
 
@@ -487,6 +609,35 @@ TEST(ShardCodec, RejectsLengthBombsAndBadFieldWidths) {
   bomb = round_begin_bytes(RoundBeginFrame{});
   std::fill(bomb.end() - 4, bomb.end(), 0xFF);
   EXPECT_THROW(decode_round_begin(bomb), serve::ProtocolError);
+
+  // Group headers whose count and length disagree, or whose length runs
+  // past the frame. Each group holds one 26-byte entry; its u32 count
+  // sits 4 bytes after its shard, its u32 length 8 bytes after.
+  struct Case {
+    const char* what;
+    bool second;
+    std::size_t field;  ///< 4: count, 8: length
+    std::uint32_t value;
+  };
+  const TwoGroups valid = two_group_round_end();
+  for (const Case& c : {
+           Case{"length below count x 8", true, 8, 7},
+           Case{"count x 8 above the length", false, 4, 4},
+           Case{"count bomb", false, 4, 0xFFFFFFFFu},
+           Case{"length above count x kMaxEntryWireBytes", true, 4, 0},
+           Case{"length one past the frame", true, 8, 27},
+           Case{"length bomb", false, 8, 0xFFFFFFFFu},
+       }) {
+    auto p = valid.bytes;
+    put_u32(p, (c.second ? valid.second : valid.first) + c.field, c.value);
+    EXPECT_THROW(decode_round_end(p), serve::ProtocolError) << c.what;
+  }
+  // The same header checks guard start_done: a length past the frame.
+  Outbound one(kShards);
+  one[2] = {{6, inline_msg()}};
+  auto start = start_done_bytes(sample_start_done(), one);
+  put_u32(start, start.size() - 26 - 4, 27);
+  EXPECT_THROW(decode_start_done(start), serve::ProtocolError);
 
   // A message field with width 0, width 65, and a value exceeding its
   // declared width — all three must be rejected, not silently masked.
@@ -528,9 +679,7 @@ std::vector<std::uint8_t> overfill_last_message(std::vector<std::uint8_t> p) {
 TEST(ShardCodec, MessagesOverTheFieldCapAreRejectedInEveryShape) {
   // A harvested state, an observer event, and a boundary entry in each
   // frame that carries boundary traffic.
-  HarvestDoneFrame h;
-  h.states.push_back(full_msg());
-  const auto harvest = encode_harvest_done(h);
+  const auto harvest = encode_harvest_done(std::vector<Message>{full_msg()});
   EXPECT_NO_THROW(decode_harvest_done(harvest));
   EXPECT_THROW(decode_harvest_done(overfill_last_message(harvest)),
                serve::ProtocolError);
@@ -540,20 +689,27 @@ TEST(ShardCodec, MessagesOverTheFieldCapAreRejectedInEveryShape) {
   EXPECT_THROW(decode_round_end(overfill_last_message(end)),
                serve::ProtocolError);
 
-  const auto end_out = round_end_bytes(sample_round_end(), sample_outbound());
-  EXPECT_NO_THROW(decode_round_end(end_out));
-  EXPECT_THROW(decode_round_end(overfill_last_message(end_out)),
-               serve::ProtocolError);
-
-  const auto start = start_done_bytes(sample_start_done(), sample_outbound());
-  EXPECT_NO_THROW(decode_start_done(start));
-  EXPECT_THROW(decode_start_done(overfill_last_message(start)),
-               serve::ProtocolError);
-
   const auto begin = round_begin_bytes(RoundBeginFrame{}, sample_batch());
   EXPECT_NO_THROW(decode_round_begin(begin));
   EXPECT_THROW(decode_round_begin(overfill_last_message(begin)),
                serve::ProtocolError);
+
+  // In a start_done / round_end group the coordinator checks only the
+  // header, so an overfilled entry whose group length grew with it passes
+  // the sender's frame and is rejected by the receiving worker.
+  Outbound out(kShards);
+  out[2] = sample_batch();  // 3 entries: 26 + 26 + 71 bytes
+  for (const bool start : {false, true}) {
+    auto p = start ? start_done_bytes(sample_start_done(), out)
+                   : round_end_bytes(sample_round_end(), out);
+    const std::size_t len_at = p.size() - (26 + 26 + 71) - 4;
+    p = overfill_last_message(std::move(p));
+    put_u32(p, len_at, 26 + 26 + 71 + 9);
+    const auto groups = start ? decode_start_done(p).groups
+                              : decode_round_end(p).groups;
+    ASSERT_EQ(groups[2].count, 3u);
+    EXPECT_THROW(entries_of(groups[2]), serve::ProtocolError);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1032,6 +1188,56 @@ TEST(ShardedNetwork, WorstCaseBoundaryTrafficIsBitIdenticalAndAllocationFree) {
   EXPECT_EQ(net.perf().boundary_messages, relayed);
   EXPECT_EQ(net.perf().boundary_bytes, relayed * kMaxEntryWireBytes);
   net.shutdown();
+}
+
+TEST(ShardedNetwork, RelayedBoundaryBytesSurviveAHarvestBetweenPhases) {
+  // A flood phase ends with every boundary arc's last message still at the
+  // coordinator, as bytes inside the workers' round_end frames. Reading
+  // every program harvests between the phases; the next phase must still
+  // relay those bytes intact.
+  Rng rng(31);
+  const Graph g = graph::make_connected_er(36, 0.15, rng);
+  NetworkConfig net_cfg;
+  net_cfg.policy = BandwidthPolicy::kRecord;
+  const auto make = [](NodeId) { return std::make_unique<WidestFlood>(); };
+  constexpr std::uint32_t kPhase = 5;
+
+  Network seq(g, net_cfg);
+  seq.init_programs(make);
+  const RunStats seq_first = seq.run_rounds(kPhase);
+  std::vector<std::uint64_t> seq_mid;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    seq_mid.push_back(seq.program_as<WidestFlood>(v).digest_);
+  }
+  const RunStats seq_second = seq.run_rounds(kPhase);
+
+  for (const std::uint32_t w : {2u, 4u}) {
+    const std::string where = "W=" + std::to_string(w);
+    ShardConfig cfg;
+    cfg.shards = w;
+    cfg.net = net_cfg;
+    ShardedNetwork net(g, cfg);
+    net.init_programs(make);
+    std::uint64_t cut = 0;
+    for (std::uint32_t s = 0; s < w; ++s) {
+      cut += boundary_arcs(g, net.assignment(), s).size();
+    }
+    ASSERT_GT(cut, 0u) << where;
+    expect_same_stats(net.run_rounds(kPhase), seq_first, where + " first");
+    EXPECT_EQ(net.perf().boundary_messages, kPhase * cut) << where;
+    for (NodeId v = 0; v < g.n(); ++v) {
+      EXPECT_EQ(net.program_as<WidestFlood>(v).digest_, seq_mid[v])
+          << where << " node " << v << " after the first phase";
+    }
+    expect_same_stats(net.run_rounds(kPhase), seq_second, where + " second");
+    EXPECT_EQ(net.perf().boundary_messages, 2 * kPhase * cut) << where;
+    for (NodeId v = 0; v < g.n(); ++v) {
+      EXPECT_EQ(net.program_as<WidestFlood>(v).digest_,
+                seq.program_as<WidestFlood>(v).digest_)
+          << where << " node " << v << " after the second phase";
+    }
+    net.shutdown();
+  }
 }
 
 }  // namespace

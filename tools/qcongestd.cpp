@@ -42,7 +42,8 @@ flags:
   --port=N             listen on 127.0.0.1:N instead (0 = ephemeral port;
                        the bound port is printed on startup)
   --threads=N          compute worker threads (default: hardware)
-  --max-pending=N      admission bound on queued+running requests (default 64)
+  --max-pending=N      admission bound on queued+running requests (default 64);
+                       live connections are capped at 4x it
   --timeout-ms=N       per-request deadline, 0 = none (default 0)
   --preload=A[,B,...]  graph files to load before accepting connections
   --request-log=FILE   append one JSONL line per request to FILE
