@@ -16,6 +16,39 @@ namespace {
 constexpr std::uint64_t kPullAlpha = 14;
 constexpr std::uint64_t kPullNodeFrac = 4;
 
+bool none(const SourceMask& m) {
+  std::uint64_t any = 0;
+  for (const std::uint64_t w : m) any |= w;
+  return any == 0;
+}
+
+// a & ~b, word by word.
+SourceMask and_not(const SourceMask& a, const SourceMask& b) {
+  SourceMask out;
+  for (std::size_t w = 0; w < out.size(); ++w) out[w] = a[w] & ~b[w];
+  return out;
+}
+
+SourceMask and_of(const SourceMask& a, const SourceMask& b) {
+  SourceMask out;
+  for (std::size_t w = 0; w < out.size(); ++w) out[w] = a[w] & b[w];
+  return out;
+}
+
+void or_into(SourceMask& a, const SourceMask& b) {
+  for (std::size_t w = 0; w < a.size(); ++w) a[w] |= b[w];
+}
+
+// Calls f(i) for every set bit i of m, in increasing order.
+template <typename F>
+void for_each_bit(const SourceMask& m, F&& f) {
+  for (std::size_t w = 0; w < m.size(); ++w) {
+    for (std::uint64_t b = m[w]; b != 0; b &= b - 1) {
+      f(64 * w + static_cast<std::size_t>(std::countr_zero(b)));
+    }
+  }
+}
+
 }  // namespace
 
 std::uint32_t flat_bfs_distances(const Graph& g, NodeId root,
@@ -61,31 +94,32 @@ MultiBfsStats multi_source_eccentricities(const Graph& g,
   const std::uint32_t n = g.n();
   const std::size_t k = sources.size();
   require(n > 0, "multi_source_eccentricities: empty graph");
-  require(k >= 1 && k <= 64,
-          "multi_source_eccentricities: need 1..64 sources per batch");
-  const std::uint64_t full =
-      k == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+  require(k >= 1 && k <= kMaxBatchSources,
+          "multi_source_eccentricities: need 1..128 sources per batch");
   const std::uint64_t arcs = g.csr_neighbors().size();
 
-  scratch.visited.assign(n, 0);
-  scratch.frontier.assign(n, 0);
-  scratch.next.assign(n, 0);
+  auto& visited = scratch.visited;
+  auto& next = scratch.next;
+  visited.assign(n, SourceMask{});
+  next.assign(n, SourceMask{});
   scratch.active.clear();
   scratch.next_active.clear();
 
-  // Seed. Invariant from here on: frontier[v] != 0 iff v is in `active`,
-  // which is what lets the level-retire step clear exactly the stale
-  // entries before recycling the buffer.
+  // Seed. Invariant from here on: next[v] is zero outside a level, and
+  // `active` lists the vertices some source first reached at the last
+  // level.
+  SourceMask full{};  // one bit per source
   std::uint64_t active_deg = 0;
   for (std::size_t i = 0; i < k; ++i) {
     const NodeId v = sources[i];
     require(v < n, "multi_source_eccentricities: source out of range");
-    if (scratch.frontier[v] == 0) {
+    if (none(visited[v])) {
       scratch.active.push_back(v);
       active_deg += g.degree(v);
     }
-    scratch.frontier[v] |= std::uint64_t{1} << i;
-    scratch.visited[v] |= std::uint64_t{1} << i;
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    full[i / 64] |= bit;
+    visited[v][i / 64] |= bit;
     ecc_out[i] = 0;
   }
 
@@ -101,53 +135,51 @@ MultiBfsStats multi_source_eccentricities(const Graph& g,
     if (pull) {
       ++stats.pull_levels;
       // Bottom-up: every vertex still missing bits gathers the word-OR of
-      // its neighbors' frontier masks, stopping as soon as everything it
-      // needs has been found.
+      // its neighbors' visited masks, stopping as soon as everything it
+      // needs has been found. A source in a neighbor's mask but not in
+      // visited[v] reaches v at exactly this level.
       for (NodeId v = 0; v < n; ++v) {
-        const std::uint64_t need = full & ~scratch.visited[v];
-        if (need == 0) continue;
-        std::uint64_t gathered = 0;
+        const SourceMask need = and_not(full, visited[v]);
+        if (none(need)) continue;
+        SourceMask gathered{};
         for (const NodeId u : g.neighbors(v)) {
-          gathered |= scratch.frontier[u];
-          if ((gathered & need) == need) break;
+          or_into(gathered, visited[u]);
+          if (none(and_not(need, gathered))) break;
         }
-        const std::uint64_t add = gathered & need;
-        if (add != 0) {
-          scratch.next[v] = add;
+        const SourceMask add = and_of(need, gathered);
+        if (!none(add)) {
+          next[v] = add;
           scratch.next_active.push_back(v);
         }
       }
     } else {
       ++stats.push_levels;
-      // Top-down: scatter each frontier vertex's mask to its neighbors.
+      // Top-down: scatter each active vertex's visited mask to its
+      // neighbors; the filter keeps only the bits new to the neighbor.
       for (const NodeId v : scratch.active) {
-        const std::uint64_t f = scratch.frontier[v];
+        const SourceMask f = visited[v];
         for (const NodeId u : g.neighbors(v)) {
-          const std::uint64_t add = f & ~scratch.visited[u];
-          if (add != 0) {
-            if (scratch.next[u] == 0) scratch.next_active.push_back(u);
-            scratch.next[u] |= add;
+          const SourceMask add = and_not(f, visited[u]);
+          if (!none(add)) {
+            if (none(next[u])) scratch.next_active.push_back(u);
+            or_into(next[u], add);
           }
         }
       }
     }
 
     // Retire the level: commit the new reaches, record which sources
-    // advanced (their eccentricity is at least this level), and recycle
-    // the frontier buffer for the next level.
-    std::uint64_t level_mask = 0;
+    // advanced (their eccentricity is at least this level), and zero
+    // `next` for the next level.
+    SourceMask level_mask{};
     active_deg = 0;
     for (const NodeId v : scratch.next_active) {
-      const std::uint64_t newly = scratch.next[v];  // filtered vs visited
-      scratch.visited[v] |= newly;
-      level_mask |= newly;
+      or_into(visited[v], next[v]);
+      or_into(level_mask, next[v]);
+      next[v] = SourceMask{};
       active_deg += g.degree(v);
     }
-    for (std::uint64_t b = level_mask; b != 0; b &= b - 1) {
-      ecc_out[std::countr_zero(b)] = level;
-    }
-    for (const NodeId v : scratch.active) scratch.frontier[v] = 0;
-    scratch.frontier.swap(scratch.next);
+    for_each_bit(level_mask, [&](std::size_t i) { ecc_out[i] = level; });
     scratch.active.swap(scratch.next_active);
     scratch.next_active.clear();
   }
@@ -155,11 +187,10 @@ MultiBfsStats multi_source_eccentricities(const Graph& g,
   // A source's component covers the graph iff its bit survives the AND of
   // every vertex's visited mask; everything else gets kUnreachable, same
   // as flat_bfs_distances.
-  std::uint64_t covered = full;
-  for (NodeId v = 0; v < n; ++v) covered &= scratch.visited[v];
-  for (std::uint64_t b = full & ~covered; b != 0; b &= b - 1) {
-    ecc_out[std::countr_zero(b)] = kUnreachable;
-  }
+  SourceMask covered = full;
+  for (NodeId v = 0; v < n; ++v) covered = and_of(covered, visited[v]);
+  for_each_bit(and_not(full, covered),
+               [&](std::size_t i) { ecc_out[i] = kUnreachable; });
   return stats;
 }
 

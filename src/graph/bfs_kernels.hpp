@@ -9,14 +9,14 @@
 //     (PR 3), used wherever the full distance array is needed (bfs(),
 //     apsp, double sweeps).
 //  2. multi_source_eccentricities — a bit-parallel multi-source kernel
-//     running up to 64 sources per machine word: per vertex a 64-bit
-//     mask of the sources that have reached it, advanced one synchronous
-//     level at a time with word-OR frontier merges (the GraphLab/Galois
-//     `bitwise_or` gather idiom), with Beamer-style push/pull
-//     direction-optimizing switching for the low-diameter regime where
-//     nearly the whole graph is frontier. One adjacency pass serves 64
-//     BFS runs, which is what makes full EccEngine sweeps at n >= 10^5
-//     feasible.
+//     running up to 128 sources per pass: per vertex a two-word mask of
+//     the sources that have reached it, advanced one synchronous level at
+//     a time with word-OR merges of the neighbours' masks (the
+//     GraphLab/Galois `bitwise_or` gather idiom), with Beamer-style
+//     push/pull direction-optimizing switching for the low-diameter
+//     regime where nearly the whole graph is frontier. One adjacency pass
+//     serves 128 BFS runs, which is what makes full EccEngine sweeps at
+//     n >= 10^5 feasible.
 //
 // Disconnected-graph contract (shared by both kernels): the returned
 // eccentricity is kUnreachable when the source's component does not cover
@@ -30,6 +30,7 @@
 // are bit-identical to each other and independent of batch partitioning,
 // direction choices, and thread count.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -61,14 +62,22 @@ struct BfsScratch {
 std::uint32_t flat_bfs_distances(const Graph& g, NodeId root,
                                  BfsScratch& scratch);
 
-/// Caller-owned scratch for the bit-parallel multi-source kernel: three
-/// 64-bit-mask arrays (one word per vertex) plus the push-mode worklists.
-/// ~24 bytes per vertex; reuse one instance per thread.
+/// Most sources one multi_source_eccentricities call takes.
+inline constexpr std::uint32_t kMaxBatchSources = 128;
+
+/// One bit per source of a batch: bit i of word i / 64 is sources[i].
+using SourceMask = std::array<std::uint64_t, kMaxBatchSources / 64>;
+
+/// Caller-owned scratch for the bit-parallel multi-source kernel: two
+/// SourceMask arrays plus the worklists. ~32 bytes per vertex; reuse one
+/// instance per thread. A level expands each vertex's whole `visited`
+/// mask, and the `& ~visited` filter drops every bit that is not new: a
+/// source that reached u before the last level has already reached u's
+/// neighbours.
 struct MultiBfsScratch {
-  std::vector<std::uint64_t> visited;   ///< sources that reached v
-  std::vector<std::uint64_t> frontier;  ///< sources reaching v this level
-  std::vector<std::uint64_t> next;      ///< sources reaching v next level
-  std::vector<NodeId> active;           ///< vertices with nonzero frontier
+  std::vector<SourceMask> visited;  ///< sources that reached v
+  std::vector<SourceMask> next;     ///< sources first reaching v this level
+  std::vector<NodeId> active;       ///< vertices reached at the last level
   std::vector<NodeId> next_active;
 };
 
@@ -86,14 +95,14 @@ struct MultiBfsStats {
   std::uint32_t pull_levels = 0;
 };
 
-/// One synchronous BFS wave from up to 64 sources at once.
+/// One synchronous BFS wave from up to 128 sources at once.
 ///
 /// `ecc_out` must have room for sources.size() entries; ecc_out[i]
 /// receives ecc(sources[i]), or kUnreachable when sources[i]'s component
 /// does not cover the graph — exactly the values flat_bfs_distances
 /// returns for the same roots. Duplicate sources are fine (their bits
 /// travel together). Throws InvalidArgumentError on an empty batch, more
-/// than 64 sources, or an out-of-range source.
+/// than kMaxBatchSources sources, or an out-of-range source.
 MultiBfsStats multi_source_eccentricities(
     const Graph& g, std::span<const NodeId> sources, std::uint32_t* ecc_out,
     MultiBfsScratch& scratch,
@@ -103,7 +112,7 @@ MultiBfsStats multi_source_eccentricities(
 enum class EccKernel : std::uint8_t {
   kAuto,         ///< bit-parallel for large graphs, flat below the cutoff
   kFlat,         ///< one flat_bfs_distances run per vertex
-  kBitParallel,  ///< 64-sources-per-word direction-optimizing batches
+  kBitParallel,  ///< 128-source direction-optimizing batches
 };
 
 }  // namespace qc::graph

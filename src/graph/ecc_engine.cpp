@@ -13,11 +13,43 @@ namespace {
 // Below this size the sweep is cheaper than spawning workers.
 constexpr std::uint32_t kParallelCutoff = 256;
 
-// kAuto kernel choice: bit-parallel once a sweep spans several 64-source
+// kAuto kernel choice: bit-parallel once a sweep spans a few bit-parallel
 // batches; below that the flat kernel's simpler per-level loop wins.
 constexpr std::uint32_t kBitParallelCutoff = 256;
 
-constexpr std::uint32_t kBatch = 64;
+constexpr std::uint32_t kBatch = kMaxBatchSources;
+
+// Every vertex once, in BFS order from the max-degree vertex (smallest id
+// on ties), continuing from the smallest unvisited id until every
+// component is covered. Consecutive vertices are close in the graph, so a
+// batch of them advances as a few shared fronts instead of scattered
+// ones.
+std::vector<NodeId> bfs_order(const Graph& g) {
+  const std::uint32_t n = g.n();
+  NodeId root = 0;
+  for (NodeId v = 1; v < n; ++v) {
+    if (g.degree(v) > g.degree(root)) root = v;
+  }
+  std::vector<NodeId> order;
+  order.reserve(n);
+  std::vector<bool> seen(n, false);
+  NodeId unseen = 0;
+  for (;;) {
+    seen[root] = true;
+    order.push_back(root);
+    for (std::size_t head = order.size() - 1; head < order.size(); ++head) {
+      for (const NodeId u : g.neighbors(order[head])) {
+        if (!seen[u]) {
+          seen[u] = true;
+          order.push_back(u);
+        }
+      }
+    }
+    while (unseen < n && seen[unseen]) ++unseen;
+    if (unseen == n) return order;
+    root = unseen;
+  }
+}
 
 }  // namespace
 
@@ -59,16 +91,18 @@ void EccEngine::sweep_flat(std::vector<std::uint32_t>& table) const {
 void EccEngine::sweep_bit_parallel(std::vector<std::uint32_t>& table) const {
   const std::uint32_t n = g_.n();
   const std::uint32_t batches = (n + kBatch - 1) / kBatch;
-  // Batches write disjoint table ranges, so workers never race; the
+  const std::vector<NodeId> order = bfs_order(g_);
+  // Batch b is order[b * kBatch, ...). `order` is a permutation, so
+  // batches write disjoint table entries and workers never race; the
   // atomic batch counter is the only shared mutable state.
-  const auto run_batch = [this, &table, n](std::uint32_t b,
-                                           MultiBfsScratch& scratch) {
-    NodeId ids[kBatch];
-    const NodeId first = b * kBatch;
+  const auto run_batch = [this, &table, &order, n](std::uint32_t b,
+                                                   MultiBfsScratch& scratch) {
+    const std::uint32_t first = b * kBatch;
     const std::uint32_t k = std::min(kBatch, n - first);
-    for (std::uint32_t i = 0; i < k; ++i) ids[i] = first + i;
-    multi_source_eccentricities(g_, std::span<const NodeId>(ids, k),
-                                table.data() + first, scratch);
+    std::uint32_t ecc[kBatch];
+    multi_source_eccentricities(
+        g_, std::span<const NodeId>(order.data() + first, k), ecc, scratch);
+    for (std::uint32_t i = 0; i < k; ++i) table[order[first + i]] = ecc[i];
     bfs_runs_.fetch_add(k, std::memory_order_relaxed);
   };
   const auto workers = std::min<std::uint32_t>(opts_.num_threads, batches);

@@ -9,11 +9,12 @@
 // pieces:
 //
 //  1. the BFS kernel layer of graph/bfs_kernels.hpp — the flat
-//     single-source kernel plus the bit-parallel 64-sources-per-word
+//     single-source kernel plus the bit-parallel 128-source
 //     direction-optimizing multi-source kernel the full sweep runs on,
-//  2. a thread-safe compute-once eccentricity cache (batches of 64
-//     sources fanned across qc::ThreadPool — exactly one BFS per vertex,
-//     ever, regardless of kernel or thread count),
+//  2. a thread-safe compute-once eccentricity cache (batches of 128
+//     sources, taken in BFS order so each batch is a neighbourhood,
+//     fanned across qc::ThreadPool — exactly one BFS per vertex, ever,
+//     regardless of kernel or thread count),
 //  3. a sparse-table (binary-lifting) range-maximum structure over the
 //     Euler-walk positions of a DfsNumbering, answering
 //     max_ecc_in_segment(u, steps) in O(1) per query after an
@@ -57,7 +58,7 @@ struct EccOptions {
 /// queries over Euler-walk segments.
 ///
 /// Thread-safe: the first accessor to need the eccentricities computes all
-/// of them exactly once (64-source bit-parallel batches fanned across a
+/// of them exactly once (128-source bit-parallel batches fanned across a
 /// ThreadPool for large graphs); concurrent readers block until the table
 /// is ready and then read without locking. Every derived value (diameter,
 /// radius, segment maxima) is a pure function of the table, so results are

@@ -86,6 +86,7 @@ std::vector<Graph> connected_families() {
   gs.push_back(make_path(2));
   gs.push_back(make_path(17));
   gs.push_back(make_path(65));  // > one word of sources, high diameter
+  gs.push_back(make_path(130));  // > one 128-source batch: three words
   gs.push_back(make_star(9));
   gs.push_back(make_cycle(12));
   gs.push_back(make_grid(7, 9));
@@ -109,15 +110,23 @@ std::vector<Graph> disconnected_families() {
   gs.push_back(Graph::from_edges(4, std::vector<Edge>{}));  // all isolated
   gs.push_back(disjoint_union(with_isolated(make_cycle(65), 2),
                               make_path(66)));  // spans several words
+  gs.push_back(disjoint_union(with_isolated(make_cycle(129), 2),
+                              make_path(130)));  // spans several batches
   return gs;
 }
+
+// Batch sizes at and around the word and batch boundaries.
+constexpr std::uint32_t kBatchSizes[] = {1, 64, 65, 127, 128};
 
 TEST(MultiSourceBfs, ParityOnConnectedFamilies) {
   for (const Graph& g : connected_families()) {
     const auto ref = reference_eccentricities(g);
     for (const auto dir :
          {MultiBfsDirection::kPushOnly, MultiBfsDirection::kOptimized}) {
-      EXPECT_EQ(sweep_multi(g, 64, dir), ref) << g.describe();
+      for (const std::uint32_t batch : kBatchSizes) {
+        EXPECT_EQ(sweep_multi(g, batch, dir), ref)
+            << g.describe() << " batch=" << batch;
+      }
     }
     // Flat kernel agrees with the same reference (connected: finite).
     BfsScratch scratch;
@@ -136,7 +145,10 @@ TEST(MultiSourceBfs, ParityOnDisconnectedFamilies) {
     for (const std::uint32_t e : ref) EXPECT_EQ(e, kUnreachable);
     for (const auto dir :
          {MultiBfsDirection::kPushOnly, MultiBfsDirection::kOptimized}) {
-      EXPECT_EQ(sweep_multi(g, 64, dir), ref) << g.describe();
+      for (const std::uint32_t batch : kBatchSizes) {
+        EXPECT_EQ(sweep_multi(g, batch, dir), ref)
+            << g.describe() << " batch=" << batch;
+      }
     }
     BfsScratch scratch;
     for (NodeId v = 0; v < g.n(); ++v) {
@@ -161,7 +173,7 @@ TEST(MultiSourceBfs, RandomizedDifferentialVsBfsReference) {
     const Graph g = Graph::from_edges(n, std::move(edges));
     const auto ref = reference_eccentricities(g);
     // Random batch slicing exercises partial words and batch boundaries.
-    const auto batch = static_cast<std::uint32_t>(rng.next_in(1, 64));
+    const auto batch = static_cast<std::uint32_t>(rng.next_in(1, 128));
     for (const auto dir :
          {MultiBfsDirection::kPushOnly, MultiBfsDirection::kOptimized}) {
       ASSERT_EQ(sweep_multi(g, batch, dir), ref)
@@ -199,9 +211,9 @@ TEST(MultiSourceBfs, DirectionStatsAccount) {
   // Low-diameter star: the optimized run must actually pull; the
   // push-only run must not. Level counts agree either way.
   const Graph g = make_star(200);
-  std::vector<NodeId> srcs(64);
-  for (NodeId i = 0; i < 64; ++i) srcs[i] = i;
-  std::uint32_t out[64];
+  std::vector<NodeId> srcs(128);
+  for (NodeId i = 0; i < 128; ++i) srcs[i] = i;
+  std::uint32_t out[128];
   MultiBfsScratch scratch;
   const auto opt = multi_source_eccentricities(
       g, srcs, out, scratch, MultiBfsDirection::kOptimized);
@@ -216,9 +228,9 @@ TEST(MultiSourceBfs, DirectionStatsAccount) {
 TEST(MultiSourceBfs, RejectsBadBatches) {
   const Graph g = make_path(4);
   MultiBfsScratch scratch;
-  std::uint32_t out[65];
+  std::uint32_t out[129];
   EXPECT_THROW(multi_source_eccentricities(g, {}, out, scratch), Error);
-  std::vector<NodeId> too_many(65, 0);
+  std::vector<NodeId> too_many(129, 0);
   EXPECT_THROW(multi_source_eccentricities(g, too_many, out, scratch),
                Error);
   const NodeId oob[1] = {4};
@@ -246,6 +258,34 @@ TEST(EccEngineKernels, BitIdenticalAcrossKernelsAndThreads) {
     EXPECT_EQ(bp4.bfs_runs(), g.n());
     EXPECT_EQ(table, reference_eccentricities(g));
   }
+}
+
+// The sweep batches sources in BFS order from the max-degree vertex and
+// continues from the smallest unvisited id. Here two components interleave
+// by id (even ids: a cycle; odd ids: a star whose hub has the last id), so
+// the order must jump back to low ids to cover the second component. A
+// bridge makes the connected variant, whose table is finite.
+TEST(EccEngineKernels, BfsOrderedSweepCoversInterleavedComponents) {
+  const std::uint32_t n = 402;
+  const NodeId hub = n - 1;
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v + 2 < hub; v += 2) edges.emplace_back(v, v + 2);
+  edges.emplace_back(0, hub - 1);  // closes the cycle 0, 2, ..., 400
+  for (NodeId v = 1; v < hub; v += 2) edges.emplace_back(v, hub);
+  const Graph split = Graph::from_edges(n, edges);
+  edges.emplace_back(0, 1);
+  const Graph bridged = Graph::from_edges(n, std::move(edges));
+  for (const Graph* g : {&split, &bridged}) {
+    for (NodeId v = 0; v < hub; ++v) ASSERT_LT(g->degree(v), g->degree(hub));
+    const auto ref = reference_eccentricities(*g);
+    for (const std::uint32_t threads : {1u, 4u}) {
+      const EccEngine engine(*g, {threads, EccKernel::kBitParallel});
+      EXPECT_EQ(engine.all(), ref) << g->describe() << " " << threads;
+      EXPECT_EQ(engine.bfs_runs(), n);
+    }
+  }
+  EXPECT_EQ(reference_eccentricities(split)[0], kUnreachable);
+  EXPECT_NE(reference_eccentricities(bridged)[0], kUnreachable);
 }
 
 TEST(EccEngineKernels, DisconnectedEngineReportsUnreachable) {

@@ -15,6 +15,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/bfs_kernels.hpp"
+#include "graph/ecc_engine.hpp"
 #include "graph/io.hpp"
 #include "graph/qcg.hpp"
 #include "util/error.hpp"
@@ -111,10 +112,10 @@ TEST(Dataset, SmallSnapAutoDetectsAsSnap) {
 }
 
 TEST(Dataset, BfsKernelsAgreeOnSampledRoots) {
-  // The flat single-source kernel and the 64-sources-per-word kernel, push
-  // only and direction-optimizing, give one eccentricity per root on the
-  // 10k dataset: 512 roots spread evenly over the id space, batched 64 at
-  // a time as EccEngine's sweep batches them.
+  // The flat single-source kernel and the 128-source kernel, push only
+  // and direction-optimizing, give one eccentricity per root on the 10k
+  // dataset: 512 roots spread evenly over the id space, batched 64 at a
+  // time, so every batch leaves the kernel's second mask word empty.
   const auto g = load_graph_file(data_path("synth-p2p-10k.qcg"));
   const std::uint32_t k = 512;
   std::vector<NodeId> roots(k);
@@ -140,6 +141,19 @@ TEST(Dataset, BfsKernelsAgreeOnSampledRoots) {
     EXPECT_EQ(multi, flat)
         << (dir == MultiBfsDirection::kPushOnly ? "push-only" : "diropt");
   }
+}
+
+TEST(Dataset, BfsOrderedSweepMatchesFlatTable) {
+  // EccEngine's full bit-parallel sweep (128-source batches in BFS order,
+  // written back under the original ids) against one flat BFS per vertex,
+  // both at 4 threads.
+  const auto g = load_graph_file(data_path("synth-p2p-10k.qcg"));
+  const EccEngine bit_parallel(g, {4, EccKernel::kBitParallel});
+  const EccEngine flat(g, {4, EccKernel::kFlat});
+  EXPECT_EQ(bit_parallel.all(), flat.all());
+  EXPECT_EQ(bit_parallel.bfs_runs(), g.n());
+  EXPECT_EQ(flat.bfs_runs(), g.n());
+  EXPECT_EQ(bit_parallel.diameter(), 7u);
 }
 
 TEST(Dataset, LargeQcgHeaderAgreesWithGraph) {

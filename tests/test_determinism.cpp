@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -258,12 +259,14 @@ core::QuantumConfig direct_config(std::uint32_t threads) {
   return cfg;
 }
 
-/// Runs `run(threads)` at 1, 2 and 8 workers and expects equal reports;
-/// returns the serial one.
+/// Runs `run(threads)` at 1 worker and at each of `more` and expects
+/// equal reports; returns the serial one.
 template <typename Run>
-auto expect_thread_invariant(const char* what, Run run) {
+auto expect_thread_invariant(const char* what, Run run,
+                             std::initializer_list<std::uint32_t> more = {
+                                 2u, 8u}) {
   const auto base = run(1u);
-  for (std::uint32_t threads : {2u, 8u}) {
+  for (std::uint32_t threads : more) {
     EXPECT_EQ(fields(run(threads)), fields(base))
         << what << " at " << threads << " threads";
   }
@@ -298,6 +301,29 @@ TEST(BranchThreads, DirectOracleFrontEndsInvariant) {
   });
   EXPECT_GT(approx.quantum_rounds, 0u);
   EXPECT_FALSE(approx.subroutine_failed);
+}
+
+TEST(BranchThreads, DirectOracleInvariantOverTheBitParallelSweep) {
+  // n >= 256 puts the reference sweep on the bit-parallel kernel, fanned
+  // over threads - 1 workers on a task beside the calling thread: one
+  // worker at 2 threads, three at 4.
+  auto g = random_graph(512, 10, 5);
+  const auto exact = expect_thread_invariant(
+      "exact",
+      [&](std::uint32_t t) {
+        return core::quantum_diameter_exact(g, direct_config(t));
+      },
+      {2u, 4u});
+  const auto radius = expect_thread_invariant(
+      "radius",
+      [&](std::uint32_t t) {
+        return core::quantum_radius(g, direct_config(t));
+      },
+      {2u, 4u});
+  EXPECT_EQ(exact.diameter, graph::diameter(g));
+  EXPECT_EQ(radius.radius, graph::radius(g));
+  EXPECT_EQ(exact.reference_bfs_runs, g.n());
+  EXPECT_FALSE(exact.subroutine_failed);
 }
 
 TEST(BranchThreads, ObservedDirectRunIsInitThenOneValidation) {

@@ -478,6 +478,7 @@ int main(int argc, char** argv) try {
     }
     auto rep = algo == "simple" ? core::quantum_diameter_simple(g, qcfg)
                                 : core::quantum_diameter_exact(g, qcfg);
+    const metrics::ScopedTimer report_span("cli.report");
     require_subroutine_ok(rep);
     if (quiet) {
       std::cout << rep.diameter << "\n";
@@ -510,6 +511,7 @@ int main(int argc, char** argv) try {
       return 0;
     }
     auto rep = core::quantum_diameter_approx(g, qcfg, s);
+    const metrics::ScopedTimer report_span("cli.report");
     require_subroutine_ok(rep);
     require(!rep.aborted, "approx: sampling aborted; re-run");
     if (quiet) {
@@ -537,6 +539,7 @@ int main(int argc, char** argv) try {
       return 0;
     }
     auto rep = core::quantum_radius(g, qcfg);
+    const metrics::ScopedTimer report_span("cli.report");
     require_subroutine_ok(rep);
     if (quiet) {
       std::cout << rep.radius << "\n";
@@ -553,6 +556,7 @@ int main(int argc, char** argv) try {
     choice(cli, "algo", "quantum", {"quantum"});
     const auto k = static_cast<std::uint32_t>(cli.get_int("threshold", 0));
     auto rep = core::quantum_diameter_decide(g, k, qcfg);
+    const metrics::ScopedTimer report_span("cli.report");
     require_subroutine_ok(rep);
     if (quiet) {
       std::cout << (rep.diameter_exceeds ? 1 : 0) << "\n";
