@@ -89,8 +89,7 @@ InitPhase run_initialization(const graph::Graph& g,
 }
 
 EngineSweep::EngineSweep(const graph::Graph& g, std::uint32_t threads)
-    : engine_(std::make_shared<const graph::EccEngine>(
-          g, threads > 1 ? threads - 1 : threads)) {
+    : engine_(std::make_shared<const graph::EccEngine>(g, threads)) {
   if (threads > 1) {
     task_ = std::async(std::launch::async,
                        [engine = engine_, parent = metrics::current_span()] {

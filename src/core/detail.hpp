@@ -45,11 +45,10 @@ InitPhase run_initialization(const graph::Graph& g,
 
 /// The EccEngine a front-end's oracle reads its reference values from,
 /// with its eccentricity sweep possibly still running. With `threads` > 1
-/// construction starts the sweep (fanned across `threads` − 1 workers,
-/// since the calling thread keeps working beside them) on a background
-/// task, so whatever the caller runs next overlaps it, and the sweep's
-/// span nests under the caller's innermost span. With 1 the sweep is left
-/// to the first reader of the table, on the calling thread.
+/// construction starts the sweep (fanned across `threads` workers) on a
+/// background task, so whatever the caller runs next overlaps it, and the
+/// sweep's span nests under the caller's innermost span. With 1 the sweep
+/// is left to the first reader of the table, on the calling thread.
 class EngineSweep {
  public:
   EngineSweep() = default;

@@ -243,6 +243,19 @@ TEST(EccEngineKernels, BitIdenticalAcrossKernelsAndThreads) {
   gs.push_back(make_random_with_diameter(300, 12, rng));  // > cutoff
   gs.push_back(make_preferential_attachment(400, 3, rng));
   gs.push_back(disjoint_union(make_path(200), make_cycle(150)));
+  // The sweep batches sources in BFS order from the max-degree vertex and
+  // continues from the smallest unvisited id. Here two components
+  // interleave by id (even ids: a cycle; odd ids: a star whose hub has the
+  // last id, and the highest degree), so the order must jump back to low
+  // ids to cover the second one. The bridge 0–1 joins them.
+  const NodeId hub = 401;
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v + 2 < hub; v += 2) edges.emplace_back(v, v + 2);
+  edges.emplace_back(0, hub - 1);  // closes the cycle 0, 2, ..., 400
+  for (NodeId v = 1; v < hub; v += 2) edges.emplace_back(v, hub);
+  gs.push_back(Graph::from_edges(hub + 1, edges));
+  edges.emplace_back(0, 1);
+  gs.push_back(Graph::from_edges(hub + 1, std::move(edges)));
   for (const Graph& g : gs) {
     const EccEngine flat1(g, {1, EccKernel::kFlat});
     const EccEngine bp1(g, {1, EccKernel::kBitParallel});
@@ -258,34 +271,6 @@ TEST(EccEngineKernels, BitIdenticalAcrossKernelsAndThreads) {
     EXPECT_EQ(bp4.bfs_runs(), g.n());
     EXPECT_EQ(table, reference_eccentricities(g));
   }
-}
-
-// The sweep batches sources in BFS order from the max-degree vertex and
-// continues from the smallest unvisited id. Here two components interleave
-// by id (even ids: a cycle; odd ids: a star whose hub has the last id), so
-// the order must jump back to low ids to cover the second component. A
-// bridge makes the connected variant, whose table is finite.
-TEST(EccEngineKernels, BfsOrderedSweepCoversInterleavedComponents) {
-  const std::uint32_t n = 402;
-  const NodeId hub = n - 1;
-  std::vector<Edge> edges;
-  for (NodeId v = 0; v + 2 < hub; v += 2) edges.emplace_back(v, v + 2);
-  edges.emplace_back(0, hub - 1);  // closes the cycle 0, 2, ..., 400
-  for (NodeId v = 1; v < hub; v += 2) edges.emplace_back(v, hub);
-  const Graph split = Graph::from_edges(n, edges);
-  edges.emplace_back(0, 1);
-  const Graph bridged = Graph::from_edges(n, std::move(edges));
-  for (const Graph* g : {&split, &bridged}) {
-    for (NodeId v = 0; v < hub; ++v) ASSERT_LT(g->degree(v), g->degree(hub));
-    const auto ref = reference_eccentricities(*g);
-    for (const std::uint32_t threads : {1u, 4u}) {
-      const EccEngine engine(*g, {threads, EccKernel::kBitParallel});
-      EXPECT_EQ(engine.all(), ref) << g->describe() << " " << threads;
-      EXPECT_EQ(engine.bfs_runs(), n);
-    }
-  }
-  EXPECT_EQ(reference_eccentricities(split)[0], kUnreachable);
-  EXPECT_NE(reference_eccentricities(bridged)[0], kUnreachable);
 }
 
 TEST(EccEngineKernels, DisconnectedEngineReportsUnreachable) {

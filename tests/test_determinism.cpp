@@ -305,8 +305,7 @@ TEST(BranchThreads, DirectOracleFrontEndsInvariant) {
 
 TEST(BranchThreads, DirectOracleInvariantOverTheBitParallelSweep) {
   // n >= 256 puts the reference sweep on the bit-parallel kernel, fanned
-  // over threads - 1 workers on a task beside the calling thread: one
-  // worker at 2 threads, three at 4.
+  // over `threads` workers on a task beside the calling thread.
   auto g = random_graph(512, 10, 5);
   const auto exact = expect_thread_invariant(
       "exact",
