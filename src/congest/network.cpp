@@ -89,8 +89,8 @@ void NodeContext::send(std::uint32_t port, Message msg) {
   require(sent_[port] == kNoSend,
           "NodeContext::send: at most one message per port per round");
   sent_[port] = arenas_[round_ & 1].store(std::move(msg));
-  const NodeId to = neighbors_[port];
-  mail_[to >> 6] |= std::uint64_t{1} << (to & 63);
+  const std::uint32_t arc = in_slot_[port];  // the receiver's side
+  mail_[arc >> 6] |= std::uint64_t{1} << (arc & 63);
   ++pending_sends_;  // drained into the quiescence counter per slice
 }
 
@@ -114,8 +114,8 @@ void NodeContext::broadcast(const Message& msg, std::uint32_t except_port) {
   const std::uint32_t ref = arenas_[round_ & 1].store(msg);
   const auto queue = [&](std::uint32_t p) {
     sent_[p] = ref;
-    const NodeId to = neighbors_[p];
-    mail_[to >> 6] |= std::uint64_t{1} << (to & 63);
+    const std::uint32_t arc = in_slot_[p];
+    mail_[arc >> 6] |= std::uint64_t{1} << (arc & 63);
   };
   for (std::uint32_t p = 0; p < cut; ++p) queue(p);
   for (std::uint32_t p = cut + 1; p < deg; ++p) queue(p);
@@ -208,7 +208,7 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg)
     altered_.resize(in_slot_.size());
   }
   const std::size_t words = (static_cast<std::size_t>(g.n()) + 63) / 64;
-  mail_bits_.assign(words, 0);
+  mail_arcs_.assign((in_slot_.size() + 63) / 64, 0);
   run_bits_.assign(words, 0);
   awake_bits_.assign(words, 0);
   contexts_.resize(g.n());
@@ -221,7 +221,7 @@ Network::Network(const graph::Graph& g, NetworkConfig cfg)
     ctx.arenas_ = arenas_->data();
     ctx.views_ = views_.get();
     ctx.in_slot_ = in_slot_.data() + offsets_[v];
-    ctx.mail_ = mail_bits_.data();
+    ctx.mail_ = mail_arcs_.data();
     ctx.quiesce_ = quiesce_.get();
   }
   programs_.resize(g.n());
@@ -254,7 +254,7 @@ void Network::init_programs(
   std::fill(sent_.begin(), sent_.end(), kNoSend);
   for (auto& arena : *arenas_) arena.recycle();
   views_->clear();
-  std::fill(mail_bits_.begin(), mail_bits_.end(), std::uint64_t{0});
+  std::fill(mail_arcs_.begin(), mail_arcs_.end(), std::uint64_t{0});
   std::fill(run_bits_.begin(), run_bits_.end(), std::uint64_t{0});
   wake_heap_.clear();
   quiesce_->inflight.store(0, std::memory_order_relaxed);
@@ -311,21 +311,23 @@ void Network::begin_round() {
 void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
                             RunStats& local,
                             std::vector<PendingDelivery>* sink) {
-  // Receiver-driven delivery over the receivers that have mail: node w
-  // pulls, in port order, the messages its neighbors queued for it last
-  // round. Receivers are visited in ascending id order (the set bits of
-  // mail_bits_) and each inbox is assembled in port order, so the inbox —
-  // and the (round, receiver, port) event order — is the same as a sweep
-  // over every node and does not depend on how receivers are split into
-  // ranges. Observer events either fire inline (sink == nullptr) or are
-  // recorded into the sink — a shard worker ships them to the
-  // coordinator, which replays them in receiver order. Fault decisions are
-  // stateless hashes of (seed, round, from, to), so they do not depend on
-  // the range split either. Crash checks go through the per-round
-  // CrashIndex (refreshed at round start) instead of scanning the crash
-  // list per edge.
+  // Receiver-driven delivery over the arcs that carry mail: node w pulls,
+  // in port order, the messages its neighbors queued for it last round.
+  // The mail bitmap has one bit per receiver-side arc (w's port q is arc
+  // offsets_[w] + q), so walking its set bits in [offsets_[begin],
+  // offsets_[end]) visits receivers in ascending id order and each inbox
+  // in port order: the inbox — and the (round, receiver, port) event order
+  // — is the same as a sweep over every port of every node and does not
+  // depend on how receivers are split into ranges, while a hub with one
+  // message costs one arc instead of a scan of all its ports. Observer
+  // events either fire inline (sink == nullptr) or are recorded into the
+  // sink — a shard worker ships them to the coordinator, which replays
+  // them in receiver order. Fault decisions are stateless hashes of (seed,
+  // round, from, to), so they do not depend on the range split either.
+  // Crash checks go through the per-round CrashIndex (refreshed at round
+  // start) instead of scanning the crash list per edge.
   //
-  // The common path is allocation-free and O(1) per edge: the sender's
+  // The common path is allocation-free and O(1) per message: the sender's
   // arc reference is one flat array index away (in_slot_, the reverse arc)
   // and names the payload in last round's send arena; the receiver's inbox
   // is a run of views of such payloads in views_, so no message is copied
@@ -342,11 +344,14 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
   // compiler cannot keep them in registers itself because the opaque calls
   // in the loop body (observer virtual call, view-list growth) could alias
   // any member.
+  if (begin >= end) return;
   const FaultPlan& fault = cfg_.fault;
   const bool fault_enabled = fault_enabled_;
   const std::uint32_t round = round_;
   const std::uint32_t bandwidth_bits = bandwidth_bits_;
   std::uint32_t* const sent = sent_.data();
+  const std::uint32_t* const in_slot = in_slot_.data();
+  const NodeId* const heads = graph_->csr_neighbors().data();
   const SendArena& payloads = (*arenas_)[(round - 1) & 1];
   std::vector<Incoming>& views = *views_;
   DeliveryObserver* const observer = cfg_.observer.get();
@@ -359,83 +364,105 @@ void Network::deliver_range(std::uint32_t begin, std::uint32_t end,
   std::uint64_t messages = 0;
   std::uint64_t bits = 0;
   std::uint32_t max_edge_bits = local.max_edge_bits;
-  for (std::size_t i = begin >> 6; begin < end && i <= (end - 1) >> 6; ++i) {
-    std::uint64_t receivers = mail_bits_[i] & range_mask(i, begin, end);
-    mail_bits_[i] &= ~receivers;
-    for (; receivers != 0; receivers &= receivers - 1) {
-      const auto w = static_cast<NodeId>(i * 64 + std::countr_zero(receivers));
-      auto& ctx = contexts_[w];
-      const auto first = static_cast<std::uint32_t>(views.size());
-      const bool w_crashed = fault_enabled && crash_index_.down(w);
-      const std::uint32_t deg = ctx.degree();
-      for (std::uint32_t p = 0; p < deg; ++p) {
-        const std::uint32_t s = ctx.in_slot_[p];
-        const std::uint32_t ref = sent[s];
-        if (ref == kNoSend) continue;
-        sent[s] = kNoSend;
-        ++consumed;
-        const NodeId u = ctx.neighbors_[p];
-        if (fault_enabled &&
-            (w_crashed || crash_index_.down(u) || fault.drops(round, u, w))) {
-          ++local.messages_dropped;
-          continue;
+  // The receiver whose inbox is being assembled: its first arc, the arc
+  // past its last port, and where its views start. Before the first
+  // receiver the view list has not grown, so closing is a no-op.
+  NodeId w = 0;
+  std::uint32_t w_base = 0;
+  std::uint32_t w_end = 0;
+  auto first = static_cast<std::uint32_t>(views.size());
+  bool w_crashed = false;
+  const auto close_inbox = [&] {
+    if (views.size() == first) return;
+    auto& ctx = contexts_[w];
+    ctx.inbox_first_ = first;
+    ctx.inbox_size_ = static_cast<std::uint32_t>(views.size()) - first;
+    ctx.inbox_round_ = round;
+    run_bits_[w >> 6] |= bit_of(w);
+  };
+  const std::uint32_t arc_begin = offsets_[begin];
+  const std::uint32_t arc_end = offsets_[end];
+  const std::size_t words_end = (static_cast<std::size_t>(arc_end) + 63) >> 6;
+  for (std::size_t i = arc_begin >> 6; i < words_end; ++i) {
+    std::uint64_t arcs = mail_arcs_[i] & range_mask(i, arc_begin, arc_end);
+    mail_arcs_[i] &= ~arcs;
+    for (; arcs != 0; arcs &= arcs - 1) {
+      const auto r =
+          static_cast<std::uint32_t>(i * 64 + std::countr_zero(arcs));
+      const std::uint32_t s = in_slot[r];
+      if (r >= w_end) {
+        // First mail of the next receiver: the head of the sender's arc.
+        close_inbox();
+        w = heads[s];
+        w_base = offsets_[w];
+        w_end = offsets_[w + 1];
+        first = static_cast<std::uint32_t>(views.size());
+        w_crashed = fault_enabled && crash_index_.down(w);
+      }
+      const std::uint32_t ref = sent[s];
+      assert(ref != kNoSend);
+      sent[s] = kNoSend;
+      ++consumed;
+      const NodeId u = heads[r];
+      if (fault_enabled &&
+          (w_crashed || crash_index_.down(u) || fault.drops(round, u, w))) {
+        ++local.messages_dropped;
+        continue;
+      }
+      const Message& payload = payloads[ref];
+      const std::uint32_t sz = payload.size_bits();
+      bool altered = false;
+      if (sz > bandwidth_bits) [[unlikely]] {
+        if (cfg_.policy == BandwidthPolicy::kEnforce) {
+          std::ostringstream os;
+          os << "bandwidth violation: " << sz << " bits on edge " << u
+             << "->" << w << " in round " << round_
+             << " (bw=" << bandwidth_bits_ << ")";
+          throw BandwidthViolationError(os.str());
         }
-        const Message& payload = payloads[ref];
-        const std::uint32_t sz = payload.size_bits();
-        bool altered = false;
-        if (sz > bandwidth_bits) [[unlikely]] {
-          if (cfg_.policy == BandwidthPolicy::kEnforce) {
-            std::ostringstream os;
-            os << "bandwidth violation: " << sz << " bits on edge " << u
-               << "->" << w << " in round " << round_
-               << " (bw=" << bandwidth_bits_ << ")";
-            throw BandwidthViolationError(os.str());
-          }
-          ++local.violations;
-          if (cfg_.policy == BandwidthPolicy::kTruncate) {
-            altered_[s] = payload.truncated(bandwidth_bits_);
-            altered = true;
-          }
-        }
-        if (fault_enabled && fault.corrupts(round, u, w)) {
-          if (!altered) altered_[s] = payload;
-          fault.corrupt_in_place(altered_[s], round, u, w);
+        ++local.violations;
+        if (cfg_.policy == BandwidthPolicy::kTruncate) {
+          altered_[s] = payload.truncated(bandwidth_bits_);
           altered = true;
-          ++local.messages_corrupted;
-        }
-        const Message& delivered = altered ? altered_[s] : payload;
-        views.emplace_back(p, delivered);
-        const std::uint32_t delivered_bits = delivered.size_bits();
-        ++messages;
-        bits += delivered_bits;
-        max_edge_bits = std::max(max_edge_bits, delivered_bits);
-        if (notify) {
-          if (sink != nullptr) {
-            sink->push_back(PendingDelivery{
-                u, w, static_cast<std::uint32_t>(views.size() - 1)});
-          } else {
-            observer->on_deliver(u, w, delivered, round);
-          }
         }
       }
-      if (views.size() != first) {
-        ctx.inbox_first_ = first;
-        ctx.inbox_size_ = static_cast<std::uint32_t>(views.size()) - first;
-        ctx.inbox_round_ = round;
-        run_bits_[i] |= bit_of(w);
+      if (fault_enabled && fault.corrupts(round, u, w)) {
+        if (!altered) altered_[s] = payload;
+        fault.corrupt_in_place(altered_[s], round, u, w);
+        altered = true;
+        ++local.messages_corrupted;
+      }
+      const Message& delivered = altered ? altered_[s] : payload;
+      views.emplace_back(r - w_base, delivered);
+      const std::uint32_t delivered_bits = delivered.size_bits();
+      ++messages;
+      bits += delivered_bits;
+      max_edge_bits = std::max(max_edge_bits, delivered_bits);
+      if (notify) {
+        if (sink != nullptr) {
+          sink->push_back(PendingDelivery{
+              u, w, static_cast<std::uint32_t>(views.size() - 1)});
+        } else {
+          observer->on_deliver(u, w, delivered, round);
+        }
       }
     }
   }
+  close_inbox();
   local.messages += messages;
   local.bits += bits;
   local.max_edge_bits = max_edge_bits;
 #ifndef NDEBUG
   // The invariant a sweep over every arc used to guarantee: each queued
-  // arc addressed to this range was consumed (delivered or dropped).
-  for (NodeId w = begin; w < end; ++w) {
-    for (std::uint32_t p = 0; p < contexts_[w].degree(); ++p) {
-      assert(sent[contexts_[w].in_slot_[p]] == kNoSend);
+  // arc addressed to this range was consumed (delivered or dropped), and
+  // no mail bit of the range survives its delivery pass.
+  for (NodeId v = begin; v < end; ++v) {
+    for (std::uint32_t p = 0; p < contexts_[v].degree(); ++p) {
+      assert(sent[contexts_[v].in_slot_[p]] == kNoSend);
     }
+  }
+  for (std::size_t i = arc_begin >> 6; i < words_end; ++i) {
+    assert((mail_arcs_[i] & range_mask(i, arc_begin, arc_end)) == 0);
   }
 #endif
   if (consumed != 0) {
@@ -555,10 +582,10 @@ void Network::shard_inject_slot(std::uint32_t slot, Message msg) {
   // Injected before the round that delivers it begins, i.e. into the
   // arena of the round it was sent in, next to the replica's own sends.
   sent_[slot] = (*arenas_)[round_ & 1].store(std::move(msg));
-  // Slots are laid out like the CSR arcs, so the slot's receiver is the
-  // arc's head.
-  const NodeId to = graph_->csr_neighbors()[slot];
-  mail_bits_[to >> 6] |= bit_of(to);
+  // The reverse-arc table is its own inverse: the slot's reverse arc is the
+  // receiver's port on which it arrives.
+  const std::uint32_t arc = in_slot_[slot];
+  mail_arcs_[arc >> 6] |= bit_of(arc);
 }
 
 void Network::start_if_needed() {

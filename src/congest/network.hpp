@@ -199,8 +199,9 @@ class NodeContext {
   /// Network's in_slot_ array, indexed like sent_. Lets delivery find the
   /// sender's arc reference in O(1) with a single indirection.
   const std::uint32_t* in_slot_ = nullptr;
-  /// The Network's receiver bitmap: send/broadcast set the receiving
-  /// neighbor's bit so delivery visits only nodes with mail.
+  /// The Network's arc bitmap: send/broadcast on port p set bit
+  /// in_slot_[p], the receiver-side arc the message arrives on, so
+  /// delivery visits only arcs that carry mail.
   std::uint64_t* mail_ = nullptr;
   /// Messages queued by this node since the last counter flush. Owner-
   /// thread-only plain counter; compute_range drains it into
@@ -485,8 +486,8 @@ class Network {
   /// per-worker counters sum to the single-process value.
   void shard_clear_slot(std::uint32_t slot) { sent_[slot] = kNoSend; }
   /// Stores a boundary message in the current round's send arena, points
-  /// `slot` (which must be free) at it and marks the receiver as having
-  /// mail. Does NOT increment inflight: the sender's worker already
+  /// `slot` (which must be free) at it and marks its receiver-side arc as
+  /// carrying mail. Does NOT increment inflight: the sender's worker already
   /// counted the send.
   void shard_inject_slot(std::uint32_t slot, Message msg);
 
@@ -515,7 +516,7 @@ class Network {
   void begin_round();
   void compute_range(std::uint32_t begin, std::uint32_t end, RunStats& local,
                      bool sweep_all);
-  /// Delivers to the receivers in [begin, end) that have mail. Each
+  /// Delivers the queued arcs into the receivers in [begin, end). Each
   /// delivery is recorded into `sink` when it is non-null, else reported to
   /// cfg_.observer if set.
   void deliver_range(std::uint32_t begin, std::uint32_t end,
@@ -581,16 +582,20 @@ class Network {
   std::vector<Message> altered_;
   /// in_slot_[offsets_[w] + p]: the arc w pulls from on port p.
   std::vector<std::uint32_t> in_slot_;
-  /// Activity bitmaps, one bit per node (bit v&63 of word v>>6):
-  ///  * mail_bits_  — receivers with at least one queued message;
-  ///  * run_bits_   — nodes that must run this round beyond the awake ones:
-  ///    a non-empty inbox, or a due wake-up (kept set while the node is
-  ///    crashed, which is the wake-up deferral);
-  ///  * awake_bits_ — nodes neither halted nor on-demand.
-  /// Delivery walks mail_bits_ and compute walks run_bits_ | awake_bits_,
-  /// both in ascending node order, so a round costs O(n/64 + messages +
-  /// nodes that run) instead of O(n + m).
-  std::vector<std::uint64_t> mail_bits_;
+  /// Activity bitmaps (bit i&63 of word i>>6):
+  ///  * mail_arcs_  — one bit per receiver-side arc: bit offsets_[w] + q is
+  ///    set while a message is queued for w's port q (a send on port p
+  ///    sets bit in_slot_[p]; the reverse-arc table is its own inverse);
+  ///  * run_bits_   — one bit per node: nodes that must run this round
+  ///    beyond the awake ones: a non-empty inbox, or a due wake-up (kept
+  ///    set while the node is crashed, which is the wake-up deferral);
+  ///  * awake_bits_ — one bit per node: nodes neither halted nor on-demand.
+  /// Delivery walks mail_arcs_ — receivers in ascending order, each inbox
+  /// in port order — and compute walks run_bits_ | awake_bits_ in
+  /// ascending node order, so a round costs O(m/32 + messages + nodes that
+  /// run) word operations instead of O(n + m) scans, and a hub that hears
+  /// from one neighbor pays for one arc, not for all its ports.
+  std::vector<std::uint64_t> mail_arcs_;
   std::vector<std::uint64_t> run_bits_;
   std::vector<std::uint64_t> awake_bits_;
   /// Min-heap of armed wake-ups (round, node). Entries superseded by a

@@ -89,18 +89,26 @@ InitPhase run_initialization(const graph::Graph& g,
 }
 
 EngineSweep::EngineSweep(const graph::Graph& g, std::uint32_t threads)
-    : engine_(std::make_shared<const graph::EccEngine>(g, threads)) {
-  if (threads > 1) {
-    task_ = std::async(std::launch::async,
-                       [engine = engine_, parent = metrics::current_span()] {
-                         const metrics::AdoptSpanParent adopt(parent);
-                         engine->all();
-                       });
+    : engine_(g.ecc_engine()), threads_(threads) {
+  // A task only pays when the sweep is still to come and would fan out:
+  // below the cutoff it runs serially, and a thread start plus a join
+  // cost more than the sweep itself.
+  if (threads > 1 && g.n() >= graph::kEccParallelCutoff &&
+      !engine_->ready()) {
+    task_ = std::async(std::launch::async, [engine = engine_, threads,
+                                            parent = metrics::current_span()] {
+      const metrics::AdoptSpanParent adopt(parent);
+      engine->sweep(threads);
+    });
   }
 }
 
 std::shared_ptr<const graph::EccEngine> EngineSweep::join() {
-  if (task_.valid()) task_.get();
+  if (task_.valid()) {
+    task_.get();
+  } else if (engine_ != nullptr) {
+    engine_->sweep(threads_);
+  }
   return std::move(engine_);
 }
 
@@ -157,8 +165,9 @@ void WindowOracle::build_table(EngineSweep& sweep) {
   metrics::ScopedTimer span("core.oracle_build");
   engine_ = sweep.join();
   // An O(len log len) table build over the engine's eccentricity table
-  // (swept here unless a background task already ran it); every branch's
-  // reference value is then an O(1) range-max query.
+  // (swept in join() unless a background task or an earlier front-end on
+  // this graph already did); every branch's reference value is then an
+  // O(1) range-max query.
   seg_max_ = engine_->segment_max(walk_);
   walk_ = {};
 }

@@ -43,22 +43,28 @@ struct InitPhase {
 InitPhase run_initialization(const graph::Graph& g,
                              const congest::NetworkConfig& net);
 
-/// The EccEngine a front-end's oracle reads its reference values from,
-/// with its eccentricity sweep possibly still running. With `threads` > 1
-/// construction starts the sweep (fanned across `threads` workers) on a
-/// background task, so whatever the caller runs next overlaps it, and the
-/// sweep's span nests under the caller's innermost span. With 1 the sweep
-/// is left to the first reader of the table, on the calling thread.
+/// The graph's shared EccEngine (Graph::ecc_engine), which a front-end's
+/// oracle reads its reference values from, with its eccentricity sweep
+/// possibly still running. When the table is not there yet, `threads` > 1
+/// and the graph is large enough for a parallel sweep
+/// (graph::kEccParallelCutoff), construction starts the sweep (fanned
+/// across `threads` workers) on a background task, so whatever the caller
+/// runs next overlaps it, and the sweep's span nests under the caller's
+/// innermost span. Otherwise no task starts: join() sweeps on the calling
+/// thread if the table is still missing, and a graph whose table exists
+/// sweeps nothing.
 class EngineSweep {
  public:
   EngineSweep() = default;
   EngineSweep(const graph::Graph& g, std::uint32_t threads);
 
-  /// Waits for the background sweep, if any, and hands over the engine.
+  /// Waits for the background sweep, or runs the sweep here if no task
+  /// was started and the table is missing, and hands over the engine.
   std::shared_ptr<const graph::EccEngine> join();
 
  private:
   std::shared_ptr<const graph::EccEngine> engine_;
+  std::uint32_t threads_ = 1;
   std::future<void> task_;
 };
 
@@ -94,11 +100,12 @@ std::uint32_t effective_branch_threads(const QuantumConfig& cfg);
 /// every branch in kSimulate mode, once in read_reference() in kDirect
 /// mode (where operator() is a plain table lookup).
 ///
-/// The centralized reference is served by a shared graph::EccEngine — one
-/// BFS per vertex for the whole engine lifetime plus an O(1) sparse-table
-/// segment query per branch — instead of the naive Theta(d) BFS per
-/// branch. The oracle shares the engine rather than owning it, so the
-/// front-end may run the sweep before (or beside) the initialization.
+/// The centralized reference is served by the graph's shared
+/// graph::EccEngine — one BFS per vertex for the life of the graph plus an
+/// O(1) sparse-table segment query per branch — instead of the naive
+/// Theta(d) BFS per branch. The oracle shares the engine rather than
+/// owning it, so the front-end may run the sweep before (or beside) the
+/// initialization.
 ///
 /// Construction only numbers the walk; read_reference() builds the table,
 /// and must run before operator(). operator() is then safe to call from

@@ -10,9 +10,6 @@ namespace qc::graph {
 
 namespace {
 
-// Below this size the sweep is cheaper than spawning workers.
-constexpr std::uint32_t kParallelCutoff = 256;
-
 // kAuto kernel choice: bit-parallel once a sweep spans a few bit-parallel
 // batches; below that the flat kernel's simpler per-level loop wins.
 constexpr std::uint32_t kBitParallelCutoff = 256;
@@ -61,10 +58,11 @@ EccEngine::EccEngine(Graph g, const EccOptions& opts)
   }
 }
 
-void EccEngine::sweep_flat(std::vector<std::uint32_t>& table) const {
+void EccEngine::sweep_flat(std::vector<std::uint32_t>& table,
+                           std::uint32_t workers) const {
   const std::uint32_t n = g_.n();
-  const auto workers = std::min<std::uint32_t>(opts_.num_threads, n);
-  if (n < kParallelCutoff || workers <= 1) {
+  workers = std::min(workers, n);
+  if (n < kEccParallelCutoff || workers <= 1) {
     BfsScratch scratch;
     for (NodeId v = 0; v < n; ++v) {
       table[v] = flat_bfs_distances(g_, v, scratch);
@@ -88,7 +86,8 @@ void EccEngine::sweep_flat(std::vector<std::uint32_t>& table) const {
   }
 }
 
-void EccEngine::sweep_bit_parallel(std::vector<std::uint32_t>& table) const {
+void EccEngine::sweep_bit_parallel(std::vector<std::uint32_t>& table,
+                                   std::uint32_t workers) const {
   const std::uint32_t n = g_.n();
   const std::uint32_t batches = (n + kBatch - 1) / kBatch;
   const std::vector<NodeId> order = bfs_order(g_);
@@ -105,8 +104,8 @@ void EccEngine::sweep_bit_parallel(std::vector<std::uint32_t>& table) const {
     for (std::uint32_t i = 0; i < k; ++i) table[order[first + i]] = ecc[i];
     bfs_runs_.fetch_add(k, std::memory_order_relaxed);
   };
-  const auto workers = std::min<std::uint32_t>(opts_.num_threads, batches);
-  if (n < kParallelCutoff || workers <= 1) {
+  workers = std::min(workers, batches);
+  if (n < kEccParallelCutoff || workers <= 1) {
     MultiBfsScratch scratch;
     for (std::uint32_t b = 0; b < batches; ++b) run_batch(b, scratch);
   } else {
@@ -126,8 +125,10 @@ void EccEngine::sweep_bit_parallel(std::vector<std::uint32_t>& table) const {
   }
 }
 
-void EccEngine::ensure_all() const {
-  std::call_once(computed_, [this] {
+void EccEngine::sweep(std::uint32_t num_threads) const {
+  if (ready()) return;
+  if (num_threads == 0) num_threads = opts_.num_threads;
+  std::call_once(computed_, [this, num_threads] {
     metrics::ScopedTimer span("graph.ecc_sweep");
     const std::uint32_t n = g_.n();
     auto table = std::make_shared<std::vector<std::uint32_t>>(n);
@@ -137,9 +138,9 @@ void EccEngine::ensure_all() const {
                                        : EccKernel::kFlat;
     }
     if (kernel == EccKernel::kBitParallel) {
-      sweep_bit_parallel(*table);
+      sweep_bit_parallel(*table, num_threads);
     } else {
-      sweep_flat(*table);
+      sweep_flat(*table, num_threads);
     }
     ecc_ = std::move(table);
     ready_.store(true, std::memory_order_release);
@@ -150,12 +151,12 @@ void EccEngine::ensure_all() const {
 
 std::uint32_t EccEngine::eccentricity(NodeId v) const {
   require(v < g_.n(), "EccEngine::eccentricity: node out of range");
-  ensure_all();
+  sweep();
   return (*ecc_)[v];
 }
 
 const std::vector<std::uint32_t>& EccEngine::all() const {
-  ensure_all();
+  sweep();
   return *ecc_;
 }
 
@@ -175,7 +176,7 @@ NodeId EccEngine::center() const {
 }
 
 EccEngine::SegmentMax EccEngine::segment_max(const DfsNumbering& num) const {
-  ensure_all();
+  sweep();
   SegmentMax sm;
   sm.tau_ = num.tau;
   sm.in_walk_ = num.in_walk;

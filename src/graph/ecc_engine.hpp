@@ -42,13 +42,16 @@
 
 namespace qc::graph {
 
+/// Below this many vertices a sweep runs serially whatever its worker
+/// count: spawning workers would cost more than the BFS runs.
+inline constexpr std::uint32_t kEccParallelCutoff = 256;
+
 /// Tuning knobs for EccEngine. Every setting changes cost only, never
 /// results: eccentricity tables are bit-identical across kernels and
 /// thread counts.
 struct EccOptions {
-  /// Workers for the one-time sweep; 0 means hardware_concurrency. Small
-  /// graphs always compute serially — spawning workers would cost more
-  /// than the BFS runs.
+  /// Workers for the one-time sweep; 0 means hardware_concurrency. Graphs
+  /// below kEccParallelCutoff always compute serially.
   std::uint32_t num_threads = 0;
   /// Sweep kernel; kAuto picks bit-parallel for large graphs.
   EccKernel kernel = EccKernel::kAuto;
@@ -66,7 +69,9 @@ struct EccOptions {
 ///
 /// Lifetime: the engine holds the Graph *by value*. Graph copies are O(1)
 /// and share the underlying CSR storage, so the engine stays valid after
-/// the caller's Graph object goes out of scope.
+/// the caller's Graph object goes out of scope. The one exception is the
+/// engine a graph caches for all its copies (Graph::ecc_engine), whose
+/// Graph borrows the storage it lives in; its handle keeps that alive.
 class EccEngine {
  public:
   /// `num_threads` = 0 means hardware_concurrency (see EccOptions).
@@ -92,6 +97,12 @@ class EccEngine {
   /// A center vertex (minimum eccentricity, smallest id on ties; vertex 0
   /// on a disconnected graph, where every eccentricity is kUnreachable).
   NodeId center() const;
+
+  /// Computes the table now unless it is there already, fanned across
+  /// `num_threads` workers (0 = the engine's EccOptions::num_threads). The
+  /// first caller fixes the count; a concurrent caller blocks until the
+  /// table is ready. The table does not depend on the count.
+  void sweep(std::uint32_t num_threads = 0) const;
 
   /// True once the eccentricity table is computed. Never forces the
   /// sweep, so a caller with a cheaper way to its answer can take it while
@@ -140,15 +151,16 @@ class EccEngine {
   SegmentMax segment_max(const DfsNumbering& num) const;
 
  private:
-  void ensure_all() const;
-  void sweep_flat(std::vector<std::uint32_t>& table) const;
-  void sweep_bit_parallel(std::vector<std::uint32_t>& table) const;
+  void sweep_flat(std::vector<std::uint32_t>& table,
+                  std::uint32_t workers) const;
+  void sweep_bit_parallel(std::vector<std::uint32_t>& table,
+                          std::uint32_t workers) const;
 
   Graph g_;  ///< by value: shares the CSR storage
   EccOptions opts_;
   mutable std::once_flag computed_;
   /// The table lives behind a shared_ptr so SegmentMax instances can
-  /// outlive the engine; written exactly once inside ensure_all.
+  /// outlive the engine; written exactly once inside sweep().
   mutable std::shared_ptr<std::vector<std::uint32_t>> ecc_;
   mutable std::atomic<std::uint64_t> bfs_runs_{0};
   /// Set (release) once ecc_ is written; read by ready().

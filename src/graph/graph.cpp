@@ -1,23 +1,39 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 
+#include "graph/ecc_engine.hpp"
 #include "util/error.hpp"
 
 namespace qc::graph {
 
-namespace {
-
-/// Heap backing of a Graph; Graph itself only holds a type-erased
-/// shared_ptr to it plus raw pointers into the vectors.
-struct OwnedCsr {
+/// Heap backing of a Graph; Graph itself holds a shared_ptr to it plus raw
+/// pointers into the vectors. The arrays never change after construction,
+/// so anything computed from them alone is cached here once for every
+/// copy.
+struct Graph::OwnedCsr {
   std::vector<std::uint32_t> offsets;
   std::vector<NodeId> neighbors;
+  /// is_connected(): -1 until first computed, then 0 or 1. Racing first
+  /// callers compute the same answer, so a plain store is enough.
+  mutable std::atomic<int> connected{-1};
+  mutable std::once_flag engine_once;
+  /// Built under engine_once over a non-owning Graph of this block.
+  mutable std::unique_ptr<const EccEngine> engine;
 };
 
-}  // namespace
+Graph Graph::adopt(std::shared_ptr<OwnedCsr> block, std::uint32_t n) {
+  Graph g;
+  g.offsets_ = block->offsets.data();
+  g.neighbors_ = block->neighbors.data();
+  g.n_ = n;
+  g.storage_ = std::move(block);
+  return g;
+}
 
 Graph Graph::from_edges(std::uint32_t n, std::span<const Edge> edges) {
   return from_edges(n, std::vector<Edge>(edges.begin(), edges.end()));
@@ -32,7 +48,8 @@ Graph Graph::from_edges(std::uint32_t n, std::vector<Edge>&& edges) {
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
-  OwnedCsr csr;
+  auto block = std::make_shared<OwnedCsr>();
+  OwnedCsr& csr = *block;
   csr.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
   for (const auto& [u, v] : edges) {
     ++csr.offsets[u + 1];
@@ -57,13 +74,7 @@ Graph Graph::from_edges(std::uint32_t n, std::vector<Edge>&& edges) {
                    "Graph::from_edges: adjacency came out unsorted");
   }
 
-  Graph g;
-  auto holder = std::make_shared<OwnedCsr>(std::move(csr));
-  g.offsets_ = holder->offsets.data();
-  g.neighbors_ = holder->neighbors.data();
-  g.n_ = n;
-  g.storage_ = std::move(holder);
-  return g;
+  return adopt(std::move(block), n);
 }
 
 Graph Graph::from_csr(std::vector<std::uint32_t> offsets,
@@ -102,14 +113,10 @@ Graph Graph::from_csr(std::vector<std::uint32_t> offsets,
     }
   }
 
-  Graph g;
-  auto holder = std::make_shared<OwnedCsr>(
-      OwnedCsr{std::move(offsets), std::move(neighbors)});
-  g.offsets_ = holder->offsets.data();
-  g.neighbors_ = holder->neighbors.data();
-  g.n_ = n;
-  g.storage_ = std::move(holder);
-  return g;
+  auto block = std::make_shared<OwnedCsr>();
+  block->offsets = std::move(offsets);
+  block->neighbors = std::move(neighbors);
+  return adopt(std::move(block), n);
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
@@ -130,6 +137,29 @@ std::vector<Edge> Graph::edges() const {
 }
 
 bool Graph::is_connected() const {
+  const int cached = storage_->connected.load(std::memory_order_relaxed);
+  if (cached >= 0) return cached != 0;
+  const bool connected = scan_connected();
+  storage_->connected.store(connected ? 1 : 0, std::memory_order_relaxed);
+  return connected;
+}
+
+std::shared_ptr<const EccEngine> Graph::ecc_engine() const {
+  const OwnedCsr& block = *storage_;
+  std::call_once(block.engine_once, [this, &block] {
+    // The engine's copy of the graph points at this block without owning
+    // it: an owning copy inside the block would keep the block alive
+    // forever.
+    Graph view = *this;
+    view.storage_ = std::shared_ptr<const OwnedCsr>(
+        std::shared_ptr<const OwnedCsr>(), &block);
+    block.engine = std::make_unique<const EccEngine>(std::move(view));
+  });
+  // Aliasing handle: shares ownership of the block, points at its engine.
+  return {storage_, block.engine.get()};
+}
+
+bool Graph::scan_connected() const {
   if (n() == 0) return true;
   std::vector<bool> seen(n(), false);
   std::vector<NodeId> stack{0};

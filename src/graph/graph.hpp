@@ -18,6 +18,8 @@ inline constexpr NodeId kInvalidNode = static_cast<NodeId>(-1);
 /// An undirected edge; canonical form has first <= second.
 using Edge = std::pair<NodeId, NodeId>;
 
+class EccEngine;
+
 /// Immutable undirected simple graph in compressed-sparse-row form.
 ///
 /// This is the topology substrate everything else builds on: the CONGEST
@@ -31,7 +33,8 @@ using Edge = std::pair<NodeId, NodeId>;
 ///
 /// The CSR arrays live in one shared heap block; the graph reads them
 /// through two raw pointers. Copying a Graph is O(1): copies share the
-/// block.
+/// block, and with it the block's compute-once caches (connectivity and
+/// the eccentricity engine), which are pure functions of the arrays.
 class Graph {
  public:
   /// Builds a graph with `n` vertices from an edge list. Self-loops are
@@ -81,17 +84,37 @@ class Graph {
   /// All edges in canonical (u < v) order.
   std::vector<Edge> edges() const;
 
+  /// Computed once per CSR block; later calls, on any copy, read the
+  /// cached answer.
   bool is_connected() const;
+
+  /// The eccentricity engine shared by every copy of this graph: built on
+  /// the first call, once per CSR block, so every front-end run on the
+  /// graph reads one table, swept once. The handle keeps the block alive;
+  /// the engine inside it does not (its graph() is a view that borrows the
+  /// block, valid while a handle is held). An engine constructed directly
+  /// keeps a private table. Throws like EccEngine's constructor on n = 0.
+  std::shared_ptr<const EccEngine> ecc_engine() const;
 
   /// Human-readable one-line summary ("Graph(n=.., m=..)").
   std::string describe() const;
 
  private:
+  /// The shared heap block: the CSR vectors plus the caches above.
+  struct OwnedCsr;
+
   Graph() = default;
 
-  /// Owns the CSR vectors; shared by every copy. Never inspected, only
-  /// retained.
-  std::shared_ptr<const void> storage_;
+  /// Wraps a filled block: points the raw pointers at its arrays.
+  static Graph adopt(std::shared_ptr<OwnedCsr> block, std::uint32_t n);
+
+  /// The uncached connectivity search behind is_connected().
+  bool scan_connected() const;
+
+  /// Shared by every copy. The shared engine's own graph holds a
+  /// non-owning pointer to the block it lives in, so the block never owns
+  /// itself.
+  std::shared_ptr<const OwnedCsr> storage_;
   const std::uint32_t* offsets_ = nullptr;
   const NodeId* neighbors_ = nullptr;
   std::uint32_t n_ = 0;

@@ -3,9 +3,9 @@
 // GraphRegistry — the daemon's resident-graph store.
 //
 // One entry per graph key (the path given to `load`): the Graph itself
-// (owned CSR, read once from the file) plus one shared EccEngine, so the
-// compute-once eccentricity table is built by the first query that needs
-// it and served forever after. Load-once
+// (owned CSR, read once from the file), whose shared EccEngine
+// (Graph::ecc_engine) builds the compute-once eccentricity table on the
+// first query that needs it and serves it forever after. Load-once
 // semantics generalize the engine's std::call_once cache to the registry
 // level: concurrent `load`s of the same key perform exactly one file load
 // between them, and every caller gets the same ResidentGraph instance.
@@ -31,10 +31,15 @@ namespace qc::serve {
 class ResidentGraph {
  public:
   ResidentGraph(graph::Graph g, std::string format, double load_ms)
-      : engine_(std::move(g)), format_(std::move(format)), load_ms_(load_ms) {}
+      : graph_(std::move(g)),
+        engine_(graph_.ecc_engine()),
+        format_(std::move(format)),
+        load_ms_(load_ms) {}
 
-  const graph::Graph& graph() const { return engine_.graph(); }
-  const graph::EccEngine& engine() const { return engine_; }
+  const graph::Graph& graph() const { return graph_; }
+  /// The graph's shared engine: the same table any other reader of this
+  /// Graph sees.
+  const graph::EccEngine& engine() const { return *engine_; }
   const std::string& format() const { return format_; }
   double load_ms() const { return load_ms_; }
 
@@ -43,7 +48,8 @@ class ResidentGraph {
   std::uint32_t girth() const;
 
  private:
-  graph::EccEngine engine_;  ///< holds the Graph by value (shared storage)
+  graph::Graph graph_;
+  std::shared_ptr<const graph::EccEngine> engine_;  ///< graph_.ecc_engine()
   std::string format_;
   double load_ms_ = 0.0;
   mutable std::once_flag girth_once_;

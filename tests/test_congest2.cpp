@@ -4,15 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "congest/network.hpp"
+#include "congest/shard/sharded_network.hpp"
 #include "congest/trace.hpp"
 #include "graph/generators.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace qc::congest {
 namespace {
@@ -524,6 +528,203 @@ TEST(RunRule, AuditKeepsTheMaximumOfANodeThatNeverRunsAgain) {
   // Node 0 never runs again, yet every later phase still reports it.
   EXPECT_EQ(net.run_rounds(3).max_node_memory_bits, 900u);
   EXPECT_EQ(net.run_rounds(1).max_node_memory_bits, 900u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Delivery by arc: a hub that hears from a sparse, changing set of leaves.
+// Delivery walks the receiver-side arcs that carry mail, so the hub's
+// inbox must come out in port order and the event stream in (round,
+// receiver, port) order however few of its ports are busy.
+// ---------------------------------------------------------------------------
+
+/// Order-sensitive hash fold.
+std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+/// Stateless per-(node, round, port) coin.
+std::uint64_t coin(NodeId v, std::uint32_t round, std::uint32_t port) {
+  std::uint64_t x = (std::uint64_t{v} << 40) ^ (std::uint64_t{round} << 20) ^
+                    port ^ 0x2545f4914f6cdd1dULL;
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  return x;
+}
+
+/// Each round sends on about one port in eight (a degree-1 leaf thus
+/// mails the hub in one round out of eight), broadcasts from high-degree
+/// nodes every seventh round, and folds each inbox, in order, into
+/// `hash`.
+class Chatter final : public NodeProgram {
+ public:
+  void on_start(NodeContext& ctx) override { act(ctx); }
+  void on_round(NodeContext& ctx) override {
+    for (const auto& in : ctx.inbox()) {
+      hash = fold(fold(fold(hash, ctx.round()), in.port), in.msg.field(0));
+    }
+    act(ctx);
+  }
+  void serialize_state(Message& out) const override { out.push(hash, 64); }
+  void restore_state(const Message& in) override { hash = in.field(0); }
+  std::uint64_t hash = 0;
+
+ private:
+  static void act(NodeContext& ctx) {
+    const std::uint32_t deg = ctx.degree();
+    const std::uint64_t tag = (ctx.id() * 31 + ctx.round()) & 0xff;
+    if (deg > 16 && ctx.round() % 7 == 3) {
+      ctx.broadcast(Message().push(tag, 8), ctx.round() % deg);
+      return;
+    }
+    for (std::uint32_t p = 0; p < deg; ++p) {
+      if (coin(ctx.id(), ctx.round(), p) % 8 == 0) {
+        ctx.send(p, Message().push(tag ^ p, 8));
+      }
+    }
+  }
+};
+
+/// A star of 140 leaves around hub 70 (ids 0..140), plus a 100-node
+/// preferential-attachment tail (ids 141..240) hanging off the hub. The
+/// hub's id sits mid-range, so its arcs cross every contiguous shard cut.
+constexpr NodeId kHub = 70;
+
+graph::Graph hub_graph() {
+  Rng rng(5);
+  const graph::Graph tail = graph::make_preferential_attachment(100, 2, rng);
+  graph::GraphBuilder b(241);
+  for (NodeId v = 0; v <= 140; ++v) {
+    if (v != kHub) b.add_edge(kHub, v);
+  }
+  for (const auto& [u, v] : tail.edges()) b.add_edge(141 + u, 141 + v);
+  b.add_edge(kHub, 141);
+  b.add_edge(3, 150);    // a leaf with a second port
+  b.add_edge(139, 200);
+  return std::move(b).build();
+}
+
+enum class HubPlan { kNone, kDropsAndCrashes, kCorrupt };
+
+NetworkConfig hub_config(HubPlan plan) {
+  NetworkConfig cfg;
+  switch (plan) {
+    case HubPlan::kNone:
+      break;
+    case HubPlan::kDropsAndCrashes:
+      cfg.fault.drop_probability = 0.05;
+      cfg.fault.seed = 7;
+      cfg.fault.crashes = {CrashWindow{kHub, 5, 9}, CrashWindow{141, 3, 6},
+                           CrashWindow{12, 10, 30}, CrashWindow{kHub, 20, 21}};
+      break;
+    case HubPlan::kCorrupt:
+      cfg.fault.corrupt_probability = 0.03;
+      cfg.fault.seed = 7;
+      break;
+  }
+  return cfg;
+}
+
+struct HubRun {
+  std::uint64_t events = 0;  ///< hash of the observed event stream
+  std::uint64_t nodes = 0;   ///< hash of every node's inbox hash
+  std::uint64_t count = 0;   ///< observed events
+  RunStats first, rest;
+};
+
+/// 12 rounds, then 28 more in a second phase.
+template <typename Net>
+HubRun run_hub(const graph::Graph& g, Net& net, std::uint64_t& events,
+               std::uint64_t& count) {
+  HubRun out;
+  net.init_programs([](NodeId) { return std::make_unique<Chatter>(); });
+  out.first = net.run_rounds(12);
+  out.rest = net.run_rounds(28);
+  out.events = events;
+  out.count = count;
+  for (NodeId v = 0; v < g.n(); ++v) {
+    out.nodes = fold(out.nodes, net.template program_as<Chatter>(v).hash);
+  }
+  return out;
+}
+
+std::shared_ptr<DeliveryObserver> hub_observer(std::uint64_t& events,
+                                               std::uint64_t& count) {
+  return std::make_shared<CallbackObserver>(
+      [&events, &count](NodeId from, NodeId to, const Message& m,
+                        std::uint32_t round) {
+        ++count;
+        events = fold(fold(fold(fold(events, round), from), to), m.field(0));
+      });
+}
+
+HubRun hub_sequential(const graph::Graph& g, HubPlan plan) {
+  std::uint64_t events = 0, count = 0;
+  NetworkConfig cfg = hub_config(plan);
+  cfg.observer = hub_observer(events, count);
+  Network net(g, cfg);
+  return run_hub(g, net, events, count);
+}
+
+TEST(ArcDelivery, HubWithSparseSendersMatchesGoldenHashes) {
+  const graph::Graph g = hub_graph();
+  ASSERT_EQ(g.degree(kHub), 141u);
+  // {event hash, node hash, events} per plan, captured with the
+  // per-receiver delivery pass that scanned every port of a receiver with
+  // mail.
+  const std::vector<std::uint64_t> golden = {
+      // none
+      0xc992e7bd2240808cULL, 0xddbeec0708709085ULL, 4453ULL,
+      // drops + crashes
+      0x359123b98785706dULL, 0x244bf3a76174f5d2ULL, 4009ULL,
+      // corrupt
+      0x2e00308b8c8f0412ULL, 0xd9e3f4cb3fa1455aULL, 4453ULL,
+  };
+  std::vector<std::uint64_t> got;
+  for (const HubPlan plan :
+       {HubPlan::kNone, HubPlan::kDropsAndCrashes, HubPlan::kCorrupt}) {
+    const HubRun r = hub_sequential(g, plan);
+    got.insert(got.end(), {r.events, r.nodes, r.count});
+    // The observer sees exactly the deliveries the stats count.
+    EXPECT_EQ(r.first.messages + r.rest.messages, r.count);
+  }
+  std::string listing;
+  for (const std::uint64_t x : got) listing += std::to_string(x) + "ULL,\n";
+  ASSERT_EQ(got.size(), golden.size()) << listing;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], golden[i]) << "case " << i << "\n" << listing;
+  }
+}
+
+TEST(ArcDelivery, HubRunIsBitIdenticalAcrossShardCounts) {
+  const graph::Graph g = hub_graph();
+  for (const HubPlan plan : {HubPlan::kNone, HubPlan::kDropsAndCrashes}) {
+    const HubRun seq = hub_sequential(g, plan);
+    for (const std::uint32_t w : {2u, 3u}) {
+      const std::string where = "W=" + std::to_string(w) + " plan " +
+                                std::to_string(static_cast<int>(plan));
+      std::uint64_t events = 0, count = 0;
+      shard::ShardConfig cfg;
+      cfg.shards = w;
+      cfg.net = hub_config(plan);
+      cfg.net.observer = hub_observer(events, count);
+      shard::ShardedNetwork net(g, cfg);
+      const HubRun got = run_hub(g, net, events, count);
+      net.shutdown();
+      EXPECT_EQ(got.events, seq.events) << where;
+      EXPECT_EQ(got.count, seq.count) << where;
+      EXPECT_EQ(got.nodes, seq.nodes) << where;
+      for (const auto& [a, b] :
+           {std::pair{got.first, seq.first}, std::pair{got.rest, seq.rest}}) {
+        EXPECT_EQ(a.rounds, b.rounds) << where;
+        EXPECT_EQ(a.messages, b.messages) << where;
+        EXPECT_EQ(a.bits, b.bits) << where;
+        EXPECT_EQ(a.messages_dropped, b.messages_dropped) << where;
+        EXPECT_EQ(a.crashed_node_rounds, b.crashed_node_rounds) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "algos/bfs_tree.hpp"
@@ -15,6 +18,7 @@
 #include "core/quantum_diameter.hpp"
 #include "core/quantum_radius.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/ecc_engine.hpp"
 #include "graph/generators.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
@@ -560,6 +564,127 @@ TEST(QuantumApprox, PhaseBreakdownAddsUp) {
 TEST(QuantumApprox, TrivialGraphs) {
   EXPECT_EQ(quantum_diameter_approx(graph::make_path(1)).estimate, 0u);
   EXPECT_EQ(quantum_diameter_approx(graph::make_path(2)).estimate, 1u);
+}
+
+
+// ---------------------------------------------------------------------------
+// One eccentricity table per graph: every front-end on a Graph, and on its
+// copies, reads the engine cached in the graph's CSR block.
+// ---------------------------------------------------------------------------
+
+/// A graph equal to `g` with a CSR block, and so an engine, of its own.
+Graph rebuilt(const Graph& g) { return Graph::from_edges(g.n(), g.edges()); }
+
+auto common(const QuantumReport& r) {
+  return std::make_tuple(r.total_rounds, r.costs.setup_invocations,
+                         r.costs.grover_iterations,
+                         r.costs.candidate_evaluations,
+                         r.distinct_branch_evaluations, r.reference_bfs_runs,
+                         r.per_node_memory_qubits, r.leader_memory_qubits,
+                         r.subroutine_failed, r.failure_reason);
+}
+auto fields(const QuantumDiameterReport& r) {
+  return std::make_tuple(common(r), r.diameter, r.leader, r.ecc_leader,
+                         r.init_rounds, r.t_setup, r.t_eval_forward,
+                         r.budget_exhausted);
+}
+auto fields(const RadiusReport& r) {
+  return std::make_tuple(common(r), r.radius, r.center, r.leader,
+                         r.init_rounds, r.t_setup, r.t_eval_forward,
+                         r.budget_exhausted);
+}
+auto fields(const DecisionReport& r) {
+  return std::make_tuple(common(r), r.diameter_exceeds, r.witness,
+                         r.threshold, r.init_rounds, r.t_setup);
+}
+auto fields(const QuantumApproxReport& r) {
+  return std::make_tuple(common(r), r.estimate, r.aborted, r.s_used, r.w,
+                         r.prep_rounds, r.quantum_rounds);
+}
+
+QuantumConfig direct_config(std::uint32_t threads) {
+  QuantumConfig cfg;
+  cfg.oracle = OracleMode::kDirect;
+  cfg.seed = 3;
+  cfg.branch_threads = threads;
+  return cfg;
+}
+
+TEST(SharedEccTable, FrontEndsOnOneGraphSweepOnce) {
+  // n = 300 is past the parallel cutoff, so with 4 workers the first
+  // front-end sweeps on a background task and the others find the table.
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const Graph g = random_graph(300, 9, 42);
+    const QuantumConfig cfg = direct_config(threads);
+    const std::uint32_t threshold = 7;
+    metrics::MetricsRegistry reg;
+    QuantumDiameterReport diameter;
+    RadiusReport radius;
+    DecisionReport decide;
+    QuantumApproxReport approx;
+    {
+      ArmedMetrics armed(reg);
+      diameter = quantum_diameter_exact(g, cfg);
+      radius = quantum_radius(g, cfg);
+      decide = quantum_diameter_decide(g, threshold, cfg);
+      approx = quantum_diameter_approx(Graph(g), cfg);  // a copy shares it
+    }
+    EXPECT_EQ(count_spans(reg, "graph.ecc_sweep"), 1u);
+    EXPECT_EQ(g.ecc_engine()->bfs_runs(), g.n());
+    EXPECT_EQ(diameter.diameter, 9u);
+    EXPECT_FALSE(radius.subroutine_failed);
+    EXPECT_TRUE(decide.diameter_exceeds);
+
+    // Each report equals the same call on a graph that sweeps its own
+    // table.
+    EXPECT_EQ(fields(diameter), fields(quantum_diameter_exact(rebuilt(g), cfg)));
+    EXPECT_EQ(fields(radius), fields(quantum_radius(rebuilt(g), cfg)));
+    EXPECT_EQ(fields(decide),
+              fields(quantum_diameter_decide(rebuilt(g), threshold, cfg)));
+    EXPECT_EQ(fields(approx), fields(quantum_diameter_approx(rebuilt(g), cfg)));
+  }
+}
+
+TEST(SharedEccTable, ConcurrentFrontEndsGetTheSequentialReports) {
+  const Graph g = random_graph(300, 9, 43);
+  const QuantumConfig cfg = direct_config(2);
+  const auto want_diameter = fields(quantum_diameter_exact(rebuilt(g), cfg));
+  const auto want_radius = fields(quantum_radius(rebuilt(g), cfg));
+  QuantumDiameterReport diameter;
+  RadiusReport radius;
+  std::thread a([&] { diameter = quantum_diameter_exact(g, cfg); });
+  std::thread b([&] { radius = quantum_radius(g, cfg); });
+  a.join();
+  b.join();
+  EXPECT_EQ(fields(diameter), want_diameter);
+  EXPECT_EQ(fields(radius), want_radius);
+  EXPECT_EQ(g.ecc_engine()->bfs_runs(), g.n());
+}
+
+TEST(SharedEccTable, DirectEngineAndLibraryCallsKeepPrivateTables) {
+  const Graph g = random_graph(300, 9, 44);
+  ASSERT_EQ(quantum_diameter_exact(g, direct_config(1)).diameter, 9u);
+  const auto shared = g.ecc_engine();
+  ASSERT_TRUE(shared->ready());
+
+  const graph::EccEngine own(g);
+  EXPECT_NE(&own, shared.get());
+  EXPECT_FALSE(own.ready());
+  EXPECT_EQ(own.all(), shared->all());
+  EXPECT_EQ(own.bfs_runs(), g.n());
+  EXPECT_EQ(graph::diameter(g), 9u);
+  EXPECT_EQ(shared->bfs_runs(), g.n());  // nothing above swept it again
+
+  // The handle keeps the block, and with it the table, alive.
+  std::shared_ptr<const graph::EccEngine> orphan;
+  {
+    const Graph copy = rebuilt(g);
+    orphan = copy.ecc_engine();
+    EXPECT_EQ(orphan, copy.ecc_engine());
+  }
+  EXPECT_EQ(orphan->diameter(), 9u);
+  EXPECT_EQ(orphan->graph().n(), g.n());
 }
 
 }  // namespace
